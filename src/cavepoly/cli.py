@@ -11,7 +11,8 @@ canonical string; the term list is authoritative, the string advisory.
 All commands read an instance from a file argument or stdin, write results
 to stdout and diagnostics to stderr, and are stateless.  Exit status: 0 on
 success/equality, 1 on mathematical inequality or a cave-check false, 2 on
-input or usage errors.
+input or usage errors, 3 on an internal error (a library bug, reported as
+one ``internal error: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .polyalg import (
 EXIT_OK = 0
 EXIT_UNEQUAL = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _load_document(text):
@@ -393,8 +395,9 @@ def run_command(argv, stdin=None, stdout=None, stderr=None) -> int:
     except (ParseError, AxiomViolation, NotMConvex, ValueError) as exc:
         stderr.write("error: %s\n" % exc)
         return EXIT_INPUT
-    except InternalInvariantFailure:
-        raise
+    except InternalInvariantFailure as exc:
+        stderr.write("internal error: %s\n" % exc)
+        return EXIT_INTERNAL
     except CavepolyError as exc:
         stderr.write("error: %s\n" % exc)
         return EXIT_INPUT

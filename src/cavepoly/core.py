@@ -193,13 +193,62 @@ def validate_rank_function(p: int, values, cage) -> RankFunction:
     return RankFunction(p, dense, cage)
 
 
+def threshold_masks(values) -> dict:
+    """Threshold bitmasks over a sequence of values, bit k standing for item k:
+    each value x present maps to (items with value < x, items with value > x)."""
+    full = (1 << len(values)) - 1
+    equal = {}
+    for k, x in enumerate(values):
+        equal[x] = equal.get(x, 0) | 1 << k
+    out = {}
+    below = 0
+    for x in sorted(equal):
+        out[x] = (below, full & ~(below | equal[x]))
+        below |= equal[x]
+    return out
+
+
+def _lattice_codes(ordered):
+    """Integer codes of the points, and strides with code(q +- e_i) =
+    code(q) +- stride_i; a margin of one around each coordinate's range keeps
+    all those codes distinct."""
+    columns = list(zip(*ordered))
+    lows = [min(col) - 1 for col in columns]
+    strides = [1]
+    for low, col in zip(lows, columns):
+        strides.append(strides[-1] * (max(col) - low + 2))
+    return [sum((c - lo) * s for c, lo, s in zip(q, lows, strides)) for q in ordered], strides[:-1]
+
+
+def _first_failure(ordered, failing, rest=0):
+    """The first failing (v, i) in (v, i) loop order, or None.  ``failing[i]``
+    masks the v that fail at 0-based coordinate i; ``rest`` masks the v that
+    fail after every i, reported with i = None."""
+    union = rest
+    for bad in failing:
+        union |= bad
+    if not union:
+        return None
+    low = union & -union
+    v = ordered[low.bit_length() - 1]
+    for i, bad in enumerate(failing):
+        if bad & low:
+            return v, i + 1
+    return v, None
+
+
 def is_m_convex(points):
     """Check homogeneity plus the exchange property.
 
     Returns ``(True, None)`` or ``(False, witness)`` with witness
     ``(u, v, i)``: 1-based coordinate ``i`` has ``u_i > v_i`` but no ``j``
     with ``u_j < v_j`` puts ``u - e_i + e_j`` in the set.  A homogeneity
-    failure is reported as ``(u, v, None)``.
+    failure is reported as ``(u, v, None)``.  The witness is the first
+    failure in sorted (u, v, i) order.
+
+    Bit-parallel over v: v fails at (u, i) exactly when v_i < u_i and
+    v_j <= u_j for every j with u - e_i + e_j in the set, so each u costs
+    O(p^2) lookups and operations on |B|-bit threshold masks.
     """
     pts = point_set(points)
     ordered = sorted(pts)
@@ -208,22 +257,22 @@ def is_m_convex(points):
         if sum(q) != degree:
             return False, (ordered[0], q, None)
     p = len(ordered[0])
-    for u in ordered:
-        for v in ordered:
-            for i in range(p):
-                if u[i] <= v[i]:
-                    continue
-                ok = False
+    masks = [threshold_masks([q[i] for q in ordered]) for i in range(p)]
+    codes, strides = _lattice_codes(ordered)
+    present = set(codes)
+    for u, code in zip(ordered, codes):
+        failing = []
+        for i in range(p):
+            bad = masks[i][u[i]][0]
+            if bad:
+                base = code - strides[i]
                 for j in range(p):
-                    if u[j] < v[j]:
-                        w = list(u)
-                        w[i] -= 1
-                        w[j] += 1
-                        if tuple(w) in pts:
-                            ok = True
-                            break
-                if not ok:
-                    return False, (u, v, i + 1)
+                    if j != i and base + strides[j] in present:
+                        bad &= ~masks[j][u[j]][1]
+            failing.append(bad)
+        found = _first_failure(ordered, failing)
+        if found:
+            return False, (u,) + found
     return True, None
 
 
@@ -238,46 +287,46 @@ def is_generalized_polymatroid(points):
 
     Returns ``(True, None)`` or ``(False, (u, v, i))`` for a condition (1)
     failure at coordinate ``i`` (1-based), ``(False, (u, v, None))`` for a
-    condition (2) failure of the degree comparison.
+    condition (2) failure of the degree comparison.  The witness is the
+    first failure in sorted (u, v, i) order, condition (2) after every i.
+
+    Bit-parallel over v as in ``is_m_convex``: O(|S| p^2) lookups build the
+    masks of v with v + e_i - e_j or v + e_i in the set, then each u costs
+    O(p^2) lookups and mask operations.
     """
     pts = point_set(points)
     ordered = sorted(pts)
     p = len(ordered[0])
-
-    def shifted(base, dec, inc):
-        w = list(base)
-        w[dec] -= 1
-        w[inc] += 1
-        return tuple(w)
-
-    def bumped(base, coord, delta):
-        w = list(base)
-        w[coord] += delta
-        return tuple(w)
-
-    for u in ordered:
-        for v in ordered:
-            du, dv = sum(u), sum(v)
-            for i in range(p):
-                if u[i] <= v[i]:
-                    continue
-                ok = False
-                for j in range(p):
-                    if u[j] < v[j] and shifted(u, i, j) in pts and shifted(v, j, i) in pts:
-                        ok = True
-                        break
-                if not ok and du > dv:
-                    ok = bumped(u, i, -1) in pts and bumped(v, i, +1) in pts
-                if not ok:
-                    return False, (u, v, i + 1)
-            if du > dv:
-                ok = False
-                for j in range(p):
-                    if u[j] > v[j] and bumped(u, j, -1) in pts and bumped(v, j, +1) in pts:
-                        ok = True
-                        break
-                if not ok:
-                    return False, (u, v, None)
+    masks = [threshold_masks([q[i] for q in ordered]) for i in range(p)]
+    degree = threshold_masks([sum(q) for q in ordered])
+    codes, strides = _lattice_codes(ordered)
+    present = set(codes)
+    # up[i][j]: v with v + e_i - e_j in the set; up[i][i]: v with v + e_i in it.
+    up = [[0] * p for _ in range(p)]
+    for k, code in enumerate(codes):
+        for i in range(p):
+            raised = code + strides[i]
+            for j in range(p):
+                if (raised if j == i else raised - strides[j]) in present:
+                    up[i][j] |= 1 << k
+    for u, code in zip(ordered, codes):
+        lower = degree[sum(u)][0]
+        drops = [code - s in present for s in strides]
+        failing = []
+        for i in range(p):
+            rescued = lower & up[i][i] if drops[i] else 0
+            base = code - strides[i]
+            for j in range(p):
+                if j != i and base + strides[j] in present:
+                    rescued |= masks[j][u[j]][1] & up[i][j]
+            failing.append(masks[i][u[i]][0] & ~rescued)
+        rescued = 0
+        for j in range(p):
+            if drops[j]:
+                rescued |= masks[j][u[j]][0] & up[j][j]
+        found = _first_failure(ordered, failing, lower & ~rescued)
+        if found:
+            return False, (u,) + found
     return True, None
 
 

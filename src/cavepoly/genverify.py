@@ -44,6 +44,7 @@ from .core import (
     RankFunction,
     points_from_rank,
     rank_from_points,
+    threshold_masks,
     validate_rank_function,
 )
 from .errors import AxiomViolation, CavepolyError, GenerationExhausted, UnknownFamily
@@ -218,15 +219,29 @@ def _check_lex_order_invariance(P):
 
 
 def _check_mobius_interval_closed_form(P):
+    """The raw recurrence mu(m, a) = -sum of mu(m, b) over m <= b < a against
+    ``mobius_interval``, for every comparable pair of independence points.
+
+    The a >= m come from per-coordinate threshold masks over the region in
+    (degree, lex) order.  The region is down-closed, so the b of the sum are
+    exactly the interval box [m, a] without a, all processed before a."""
     region = sorted(independence_points(P).points, key=lambda n: (sum(n), n))
+    full = (1 << len(region)) - 1
+    masks = [threshold_masks([n[i] for n in region]) for i in range(P.p)]
     for m in region:
-        upper = [a for a in region if _dominates(a, m)]
+        upper = full
+        for i, c in enumerate(m):
+            upper &= ~masks[i][c][0]
         table = {}
-        for a in upper:
+        while upper:
+            low = upper & -upper
+            upper ^= low
+            a = region[low.bit_length() - 1]
             if a == m:
                 val = 1
             else:
-                val = -sum(v for b, v in table.items() if _dominates(a, b))
+                box = itertools.product(*(range(lo, hi + 1) for lo, hi in zip(m, a)))
+                val = -sum(table[b] for b in box if b != a)
             table[a] = val
             if mobius_interval(m, a) != val:
                 return False, "interval [%s, %s]: closed form %d, recurrence %d" % (

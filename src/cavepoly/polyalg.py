@@ -1,7 +1,9 @@
 """Exact sparse polynomial arithmetic in the monomial and binomial bases.
 
 Three representations, all with exact coefficients and dict-of-terms storage
-keyed by exponent/index tuples of fixed length p:
+keyed by exponent/index tuples of fixed length p.  ``terms`` is a read-only
+``MappingProxyType`` view, so a result shared through a cache cannot be
+changed by one caller under another:
 
 * ``MultiPoly``        -- integer coefficients on monomials t^n.  Exponents
   may go negative in transient intermediates (the cave expansion multiplies
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import DimensionMismatch, InternalInvariantFailure, NegativeExponent
 
@@ -71,7 +74,7 @@ class MultiPoly:
                 if clean[exps] == 0:
                     del clean[exps]
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -207,7 +210,7 @@ class BinomialBasisPoly:
                 if clean[n] == 0:
                     del clean[n]
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
         object.__setattr__(self, "shift", shift)
 
     def __setattr__(self, name, value):
@@ -260,7 +263,7 @@ class RationalPoly:
                 if clean[exps] == 0:
                     del clean[exps]
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalPoly is immutable")

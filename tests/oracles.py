@@ -1,0 +1,151 @@
+"""Brute-force reference implementations kept as test oracles.
+
+These are the library's original enumerators and exchange checks.  The
+library now uses output-sensitive versions (down-closure walk, bit-parallel
+exchange masks, indexed stalactite directions); the differential tests
+require both to return identical results and identical failure witnesses.
+"""
+
+import itertools
+
+from cavepoly.algorithms import LexOrder, mobius_interval, stalactite
+from cavepoly.core import point_set, rank_from_points
+from cavepoly.geometry import independence_points
+
+
+def independence_points_box_filter(P) -> frozenset:
+    """All n in N^p with every subset-sum within rank: walks the box bounded
+    by the singleton ranks and filters by all 2^p subset constraints."""
+    rk = rank_from_points(P)
+    p = P.p
+    index_sets = [[i for i in range(p) if mask >> i & 1] for mask in range(1 << p)]
+    members = []
+    for n in itertools.product(*(range(rk.of_mask(1 << i) + 1) for i in range(p))):
+        if all(sum(n[i] for i in index_sets[mask]) <= rk.values[mask] for mask in range(1, 1 << p)):
+            members.append(n)
+    return frozenset(members)
+
+
+def is_m_convex_pairwise(points):
+    """Homogeneity plus the exchange property, by the (u, v, i) triple loop."""
+    pts = point_set(points)
+    ordered = sorted(pts)
+    degree = sum(ordered[0])
+    for q in ordered[1:]:
+        if sum(q) != degree:
+            return False, (ordered[0], q, None)
+    p = len(ordered[0])
+    for u in ordered:
+        for v in ordered:
+            for i in range(p):
+                if u[i] <= v[i]:
+                    continue
+                ok = False
+                for j in range(p):
+                    if u[j] < v[j]:
+                        w = list(u)
+                        w[i] -= 1
+                        w[j] += 1
+                        if tuple(w) in pts:
+                            ok = True
+                            break
+                if not ok:
+                    return False, (u, v, i + 1)
+    return True, None
+
+
+def is_generalized_polymatroid_pairwise(points):
+    """The two exchange conditions, by the (u, v, i) triple loop."""
+    pts = point_set(points)
+    ordered = sorted(pts)
+    p = len(ordered[0])
+
+    def shifted(base, dec, inc):
+        w = list(base)
+        w[dec] -= 1
+        w[inc] += 1
+        return tuple(w)
+
+    def bumped(base, coord, delta):
+        w = list(base)
+        w[coord] += delta
+        return tuple(w)
+
+    for u in ordered:
+        for v in ordered:
+            du, dv = sum(u), sum(v)
+            for i in range(p):
+                if u[i] <= v[i]:
+                    continue
+                ok = False
+                for j in range(p):
+                    if u[j] < v[j] and shifted(u, i, j) in pts and shifted(v, j, i) in pts:
+                        ok = True
+                        break
+                if not ok and du > dv:
+                    ok = bumped(u, i, -1) in pts and bumped(v, i, +1) in pts
+                if not ok:
+                    return False, (u, v, i + 1)
+            if du > dv:
+                ok = False
+                for j in range(p):
+                    if u[j] > v[j] and bumped(u, j, -1) in pts and bumped(v, j, +1) in pts:
+                        ok = True
+                        break
+                if not ok:
+                    return False, (u, v, None)
+    return True, None
+
+
+def stalactite_decomposition_prefix(P, order=None) -> tuple:
+    """The i-th stalactite is St(a_i; {a_1, ..., a_{i-1}}), each found by
+    scanning the whole prefix."""
+    order = order or LexOrder.identity(P.p)
+    ordered = order.sort(P.points)
+    return tuple(stalactite(apex, ordered[:i], P) for i, apex in enumerate(ordered))
+
+
+def cave_condition_3_box_walk(pts, is_generalized):
+    """The seed's cave-predicate condition 3: walk the whole bounding box and
+    filter the set at every b.  Returns None or ``{"at": b, "witness": w}``."""
+    pts = frozenset(pts)
+    p = len(next(iter(pts)))
+    bounds = [max(q[i] for q in pts) for i in range(p)]
+    checked = {}
+    for b in itertools.product(*(range(m + 1) for m in bounds)):
+        if not any(b):
+            continue
+        trunc = frozenset(q for q in pts if all(x >= y for x, y in zip(q, b)))
+        if len(trunc) <= 1:
+            continue
+        verdict = checked.get(trunc)
+        if verdict is None:
+            verdict = is_generalized(trunc)
+            checked[trunc] = verdict
+        ok, witness = verdict
+        if not ok:
+            return {"at": b, "witness": witness}
+    return None
+
+
+def mobius_interval_check_scan(P, closed_form=mobius_interval):
+    """The seed's interval-Mobius check: the raw recurrence, summing over every
+    point processed so far that ``a`` dominates."""
+
+    def dominates(a, b):
+        return all(x >= y for x, y in zip(a, b))
+
+    region = sorted(independence_points(P).points, key=lambda n: (sum(n), n))
+    for m in region:
+        upper = [a for a in region if dominates(a, m)]
+        table = {}
+        for a in upper:
+            if a == m:
+                val = 1
+            else:
+                val = -sum(v for b, v in table.items() if dominates(a, b))
+            table[a] = val
+            if closed_form(m, a) != val:
+                return False, "interval [%s, %s]: closed form %d, recurrence %d" % (
+                    m, a, closed_form(m, a), val)
+    return True, None

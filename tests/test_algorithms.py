@@ -355,3 +355,22 @@ def test_snapper_routes_agree_at_sample_points(running):
     b = snapper_eur_larson(running)
     for t in itertools.product(range(0, 4), repeat=2):
         assert a.evaluate(t) == b.evaluate(t)
+
+
+def test_cached_results_are_read_only():
+    P = Polymatroid([(0, 4), (1, 3), (2, 2)])
+    routes = (cave_polynomial, stalactite_polynomial, box_polynomial, mobius_polynomial,
+              snapper_from_cave, lambda Q: expand_binomial(snapper_eur_larson(Q)))
+    before = [dict(route(P).terms) for route in routes]
+    table_before = dict(mobius_table(P).values)
+    for route in routes:
+        terms = route(P).terms
+        with pytest.raises(TypeError):
+            terms[(0, 0)] = 7
+        with pytest.raises(AttributeError):
+            terms.clear()
+    with pytest.raises(TypeError):
+        mobius_table(P).values[(0, 0)] = 7
+    assert [dict(route(P).terms) for route in routes] == before
+    assert dict(mobius_table(P).values) == table_before
+    assert cave_polynomial(P).terms == {(a, b + 1): c for (a, b), c in GOLDEN.items()}  # t2 * golden

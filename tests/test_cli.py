@@ -218,6 +218,23 @@ def test_exit_statuses_on_bad_input():
     assert run(["truncate"], stdin=RUNNING_DOC)[0] == 2  # --at is required
 
 
+def test_internal_error_has_its_own_exit_status(monkeypatch):
+    from cavepoly import InternalInvariantFailure, algorithms, cli
+
+    def broken(P):
+        raise InternalInvariantFailure("injected")
+
+    monkeypatch.setattr(algorithms, "cave_polynomial", broken)
+    status, out, err = run(["cave"], stdin=RUNNING_DOC)
+    assert (status, out, err) == (cli.EXIT_INTERNAL, "", "internal error: injected\n")
+    assert cli.EXIT_INTERNAL not in (cli.EXIT_OK, cli.EXIT_UNEQUAL, cli.EXIT_INPUT)
+    monkeypatch.setattr("sys.argv", ["cavepoly", "cave", "-"])
+    monkeypatch.setattr("sys.stdin", io.StringIO(RUNNING_DOC))
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == cli.EXIT_INTERNAL
+
+
 def test_file_input(tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(RUNNING_DOC)

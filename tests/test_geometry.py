@@ -17,6 +17,7 @@ from cavepoly import (
 )
 from cavepoly.algorithms import LexOrder, stalactite_decomposition
 from conftest import instance_mix
+from oracles import independence_points_box_filter
 
 RUNNING_INDEPENDENCE = {
     (0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1),
@@ -45,6 +46,8 @@ def test_independence_points_small_cases():
 
 
 def test_independence_equals_downward_closure():
+    # The library enumerates the region as this down-closure, so the
+    # subset-sum box filter is the independent side of the comparison.
     for P in instance_mix(20, seed=21, ps=(1, 2, 3, 4)):
         closure = set()
         for b in P.points:
@@ -57,6 +60,7 @@ def test_independence_equals_downward_closure():
                 for i in range(P.p):
                     if q[i] > 0:
                         stack.append(q[:i] + (q[i] - 1,) + q[i + 1:])
+        assert independence_points_box_filter(P) == closure
         assert independence_points(P).points == closure
 
 
