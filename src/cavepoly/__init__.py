@@ -76,10 +76,7 @@ from .polyalg import (
     RationalPoly,
     binomial_map,
     canonical_string,
-    eval_integer,
     expand_binomial,
-    poly_add,
-    poly_mul,
 )
 
 __version__ = "0.1.0"

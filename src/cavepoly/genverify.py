@@ -2,8 +2,8 @@
 
 Instances come from three strategies: ``uniform-family`` draws a rank cap r
 and a cage m and takes rk(I) = min(r, sum of m over I); ``submodular-rejection``
-caps by a few random modular functions, clips to a monotone nonnegative
-candidate and keeps it only if all four axioms validate;  ``lattice-path``
+caps by a few random modular functions, which leaves a monotone nonnegative
+candidate, and keeps it only if all four axioms validate;  ``lattice-path``
 random-walks downward from a uniform family, decrementing single subset
 ranks and keeping each step only while the axioms still hold.  Generation
 is deterministic per seed.
@@ -104,16 +104,10 @@ def _draw_submodular(cfg: GeneratorConfig, rng) -> RankFunction | None:
         weights = [rng.randint(0, cfg.max_cage_entry) for _ in range(p)]
         caps.append((shiftv, _subset_sums(weights, p)))
     msums = _subset_sums(m, p)
-    raw = [0] * (1 << p)
+    # The min of monotone nonnegative caps is already monotone and nonnegative.
+    vals = [0] * (1 << p)
     for mask in range(1, 1 << p):
-        raw[mask] = min(c0, msums[mask], min(a + s[mask] for a, s in caps))
-    # Clip to a monotone nonnegative candidate; the min of monotone caps is
-    # already monotone, so this is a safety no-op kept for clarity.
-    vals = list(raw)
-    for mask in range(1, 1 << p):
-        for i in range(p):
-            if mask >> i & 1:
-                vals[mask] = max(vals[mask], vals[mask ^ (1 << i)])
+        vals[mask] = min(c0, msums[mask], min(a + s[mask] for a, s in caps))
     try:
         return validate_rank_function(p, vals, [vals[1 << i] for i in range(p)])
     except AxiomViolation:

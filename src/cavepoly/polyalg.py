@@ -16,6 +16,12 @@ changed by one caller under another:
 * ``RationalPoly``     -- Fraction coefficients on monomials; the common
   expanded form in which the two binomial bases can be compared exactly.
 
+``expand_binomial`` and the box route in ``algorithms`` are per-coordinate
+changes of basis of an integer combination indexed by lattice points.
+``axiswise`` applies one coordinate's table to every key at a time, so a
+change costs O(p * terms * row length) instead of a full product per term;
+the binomial expansion stays in integers until one Fraction per monomial.
+
 Canonical printing orders terms by total degree descending, ties broken by
 descending comparison of the sparse (variable, exponent) pair sequence, so
 for example ``t2^3 + t1^2*t2 + t1*t2^2 - t2^2 - t1*t2``.
@@ -294,16 +300,6 @@ class RationalPoly:
         return "RationalPoly(%d, %s)" % (self.p, canonical_string(self))
 
 
-def poly_add(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Coefficientwise sum; zero terms removed."""
-    return a + b
-
-
-def poly_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Distributive exact product."""
-    return a * b
-
-
 def binomial_map(q: MultiPoly) -> BinomialBasisPoly:
     """Reinterpret each monomial t^n as the binomial product prod C(t_i+n_i, n_i).
 
@@ -329,36 +325,44 @@ def _rising_coeffs(n: int, shift: int) -> tuple:
     return tuple(coeffs)
 
 
+def axiswise(terms, rows) -> dict:
+    """Change basis one coordinate at a time.
+
+    ``terms`` maps index tuples to integer coefficients; ``rows[i][n]`` is
+    the combination of (index, coefficient) pairs that index n on
+    coordinate i becomes.  Each coordinate is one pass over the current
+    terms, so the change costs O(p * terms * row length) rather than a full
+    product per term.  Zero coefficients are dropped after every pass.
+    """
+    for i, row in enumerate(rows):
+        out = {}
+        for key, v in terms.items():
+            head, tail = key[:i], key[i + 1:]
+            for d, c in row[key[i]]:
+                k = head + (d,) + tail
+                out[k] = out.get(k, 0) + v * c
+        terms = {k: v for k, v in out.items() if v}
+    return terms
+
+
 def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:
     """Expand every binomial factor exactly and distribute, e.g.
-    C(t+2,2) -> (t^2 + 3t + 2)/2."""
-    p = b.p
-    out = {}
-    for n, c in b.terms.items():
-        denom = 1
-        acc = {(0,) * p: 1}
-        for i, ni in enumerate(n):
-            if ni == 0:
-                continue
-            denom *= math.factorial(ni)
-            coeffs = _rising_coeffs(ni, b.shift)
-            nxt = {}
-            for exps, a in acc.items():
-                for d, cd in enumerate(coeffs):
-                    if cd == 0:
-                        continue
-                    key = exps[:i] + (exps[i] + d,) + exps[i + 1:]
-                    nxt[key] = nxt.get(key, 0) + a * cd
-            acc = nxt
-        for exps, a in acc.items():
-            out[exps] = out.get(exps, Fraction(0)) + Fraction(c * a, denom)
-    return RationalPoly(p, out)
+    C(t+2,2) -> (t^2 + 3t + 2)/2.
 
-
-def eval_integer(q, t):
-    """Exact evaluation at an integer vector; an integer for the integer
-    representations, a Fraction for ``RationalPoly``."""
-    return q.evaluate(t)
+    Coordinate i is scaled by N_i!, N_i its largest index, so index n maps
+    to the integer row ``_rising_coeffs(n, shift) * N_i!/n!``.  The change
+    runs in integers through ``axiswise``, O(p * terms * max N_i), and one
+    Fraction is built per final monomial.
+    """
+    tops = [max((n[i] for n in b.terms), default=0) for i in range(b.p)]
+    rows = []
+    for top in tops:
+        scale = math.factorial(top)
+        rows.append([tuple((d, c * (scale // math.factorial(n)))
+                           for d, c in enumerate(_rising_coeffs(n, b.shift)) if c)
+                     for n in range(top + 1)])
+    denom = math.prod(math.factorial(top) for top in tops)
+    return RationalPoly(b.p, {e: Fraction(v, denom) for e, v in axiswise(b.terms, rows).items()})
 
 
 def _coeff_str(c) -> tuple:

@@ -1,16 +1,22 @@
 """Brute-force reference implementations kept as test oracles.
 
-These are the library's original enumerators and exchange checks.  The
-library now uses output-sensitive versions (down-closure walk, bit-parallel
-exchange masks, indexed stalactite directions); the differential tests
-require both to return identical results and identical failure witnesses.
+These are the library's original enumerators, exchange checks and
+expansions.  The library now uses output-sensitive versions (down-closure
+walk, bit-parallel exchange masks, indexed stalactite directions, changes
+of basis one coordinate at a time, local submodularity); the differential
+tests require both to return identical results and identical failure
+witnesses.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 from cavepoly.algorithms import LexOrder, mobius_interval, stalactite
-from cavepoly.core import point_set, rank_from_points
+from cavepoly.core import as_point, mask_to_subset, point_set, rank_from_points
+from cavepoly.errors import DimensionMismatch
 from cavepoly.geometry import independence_points
+from cavepoly.polyalg import RationalPoly, _rising_coeffs
 
 
 def independence_points_box_filter(P) -> frozenset:
@@ -149,3 +155,55 @@ def mobius_interval_check_scan(P, closed_form=mobius_interval):
                 return False, "interval [%s, %s]: closed form %d, recurrence %d" % (
                     m, a, closed_form(m, a), val)
     return True, None
+
+
+def in_independence_subset_sums(P, n) -> bool:
+    """Membership in I(P) ∩ N^p by all 2^p subset-sum constraints."""
+    n = as_point(n)
+    if len(n) != P.p:
+        raise DimensionMismatch("point has length %d, expected %d" % (len(n), P.p))
+    if any(c < 0 for c in n):
+        return False
+    rk = rank_from_points(P)
+    p = P.p
+    for mask in range(1, 1 << p):
+        if sum(n[i] for i in range(p) if mask >> i & 1) > rk.values[mask]:
+            return False
+    return True
+
+
+def submodular_violations_all_pairs(p, dense) -> list:
+    """Every pair of subsets breaking rk(A) + rk(B) >= rk(A | B) + rk(A & B),
+    as ("submodular", (A, B)) entries, by the exhaustive O(4^p) pair loop."""
+    violations = []
+    for m1 in range(1 << p):
+        for m2 in range(m1 + 1, 1 << p):
+            if dense[m1] + dense[m2] < dense[m1 | m2] + dense[m1 & m2]:
+                violations.append(("submodular", (mask_to_subset(m1), mask_to_subset(m2))))
+    return violations
+
+
+def expand_binomial_per_term(b) -> RationalPoly:
+    """Expand each term's whole product of binomial factors on its own and
+    add the results as Fractions."""
+    p = b.p
+    out = {}
+    for n, c in b.terms.items():
+        denom = 1
+        acc = {(0,) * p: 1}
+        for i, ni in enumerate(n):
+            if ni == 0:
+                continue
+            denom *= math.factorial(ni)
+            coeffs = _rising_coeffs(ni, b.shift)
+            nxt = {}
+            for exps, a in acc.items():
+                for d, cd in enumerate(coeffs):
+                    if cd == 0:
+                        continue
+                    key = exps[:i] + (exps[i] + d,) + exps[i + 1:]
+                    nxt[key] = nxt.get(key, 0) + a * cd
+            acc = nxt
+        for exps, a in acc.items():
+            out[exps] = out.get(exps, Fraction(0)) + Fraction(c * a, denom)
+    return RationalPoly(p, out)

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from cavepoly.cli import (
 from conftest import instance_mix
 
 RUNNING_DOC = '{"points": [[0,3],[1,2],[2,1]]}'
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def run(argv, stdin=""):
@@ -168,6 +170,14 @@ def test_snapper_expand_and_eval():
     assert status == 0 and out.strip() == "1"
     status, out, _ = run(["snapper", "--eval", "1,1"], stdin=RUNNING_DOC)
     assert status == 0 and out.strip() == "9"  # C(4,3)+C(2,1)C(3,2)-C(3,2)+C(3,2)C(2,1)-C(2,1)C(2,1)
+
+
+def test_snapper_expand_matches_golden_document():
+    # CI pipes the same document into the installed console script and
+    # compares its stdout with this file.
+    status, out, _ = run(["snapper", "--expand"], stdin=RUNNING_DOC)
+    assert status == 0
+    assert out == (GOLDEN / "snapper_expand_running_example.json").read_text()
 
 
 def test_equal_command_golden():

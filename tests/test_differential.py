@@ -2,7 +2,8 @@
 
 Every comparison demands identical results, and identical failure witnesses
 where a check fails, on generated polymatroids and on random point sets
-that are not M-convex and not generalized polymatroids.
+that are not M-convex and not generalized polymatroids.  The changes of
+basis (binomial expansion, box route) must return identical ``terms``.
 """
 
 import itertools
@@ -12,31 +13,45 @@ import random
 import pytest
 
 from cavepoly import (
+    AxiomViolation,
+    BinomialBasisPoly,
+    DimensionMismatch,
     GeneratorConfig,
     IndependenceSet,
+    MultiPoly,
     NotMConvex,
     Polymatroid,
     algorithms,
+    box_polynomial,
+    box_summands,
     core,
+    expand_binomial,
     genverify,
     geometry,
     homogenize,
     independence_points,
     is_generalized_polymatroid,
     is_m_convex,
+    snapper_eur_larson,
+    snapper_from_cave,
     stalactite_decomposition,
+    validate_rank_function,
     verify_campaign,
+    verify_instance,
 )
 from cavepoly.algorithms import LexOrder
 from cavepoly.genverify import CHECKS
 from conftest import instance_mix
 from oracles import (
     cave_condition_3_box_walk,
+    expand_binomial_per_term,
+    in_independence_subset_sums,
     independence_points_box_filter,
     is_generalized_polymatroid_pairwise,
     is_m_convex_pairwise,
     mobius_interval_check_scan,
     stalactite_decomposition_prefix,
+    submodular_violations_all_pairs,
 )
 
 GENERATED = instance_mix(120, seed=8_000, ps=(1, 2, 3, 4, 5), max_rank=6, max_cage_entry=4)
@@ -185,3 +200,111 @@ def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
     monkeypatch.setattr(geometry, "_truncation_failure",
                         lambda pts: cave_condition_3_box_walk(pts, is_generalized_polymatroid_pairwise))
     assert _campaign_documents() == fast
+
+
+def random_binomial_polys(seed, count):
+    """Random sparse combinations in the binomial bases: index sets that are
+    not down-closed, small, negative and very large coefficients."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.randint(1, 4)
+        shift = rng.choice((0, -1, 0, -1, 2))
+        terms = {}
+        for _ in range(rng.randint(0, 9)):
+            n = tuple(rng.choice((0, 0, 1, 2, 3, 5, 7)) for _ in range(p))
+            terms[n] = rng.choice((1, -1, rng.randint(-9, 9), rng.randint(-10**30, 10**30)))
+        yield BinomialBasisPoly(p, terms, shift=shift)
+
+
+def test_expand_binomial_matches_per_term_oracle():
+    polys = list(random_binomial_polys(9, 400))
+    polys += [BinomialBasisPoly(p, {}, shift) for p in (1, 3) for shift in (0, -1)]
+    polys += [BinomialBasisPoly(1, {(k,): c}, shift) for k in range(9) for c in (1, -3) for shift in (0, -1)]
+    for P in GENERATED:
+        polys += [snapper_from_cave(P), snapper_eur_larson(P)]
+    for b in polys:
+        assert expand_binomial(b).terms == expand_binomial_per_term(b).terms, b
+    assert {b.p for b in polys} >= {1, 2, 3, 4} and {b.shift for b in polys} >= {0, -1}
+
+
+def test_box_polynomial_matches_summed_summands():
+    assert {P.p for P in GENERATED} == {1, 2, 3, 4, 5}
+    for P in GENERATED:
+        total = sum(box_summands(P).values(), MultiPoly.zero(P.p))
+        assert box_polynomial(P).terms == total.terms
+
+
+def test_in_independence_matches_subset_sums():
+    inside = outside = 0
+    for P in GENERATED[:60]:
+        region = independence_points(P).points
+        box = itertools.product(*(range(-1, c + 2) for c in P.cage))
+        for n in box:
+            verdict = geometry.in_independence(P, n)
+            assert verdict == in_independence_subset_sums(P, n) == (n in region), (P, n)
+            inside += verdict
+            outside += not verdict
+        for bad in ((0,) * (P.p + 1), (1,) * (P.p - 1)):
+            with pytest.raises(DimensionMismatch):
+                geometry.in_independence(P, bad)
+            with pytest.raises(DimensionMismatch):
+                in_independence_subset_sums(P, bad)
+    assert inside > 500 and outside > 500
+
+
+def random_rank_tables(seed, count):
+    """Mask-indexed tables for p <= 6: uniform tables with a few entries
+    nudged by one (often still submodular) and fully random ones."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.randint(1, 6)
+        if rng.random() < 0.7:
+            r = rng.randint(0, 8)
+            m = [rng.randint(0, 4) for _ in range(p)]
+            values = [min(r, sum(m[i] for i in range(p) if mask >> i & 1)) for mask in range(1 << p)]
+            for _ in range(rng.randint(0, 3)):
+                mask = rng.randrange(1, 1 << p)
+                values[mask] = max(0, values[mask] + rng.choice((-1, 1)))
+        else:
+            values = [0] + [rng.randint(0, 6) for _ in range(1, 1 << p)]
+        yield p, values
+
+
+def test_local_submodularity_matches_all_pairs():
+    verdicts = set()
+    for p, values in random_rank_tables(11, 1500):
+        cage = [values[1 << i] for i in range(p)]
+        try:
+            validate_rank_function(p, values, cage)
+            reported = []
+        except AxiomViolation as exc:
+            reported = exc.violations
+        local = [v for v in reported if v[0] == "submodular"]
+        pairs = submodular_violations_all_pairs(p, values)
+        assert bool(local) == bool(pairs), (p, values)
+        assert set(local) <= set(pairs)
+        verdicts.add(bool(pairs))
+    assert verdicts == {True, False}
+
+
+def test_snapper_routes_check_catches_one_changed_coefficient(monkeypatch):
+    instances = [P for P in GENERATED[:30] if P.rank > 0][:8]
+
+    def bump(route):
+        def changed(P):
+            b = route(P)
+            terms = dict(b.terms)
+            top = max(terms)
+            terms[top] += 1
+            return BinomialBasisPoly(b.p, terms, b.shift)
+        return changed
+
+    for name, route in (("snapper_eur_larson", snapper_eur_larson), ("snapper_from_cave", snapper_from_cave)):
+        with monkeypatch.context() as patch:
+            patch.setattr(genverify, name, bump(route))
+            for P in instances:
+                failures = verify_instance(P).failures()
+                assert [(r.name, r.detail) for r in failures] == [
+                    ("snapper-routes", "the two Snapper expansions differ")], (name, P)
+    for P in instances:
+        assert verify_instance(P, checks=["snapper-routes"]).passed
