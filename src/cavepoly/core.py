@@ -9,8 +9,11 @@ A polymatroid on ground set {1, ..., p} is handled in two equivalent forms:
   (``Polymatroid``).
 
 ``points_from_rank`` and ``rank_from_points`` convert between the two and
-round-trip exactly.  Subsets are encoded internally as p-bit masks, with
-bit ``i-1`` standing for element ``i``; the dense 2^p table caps ``p`` at 16.
+round-trip exactly, each in O(|B| 2^p) list operations: base points grow
+coordinate by coordinate inside the projection bounds of the base polytope,
+and the rank table is the columnwise maximum of their subset-sum tables.
+Subsets are encoded internally as p-bit masks, with bit ``i-1`` standing for
+element ``i``; the dense 2^p table caps ``p`` at 16.
 
 All arithmetic is exact (Python integers); every value is immutable after
 construction, so everything here is safe for concurrent use.
@@ -18,8 +21,8 @@ construction, so everything here is safe for concurrent use.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -390,36 +393,58 @@ class Polymatroid:
         return "Polymatroid(%s)" % (sorted(self.points),)
 
 
+def _subset_sums(weights) -> list:
+    """Mask-indexed subset sums: entry m sums ``weights[i]`` over the bits i of m."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
 @lru_cache(maxsize=None)
 def rank_from_points(P: Polymatroid) -> RankFunction:
     """Rank function of a polymatroid: rk(I) = max over points of the I-sum.
 
-    The cage is the componentwise maximum of the points, i.e. the singleton
-    ranks.  Inverse of ``points_from_rank``.
+    The table is the columnwise maximum of the points' subset-sum tables,
+    O(|B| 2^p); the cage is the singleton ranks.  Inverse of
+    ``points_from_rank``.
     """
     if P.p > MAX_GROUND_SET:
         raise DimensionMismatch("rank tables beyond %d coordinates are not supported" % MAX_GROUND_SET)
-    p = P.p
-    pts = sorted(P.points)
-    values = [0] * (1 << p)
-    for mask in range(1, 1 << p):
-        idx = [i for i in range(p) if mask >> i & 1]
-        values[mask] = max(sum(q[i] for i in idx) for q in pts)
-    return RankFunction(p, values, tuple(values[1 << i] for i in range(p)))
+    values = [0] * (1 << P.p)
+    for q in P.points:
+        values = list(map(max, values, _subset_sums(q)))
+    return RankFunction(P.p, values, tuple(values[1 << i] for i in range(P.p)))
 
 
 @lru_cache(maxsize=None)
 def points_from_rank(rk: RankFunction) -> Polymatroid:
     """All lattice points with every subset-sum within rank and full-sum equal
-    to the rank of the ground set (the top-degree lattice points)."""
-    p = rk.p
+    to the rank of the ground set (the top-degree lattice points).
+
+    Grown one coordinate at a time inside the projection bounds
+    rk(E) - rk(E - S) <= x(S) <= rk(S), S within the coordinates fixed so far
+    (Fujishige), which all those points meet.  On a polymatroid no prefix
+    dead-ends: O(|B| 2^p) slice operations on the prefix's subset sums.
+    """
+    p, values, rank = rk.p, rk.values, rk.rank
+    lower = [rank - v for v in reversed(values)]  # lower[m] = rk(E) - rk(E - m)
+    sums = [0] * len(values)
     members = []
-    index_sets = [[i for i in range(p) if mask >> i & 1] for mask in range(1 << p)]
-    for n in itertools.product(*(range(rk.of_mask(1 << i) + 1) for i in range(p))):
-        if sum(n) != rk.rank:
-            continue
-        if all(sum(n[i] for i in index_sets[mask]) <= rk.values[mask] for mask in range(1 << p)):
-            members.append(n)
+
+    def extend(prefix):
+        if len(prefix) == p:
+            if sums[-1] == rank:
+                members.append(prefix)
+            return
+        top = 1 << len(prefix)
+        below = sums[:top]  # the new masks m = top | rest have sums[rest] + c
+        lo = max(0, max(map(sub, lower[top:2 * top], below)))
+        for c in range(lo, min(map(sub, values[top:2 * top], below)) + 1):
+            sums[top:2 * top] = [s + c for s in below]
+            extend(prefix + (c,))
+
+    extend(())
     if not members:
         raise InternalInvariantFailure("valid rank function produced no base points")
     return Polymatroid(members)

@@ -42,6 +42,7 @@ from .algorithms import (
 from .core import (
     Polymatroid,
     RankFunction,
+    _subset_sums,
     points_from_rank,
     rank_from_points,
     threshold_masks,
@@ -75,17 +76,8 @@ class GeneratorConfig:
             raise ValueError("unknown strategy %r, expected one of %s" % (self.strategy, list(STRATEGIES)))
 
 
-def _subset_sums(weights, p):
-    sums = [0] * (1 << p)
-    for mask in range(1, 1 << p):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
-    return sums
-
-
 def _uniform_values(p, r, m):
-    msums = _subset_sums(m, p)
-    return [min(r, s) for s in msums]
+    return [min(r, s) for s in _subset_sums(m)]
 
 
 def _draw_uniform(cfg: GeneratorConfig, rng) -> RankFunction:
@@ -102,12 +94,10 @@ def _draw_submodular(cfg: GeneratorConfig, rng) -> RankFunction | None:
     for _ in range(rng.randint(1, 3)):
         shiftv = rng.randint(0, cfg.max_rank)
         weights = [rng.randint(0, cfg.max_cage_entry) for _ in range(p)]
-        caps.append((shiftv, _subset_sums(weights, p)))
-    msums = _subset_sums(m, p)
+        caps.append((shiftv, _subset_sums(weights)))
+    msums = _subset_sums(m)
     # The min of monotone nonnegative caps is already monotone and nonnegative.
-    vals = [0] * (1 << p)
-    for mask in range(1, 1 << p):
-        vals[mask] = min(c0, msums[mask], min(a + s[mask] for a, s in caps))
+    vals = [min(c0, ms, min(a + s[mask] for a, s in caps)) for mask, ms in enumerate(msums)]
     try:
         return validate_rank_function(p, vals, [vals[1 << i] for i in range(p)])
     except AxiomViolation:
@@ -172,10 +162,6 @@ def named_family(name: str, **params) -> Polymatroid:
     raise UnknownFamily("unknown family %r" % (name,))
 
 
-def _dominates(a, b):
-    return all(x >= y for x, y in zip(a, b))
-
-
 def _poly_diff_detail(name, q, cave):
     exps = {e for e in set(q.terms) | set(cave.terms) if q.terms.get(e, 0) != cave.terms.get(e, 0)}
     e = min(exps)
@@ -212,6 +198,23 @@ def _check_lex_order_invariance(P):
     return True, None
 
 
+def _points_above(region, p):
+    """Each point n of the region, in order, with the region's points >= n in
+    region order, selected by per-coordinate threshold masks."""
+    full = (1 << len(region)) - 1
+    masks = [threshold_masks([n[i] for n in region]) for i in range(p)]
+    for n in region:
+        upper = full
+        for i, c in enumerate(n):
+            upper &= ~masks[i][c][0]
+        above = []
+        while upper:
+            low = upper & -upper
+            upper ^= low
+            above.append(region[low.bit_length() - 1])
+        yield n, above
+
+
 def _check_mobius_interval_closed_form(P):
     """The raw recurrence mu(m, a) = -sum of mu(m, b) over m <= b < a against
     ``mobius_interval``, for every comparable pair of independence points.
@@ -220,17 +223,9 @@ def _check_mobius_interval_closed_form(P):
     (degree, lex) order.  The region is down-closed, so the b of the sum are
     exactly the interval box [m, a] without a, all processed before a."""
     region = sorted(independence_points(P).points, key=lambda n: (sum(n), n))
-    full = (1 << len(region)) - 1
-    masks = [threshold_masks([n[i] for n in region]) for i in range(P.p)]
-    for m in region:
-        upper = full
-        for i, c in enumerate(m):
-            upper &= ~masks[i][c][0]
+    for m, above in _points_above(region, P.p):
         table = {}
-        while upper:
-            low = upper & -upper
-            upper ^= low
-            a = region[low.bit_length() - 1]
+        for a in above:
             if a == m:
                 val = 1
             else:
@@ -259,13 +254,17 @@ def _check_counts_equal_mobius(P):
 
 
 def _check_truncation_lemmas(P):
+    """The stalactite polynomial of the truncation at each n in I(P) against
+    P's at every m >= n in I(P), the truncation's region above n (a base
+    above m >= n is itself >= n); one truncation per distinct base set."""
     stal_p = stalactite_polynomial(P).terms
-    for n in sorted(independence_points(P).points):
-        sub = truncate(P, n)  # re-asserts M-convexity of every truncation
-        stal_sub = stalactite_polynomial(sub).terms
-        for m in independence_points(sub).points:
-            if not _dominates(m, n):
-                continue
+    truncations = {}
+    for n, above in _points_above(sorted(independence_points(P).points), P.p):
+        kept = tuple(m for m in above if sum(m) == P.rank)
+        if kept not in truncations:  # truncate re-asserts M-convexity
+            truncations[kept] = stalactite_polynomial(truncate(P, n)).terms
+        stal_sub = truncations[kept]
+        for m in above:
             if stal_sub.get(m, 0) != stal_p.get(m, 0):
                 return False, "truncation at %s: coefficient at %s is %d, expected %d" % (
                     n, m, stal_sub.get(m, 0), stal_p.get(m, 0))
@@ -382,16 +381,10 @@ def verify_instance(P: Polymatroid, checks=None, descriptor=None) -> Verificatio
 def _delete_coordinate(rk: RankFunction, drop: int) -> RankFunction:
     """Restrict a rank function to the ground set without 1-based ``drop``;
     restrictions are always valid."""
-    p = rk.p
-    keep = [i for i in range(p) if i != drop - 1]
-    values = [0] * (1 << (p - 1))
-    for mask in range(1 << (p - 1)):
-        orig = 0
-        for bit, i in enumerate(keep):
-            if mask >> bit & 1:
-                orig |= 1 << i
-        values[mask] = rk.values[orig]
-    return RankFunction(p - 1, values, [values[1 << b] for b in range(p - 1)])
+    # Masks without the dropped bit, in increasing order, are the masks of
+    # the smaller ground set in increasing order.
+    values = [v for mask, v in enumerate(rk.values) if not mask >> (drop - 1) & 1]
+    return RankFunction(rk.p - 1, values, [values[1 << b] for b in range(rk.p - 1)])
 
 
 def _shrink_candidates(P: Polymatroid):
@@ -405,8 +398,7 @@ def _shrink_candidates(P: Polymatroid):
         if cage[i] == 0:
             continue
         capped = [cage[j] - (1 if j == i else 0) for j in range(p)]
-        sums = _subset_sums(capped, p)
-        vals = [min(v, s) for v, s in zip(rk.values, sums)]
+        vals = list(map(min, rk.values, _subset_sums(capped)))
         try:
             yield points_from_rank(validate_rank_function(p, vals, capped))
         except AxiomViolation:

@@ -3,7 +3,9 @@
 These are the library's original enumerators, exchange checks and
 expansions.  The library now uses output-sensitive versions (down-closure
 walk, bit-parallel exchange masks, indexed stalactite directions, changes
-of basis one coordinate at a time, local submodularity); the differential
+of basis one coordinate at a time, local submodularity, base points
+enumerated inside the projection bounds, subset-sum tables, truncation
+lemmas over the parent region); the differential
 tests require both to return identical results and identical failure
 witnesses.
 """
@@ -12,10 +14,17 @@ import itertools
 import math
 from fractions import Fraction
 
-from cavepoly.algorithms import LexOrder, mobius_interval, stalactite
-from cavepoly.core import as_point, mask_to_subset, point_set, rank_from_points
-from cavepoly.errors import DimensionMismatch
-from cavepoly.geometry import independence_points
+from cavepoly.algorithms import LexOrder, mobius_interval, stalactite, stalactite_polynomial
+from cavepoly.core import (
+    Polymatroid,
+    RankFunction,
+    as_point,
+    mask_to_subset,
+    point_set,
+    rank_from_points,
+)
+from cavepoly.errors import DimensionMismatch, InternalInvariantFailure
+from cavepoly.geometry import independence_points, truncate
 from cavepoly.polyalg import RationalPoly, _rising_coeffs
 
 
@@ -207,3 +216,51 @@ def expand_binomial_per_term(b) -> RationalPoly:
         for exps, a in acc.items():
             out[exps] = out.get(exps, Fraction(0)) + Fraction(c * a, denom)
     return RationalPoly(p, out)
+
+
+def points_from_rank_box_filter(rk):
+    """All lattice points of the singleton-rank box with full-sum equal to the
+    rank and every subset-sum within rank, by all 2^p subset constraints."""
+    p = rk.p
+    members = []
+    index_sets = [[i for i in range(p) if mask >> i & 1] for mask in range(1 << p)]
+    for n in itertools.product(*(range(rk.of_mask(1 << i) + 1) for i in range(p))):
+        if sum(n) != rk.rank:
+            continue
+        if all(sum(n[i] for i in index_sets[mask]) <= rk.values[mask] for mask in range(1 << p)):
+            members.append(n)
+    if not members:
+        raise InternalInvariantFailure("valid rank function produced no base points")
+    return Polymatroid(members)
+
+
+def rank_from_points_subset_loop(P):
+    """rk(I) = max over points of the I-sum, one generator per mask."""
+    p = P.p
+    pts = sorted(P.points)
+    values = [0] * (1 << p)
+    for mask in range(1, 1 << p):
+        idx = [i for i in range(p) if mask >> i & 1]
+        values[mask] = max(sum(q[i] for i in idx) for q in pts)
+    return RankFunction(p, values, tuple(values[1 << i] for i in range(p)))
+
+
+def truncation_lemmas_check_scan(P, stalactite=stalactite_polynomial):
+    """The seed's truncation-lemma check: the truncation, its stalactite
+    polynomial and its region rebuilt at every independence point n, the
+    region filtered by dominance over n."""
+
+    def dominates(a, b):
+        return all(x >= y for x, y in zip(a, b))
+
+    stal_p = stalactite(P).terms
+    for n in sorted(independence_points(P).points):
+        sub = truncate(P, n)
+        stal_sub = stalactite(sub).terms
+        for m in independence_points(sub).points:
+            if not dominates(m, n):
+                continue
+            if stal_sub.get(m, 0) != stal_p.get(m, 0):
+                return False, "truncation at %s: coefficient at %s is %d, expected %d" % (
+                    n, m, stal_sub.get(m, 0), stal_p.get(m, 0))
+    return True, None

@@ -1,6 +1,7 @@
 """JSON parsing, document formats, command dispatch, and exit statuses."""
 
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -102,6 +103,18 @@ def test_validate_command():
     assert status == 0
     doc = json.loads(out)
     assert doc == {"valid": True, "p": 2, "rank": 3, "base_points": 3, "cage": [2, 3]}
+
+
+def test_validate_wide_rank_document():
+    # Uniform rank 2 on twelve elements of cage 2: C(12, 2) + 12 base points,
+    # inside a singleton-rank box of 3^12 candidates.
+    p = 12
+    values = {json.dumps(list(s)): min(2, 2 * len(s))
+              for k in range(p + 1) for s in itertools.combinations(range(1, p + 1), k)}
+    doc = json.dumps({"rank": {"p": p, "cage": [2] * p, "values": values}})
+    status, out, _ = run(["validate"], stdin=doc)
+    assert status == 0
+    assert json.loads(out) == {"valid": True, "p": 12, "rank": 2, "base_points": 78, "cage": [2] * 12}
 
 
 def test_points_and_independence_commands():

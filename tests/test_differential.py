@@ -3,7 +3,9 @@
 Every comparison demands identical results, and identical failure witnesses
 where a check fails, on generated polymatroids and on random point sets
 that are not M-convex and not generalized polymatroids.  The changes of
-basis (binomial expansion, box route) must return identical ``terms``.
+basis (binomial expansion, box route) must return identical ``terms``, and
+base-point enumeration the same point set or the same error, also on rank
+tables that are not polymatroid rank functions.
 """
 
 import itertools
@@ -15,12 +17,15 @@ import pytest
 from cavepoly import (
     AxiomViolation,
     BinomialBasisPoly,
+    CavepolyError,
     DimensionMismatch,
     GeneratorConfig,
     IndependenceSet,
+    InternalInvariantFailure,
     MultiPoly,
     NotMConvex,
     Polymatroid,
+    RankFunction,
     algorithms,
     box_polynomial,
     box_summands,
@@ -35,6 +40,7 @@ from cavepoly import (
     snapper_eur_larson,
     snapper_from_cave,
     stalactite_decomposition,
+    stalactite_polynomial,
     validate_rank_function,
     verify_campaign,
     verify_instance,
@@ -50,8 +56,11 @@ from oracles import (
     is_generalized_polymatroid_pairwise,
     is_m_convex_pairwise,
     mobius_interval_check_scan,
+    points_from_rank_box_filter,
+    rank_from_points_subset_loop,
     stalactite_decomposition_prefix,
     submodular_violations_all_pairs,
+    truncation_lemmas_check_scan,
 )
 
 GENERATED = instance_mix(120, seed=8_000, ps=(1, 2, 3, 4, 5), max_rank=6, max_cage_entry=4)
@@ -193,6 +202,8 @@ def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
 
     for module in (geometry, algorithms, genverify):
         monkeypatch.setattr(module, "independence_points", region_oracle)
+    monkeypatch.setattr(genverify, "points_from_rank", points_from_rank_box_filter)
+    monkeypatch.setattr(genverify, "rank_from_points", rank_from_points_subset_loop)
     monkeypatch.setattr(algorithms, "stalactite_decomposition", stalactite_decomposition_prefix)
     for module in (core, geometry):
         monkeypatch.setattr(module, "is_m_convex", is_m_convex_pairwise)
@@ -308,3 +319,74 @@ def test_snapper_routes_check_catches_one_changed_coefficient(monkeypatch):
                     ("snapper-routes", "the two Snapper expansions differ")], (name, P)
     for P in instances:
         assert verify_instance(P, checks=["snapper-routes"]).passed
+
+
+def _points_or_error(convert, rk):
+    try:
+        return convert(rk).points
+    except CavepolyError as exc:
+        return type(exc), str(exc)
+
+
+def test_points_from_rank_matches_box_filter():
+    for P in GENERATED:
+        rk = core.rank_from_points(P)
+        assert core.points_from_rank(rk).points == points_from_rank_box_filter(rk).points == P.points
+    tables = list(random_rank_tables(12, 1500))
+    # A negative rank of the empty set admits no point; a positive one
+    # loosens the degree bound that the full-sum condition must still fix.
+    tables += [(2, [-1, 1, 1, 1]), (2, [1, 1, 1, 1]), (3, [1, 1, 1, 2, 1, 2, 2, 2])]
+    outcomes = set()
+    for p, values in tables:
+        rk = RankFunction(p, values, [values[1 << i] for i in range(p)])
+        result = _points_or_error(core.points_from_rank, rk)
+        assert result == _points_or_error(points_from_rank_box_filter, rk), (p, values)
+        outcomes.add(result[0] if isinstance(result, tuple) else frozenset)
+    assert outcomes == {frozenset, InternalInvariantFailure, NotMConvex}
+
+
+def test_rank_from_points_matches_subset_loop():
+    for P in GENERATED + [Polymatroid([(0,) * 4]), Polymatroid([(3, 0, 7)])]:
+        rk, expected = core.rank_from_points(P), rank_from_points_subset_loop(P)
+        assert (rk.p, rk.values, rk.cage) == (expected.p, expected.values, expected.cage)
+
+
+def test_truncation_lemma_check_matches_scan(monkeypatch):
+    for P in GENERATED:
+        assert CHECKS["truncation-lemmas"](P) == truncation_lemmas_check_scan(P) == (True, None)
+
+    def raised(where):  # coefficients off by one in the two-point truncations
+        def faulty(P, *order):
+            poly = stalactite_polynomial(P, *order)
+            if len(P.points) != 2:
+                return poly
+            terms = dict(poly.terms)
+            for m in where(P):
+                terms[m] = terms.get(m, 0) + 1
+            return MultiPoly(P.p, terms)
+        return faulty
+
+    at_top = raised(lambda P: [max(P.points)])
+    everywhere = raised(lambda P: independence_points(P).points)
+    caught = 0
+    for P in GENERATED:
+        if len(P.points) <= 2:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(genverify, "stalactite_polynomial", at_top)
+            result = CHECKS["truncation-lemmas"](P)
+            assert result == truncation_lemmas_check_scan(P, at_top)
+            failures = [(r.name, r.detail) for r in verify_instance(P).failures()]
+            assert failures == ([] if result[0] else [("truncation-lemmas", result[1])])
+        with monkeypatch.context() as patch:
+            # Many coefficients differ: same n as the oracle, and the first m
+            # in sorted order, which is n itself.
+            patch.setattr(genverify, "stalactite_polynomial", everywhere)
+            ok, detail = CHECKS["truncation-lemmas"](P)
+            expected = truncation_lemmas_check_scan(P, everywhere)
+            assert ok == expected[0] == result[0]
+            if not ok:
+                n = expected[1].split(":")[0][len("truncation at "):]
+                assert detail.startswith("truncation at %s: coefficient at %s is" % (n, n))
+        caught += not result[0]
+    assert caught > 10
