@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .core import Polymatroid, as_point
+from .core import ExchangeIndex, Polymatroid, as_point
 from .errors import (
     DimensionMismatch,
     InternalInvariantFailure,
@@ -177,26 +177,12 @@ def stalactite_decomposition(P: Polymatroid, order: LexOrder | None = None) -> t
     stalactite is St(a_i; {a_1, ..., a_{i-1}}).  Their union is the cave set.
 
     Each apex finds its directions by looking up its at most p^2 neighbours
-    u - e_l + e_j in a position index of the ordered points: O(|B| p^2)
-    lookups in all, plus the stalactites' own size.
+    u - e_l + e_j by lattice code in an ``ExchangeIndex`` of the ordered
+    points: O(|B| p^2) lookups in all, plus the stalactites' own size.
     """
-    order = _resolve_order(P, order)
-    ordered = order.sort(P.points)
-    position = {u: i for i, u in enumerate(ordered)}
-    p = P.p
-    out = []
-    for i, apex in enumerate(ordered):
-        directions = set()
-        for ell in range(p):
-            if not apex[ell]:
-                continue
-            lowered = apex[:ell] + (apex[ell] - 1,) + apex[ell + 1:]
-            for j in range(p):  # a neighbour placed before the apex; absent ones map to i
-                if j != ell and position.get(lowered[:j] + (lowered[j] + 1,) + lowered[j + 1:], i) < i:
-                    directions.add(ell + 1)
-                    break
-        out.append(_hanging_cube(apex, directions))
-    return tuple(out)
+    index = ExchangeIndex(_resolve_order(P, order).sort(P.points))
+    return tuple(_hanging_cube(apex, {ell + 1 for ell in index.directions(k)})
+                 for k, apex in enumerate(index.ordered))
 
 
 def stalactite_counts(P: Polymatroid, order: LexOrder | None = None) -> dict:
@@ -218,12 +204,7 @@ def stalactite_polynomial(P: Polymatroid, order: LexOrder | None = None) -> Mult
 
 @lru_cache(maxsize=None)
 def _stalactite_polynomial(P: Polymatroid, order: LexOrder) -> MultiPoly:
-    rank = P.rank
-    terms = {}
-    for n, c in stalactite_counts(P, order).items():
-        sign = -1 if (rank - sum(n)) % 2 else 1
-        terms[n] = sign * c
-    return MultiPoly(P.p, terms)
+    return MultiPoly(P.p, ExchangeIndex(order.sort(P.points)).stalactite_terms())
 
 
 @lru_cache(maxsize=None)

@@ -15,14 +15,25 @@ and the rank table is the columnwise maximum of their subset-sum tables.
 Subsets are encoded internally as p-bit masks, with bit ``i-1`` standing for
 element ``i``; the dense 2^p table caps ``p`` at 16.
 
-All arithmetic is exact (Python integers); every value is immutable after
-construction, so everything here is safe for concurrent use.
+``ExchangeIndex`` answers the exchange questions (first M-convex and
+generalized-polymatroid failures, signed stalactite terms) for a point list
+and for each threshold truncation {q >= b} of it, given as a bitmask;
+``is_m_convex`` and ``is_generalized_polymatroid`` are its whole-set case.
+Each point's failure masks cost O(p^2) lookups and mask operations, once; a
+truncation then costs O(p) mask operations per kept point (O(p^2) lookups
+per kept point for its stalactites), with no set-up of its own.
+
+All arithmetic is exact (Python integers).  Every value is immutable after
+construction, except that an ``ExchangeIndex`` fills its parts on first
+use; each fill always computes the same value, so everything here is safe
+for concurrent use.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from operator import sub
+from bisect import bisect_left
+from functools import cached_property, lru_cache, reduce
+from operator import mul, or_, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -204,33 +215,223 @@ def threshold_masks(values) -> dict:
     return out
 
 
-def _lattice_codes(ordered):
-    """Integer codes of the points, and strides with code(q +- e_i) =
-    code(q) +- stride_i; a margin of one around each coordinate's range keeps
-    all those codes distinct."""
-    columns = list(zip(*ordered))
-    lows = [min(col) - 1 for col in columns]
-    strides = [1]
-    for low, col in zip(lows, columns):
-        strides.append(strides[-1] * (max(col) - low + 2))
-    return [sum((c - lo) * s for c, lo, s in zip(q, lows, strides)) for q in ordered], strides[:-1]
+def _bits(mask) -> list:
+    """Positions of the set bits of a nonnegative ``mask``, ascending."""
+    return [k for k, c in enumerate(reversed(bin(mask))) if c == "1"]
 
 
-def _first_failure(ordered, failing, rest=0):
-    """The first failing (v, i) in (v, i) loop order, or None.  ``failing[i]``
-    masks the v that fail at 0-based coordinate i; ``rest`` masks the v that
-    fail after every i, reported with i = None."""
-    union = rest
-    for bad in failing:
-        union |= bad
-    if not union:
+class ExchangeIndex:
+    """One index over a list of equal-length points, answering exchange
+    questions for the set and for each threshold truncation {q >= b}.
+
+    A truncation is a bitmask over the list, bit k standing for
+    ``ordered[k]``; ``truncation(b)`` builds it, and masks of other subsets
+    are not supported.  Every answer is the one the materialized subset
+    gives in the same order, witness included.  The
+    restriction is exact: each neighbour an exchange consults for u and v in
+    the truncation (u - e_i + e_j when v_i < u_i, v + e_i - e_j when
+    v_j > u_j, u - e_i, v + e_i) is itself >= b, so it lies in the
+    truncation exactly when it lies in the whole set.  So each point's
+    failure masks over the whole set are built once, in O(p^2) lookups and
+    mask operations, and a truncation costs O(p) mask operations per kept
+    point, with no set-up of its own.  Stalactite directions, which look
+    only at earlier points, cost O(p^2) lookups per kept point.
+
+    Every part is built on first use: the lattice codes, which turn
+    neighbour lookups into integer additions, the per-coordinate and degree
+    threshold masks, and the up-table of the generalized-polymatroid
+    conditions.
+    """
+
+    def __init__(self, ordered):
+        self.ordered = ordered
+        self.p = len(ordered[0])
+        self.full = (1 << len(ordered)) - 1
+        self._exchange = [None] * len(ordered)
+        self._gp = [None] * len(ordered)
+
+    @cached_property
+    def strides(self) -> list:
+        """code(q +- e_i) = code(q) +- strides[i]; a margin of one around
+        each coordinate's range keeps all those codes distinct."""
+        strides = [1]
+        for col in zip(*self.ordered):
+            strides.append(strides[-1] * (max(col) - min(col) + 3))
+        return strides[:-1]
+
+    @cached_property
+    def codes(self) -> list:
+        return [sum(map(mul, q, self.strides)) for q in self.ordered]
+
+    @cached_property
+    def position(self) -> dict:
+        return {code: k for k, code in enumerate(self.codes)}
+
+    @cached_property
+    def moves(self) -> list:
+        """moves[i]: (j, code(u - e_i + e_j) - code(u)) for every j != i."""
+        return [[(j, rise - down) for j, rise in enumerate(self.strides) if j != i]
+                for i, down in enumerate(self.strides)]
+
+    @cached_property
+    def masks(self) -> list:
+        """Per coordinate, the ``threshold_masks`` of its values."""
+        return [threshold_masks([q[i] for q in self.ordered]) for i in range(self.p)]
+
+    @cached_property
+    def degree_masks(self) -> dict:
+        """The ``threshold_masks`` of the coordinate sums."""
+        return threshold_masks([sum(q) for q in self.ordered])
+
+    @cached_property
+    def up(self) -> list:
+        """up[i][j]: the points v with v + e_i - e_j in the set; up[i][i]:
+        those with v + e_i in it."""
+        up = [[0] * self.p for _ in range(self.p)]
+        for k, code in enumerate(self.codes):
+            for j, moves in enumerate(self.moves):
+                if code + self.strides[j] in self.position:
+                    up[j][j] |= 1 << k
+                for i, move in moves:  # move = code(v - e_j + e_i) - code(v)
+                    if code + move in self.position:
+                        up[i][j] |= 1 << k
+        return up
+
+    def at_least(self, i, c) -> int:
+        """Mask of the points whose 0-based coordinate ``i`` is >= ``c``."""
+        masks = self.masks[i]
+        if c not in masks:
+            values = sorted(masks)
+            k = bisect_left(values, c)
+            if k == len(values):
+                return 0
+            c = values[k]
+        return self.full & ~masks[c][0]
+
+    def truncation(self, b) -> int:
+        """Mask of the points >= ``b`` componentwise."""
+        mask = self.full
+        for i, c in enumerate(b):
+            mask &= self.at_least(i, c)
+        return mask
+
+    def _exchange_failures(self, k):
+        """``(union, failing, 0)`` of the exchange property at u = ordered[k]:
+        v fails at coordinate i when v_i < u_i and v_j <= u_j for every j
+        with u - e_i + e_j in the set."""
+        if self._exchange[k] is None:
+            u, code = self.ordered[k], self.codes[k]
+            masks, position = self.masks, self.position
+            failing = []
+            for i, moves in enumerate(self.moves):
+                bad = masks[i][u[i]][0]
+                if bad:
+                    for j, move in moves:
+                        if code + move in position:
+                            bad &= ~masks[j][u[j]][1]
+                failing.append(bad)
+            self._exchange[k] = reduce(or_, failing, 0), failing, 0
+        return self._exchange[k]
+
+    def _gp_failures(self, k):
+        """``(union, failing, rest)`` of the generalized-polymatroid conditions
+        at u = ordered[k]: v fails at coordinate i when v_i < u_i and no
+        exchange of condition (1) holds, and after every i when it has lower
+        degree and no exchange of condition (2) holds."""
+        if self._gp[k] is None:
+            u, code = self.ordered[k], self.codes[k]
+            masks, position, up = self.masks, self.position, self.up
+            lower = self.degree_masks[sum(u)][0]
+            drops = [code - s in position for s in self.strides]
+            failing = []
+            for i, moves in enumerate(self.moves):
+                rescued = lower & up[i][i] if drops[i] else 0
+                for j, move in moves:
+                    if code + move in position:
+                        rescued |= masks[j][u[j]][1] & up[i][j]
+                failing.append(masks[i][u[i]][0] & ~rescued)
+            rescued = 0
+            for j in range(self.p):
+                if drops[j]:
+                    rescued |= masks[j][u[j]][0] & up[j][j]
+            rest = lower & ~rescued
+            self._gp[k] = reduce(or_, failing, rest), failing, rest
+        return self._gp[k]
+
+    def _first_witness(self, mask, failures):
+        """The first (u, v, i) in (u, v, i) loop order over the points under
+        ``mask``, or None.  ``failures(k)`` is (union, failing, rest) for
+        u = ordered[k]: ``failing[i]`` masks the v failing at 0-based
+        coordinate i, ``rest`` those failing after every i (i = None)."""
+        ordered = self.ordered
+        for k in range(len(ordered)) if mask == self.full else _bits(mask):
+            union, failing, rest = failures(k)
+            union &= mask
+            if union:
+                low = union & -union
+                i = next((i + 1 for i, bad in enumerate(failing) if bad & low), None)
+                return ordered[k], ordered[low.bit_length() - 1], i
         return None
-    low = union & -union
-    v = ordered[low.bit_length() - 1]
-    for i, bad in enumerate(failing):
-        if bad & low:
-            return v, i + 1
-    return v, None
+
+    def m_convex_failure(self, mask=None):
+        """The first (u, v, i) in list order at which the points under
+        ``mask`` (all by default) fail homogeneity, reported as
+        (first point, v, None), or the exchange property; None if they are
+        M-convex."""
+        mask = self.full if mask is None else mask
+        first = (mask & -mask).bit_length() - 1
+        below, above = self.degree_masks[sum(self.ordered[first])]
+        other = mask & (below | above)
+        if other:
+            return self.ordered[first], self.ordered[(other & -other).bit_length() - 1], None
+        return self._first_witness(mask, self._exchange_failures)
+
+    def gp_failure(self, mask=None):
+        """The first (u, v, i) in list order at which the points under
+        ``mask`` (all by default) fail the generalized-polymatroid
+        conditions, a condition (2) failure reported with i = None after
+        every i; None if there is none."""
+        return self._first_witness(self.full if mask is None else mask, self._gp_failures)
+
+    def directions(self, k, mask=None) -> list:
+        """The 0-based coordinates l of the stalactite with apex ``ordered[k]``:
+        some neighbour u - e_l + e_j comes earlier in the list and lies under
+        ``mask`` (all points by default)."""
+        code, position = self.codes[k], self.position
+        out = []
+        for ell, moves in enumerate(self.moves):
+            for _, move in moves:
+                at = position.get(code + move, k)
+                if at < k and (mask is None or mask >> at & 1):
+                    out.append(ell)
+                    break
+        return out
+
+    def stalactite_terms(self, mask=None) -> dict:
+        """Signed stalactite counts of the points under ``mask`` (all by
+        default), decomposed greedily in list order: each point n of the
+        stalactites' union maps to (-1)^(d - |n|) times the number of
+        stalactites containing it, d the apexes' degree."""
+        ordered = self.ordered
+        terms = {}
+        for k in range(len(ordered)) if mask is None else _bits(mask):
+            even, odd = [ordered[k]], []
+            for ell in self.directions(k, mask):
+                even, odd = (even + [m[:ell] + (m[ell] - 1,) + m[ell + 1:] for m in odd],
+                             odd + [m[:ell] + (m[ell] - 1,) + m[ell + 1:] for m in even])
+            for m in even:
+                terms[m] = terms.get(m, 0) + 1
+            for m in odd:
+                terms[m] = terms.get(m, 0) - 1
+        return terms
+
+
+def not_m_convex(witness) -> NotMConvex:
+    """The ``NotMConvex`` error for an ``is_m_convex`` witness."""
+    u, v, i = witness
+    if i is None:
+        return NotMConvex("not homogeneous: |%s| != |%s|" % (u, v), witness)
+    return NotMConvex("exchange fails for u=%s, v=%s at coordinate %d" % (u, v, i), witness)
 
 
 def is_m_convex(points):
@@ -242,34 +443,11 @@ def is_m_convex(points):
     failure is reported as ``(u, v, None)``.  The witness is the first
     failure in sorted (u, v, i) order.
 
-    Bit-parallel over v: v fails at (u, i) exactly when v_i < u_i and
-    v_j <= u_j for every j with u - e_i + e_j in the set, so each u costs
-    O(p^2) lookups and operations on |B|-bit threshold masks.
+    The whole-set case of ``ExchangeIndex.m_convex_failure``: bit-parallel
+    over v, O(p^2) lookups and operations on |B|-bit masks per u.
     """
-    pts = point_set(points)
-    ordered = sorted(pts)
-    degree = sum(ordered[0])
-    for q in ordered[1:]:
-        if sum(q) != degree:
-            return False, (ordered[0], q, None)
-    p = len(ordered[0])
-    masks = [threshold_masks([q[i] for q in ordered]) for i in range(p)]
-    codes, strides = _lattice_codes(ordered)
-    present = set(codes)
-    for u, code in zip(ordered, codes):
-        failing = []
-        for i in range(p):
-            bad = masks[i][u[i]][0]
-            if bad:
-                base = code - strides[i]
-                for j in range(p):
-                    if j != i and base + strides[j] in present:
-                        bad &= ~masks[j][u[j]][1]
-            failing.append(bad)
-        found = _first_failure(ordered, failing)
-        if found:
-            return False, (u,) + found
-    return True, None
+    witness = ExchangeIndex(sorted(point_set(points))).m_convex_failure()
+    return witness is None, witness
 
 
 def is_generalized_polymatroid(points):
@@ -286,44 +464,11 @@ def is_generalized_polymatroid(points):
     condition (2) failure of the degree comparison.  The witness is the
     first failure in sorted (u, v, i) order, condition (2) after every i.
 
-    Bit-parallel over v as in ``is_m_convex``: O(|S| p^2) lookups build the
-    masks of v with v + e_i - e_j or v + e_i in the set, then each u costs
-    O(p^2) lookups and mask operations.
+    The whole-set case of ``ExchangeIndex.gp_failure``: O(|S| p^2) lookups
+    build the up-table, then each u costs O(p^2) lookups and mask operations.
     """
-    pts = point_set(points)
-    ordered = sorted(pts)
-    p = len(ordered[0])
-    masks = [threshold_masks([q[i] for q in ordered]) for i in range(p)]
-    degree = threshold_masks([sum(q) for q in ordered])
-    codes, strides = _lattice_codes(ordered)
-    present = set(codes)
-    # up[i][j]: v with v + e_i - e_j in the set; up[i][i]: v with v + e_i in it.
-    up = [[0] * p for _ in range(p)]
-    for k, code in enumerate(codes):
-        for i in range(p):
-            raised = code + strides[i]
-            for j in range(p):
-                if (raised if j == i else raised - strides[j]) in present:
-                    up[i][j] |= 1 << k
-    for u, code in zip(ordered, codes):
-        lower = degree[sum(u)][0]
-        drops = [code - s in present for s in strides]
-        failing = []
-        for i in range(p):
-            rescued = lower & up[i][i] if drops[i] else 0
-            base = code - strides[i]
-            for j in range(p):
-                if j != i and base + strides[j] in present:
-                    rescued |= masks[j][u[j]][1] & up[i][j]
-            failing.append(masks[i][u[i]][0] & ~rescued)
-        rescued = 0
-        for j in range(p):
-            if drops[j]:
-                rescued |= masks[j][u[j]][0] & up[j][j]
-        found = _first_failure(ordered, failing, lower & ~rescued)
-        if found:
-            return False, (u,) + found
-    return True, None
+    witness = ExchangeIndex(sorted(point_set(points))).gp_failure()
+    return witness is None, witness
 
 
 def homogenize(points) -> frozenset:
@@ -354,12 +499,7 @@ class Polymatroid:
                 raise ValueError("polymatroid points must be nonnegative, got %s" % (q,))
         ok, witness = is_m_convex(pts)
         if not ok:
-            u, v, i = witness
-            if i is None:
-                raise NotMConvex("not homogeneous: |%s| != |%s|" % (u, v), witness)
-            raise NotMConvex(
-                "exchange fails for u=%s, v=%s at coordinate %d" % (u, v, i), witness
-            )
+            raise not_m_convex(witness)
         object.__setattr__(self, "p", len(next(iter(pts))))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "rank", sum(next(iter(pts))))

@@ -25,6 +25,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, replace
+from operator import sub
 
 from .algorithms import (
     LexOrder,
@@ -40,16 +41,25 @@ from .algorithms import (
     stalactite_polynomial,
 )
 from .core import (
+    ExchangeIndex,
     Polymatroid,
     RankFunction,
+    _bits,
     _subset_sums,
+    not_m_convex,
     points_from_rank,
     rank_from_points,
-    threshold_masks,
     validate_rank_function,
 )
-from .errors import AxiomViolation, CavepolyError, GenerationExhausted, UnknownFamily
-from .geometry import independence_points, is_cave, truncate
+from .errors import (
+    AxiomViolation,
+    CavepolyError,
+    GenerationExhausted,
+    InternalInvariantFailure,
+    NotInIndependence,
+    UnknownFamily,
+)
+from .geometry import independence_points, is_cave
 from .polyalg import expand_binomial
 
 STRATEGIES = ("submodular-rejection", "uniform-family", "lattice-path")
@@ -198,40 +208,33 @@ def _check_lex_order_invariance(P):
     return True, None
 
 
-def _points_above(region, p):
+def _points_above(region):
     """Each point n of the region, in order, with the region's points >= n in
-    region order, selected by per-coordinate threshold masks."""
-    full = (1 << len(region)) - 1
-    masks = [threshold_masks([n[i] for n in region]) for i in range(p)]
+    region order, selected by the threshold masks of one ``ExchangeIndex``."""
+    index = ExchangeIndex(region)
     for n in region:
-        upper = full
-        for i, c in enumerate(n):
-            upper &= ~masks[i][c][0]
-        above = []
-        while upper:
-            low = upper & -upper
-            upper ^= low
-            above.append(region[low.bit_length() - 1])
-        yield n, above
+        yield n, [region[k] for k in _bits(index.truncation(n))]
 
 
 def _check_mobius_interval_closed_form(P):
     """The raw recurrence mu(m, a) = -sum of mu(m, b) over m <= b < a against
     ``mobius_interval``, for every comparable pair of independence points.
 
-    The a >= m come from per-coordinate threshold masks over the region in
-    (degree, lex) order.  The region is down-closed, so the b of the sum are
-    exactly the interval box [m, a] without a, all processed before a."""
+    The a >= m come from threshold masks over the region in (degree, lex)
+    order.  The region is down-closed, so the b of the sum are exactly the
+    interval box [m, a] without a, all processed before a, and the value
+    depends only on d = a - m: it is memoised by d and summed over the box
+    [0, d] once per distinct d, from entries that earlier pairs of the same
+    m have filled.  Every pair still meets the closed form."""
     region = sorted(independence_points(P).points, key=lambda n: (sum(n), n))
-    for m, above in _points_above(region, P.p):
-        table = {}
+    raw = {}
+    for m, above in _points_above(region):
         for a in above:
-            if a == m:
-                val = 1
-            else:
-                box = itertools.product(*(range(lo, hi + 1) for lo, hi in zip(m, a)))
-                val = -sum(table[b] for b in box if b != a)
-            table[a] = val
+            d = tuple(map(sub, a, m))
+            val = raw.get(d)
+            if val is None:
+                box = itertools.product(*(range(c + 1) for c in d))
+                val = raw[d] = -sum(raw[b] for b in box if b != d) if any(d) else 1
             if mobius_interval(m, a) != val:
                 return False, "interval [%s, %s]: closed form %d, recurrence %d" % (
                     m, a, mobius_interval(m, a), val)
@@ -256,13 +259,27 @@ def _check_counts_equal_mobius(P):
 def _check_truncation_lemmas(P):
     """The stalactite polynomial of the truncation at each n in I(P) against
     P's at every m >= n in I(P), the truncation's region above n (a base
-    above m >= n is itself >= n); one truncation per distinct base set."""
+    above m >= n is itself >= n).
+
+    One ``ExchangeIndex`` over the sorted bases serves every truncation: each
+    distinct set of kept bases is asserted to be a polymatroid (nonempty, or
+    n is not in the region; M-convex, or the library is at fault) and
+    decomposed into stalactites as a mask over the index, in O(p) mask
+    operations plus O(p^2) neighbour lookups per kept base, with no
+    per-truncation set-up."""
     stal_p = stalactite_polynomial(P).terms
+    bases = ExchangeIndex(sorted(P.points))
     truncations = {}
-    for n, above in _points_above(sorted(independence_points(P).points), P.p):
-        kept = tuple(m for m in above if sum(m) == P.rank)
-        if kept not in truncations:  # truncate re-asserts M-convexity
-            truncations[kept] = stalactite_polynomial(truncate(P, n)).terms
+    for n, above in _points_above(sorted(independence_points(P).points)):
+        kept = bases.truncation(n)
+        if kept not in truncations:
+            if not kept:
+                raise NotInIndependence("%s is not in the independence region" % (n,))
+            witness = bases.m_convex_failure(kept)
+            if witness:
+                raise InternalInvariantFailure(
+                    "truncation at %s is not a polymatroid: %s" % (n, not_m_convex(witness)))
+            truncations[kept] = bases.stalactite_terms(kept)
         stal_sub = truncations[kept]
         for m in above:
             if stal_sub.get(m, 0) != stal_p.get(m, 0):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
+    ExchangeIndex,
     Polymatroid,
     as_point,
-    is_generalized_polymatroid,
     is_m_convex,
     point_set,
 )
@@ -146,14 +146,16 @@ def _truncation_failure(pts):
     the first nonzero b of the bounding box, in ``itertools.product`` order,
     whose truncation is not a generalized polymatroid; None if there is none.
 
-    A truncation is the AND of per-coordinate "q_i >= b_i" bitmasks over the
-    sorted points, built one coordinate at a time.  Masks only shrink as b
-    grows, so the walk leaves a coordinate's range at the first b_i that
-    keeps fewer than two points, and each distinct truncation is checked once.
+    One ``ExchangeIndex`` over the sorted points serves every truncation: a
+    truncation is the AND of per-coordinate "q_i >= b_i" masks, built one
+    coordinate at a time.  Masks only shrink as b grows, so the walk leaves a
+    coordinate's range at the first b_i that keeps fewer than two points, and
+    each distinct truncation is checked once, in O(p) mask operations per
+    kept point against the index's per-point failure masks.
     """
-    ordered = sorted(pts)
-    above = [[sum(1 << k for k, q in enumerate(ordered) if q[i] >= value) for value in range(bound + 1)]
-             for i, bound in enumerate(map(max, zip(*ordered)))]
+    index = ExchangeIndex(sorted(pts))
+    above = [[index.at_least(i, value) for value in range(bound + 1)]
+             for i, bound in enumerate(map(max, zip(*index.ordered)))]
     checked = {}
 
     def walk(prefix, mask):
@@ -170,10 +172,9 @@ def _truncation_failure(pts):
         if not any(b):
             continue
         if mask not in checked:
-            checked[mask] = is_generalized_polymatroid([q for k, q in enumerate(ordered) if mask >> k & 1])
-        ok, witness = checked[mask]
-        if not ok:
-            return {"at": b, "witness": witness}
+            checked[mask] = index.gp_failure(mask)
+        if checked[mask]:
+            return {"at": b, "witness": checked[mask]}
     return None
 
 
@@ -187,8 +188,11 @@ def is_cave(C, order=None) -> CaveReport:
     verdict is per-order and recorded in the report.
 
     Conditions (1) and (2) cost O(|T| p^2) lookups for the tops T, plus the
-    union's size; (3) costs O(p) mask operations per visited box point plus
-    one exchange check per distinct truncation (``_truncation_failure``).
+    union's size.  (3) builds one ``ExchangeIndex`` over the set, whose
+    per-point failure masks cost O(p^2) lookups and mask operations each,
+    once; then it costs O(p) mask operations per visited box point and per
+    point kept by a distinct truncation, with no per-truncation set-up
+    (``_truncation_failure``).
     """
     from . import algorithms  # deferred: algorithms builds on this module
 

@@ -25,7 +25,7 @@ from cavepoly.core import (
 )
 from cavepoly.errors import DimensionMismatch, InternalInvariantFailure
 from cavepoly.geometry import independence_points, truncate
-from cavepoly.polyalg import RationalPoly, _rising_coeffs
+from cavepoly.polyalg import MultiPoly, RationalPoly, _rising_coeffs
 
 
 def independence_points_box_filter(P) -> frozenset:
@@ -118,6 +118,15 @@ def stalactite_decomposition_prefix(P, order=None) -> tuple:
     order = order or LexOrder.identity(P.p)
     ordered = order.sort(P.points)
     return tuple(stalactite(apex, ordered[:i], P) for i, apex in enumerate(ordered))
+
+
+def stalactite_polynomial_prefix(P, order=None) -> MultiPoly:
+    """Signed stalactite counts of the prefix-scan decomposition."""
+    terms = {}
+    for st in stalactite_decomposition_prefix(P, order):
+        for m in st.members:
+            terms[m] = terms.get(m, 0) + (-1 if (P.rank - sum(m)) % 2 else 1)
+    return MultiPoly(P.p, terms)
 
 
 def cave_condition_3_box_walk(pts, is_generalized):

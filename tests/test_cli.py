@@ -234,6 +234,14 @@ def test_verify_command():
     assert run(args) == (status, out, "")
 
 
+@pytest.mark.parametrize("strategy", ["submodular-rejection", "uniform-family", "lattice-path"])
+def test_verify_campaign_matches_golden_document(strategy):
+    status, out, err = run(["verify", "--p", "4", "--count", "40", "--max-rank", "6",
+                            "--max-cage-entry", "4", "--strategy", strategy])
+    assert (status, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / ("verify_p4_%s.json" % strategy)).read_bytes()
+
+
 def test_exit_statuses_on_bad_input():
     assert run(["cave"], stdin="{oops")[0] == 2
     assert run(["cave"], stdin='{"points": [[2,0],[0,2]]}')[0] == 2

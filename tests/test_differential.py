@@ -23,6 +23,7 @@ from cavepoly import (
     IndependenceSet,
     InternalInvariantFailure,
     MultiPoly,
+    NotInIndependence,
     NotMConvex,
     Polymatroid,
     RankFunction,
@@ -59,6 +60,7 @@ from oracles import (
     points_from_rank_box_filter,
     rank_from_points_subset_loop,
     stalactite_decomposition_prefix,
+    stalactite_polynomial_prefix,
     submodular_violations_all_pairs,
     truncation_lemmas_check_scan,
 )
@@ -205,11 +207,19 @@ def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
     monkeypatch.setattr(genverify, "points_from_rank", points_from_rank_box_filter)
     monkeypatch.setattr(genverify, "rank_from_points", rank_from_points_subset_loop)
     monkeypatch.setattr(algorithms, "stalactite_decomposition", stalactite_decomposition_prefix)
+    monkeypatch.setattr(algorithms, "_stalactite_polynomial", stalactite_polynomial_prefix)
+    monkeypatch.setitem(CHECKS, "truncation-lemmas", truncation_lemmas_check_scan)
     for module in (core, geometry):
         monkeypatch.setattr(module, "is_m_convex", is_m_convex_pairwise)
-        monkeypatch.setattr(module, "is_generalized_polymatroid", is_generalized_polymatroid_pairwise)
+    monkeypatch.setattr(core, "is_generalized_polymatroid", is_generalized_polymatroid_pairwise)
     monkeypatch.setattr(geometry, "_truncation_failure",
                         lambda pts: cave_condition_3_box_walk(pts, is_generalized_polymatroid_pairwise))
+
+    def no_index(ordered):
+        raise AssertionError("the oracle run reached the exchange index")
+
+    for module in (core, geometry, algorithms, genverify):
+        monkeypatch.setattr(module, "ExchangeIndex", no_index)
     assert _campaign_documents() == fast
 
 
@@ -355,8 +365,10 @@ def test_truncation_lemma_check_matches_scan(monkeypatch):
     for P in GENERATED:
         assert CHECKS["truncation-lemmas"](P) == truncation_lemmas_check_scan(P) == (True, None)
 
+    stalactite_terms = core.ExchangeIndex.stalactite_terms
+
     def raised(where):  # coefficients off by one in the two-point truncations
-        def faulty(P, *order):
+        def faulty(P, *order):  # in the oracle's stalactite polynomial
             poly = stalactite_polynomial(P, *order)
             if len(P.points) != 2:
                 return poly
@@ -364,16 +376,25 @@ def test_truncation_lemma_check_matches_scan(monkeypatch):
             for m in where(P):
                 terms[m] = terms.get(m, 0) + 1
             return MultiPoly(P.p, terms)
-        return faulty
 
-    at_top = raised(lambda P: [max(P.points)])
-    everywhere = raised(lambda P: independence_points(P).points)
+        def faulty_terms(index, mask=None):  # in the index's terms of a truncation
+            terms = stalactite_terms(index, mask)
+            if mask is None or bin(mask).count("1") != 2:
+                return terms
+            terms = dict(terms)
+            for m in where(Polymatroid(q for k, q in enumerate(index.ordered) if mask >> k & 1)):
+                terms[m] = terms.get(m, 0) + 1
+            return terms
+        return faulty, faulty_terms
+
+    at_top, at_top_terms = raised(lambda P: [max(P.points)])
+    everywhere, everywhere_terms = raised(lambda P: independence_points(P).points)
     caught = 0
     for P in GENERATED:
         if len(P.points) <= 2:
             continue
         with monkeypatch.context() as patch:
-            patch.setattr(genverify, "stalactite_polynomial", at_top)
+            patch.setattr(core.ExchangeIndex, "stalactite_terms", at_top_terms)
             result = CHECKS["truncation-lemmas"](P)
             assert result == truncation_lemmas_check_scan(P, at_top)
             failures = [(r.name, r.detail) for r in verify_instance(P).failures()]
@@ -381,7 +402,7 @@ def test_truncation_lemma_check_matches_scan(monkeypatch):
         with monkeypatch.context() as patch:
             # Many coefficients differ: same n as the oracle, and the first m
             # in sorted order, which is n itself.
-            patch.setattr(genverify, "stalactite_polynomial", everywhere)
+            patch.setattr(core.ExchangeIndex, "stalactite_terms", everywhere_terms)
             ok, detail = CHECKS["truncation-lemmas"](P)
             expected = truncation_lemmas_check_scan(P, everywhere)
             assert ok == expected[0] == result[0]
@@ -390,3 +411,94 @@ def test_truncation_lemma_check_matches_scan(monkeypatch):
                 assert detail.startswith("truncation at %s: coefficient at %s is" % (n, n))
         caught += not result[0]
     assert caught > 10
+
+
+def threshold_truncations(index):
+    """The distinct nonempty masks {q >= b}, b in the bounding box of the
+    indexed points."""
+    box = itertools.product(*(range(min(col), max(col) + 1) for col in zip(*index.ordered)))
+    return sorted({index.truncation(b) for b in box} - {0})
+
+
+def materialized(index, mask):
+    return [q for k, q in enumerate(index.ordered) if mask >> k & 1]
+
+
+def cave_set(P):
+    return set().union(*(st.members for st in stalactite_decomposition(P)))
+
+
+def test_exchange_index_truncations_match_materialized_sets():
+    sets = [P.points for P in GENERATED] + [cave_set(P) for P in SMALL] + list(random_sets(5, 600))
+    verdicts = set()
+    for pts in sets:
+        index = core.ExchangeIndex(sorted(pts))
+        for i, col in enumerate(zip(*index.ordered)):
+            for c in range(min(col) - 1, max(col) + 2):
+                assert index.at_least(i, c) == sum(1 << k for k, x in enumerate(col) if x >= c)
+        for mask in threshold_truncations(index):
+            subset = materialized(index, mask)
+            exchange, gp = index.m_convex_failure(mask), index.gp_failure(mask)
+            assert (exchange is None, exchange) == is_m_convex(subset) == is_m_convex_pairwise(subset), subset
+            assert (gp is None, gp) == is_generalized_polymatroid_pairwise(subset), subset
+            verdicts.add((exchange is None, gp is None))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_exchange_index_truncation_terms_match_stalactite_polynomial():
+    truncations = 0
+    for P in GENERATED:
+        if P.p > 4:
+            continue
+        subsets = {}  # every order has the same truncations
+        for perm in itertools.permutations(range(1, P.p + 1)):
+            order = LexOrder(perm)
+            index = core.ExchangeIndex(order.sort(P.points))
+            for mask in threshold_truncations(index):
+                points = frozenset(materialized(index, mask))
+                sub = subsets.get(points) or subsets.setdefault(points, Polymatroid(points))
+                expected = stalactite_polynomial(sub, order).terms
+                assert index.stalactite_terms(mask) == expected
+                if perm[0] == 1:  # the prefix-scan oracle under a sample of the orders
+                    assert expected == stalactite_polynomial_prefix(sub, order).terms
+                truncations += 1
+    assert truncations > 1000
+
+
+def test_truncation_lemma_check_asserts_every_truncation(monkeypatch):
+    def reported(points):  # a fault that reports every two-point set not M-convex
+        pts = sorted(points)
+        return (False, (pts[0], pts[1], 1)) if len(pts) == 2 else is_m_convex(pts)
+
+    m_convex_failure = core.ExchangeIndex.m_convex_failure
+
+    def faulty(index, mask=None):  # the same fault in the check's kernel
+        if mask is None or bin(mask).count("1") != 2:
+            return m_convex_failure(index, mask)
+        return reported(materialized(index, mask))[1]
+
+    def outcome(check, P):
+        try:
+            return check(P)
+        except InternalInvariantFailure as exc:
+            return str(exc)
+
+    raised = 0
+    for P in GENERATED[:60]:
+        if len(P.points) <= 2:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(core.ExchangeIndex, "m_convex_failure", faulty)
+            result = outcome(CHECKS["truncation-lemmas"], P)
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "is_m_convex", reported)
+            assert result == outcome(truncation_lemmas_check_scan, P)
+        raised += isinstance(result, str)
+    assert raised > 10
+    P = GENERATED[0]
+    outside = tuple(c + 1 for c in P.cage)  # a region point with no base above it
+    monkeypatch.setattr(genverify, "independence_points",
+                        lambda P: IndependenceSet(P.p, independence_points(P).points | {outside}, P))
+    with pytest.raises(NotInIndependence) as exc:
+        CHECKS["truncation-lemmas"](P)
+    assert str(exc.value) == "%s is not in the independence region" % (outside,)
