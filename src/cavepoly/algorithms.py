@@ -21,15 +21,18 @@ shifted-binomial sum over the independence points.
 The cave formula is tied to the identity coordinate order (its product
 skips coordinate p); permuted orders are exercised through the stalactite
 route, whose polynomial is order-invariant.
+
+Each route's result is held in the polymatroid's memo store; the routes
+share only its exchange index and independence region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import itemgetter, sub
 from types import MappingProxyType
 
-from .core import ExchangeIndex, Polymatroid, as_point
+from .core import Polymatroid, as_point, exchange_index, memo
 from .errors import (
     DimensionMismatch,
     InternalInvariantFailure,
@@ -85,8 +88,8 @@ class Stalactite:
 class MobiusTable:
     """Mobius values on the independence points; anything else maps to 0.
 
-    Instances are shared through result caches, so ``values`` is a
-    read-only ``MappingProxyType`` view.
+    A table is held in its polymatroid's memo store and handed to every
+    caller, so ``values`` is a read-only ``MappingProxyType`` view.
     """
 
     __slots__ = ("p", "rank", "values")
@@ -172,17 +175,24 @@ def stalactite(u, V, P: Polymatroid) -> Stalactite:
     return _hanging_cube(u, directions)
 
 
+def _visit(P: Polymatroid, order: LexOrder):
+    """P's shared ``exchange_index`` and its positions in ascending ``order``."""
+    index = exchange_index(P)
+    keys = list(map(itemgetter(*(i - 1 for i in order.permutation)), index.ordered))
+    return index, sorted(range(len(keys)), key=keys.__getitem__)
+
+
 def stalactite_decomposition(P: Polymatroid, order: LexOrder | None = None) -> tuple:
     """Greedy stalactites of the base points in ascending ``order``: the i-th
     stalactite is St(a_i; {a_1, ..., a_{i-1}}).  Their union is the cave set.
 
-    Each apex finds its directions by looking up its at most p^2 neighbours
-    u - e_l + e_j by lattice code in an ``ExchangeIndex`` of the ordered
-    points: O(|B| p^2) lookups in all, plus the stalactites' own size.
+    Each apex finds its directions by one AND of each of its neighbour
+    masks in P's ``exchange_index`` against the apexes before it: O(|B| p)
+    mask operations, plus the stalactites' own size.
     """
-    index = ExchangeIndex(_resolve_order(P, order).sort(P.points))
-    return tuple(_hanging_cube(apex, {ell + 1 for ell in index.directions(k)})
-                 for k, apex in enumerate(index.ordered))
+    index, visit = _visit(P, _resolve_order(P, order))
+    return tuple(_hanging_cube(index.ordered[k], {ell + 1 for ell in directions})
+                 for k, directions in index.stalactites(visit))
 
 
 def stalactite_counts(P: Polymatroid, order: LexOrder | None = None) -> dict:
@@ -202,12 +212,13 @@ def stalactite_polynomial(P: Polymatroid, order: LexOrder | None = None) -> Mult
     return _stalactite_polynomial(P, _resolve_order(P, order))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _stalactite_polynomial(P: Polymatroid, order: LexOrder) -> MultiPoly:
-    return MultiPoly(P.p, ExchangeIndex(order.sort(P.points)).stalactite_terms())
+    index, visit = _visit(P, order)
+    return MultiPoly(P.p, index.stalactite_terms(visit))
 
 
-@lru_cache(maxsize=None)
+@memo
 def cave_polynomial(P: Polymatroid) -> MultiPoly:
     """Expand the indicator-product formula over the base points.
 
@@ -257,7 +268,7 @@ def box_summands(P: Polymatroid) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+@memo
 def box_polynomial(P: Polymatroid) -> MultiPoly:
     """Sum of the box products over the independence points.
 
@@ -275,6 +286,13 @@ def box_polynomial(P: Polymatroid) -> MultiPoly:
 def mobius_interval(m, n) -> int:
     """Closed-form Mobius value of the interval [m, n] in the componentwise
     order: (-1)^j when n - m is a 0/1 vector with j ones, else 0."""
+    if (type(m) is tuple and type(n) is tuple and len(m) == len(n) and m
+            and {*map(type, m), *map(type, n)} == {int}):
+        # The common case, equal-length int tuples, without normalising; a
+        # non-comparable pair takes the general path, which raises.
+        diff = tuple(map(sub, n, m))
+        if min(diff) >= 0:
+            return 0 if max(diff) > 1 else -1 if sum(diff) % 2 else 1
     m = as_point(m)
     n = as_point(n)
     if len(m) != len(n):
@@ -287,7 +305,7 @@ def mobius_interval(m, n) -> int:
     return -1 if sum(diff) % 2 else 1
 
 
-@lru_cache(maxsize=None)
+@memo
 def mobius_table(P: Polymatroid) -> MobiusTable:
     """Mobius values on all independence points by the three-case recurrence:
     1 on base points, 1 - sum over strictly larger points inside, 0 outside.
@@ -342,7 +360,7 @@ def mobius_table(P: Polymatroid) -> MobiusTable:
     return MobiusTable(p, P.rank, values)
 
 
-@lru_cache(maxsize=None)
+@memo
 def mobius_polynomial(P: Polymatroid) -> MultiPoly:
     """Generating function of the Mobius values over the independence points."""
     table = mobius_table(P)

@@ -20,19 +20,23 @@ generalized-polymatroid failures, signed stalactite terms) for a point list
 and for each threshold truncation {q >= b} of it, given as a bitmask;
 ``is_m_convex`` and ``is_generalized_polymatroid`` are its whole-set case.
 Each point's failure masks cost O(p^2) lookups and mask operations, once; a
-truncation then costs O(p) mask operations per kept point (O(p^2) lookups
-per kept point for its stalactites), with no set-up of its own.
+truncation then costs O(p) mask operations per kept point, with no set-up of
+its own.
+
+A ``Polymatroid``'s derived data (rank table, exchange index, independence
+region, each route's result) lives in the instance's own memo store (see
+``memo``) and is freed with it.
 
 All arithmetic is exact (Python integers).  Every value is immutable after
-construction, except that an ``ExchangeIndex`` fills its parts on first
-use; each fill always computes the same value, so everything here is safe
-for concurrent use.
+construction, except that a memo store and an ``ExchangeIndex`` fill their
+parts on first use; each fill always computes the same value, so everything
+here is safe for concurrent use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce, wraps
 from operator import mul, or_, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -234,13 +238,15 @@ class ExchangeIndex:
     truncation exactly when it lies in the whole set.  So each point's
     failure masks over the whole set are built once, in O(p^2) lookups and
     mask operations, and a truncation costs O(p) mask operations per kept
-    point, with no set-up of its own.  Stalactite directions, which look
-    only at earlier points, cost O(p^2) lookups per kept point.
+    point, with no set-up of its own.  Stalactites visit the points in any
+    sequence (a lex order, a truncation's points): each point's neighbour
+    masks are built once in O(p^2) lookups, and each direction is then one
+    AND against the points visited before it.
 
     Every part is built on first use: the lattice codes, which turn
     neighbour lookups into integer additions, the per-coordinate and degree
-    threshold masks, and the up-table of the generalized-polymatroid
-    conditions.
+    threshold masks, the neighbour masks, and the up-table of the
+    generalized-polymatroid conditions.
     """
 
     def __init__(self, ordered):
@@ -272,6 +278,22 @@ class ExchangeIndex:
         """moves[i]: (j, code(u - e_i + e_j) - code(u)) for every j != i."""
         return [[(j, rise - down) for j, rise in enumerate(self.strides) if j != i]
                 for i, down in enumerate(self.strides)]
+
+    @cached_property
+    def neighbours(self) -> list:
+        """neighbours[k][l]: the mask of the points u - e_l + e_j (j != l),
+        u = ordered[k].  Each neighbour pair u, w = u - e_l + e_j is found
+        once, by the move with l < j: then u = w - e_j + e_l."""
+        get, codes = self.position.get, self.codes
+        rows = [[0] * self.p for _ in codes]
+        for ell, moves in enumerate(self.moves):
+            for j, move in moves:
+                if j > ell:
+                    for k, at in enumerate(map(get, map(move.__add__, codes))):
+                        if at is not None:
+                            rows[k][ell] |= 1 << at
+                            rows[at][j] |= 1 << k
+        return rows
 
     @cached_property
     def masks(self) -> list:
@@ -393,30 +415,26 @@ class ExchangeIndex:
         every i; None if there is none."""
         return self._first_witness(self.full if mask is None else mask, self._gp_failures)
 
-    def directions(self, k, mask=None) -> list:
-        """The 0-based coordinates l of the stalactite with apex ``ordered[k]``:
-        some neighbour u - e_l + e_j comes earlier in the list and lies under
-        ``mask`` (all points by default)."""
-        code, position = self.codes[k], self.position
-        out = []
-        for ell, moves in enumerate(self.moves):
-            for _, move in moves:
-                at = position.get(code + move, k)
-                if at < k and (mask is None or mask >> at & 1):
-                    out.append(ell)
-                    break
-        return out
+    def stalactites(self, visit):
+        """(k, directions) for each position k of ``visit`` in turn: the
+        0-based coordinates l of the stalactite with apex ``ordered[k]``, for
+        which some neighbour u - e_l + e_j was visited before it."""
+        neighbours = self.neighbours
+        placed = 0
+        for k in visit:
+            yield k, [ell for ell, mask in enumerate(neighbours[k]) if mask & placed]
+            placed |= 1 << k
 
-    def stalactite_terms(self, mask=None) -> dict:
-        """Signed stalactite counts of the points under ``mask`` (all by
-        default), decomposed greedily in list order: each point n of the
+    def stalactite_terms(self, visit) -> dict:
+        """Signed stalactite counts of the points at the positions ``visit``,
+        decomposed greedily in that sequence: each point n of the
         stalactites' union maps to (-1)^(d - |n|) times the number of
         stalactites containing it, d the apexes' degree."""
         ordered = self.ordered
         terms = {}
-        for k in range(len(ordered)) if mask is None else _bits(mask):
+        for k, directions in self.stalactites(visit):
             even, odd = [ordered[k]], []
-            for ell in self.directions(k, mask):
+            for ell in directions:
                 even, odd = (even + [m[:ell] + (m[ell] - 1,) + m[ell + 1:] for m in odd],
                              odd + [m[:ell] + (m[ell] - 1,) + m[ell + 1:] for m in even])
             for m in even:
@@ -487,22 +505,26 @@ class Polymatroid:
 
     The constructor validates all invariants: nonempty, equal lengths,
     nonnegative coordinates, homogeneous, M-convex.  Instances are
-    immutable, hashable, and compare by point set.
+    immutable, hashable, and compare by point set; equality and hashing
+    ignore the memo store.
     """
 
-    __slots__ = ("p", "points", "rank")
+    __slots__ = ("p", "points", "rank", "_memo", "__weakref__")
 
-    def __init__(self, points):
+    def __init__(self, points, *, _m_convex=False):
+        # _m_convex: the caller has already found ``points`` M-convex.
         pts = point_set(points)
         for q in pts:
             if any(c < 0 for c in q):
                 raise ValueError("polymatroid points must be nonnegative, got %s" % (q,))
-        ok, witness = is_m_convex(pts)
-        if not ok:
-            raise not_m_convex(witness)
+        if not _m_convex:
+            ok, witness = is_m_convex(pts)
+            if not ok:
+                raise not_m_convex(witness)
         object.__setattr__(self, "p", len(next(iter(pts))))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "rank", sum(next(iter(pts))))
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polymatroid is immutable")
@@ -541,7 +563,28 @@ def _subset_sums(weights) -> list:
     return sums
 
 
-@lru_cache(maxsize=None)
+def memo(fn):
+    """Hold ``fn(P, *args)`` in the memo store of the polymatroid ``P``: one
+    value per instance and arguments, freed with the instance.  No stored
+    value refers to its instance, so reference counting alone frees both."""
+
+    @wraps(fn)
+    def memoized(P, *args):
+        key = (fn, args)
+        value = P._memo.get(key)
+        return P._memo.setdefault(key, fn(P, *args)) if value is None else value
+
+    return memoized
+
+
+@memo
+def exchange_index(P: Polymatroid) -> ExchangeIndex:
+    """The ``ExchangeIndex`` of the sorted base points, shared by the
+    stalactites of every lex order and of every truncation of ``P``."""
+    return ExchangeIndex(sorted(P.points))
+
+
+@memo
 def rank_from_points(P: Polymatroid) -> RankFunction:
     """Rank function of a polymatroid: rk(I) = max over points of the I-sum.
 
@@ -557,7 +600,6 @@ def rank_from_points(P: Polymatroid) -> RankFunction:
     return RankFunction(P.p, values, tuple(values[1 << i] for i in range(P.p)))
 
 
-@lru_cache(maxsize=None)
 def points_from_rank(rk: RankFunction) -> Polymatroid:
     """All lattice points with every subset-sum within rank and full-sum equal
     to the rank of the ground set (the top-degree lattice points).

@@ -46,6 +46,7 @@ from .core import (
     RankFunction,
     _bits,
     _subset_sums,
+    exchange_index,
     not_m_convex,
     points_from_rank,
     rank_from_points,
@@ -261,14 +262,14 @@ def _check_truncation_lemmas(P):
     P's at every m >= n in I(P), the truncation's region above n (a base
     above m >= n is itself >= n).
 
-    One ``ExchangeIndex`` over the sorted bases serves every truncation: each
-    distinct set of kept bases is asserted to be a polymatroid (nonempty, or
-    n is not in the region; M-convex, or the library is at fault) and
-    decomposed into stalactites as a mask over the index, in O(p) mask
-    operations plus O(p^2) neighbour lookups per kept base, with no
+    P's ``exchange_index`` over the sorted bases serves every truncation:
+    each distinct set of kept bases is asserted to be a polymatroid
+    (nonempty, or n is not in the region; M-convex, or the library is at
+    fault) and decomposed into stalactites on its own, visiting only its
+    kept bases, in O(p) mask operations per kept base, with no
     per-truncation set-up."""
     stal_p = stalactite_polynomial(P).terms
-    bases = ExchangeIndex(sorted(P.points))
+    bases = exchange_index(P)
     truncations = {}
     for n, above in _points_above(sorted(independence_points(P).points)):
         kept = bases.truncation(n)
@@ -279,7 +280,7 @@ def _check_truncation_lemmas(P):
             if witness:
                 raise InternalInvariantFailure(
                     "truncation at %s is not a polymatroid: %s" % (n, not_m_convex(witness)))
-            truncations[kept] = bases.stalactite_terms(kept)
+            truncations[kept] = bases.stalactite_terms(_bits(kept))
         stal_sub = truncations[kept]
         for m in above:
             if stal_sub.get(m, 0) != stal_p.get(m, 0):

@@ -11,13 +11,13 @@ represents truncations as bitmasks over the point set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import (
     ExchangeIndex,
     Polymatroid,
     as_point,
     is_m_convex,
+    memo,
     point_set,
 )
 from .errors import (
@@ -62,20 +62,26 @@ def indicator(P: Polymatroid, n) -> int:
     return 1 if n in P.points else 0
 
 
-@lru_cache(maxsize=None)
 def independence_points(P: Polymatroid) -> IndependenceSet:
     """All n in N^p with every subset-sum within rank: I(P) ∩ N^p.
 
     Every integral independent vector lies under an integral base, so the
     region is the down-closure of the base points.  It is walked one degree
-    at a time by the steps n - e_i, in O(|I| p) set operations.
+    at a time by the steps n - e_i, in O(|I| p) set operations, once per
+    instance: the memo store holds the points, not this ``IndependenceSet``,
+    which refers back to ``P``.
     """
+    return IndependenceSet(P.p, _down_closure(P), P)
+
+
+@memo
+def _down_closure(P: Polymatroid) -> frozenset:
     level = P.points
     members = set(level)
     while level:
         level = {n[:i] + (c - 1,) + n[i + 1:] for n in level for i, c in enumerate(n) if c}
         members |= level
-    return IndependenceSet(P.p, frozenset(members), P)
+    return frozenset(members)
 
 
 def in_independence(P: Polymatroid, n) -> bool:
@@ -205,7 +211,7 @@ def is_cave(C, order=None) -> CaveReport:
     ok, witness = is_m_convex(tops)
     if not ok:
         return CaveReport(False, 1, witness, order.permutation)
-    top_poly = Polymatroid(tops)
+    top_poly = Polymatroid(tops, _m_convex=True)
 
     union = set()
     for st in algorithms.stalactite_decomposition(top_poly, order):

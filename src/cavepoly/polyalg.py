@@ -2,8 +2,8 @@
 
 Three representations, all with exact coefficients and dict-of-terms storage
 keyed by exponent/index tuples of fixed length p.  ``terms`` is a read-only
-``MappingProxyType`` view, so a result shared through a cache cannot be
-changed by one caller under another:
+``MappingProxyType`` view, so a result held in a polymatroid's memo store
+and handed to every caller cannot be changed by one caller under another:
 
 * ``MultiPoly``        -- integer coefficients on monomials t^n.  Exponents
   may go negative in transient intermediates (the cave expansion multiplies

@@ -23,7 +23,7 @@ from cavepoly.core import (
     point_set,
     rank_from_points,
 )
-from cavepoly.errors import DimensionMismatch, InternalInvariantFailure
+from cavepoly.errors import DimensionMismatch, InternalInvariantFailure, NotComparable
 from cavepoly.geometry import independence_points, truncate
 from cavepoly.polyalg import MultiPoly, RationalPoly, _rising_coeffs
 
@@ -173,6 +173,21 @@ def mobius_interval_check_scan(P, closed_form=mobius_interval):
                 return False, "interval [%s, %s]: closed form %d, recurrence %d" % (
                     m, a, closed_form(m, a), val)
     return True, None
+
+
+def mobius_interval_normalized(m, n) -> int:
+    """The closed-form interval Mobius value with both endpoints normalised
+    and scanned on every call, whatever their type."""
+    m = as_point(m)
+    n = as_point(n)
+    if len(m) != len(n):
+        raise DimensionMismatch("interval endpoints differ in length")
+    diff = [b - a for a, b in zip(m, n)]
+    if any(d < 0 for d in diff):
+        raise NotComparable("%s is not componentwise <= %s" % (m, n))
+    if any(d > 1 for d in diff):
+        return 0
+    return -1 if sum(diff) % 2 else 1
 
 
 def in_independence_subset_sums(P, n) -> bool:

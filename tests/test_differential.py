@@ -23,6 +23,7 @@ from cavepoly import (
     IndependenceSet,
     InternalInvariantFailure,
     MultiPoly,
+    NotComparable,
     NotInIndependence,
     NotMConvex,
     Polymatroid,
@@ -57,6 +58,7 @@ from oracles import (
     is_generalized_polymatroid_pairwise,
     is_m_convex_pairwise,
     mobius_interval_check_scan,
+    mobius_interval_normalized,
     points_from_rank_box_filter,
     rank_from_points_subset_loop,
     stalactite_decomposition_prefix,
@@ -142,6 +144,42 @@ def test_stalactite_decomposition_matches_prefix_scan():
             assert stalactite_decomposition(P, order) == stalactite_decomposition_prefix(P, order)
 
 
+def test_stalactite_polynomial_matches_prefix_scan_under_every_order():
+    orders = 0
+    for P in GENERATED:
+        if P.p > 4:
+            continue
+        for perm in itertools.permutations(range(1, P.p + 1)):
+            order = LexOrder(perm)
+            assert stalactite_polynomial(P, order) == stalactite_polynomial_prefix(P, order), (P, perm)
+            orders += 1
+    assert orders > 500
+
+
+def test_mobius_interval_matches_normalized_form():
+    def outcome(closed_form, m, n):
+        try:
+            return closed_form(m, n)
+        except (ValueError, CavepolyError) as exc:
+            return type(exc), str(exc)
+
+    region = sorted(independence_points(GENERATED[7]).points)
+    pairs = [(m, n) for m in region for n in region]
+    pairs += [
+        ((True, 0), (1, 1)), ((0, False), (True, True)),  # bool entries are accepted
+        ([0, 1], [1, 1]), ((0, 1), [1, 3]), ([2, 0], (1, 2)),  # lists
+        ((0.0, 1), (1, 1)), ((0, 1), (1, 1.5)),  # float entries
+        ((), ()), ((), (1,)), ((1,), (1, 2)),  # empty and length mismatch
+        ((2, 0), (1, 2)), ((0, 5), (1, 2)), ((-1, 0), (0, 1)), ((3,), (5,)),
+    ]
+    outcomes = set()
+    for m, n in pairs:
+        result = outcome(algorithms.mobius_interval, m, n)
+        assert result == outcome(mobius_interval_normalized, m, n), (m, n)
+        outcomes.add(result if isinstance(result, int) else result[0])
+    assert outcomes == {1, -1, 0, ValueError, DimensionMismatch, NotComparable}
+
+
 def test_cave_condition_3_matches_box_walk():
     failures = 0
     for pts in random_sets(4, 2500):
@@ -198,10 +236,6 @@ def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
     def region_oracle(P):
         return IndependenceSet(P.p, independence_points_box_filter(P), P)
 
-    # Cached polymatroids would skip the oracle M-convexity check.
-    for cached in (core.points_from_rank, core.rank_from_points, geometry.independence_points):
-        cached.cache_clear()
-
     for module in (geometry, algorithms, genverify):
         monkeypatch.setattr(module, "independence_points", region_oracle)
     monkeypatch.setattr(genverify, "points_from_rank", points_from_rank_box_filter)
@@ -218,7 +252,7 @@ def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
     def no_index(ordered):
         raise AssertionError("the oracle run reached the exchange index")
 
-    for module in (core, geometry, algorithms, genverify):
+    for module in (core, geometry, genverify):
         monkeypatch.setattr(module, "ExchangeIndex", no_index)
     assert _campaign_documents() == fast
 
@@ -377,12 +411,13 @@ def test_truncation_lemma_check_matches_scan(monkeypatch):
                 terms[m] = terms.get(m, 0) + 1
             return MultiPoly(P.p, terms)
 
-        def faulty_terms(index, mask=None):  # in the index's terms of a truncation
-            terms = stalactite_terms(index, mask)
-            if mask is None or bin(mask).count("1") != 2:
+        def faulty_terms(index, visit):  # in the index's terms of a truncation
+            visit = list(visit)
+            terms = stalactite_terms(index, visit)
+            if len(visit) != 2 or len(index.ordered) == 2:  # a two-point set's own terms
                 return terms
             terms = dict(terms)
-            for m in where(Polymatroid(q for k, q in enumerate(index.ordered) if mask >> k & 1)):
+            for m in where(Polymatroid(index.ordered[k] for k in visit)):
                 terms[m] = terms.get(m, 0) + 1
             return terms
         return faulty, faulty_terms
@@ -458,7 +493,7 @@ def test_exchange_index_truncation_terms_match_stalactite_polynomial():
                 points = frozenset(materialized(index, mask))
                 sub = subsets.get(points) or subsets.setdefault(points, Polymatroid(points))
                 expected = stalactite_polynomial(sub, order).terms
-                assert index.stalactite_terms(mask) == expected
+                assert index.stalactite_terms(core._bits(mask)) == expected
                 if perm[0] == 1:  # the prefix-scan oracle under a sample of the orders
                     assert expected == stalactite_polynomial_prefix(sub, order).terms
                 truncations += 1

@@ -1,6 +1,8 @@
 """Instance generation, the verification engine, and counterexample shrinking."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -142,3 +144,20 @@ def test_campaign_failure_carries_seed_and_shrunk_witness(monkeypatch):
 def test_shrink_instance_directly(running):
     small = shrink_instance(running, lambda Q: Q.rank >= 1)
     assert small.points == {(1,)}
+
+
+def test_verified_instance_is_freed_when_dropped_without_the_collector():
+    P = random_polymatroid(GeneratorConfig(seed=81, p=4, max_rank=6, max_cage_entry=4,
+                                           strategy="uniform-family"))
+    assert len(P.points) == 30
+    alive = weakref.ref(P)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert verify_instance(P).passed
+        assert P._memo  # the checks filled the instance's store
+        del P
+        assert alive() is None
+    finally:
+        if was_enabled:
+            gc.enable()

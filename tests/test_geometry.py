@@ -2,6 +2,7 @@
 
 import pytest
 
+from cavepoly import core, geometry
 from cavepoly import (
     DimensionMismatch,
     EmptyInput,
@@ -144,6 +145,27 @@ def test_is_cave_rejects_non_m_convex_tops():
     report = is_cave({(2, 0), (0, 2)})
     assert not report
     assert report.failed_condition == 1
+
+
+def test_is_cave_judges_m_convexity_of_tops_before_their_signs(monkeypatch):
+    # Non-M-convex tops with a negative coordinate: a condition-1 report.
+    report = is_cave({(-1, 3), (1, 1), (0, 1)})
+    assert (report.ok, report.failed_condition) == (False, 1)
+    assert report.witness == is_m_convex({(-1, 3), (1, 1)})[1]
+    # M-convex tops with a negative coordinate: the constructor's error.
+    with pytest.raises(ValueError, match=r"polymatroid points must be nonnegative, got \(-1, 2\)"):
+        is_cave({(-1, 2), (0, 1), (0, 0)})
+    # The tops are validated once.
+    calls = []
+
+    def counted(points):
+        calls.append(frozenset(points))
+        return is_m_convex(points)
+
+    monkeypatch.setattr(geometry, "is_m_convex", counted)
+    monkeypatch.setattr(core, "is_m_convex", counted)
+    assert is_cave(RUNNING_CAVE)
+    assert calls == [frozenset({(0, 3), (1, 2), (2, 1)})]
 
 
 def test_is_cave_origin_singleton():
