@@ -29,7 +29,7 @@ share only its exchange index and independence region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter, sub
+from operator import sub
 from types import MappingProxyType
 
 from .core import Polymatroid, as_point, exchange_index, memo
@@ -178,7 +178,7 @@ def stalactite(u, V, P: Polymatroid) -> Stalactite:
 def _visit(P: Polymatroid, order: LexOrder):
     """P's shared ``exchange_index`` and its positions in ascending ``order``."""
     index = exchange_index(P)
-    keys = list(map(itemgetter(*(i - 1 for i in order.permutation)), index.ordered))
+    keys = list(map(order.key, index.ordered))
     return index, sorted(range(len(keys)), key=keys.__getitem__)
 
 
@@ -286,21 +286,16 @@ def box_polynomial(P: Polymatroid) -> MultiPoly:
 def mobius_interval(m, n) -> int:
     """Closed-form Mobius value of the interval [m, n] in the componentwise
     order: (-1)^j when n - m is a 0/1 vector with j ones, else 0."""
-    if (type(m) is tuple and type(n) is tuple and len(m) == len(n) and m
-            and {*map(type, m), *map(type, n)} == {int}):
-        # The common case, equal-length int tuples, without normalising; a
-        # non-comparable pair takes the general path, which raises.
-        diff = tuple(map(sub, n, m))
-        if min(diff) >= 0:
-            return 0 if max(diff) > 1 else -1 if sum(diff) % 2 else 1
-    m = as_point(m)
-    n = as_point(n)
-    if len(m) != len(n):
-        raise DimensionMismatch("interval endpoints differ in length")
-    diff = [b - a for a, b in zip(m, n)]
-    if any(d < 0 for d in diff):
+    if not (type(m) is tuple and type(n) is tuple and len(m) == len(n)
+            and {*map(type, m), *map(type, n)} <= {int}):
+        # Equal-length int tuples, the common case, are already normal.
+        m, n = as_point(m), as_point(n)
+        if len(m) != len(n):
+            raise DimensionMismatch("interval endpoints differ in length")
+    diff = tuple(map(sub, n, m))
+    if diff and min(diff) < 0:
         raise NotComparable("%s is not componentwise <= %s" % (m, n))
-    if any(d > 1 for d in diff):
+    if diff and max(diff) > 1:
         return 0
     return -1 if sum(diff) % 2 else 1
 

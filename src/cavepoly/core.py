@@ -36,7 +36,9 @@ here is safe for concurrent use.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from functools import cached_property, reduce, wraps
+from itertools import product
 from operator import mul, or_, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -429,19 +431,17 @@ class ExchangeIndex:
         """Signed stalactite counts of the points at the positions ``visit``,
         decomposed greedily in that sequence: each point n of the
         stalactites' union maps to (-1)^(d - |n|) times the number of
-        stalactites containing it, d the apexes' degree."""
+        stalactites containing it, d the apexes' degree.  The sign depends
+        on n alone, so the cubes are counted first and signed once."""
         ordered = self.ordered
-        terms = {}
+        counts = Counter()
         for k, directions in self.stalactites(visit):
-            even, odd = [ordered[k]], []
+            axes = [(c,) for c in ordered[k]]
             for ell in directions:
-                even, odd = (even + [m[:ell] + (m[ell] - 1,) + m[ell + 1:] for m in odd],
-                             odd + [m[:ell] + (m[ell] - 1,) + m[ell + 1:] for m in even])
-            for m in even:
-                terms[m] = terms.get(m, 0) + 1
-            for m in odd:
-                terms[m] = terms.get(m, 0) - 1
-        return terms
+                axes[ell] += (axes[ell][0] - 1,)
+            counts.update(product(*axes))
+        degree = sum(ordered[0]) if ordered else 0
+        return {n: -c if (degree - sum(n)) % 2 else c for n, c in counts.items()}
 
 
 def not_m_convex(witness) -> NotMConvex:
@@ -511,16 +511,14 @@ class Polymatroid:
 
     __slots__ = ("p", "points", "rank", "_memo", "__weakref__")
 
-    def __init__(self, points, *, _m_convex=False):
-        # _m_convex: the caller has already found ``points`` M-convex.
+    def __init__(self, points):
         pts = point_set(points)
         for q in pts:
             if any(c < 0 for c in q):
                 raise ValueError("polymatroid points must be nonnegative, got %s" % (q,))
-        if not _m_convex:
-            ok, witness = is_m_convex(pts)
-            if not ok:
-                raise not_m_convex(witness)
+        ok, witness = is_m_convex(pts)
+        if not ok:
+            raise not_m_convex(witness)
         object.__setattr__(self, "p", len(next(iter(pts))))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "rank", sum(next(iter(pts))))

@@ -208,10 +208,17 @@ def is_cave(C, order=None) -> CaveReport:
         order = algorithms.LexOrder.identity(p)
 
     tops = top_elements(pts)
-    ok, witness = is_m_convex(tops)
-    if not ok:
-        return CaveReport(False, 1, witness, order.permutation)
-    top_poly = Polymatroid(tops, _m_convex=True)
+    try:
+        top_poly = Polymatroid(tops)
+    except NotMConvex as exc:
+        return CaveReport(False, 1, exc.witness, order.permutation)
+    except ValueError:
+        # The constructor checks signs before M-convexity; condition (1)
+        # is judged first all the same.
+        ok, witness = is_m_convex(tops)
+        if not ok:
+            return CaveReport(False, 1, witness, order.permutation)
+        raise
 
     union = set()
     for st in algorithms.stalactite_decomposition(top_poly, order):

@@ -9,8 +9,12 @@ PARENT_DIR and CHANGE_DIR are checkouts (each with its own ``perfbench/`` and
 runs first from one seed to the next, for the ``run_seconds`` that the change
 checkout's BENCHMARK.json fixes.  Each run's result line goes to stderr.
 The output maps ``"<workload>/<metric>"`` to the parent's and the change's
-median over the seeds, with the metric's unit.  The exit status is 1 when
-any run failed an op or printed no result.
+median over the seeds, with the metric's unit.  Each entry also holds both
+sides' runs in seed order (``parent_runs``, ``change_runs``), the spread of
+the parent's runs (``parent_iqr``, upper minus lower quartile) and, for a
+metric whose better direction BENCHMARK.json gives, the number of seeds on
+which the change beat the parent (``change_wins`` of ``pairs``).  The exit
+status is 1 when any run failed an op or printed no result.
 """
 
 from __future__ import annotations
@@ -35,6 +39,14 @@ def run(checkout: Path, workload: str, seed: int, seconds) -> dict:
     return json.loads(lines[-1])
 
 
+def iqr(runs) -> float:
+    """Upper minus lower quartile; 0 for fewer than two runs."""
+    if len(runs) < 2:
+        return 0.0
+    lower, _, upper = statistics.quantiles(runs, n=4)
+    return upper - lower
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -44,7 +56,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    seconds = json.loads((args.change / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]}
     sides = {"parent": args.parent, "change": args.change}
     values, units, clean = {}, {}, True
     for workload in args.workloads:
@@ -57,9 +71,18 @@ def main(argv=None) -> int:
                     key = "%s/%s" % (workload, metric)
                     values.setdefault(key, {"parent": [], "change": []})[side].append(entry["value"])
                     units[key] = entry["unit"]
-    medians = {key: {"parent": statistics.median(runs["parent"]), "change": statistics.median(runs["change"]),
-                     "unit": units[key]} for key, runs in values.items()}
-    args.out.write_text(json.dumps(medians, indent=2, sort_keys=True) + "\n")
+    summary = {}
+    for key, runs in values.items():
+        parent, change = runs["parent"], runs["change"]
+        entry = summary[key] = {"parent": statistics.median(parent), "change": statistics.median(change),
+                                "unit": units[key], "parent_runs": parent, "change_runs": change,
+                                "parent_iqr": iqr(parent)}
+        direction = better.get(key.split("/", 1)[1])
+        if direction and len(parent) == len(change):
+            sign = 1 if direction == "higher" else -1
+            entry["change_wins"] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            entry["pairs"] = len(parent)
+    args.out.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0 if clean else 1
 
 
