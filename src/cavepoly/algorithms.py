@@ -28,9 +28,10 @@ share only its exchange index and independence region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import sub
+from dataclasses import dataclass, field
+from operator import itemgetter, sub
 from types import MappingProxyType
+from typing import Callable
 
 from .core import Polymatroid, as_point, exchange_index, memo
 from .errors import (
@@ -54,12 +55,16 @@ class LexOrder:
     """
 
     permutation: tuple
+    key: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         perm = tuple(self.permutation)
         object.__setattr__(self, "permutation", perm)
         if sorted(perm) != list(range(1, len(perm) + 1)):
             raise ValueError("%r is not a permutation of 1..%d" % (perm, len(perm)))
+        # key(n): n's coordinates in priority order.  An itemgetter of one
+        # index returns the entry itself, so p = 1 takes the 1-tuple whole.
+        object.__setattr__(self, "key", itemgetter(*(i - 1 for i in perm)) if len(perm) > 1 else tuple)
 
     @classmethod
     def identity(cls, p: int) -> "LexOrder":
@@ -68,9 +73,6 @@ class LexOrder:
     @property
     def p(self) -> int:
         return len(self.permutation)
-
-    def key(self, n):
-        return tuple(n[i - 1] for i in self.permutation)
 
     def sort(self, points) -> list:
         return sorted(points, key=self.key)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property, reduce, wraps
-from itertools import product
+from itertools import chain, product, starmap
 from operator import mul, or_, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -434,12 +434,14 @@ class ExchangeIndex:
         stalactites containing it, d the apexes' degree.  The sign depends
         on n alone, so the cubes are counted first and signed once."""
         ordered = self.ordered
-        counts = Counter()
-        for k, directions in self.stalactites(visit):
+
+        def cube(k, directions):
             axes = [(c,) for c in ordered[k]]
             for ell in directions:
                 axes[ell] += (axes[ell][0] - 1,)
-            counts.update(product(*axes))
+            return product(*axes)
+
+        counts = Counter(chain.from_iterable(starmap(cube, self.stalactites(visit))))
         degree = sum(ordered[0]) if ordered else 0
         return {n: -c if (degree - sum(n)) % 2 else c for n, c in counts.items()}
 
