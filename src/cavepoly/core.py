@@ -442,7 +442,7 @@ class ExchangeIndex:
             return product(*axes)
 
         counts = Counter(chain.from_iterable(starmap(cube, self.stalactites(visit))))
-        degree = sum(ordered[0]) if ordered else 0
+        degree = sum(ordered[0])
         return {n: -c if (degree - sum(n)) % 2 else c for n, c in counts.items()}
 
 
