@@ -105,16 +105,26 @@ def test_validate_command():
     assert doc == {"valid": True, "p": 2, "rank": 3, "base_points": 3, "cage": [2, 3]}
 
 
-def test_validate_wide_rank_document():
-    # Uniform rank 2 on twelve elements of cage 2: C(12, 2) + 12 base points,
-    # inside a singleton-rank box of 3^12 candidates.
-    p = 12
+def wide_rank_document(p=12):
+    """Uniform rank 2 on p elements of cage 2: C(p, 2) + p base points,
+    inside a singleton-rank box of 3^p candidates."""
     values = {json.dumps(list(s)): min(2, 2 * len(s))
               for k in range(p + 1) for s in itertools.combinations(range(1, p + 1), k)}
-    doc = json.dumps({"rank": {"p": p, "cage": [2] * p, "values": values}})
-    status, out, _ = run(["validate"], stdin=doc)
+    return json.dumps({"rank": {"p": p, "cage": [2] * p, "values": values}})
+
+
+def test_validate_wide_rank_document():
+    status, out, _ = run(["validate"], stdin=wide_rank_document())
     assert status == 0
     assert json.loads(out) == {"valid": True, "p": 12, "rank": 2, "base_points": 78, "cage": [2] * 12}
+
+
+def test_mobius_table_wide_rank_document_matches_golden():
+    # CI pipes the same document into the installed console script and
+    # compares its stdout with this file.
+    status, out, _ = run(["mobius", "--table"], stdin=wide_rank_document())
+    assert status == 0
+    assert out == (GOLDEN / "mobius_table_wide.json").read_text()
 
 
 def test_points_and_independence_commands():
