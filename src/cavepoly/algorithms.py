@@ -11,7 +11,8 @@ Four independent computations of one polynomial:
 * ``box_polynomial``        -- sums prod_i (t_i^{n_i} - t_i^{n_i-1}) over the
   independence points (factor 1 where n_i = 0), one coordinate at a time;
 * ``mobius_polynomial``     -- Mobius values of the independence lattice with
-  a maximum adjoined, via the three-case recurrence.
+  a maximum adjoined, via the three-case recurrence, summed in one pass
+  over the region in decreasing degree (O(|I| p)).
 
 They agree exactly on every polymatroid; the genverify module tests that
 differentially.  The Snapper polynomial is reached two ways as well: by
@@ -23,23 +24,22 @@ skips coordinate p); permuted orders are exercised through the stalactite
 route, whose polynomial is order-invariant.
 
 Each route's result is held in the polymatroid's memo store; the routes
-share only its exchange index and independence region.
+share only its exchange index and independence region.  ``neighbors``,
+``stalactite`` and the stalactite decomposition all read the index's
+neighbour masks, and every stalactite's members come from ``core.cube``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter, sub
+from itertools import accumulate
+from operator import gt, itemgetter, sub
 from types import MappingProxyType
 from typing import Callable
 
-from .core import Polymatroid, as_point, exchange_index, memo
-from .errors import (
-    DimensionMismatch,
-    InternalInvariantFailure,
-    NotABasePoint,
-    NotComparable,
-)
+from .core import Polymatroid, _bits, as_point, cube, exchange_index, memo
+from .errors import DimensionMismatch, NotABasePoint, NotComparable
 from .geometry import independence_points
 from .polyalg import BinomialBasisPoly, MultiPoly, axiswise, binomial_map
 
@@ -127,54 +127,40 @@ def _resolve_order(P: Polymatroid, order) -> LexOrder:
     return order
 
 
+def _position(P: Polymatroid, index, q) -> int:
+    """The position of the base point ``q`` in P's ``exchange_index``."""
+    q = as_point(q)
+    if q not in P.points:
+        raise NotABasePoint("%s is not a base point" % (q,))
+    return bisect_left(index.ordered, q)
+
+
 def neighbors(P: Polymatroid, u) -> frozenset:
-    """All (l, j, w) with w = u - e_l + e_j a base point, l != j (1-based)."""
-    u = as_point(u)
-    if u not in P.points:
-        raise NotABasePoint("%s is not a base point" % (u,))
-    found = set()
-    for ell in range(P.p):
-        if u[ell] == 0:
-            continue
-        for j in range(P.p):
-            if j == ell:
-                continue
-            w = list(u)
-            w[ell] -= 1
-            w[j] += 1
-            w = tuple(w)
-            if w in P.points:
-                found.add((ell + 1, j + 1, w))
-    return frozenset(found)
+    """All (l, j, w) with w = u - e_l + e_j a base point, l != j (1-based),
+    read from u's neighbour masks in P's ``exchange_index``."""
+    index = exchange_index(P)
+    k = _position(P, index, u)
+    u = index.ordered[k]
+    return frozenset((ell + 1, list(map(gt, w, u)).index(True) + 1, w)
+                     for ell, mask in enumerate(index.neighbours[k])
+                     for w in map(index.ordered.__getitem__, _bits(mask)))
 
 
 def _hanging_cube(apex, directions) -> Stalactite:
-    """The stalactite {apex - e_J : J subset of directions} (1-based)."""
-    members = {apex}
-    for ell in sorted(directions):
-        members |= {m[:ell - 1] + (m[ell - 1] - 1,) + m[ell:] for m in members}
-    return Stalactite(apex, frozenset(directions), frozenset(members))
+    """The stalactite below ``apex`` along the 0-based ``directions``."""
+    return Stalactite(apex, frozenset(ell + 1 for ell in directions), frozenset(cube(apex, directions)))
 
 
 def stalactite(u, V, P: Polymatroid) -> Stalactite:
-    """St(u; V): directions are the l with some neighbor u - e_l + e_j in V."""
-    u = as_point(u)
-    if u not in P.points:
-        raise NotABasePoint("%s is not a base point" % (u,))
-    directions = set()
+    """St(u; V): directions are the l with some neighbor u - e_l + e_j in V,
+    one AND each of u's neighbour masks in P's ``exchange_index`` against
+    the mask of V."""
+    index = exchange_index(P)
+    k = _position(P, index, u)
+    placed = 0
     for w in V:
-        w = as_point(w)
-        if w not in P.points:
-            raise NotABasePoint("%s is not a base point" % (w,))
-        down = [i for i in range(P.p) if w[i] == u[i] - 1]
-        up = [i for i in range(P.p) if w[i] == u[i] + 1]
-        same = sum(1 for i in range(P.p) if w[i] == u[i])
-        if len(down) == 1 and len(up) == 1 and same == P.p - 2:
-            directions.add(down[0] + 1)
-    for ell in directions:
-        if u[ell - 1] < 1:
-            raise InternalInvariantFailure("direction %d leaves N^p at apex %s" % (ell, u))
-    return _hanging_cube(u, directions)
+        placed |= 1 << _position(P, index, w)
+    return _hanging_cube(index.ordered[k], index.directions(k, placed))
 
 
 def _visit(P: Polymatroid, order: LexOrder):
@@ -193,8 +179,7 @@ def stalactite_decomposition(P: Polymatroid, order: LexOrder | None = None) -> t
     mask operations, plus the stalactites' own size.
     """
     index, visit = _visit(P, _resolve_order(P, order))
-    return tuple(_hanging_cube(index.ordered[k], {ell + 1 for ell in directions})
-                 for k, directions in index.stalactites(visit))
+    return tuple(_hanging_cube(index.ordered[k], directions) for k, directions in index.stalactites(visit))
 
 
 def stalactite_counts(P: Polymatroid, order: LexOrder | None = None) -> dict:
@@ -307,54 +292,22 @@ def mobius_table(P: Polymatroid) -> MobiusTable:
     """Mobius values on all independence points by the three-case recurrence:
     1 on base points, 1 - sum over strictly larger points inside, 0 outside.
 
-    Points are processed level by level in decreasing coordinate sum; the
-    sum over {m > n} is aggregated with a suffix-sum sweep over the bounding
-    box, so the whole table costs O(rank * p * box) instead of O(|I|^2 * p).
+    One pass over the region in decreasing degree.  ``partial[n][k]`` sums
+    mu(m) over the m >= n that agree with n beyond coordinate k.  Each
+    m > n is counted once, at n + e_k for the last coordinate k on which it
+    exceeds n, so mu(n) = 1 - sum_k partial[n + e_k][k] (0 outside the
+    region, which is down-closed), and partial[n][k] = partial[n][k - 1] +
+    partial[n + e_k][k] with partial[n][-1] = mu(n): O(|I| p) in total
+    (a trimmed zeta transform over the product of chains).
     """
-    region = independence_points(P)
-    p = P.p
-    pts = region.points
-    dims = [max(q[i] for q in pts) for i in range(p)]
-    sizes = [d + 1 for d in dims]
-    strides = [0] * p
-    step = 1
-    for i in range(p - 1, -1, -1):
-        strides[i] = step
-        step *= sizes[i]
-    box = step
-
-    def flat(n):
-        return sum(c * s for c, s in zip(n, strides))
-
-    levels = {}
-    for n in pts:
-        levels.setdefault(sum(n), []).append(n)
-
-    acc = [0] * box  # Mobius values of all levels strictly above the current one
+    outside = (0,) * P.p
+    partial = {}
     values = {}
-    for degree in range(P.rank, -1, -1):
-        layer = levels.get(degree)
-        if not layer:
-            continue
-        if degree == P.rank:
-            for n in layer:
-                values[n] = 1
-                acc[flat(n)] = 1
-            continue
-        upper = list(acc)
-        for axis in range(p):
-            stride = strides[axis]
-            block = stride * sizes[axis]
-            for outer in range(0, box, block):
-                for inner in range(outer, outer + stride):
-                    for k in range(sizes[axis] - 2, -1, -1):
-                        pos = inner + k * stride
-                        upper[pos] += upper[pos + stride]
-        for n in layer:
-            mu = 1 - upper[flat(n)]
-            values[n] = mu
-            acc[flat(n)] = mu
-    return MobiusTable(p, P.rank, values)
+    for n in sorted(independence_points(P).points, key=sum, reverse=True):
+        above = [partial.get(n[:k] + (c + 1,) + n[k + 1:], outside)[k] for k, c in enumerate(n)]
+        values[n] = mu = 1 - sum(above)
+        partial[n] = tuple(accumulate(above, initial=mu))[1:]
+    return MobiusTable(P.p, P.rank, values)
 
 
 @memo

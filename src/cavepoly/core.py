@@ -16,12 +16,13 @@ Subsets are encoded internally as p-bit masks, with bit ``i-1`` standing for
 element ``i``; the dense 2^p table caps ``p`` at 16.
 
 ``ExchangeIndex`` answers the exchange questions (first M-convex and
-generalized-polymatroid failures, signed stalactite terms) for a point list
-and for each threshold truncation {q >= b} of it, given as a bitmask;
-``is_m_convex`` and ``is_generalized_polymatroid`` are its whole-set case.
-Each point's failure masks cost O(p^2) lookups and mask operations, once; a
-truncation then costs O(p) mask operations per kept point, with no set-up of
-its own.
+generalized-polymatroid failures, stalactite directions, signed stalactite
+terms) for a point list and for each threshold truncation {q >= b} of it,
+given as a bitmask; ``is_m_convex`` and ``is_generalized_polymatroid`` are
+its whole-set case.  Each point's failure masks cost O(p^2) lookups and mask
+operations, once; a truncation then costs O(p) mask operations per kept
+point, with no set-up of its own.  ``cube`` builds the members of every
+stalactite as one product of per-coordinate axes.
 
 A ``Polymatroid``'s derived data (rank table, exchange index, independence
 region, each route's result) lives in the instance's own memo store (see
@@ -38,7 +39,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property, reduce, wraps
-from itertools import chain, product, starmap
+from itertools import chain, product
 from operator import mul, or_, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -219,6 +220,16 @@ def threshold_masks(values) -> dict:
         out[x] = (below, full & ~(below | equal[x]))
         below |= equal[x]
     return out
+
+
+def cube(apex, directions):
+    """The points apex - e_J, J a subset of the 0-based ``directions``: one
+    ``itertools.product`` of the axes (apex_i,), or (apex_i, apex_i - 1)
+    along a direction.  The member set of every stalactite."""
+    axes = [(c,) for c in apex]
+    for ell in directions:
+        axes[ell] += (axes[ell][0] - 1,)
+    return product(*axes)
 
 
 def _bits(mask) -> list:
@@ -417,14 +428,19 @@ class ExchangeIndex:
         every i; None if there is none."""
         return self._first_witness(self.full if mask is None else mask, self._gp_failures)
 
+    def directions(self, k, placed) -> list:
+        """The directions of the stalactite St(u; V), u = ordered[k] and V
+        the points under the mask ``placed``: the 0-based coordinates l for
+        which some neighbour u - e_l + e_j lies in V, one AND each."""
+        return [ell for ell, mask in enumerate(self.neighbours[k]) if mask & placed]
+
     def stalactites(self, visit):
         """(k, directions) for each position k of ``visit`` in turn: the
-        0-based coordinates l of the stalactite with apex ``ordered[k]``, for
-        which some neighbour u - e_l + e_j was visited before it."""
-        neighbours = self.neighbours
+        ``directions`` of the apex ``ordered[k]`` against the points
+        visited before it."""
         placed = 0
         for k in visit:
-            yield k, [ell for ell, mask in enumerate(neighbours[k]) if mask & placed]
+            yield k, self.directions(k, placed)
             placed |= 1 << k
 
     def stalactite_terms(self, visit) -> dict:
@@ -434,14 +450,8 @@ class ExchangeIndex:
         stalactites containing it, d the apexes' degree.  The sign depends
         on n alone, so the cubes are counted first and signed once."""
         ordered = self.ordered
-
-        def cube(k, directions):
-            axes = [(c,) for c in ordered[k]]
-            for ell in directions:
-                axes[ell] += (axes[ell][0] - 1,)
-            return product(*axes)
-
-        counts = Counter(chain.from_iterable(starmap(cube, self.stalactites(visit))))
+        cubes = (cube(ordered[k], directions) for k, directions in self.stalactites(visit))
+        counts = Counter(chain.from_iterable(cubes))
         degree = sum(ordered[0])
         return {n: -c if (degree - sum(n)) % 2 else c for n, c in counts.items()}
 
@@ -609,24 +619,25 @@ def points_from_rank(rk: RankFunction) -> Polymatroid:
     (Fujishige), which all those points meet.  On a polymatroid no prefix
     dead-ends: O(|B| 2^p) slice operations on the prefix's subset sums.
     """
-    p, values, rank = rk.p, rk.values, rk.rank
-    lower = [rank - v for v in reversed(values)]  # lower[m] = rk(E) - rk(E - m)
-    sums = [0] * len(values)
-    members = []
-
-    def extend(prefix):
-        if len(prefix) == p:
-            if sums[-1] == rank:
-                members.append(prefix)
-            return
-        top = 1 << len(prefix)
-        below = sums[:top]  # the new masks m = top | rest have sums[rest] + c
-        lo = max(0, max(map(sub, lower[top:2 * top], below)))
-        for c in range(lo, min(map(sub, values[top:2 * top], below)) + 1):
-            sums[top:2 * top] = [s + c for s in below]
-            extend(prefix + (c,))
-
-    extend(())
+    values = rk.values
+    lower = [rk.rank - v for v in reversed(values)]  # lower[m] = rk(E) - rk(E - m)
+    members = list(_extensions((), values, lower, [0] * len(values)))
     if not members:
         raise InternalInvariantFailure("valid rank function produced no base points")
     return Polymatroid(members)
+
+
+def _extensions(prefix, values, lower, sums):
+    """The top-degree points extending ``prefix`` within the projection
+    bounds ``lower[m] <= x(m) <= values[m]``; ``sums[:2^len(prefix)]`` holds
+    the prefix's subset sums, and the rest is overwritten."""
+    top = 1 << len(prefix)
+    if top == len(values):
+        if sums[-1] == values[-1]:
+            yield prefix
+        return
+    below = sums[:top]  # the new masks m = top | rest have sums[rest] + c
+    lo = max(0, max(map(sub, lower[top:2 * top], below)))
+    for c in range(lo, min(map(sub, values[top:2 * top], below)) + 1):
+        sums[top:2 * top] = [s + c for s in below]
+        yield from _extensions(prefix + (c,), values, lower, sums)

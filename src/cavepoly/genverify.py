@@ -37,7 +37,6 @@ from .algorithms import (
     snapper_eur_larson,
     snapper_from_cave,
     stalactite_counts,
-    stalactite_decomposition,
     stalactite_polynomial,
 )
 from .core import (
@@ -317,16 +316,9 @@ def _check_snapper_routes(P):
     return True, None
 
 
-def _cave_set(P):
-    union = set()
-    for st in stalactite_decomposition(P):
-        union |= st.members
-    return union
-
-
 def _check_cave_support(P):
     support = set(cave_polynomial(P).terms)
-    union = _cave_set(P)
+    union = set(stalactite_counts(P))
     if support != union:
         sample = min(support ^ union)
         return False, "cave support and stalactite union differ at %s" % (sample,)
@@ -334,7 +326,7 @@ def _check_cave_support(P):
 
 
 def _check_cave_predicate(P):
-    report = is_cave(_cave_set(P))
+    report = is_cave(set(stalactite_counts(P)))
     if not report:
         return False, "stalactite union rejected: condition %s, witness %s" % (
             report.failed_condition, report.witness)

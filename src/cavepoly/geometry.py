@@ -147,6 +147,21 @@ class CaveReport:
         return self.ok
 
 
+def _box_walk(above, prefix, mask):
+    """(b, mask & the points >= b) for each b extending ``prefix`` in
+    ``itertools.product`` order, ``above[i][v]`` masking the points with
+    q_i >= v; a coordinate's range is left at the first value that keeps
+    fewer than two points."""
+    if len(prefix) == len(above):
+        yield prefix, mask
+        return
+    for value, sel in enumerate(above[len(prefix)]):
+        sub = mask & sel
+        if not sub & (sub - 1):  # fewer than two points
+            break
+        yield from _box_walk(above, prefix + (value,), sub)
+
+
 def _truncation_failure(pts):
     """Condition (3) of the cave predicate: ``{"at": b, "witness": w}`` for
     the first nonzero b of the bounding box, in ``itertools.product`` order,
@@ -163,18 +178,7 @@ def _truncation_failure(pts):
     above = [[index.at_least(i, value) for value in range(bound + 1)]
              for i, bound in enumerate(map(max, zip(*index.ordered)))]
     checked = {}
-
-    def walk(prefix, mask):
-        if len(prefix) == len(above):
-            yield prefix, mask
-            return
-        for value, sel in enumerate(above[len(prefix)]):
-            sub = mask & sel
-            if not sub & (sub - 1):  # fewer than two points
-                break
-            yield from walk(prefix + (value,), sub)
-
-    for b, mask in walk((), -1):
+    for b, mask in _box_walk(above, (), -1):
         if not any(b):
             continue
         if mask not in checked:
@@ -220,9 +224,7 @@ def is_cave(C, order=None) -> CaveReport:
             return CaveReport(False, 1, witness, order.permutation)
         raise
 
-    union = set()
-    for st in algorithms.stalactite_decomposition(top_poly, order):
-        union |= st.members
+    union = set(algorithms.stalactite_counts(top_poly, order))
     if union != pts:
         missing = tuple(sorted(union - pts))
         extra = tuple(sorted(pts - union))

@@ -1,7 +1,10 @@
 """Exact sparse polynomial arithmetic in the monomial and binomial bases.
 
-Three representations, all with exact coefficients and dict-of-terms storage
-keyed by exponent/index tuples of fixed length p.  ``terms`` is a read-only
+Three representations on one base, ``_SparsePoly``, all with exact
+coefficients and dict-of-terms storage keyed by exponent/index tuples of
+fixed length p.  The base normalizes the terms and gives equality, hashing,
+truth, evaluation and ``repr``; each representation adds its coefficient
+check and its per-coordinate factor.  ``terms`` is a read-only
 ``MappingProxyType`` view, so a result held in a polymatroid's memo store
 and handed to every caller cannot be changed by one caller under another:
 
@@ -53,37 +56,79 @@ def canonical_key(exps):
     return (-sum(exps), tuple((-i, -e) for i, e in enumerate(exps, 1) if e != 0))
 
 
-def _check_vector(t, p):
-    t = tuple(t)
-    if len(t) != p:
-        raise DimensionMismatch("vector has length %d, expected %d" % (len(t), p))
-    return t
-
-
-class MultiPoly:
-    """Sparse multivariate polynomial with exact integer coefficients."""
+class _SparsePoly:
+    """Immutable sparse combination of length-p keys.  A representation
+    supplies ``_coefficient`` (check and convert one term's coefficient)
+    and ``_factor`` (the value at t_i of key entry k != 0), and ``_fields``
+    when equality compares more than p and the terms."""
 
     __slots__ = ("p", "terms")
+    _vector = "exponent"
 
     def __init__(self, p: int, terms=None):
         if not isinstance(p, int) or p < 1:
             raise ValueError("p must be a positive integer, got %r" % (p,))
         clean = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != p:
-                raise DimensionMismatch("exponent vector %s has length != %d" % (exps, p))
-            if not isinstance(coeff, int):
-                raise ValueError("coefficient %r is not an integer" % (coeff,))
+        coefficient = self._coefficient
+        for key, coeff in (terms or {}).items():
+            key = tuple(key)
+            if len(key) != p:
+                raise DimensionMismatch("%s vector %s has length != %d" % (self._vector, key, p))
+            coeff = coefficient(key, coeff)
             if coeff != 0:
-                clean[exps] = clean.get(exps, 0) + coeff
-                if clean[exps] == 0:
-                    del clean[exps]
+                clean[key] = clean.get(key, 0) + coeff
+                if clean[key] == 0:
+                    del clean[key]
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _coefficient(self, key, coeff):
+        if not isinstance(coeff, int):
+            raise ValueError("coefficient %r is not an integer" % (coeff,))
+        return coeff
+
+    def _fields(self) -> tuple:
+        return (self.p,)
+
+    def _coerce(self, other):
+        return other if isinstance(other, type(self)) else None
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._fields() == other._fields() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((*self._fields(), frozenset(self.terms.items())))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def evaluate(self, t):
+        """Exact value at an integer vector."""
+        t = tuple(t)
+        if len(t) != self.p:
+            raise DimensionMismatch("vector has length %d, expected %d" % (len(t), self.p))
+        total = self._coefficient((), 0)  # the representation's zero
+        for key, c in self.terms.items():
+            for ti, k in zip(t, key):
+                if k:
+                    c *= self._factor(ti, k)
+            total += c
+        return total
+
+    def __repr__(self):
+        return "%s(%d, %s)" % (type(self).__name__, self.p, canonical_string(self))
+
+
+class MultiPoly(_SparsePoly):
+    """Sparse multivariate polynomial with exact integer coefficients."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls, p: int) -> "MultiPoly":
@@ -103,6 +148,11 @@ class MultiPoly:
         exps = [0] * p
         exps[i - 1] = 1
         return cls(p, {tuple(exps): 1})
+
+    def _factor(self, ti, e):
+        if e < 0:
+            raise NegativeExponent("cannot evaluate a polynomial with negative exponents")
+        return ti ** e
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -149,18 +199,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.p, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
@@ -173,131 +211,44 @@ class MultiPoly:
             raise InternalInvariantFailure("negative exponent in a finished polynomial")
         return self
 
-    def evaluate(self, t) -> int:
-        """Exact value at an integer vector."""
-        t = _check_vector(t, self.p)
-        if self.has_negative_exponent():
-            raise NegativeExponent("cannot evaluate a polynomial with negative exponents")
-        total = 0
-        for exps, c in self.terms.items():
-            v = c
-            for ti, e in zip(t, exps):
-                if e:
-                    v *= ti ** e
-            total += v
-        return total
 
-    def __repr__(self):
-        return "MultiPoly(%d, %s)" % (self.p, canonical_string(self))
-
-
-class BinomialBasisPoly:
+class BinomialBasisPoly(_SparsePoly):
     """Integer combination of products of binomial expressions.
 
-    A term ``n -> c`` stands for ``c * prod_i C(t_i + n_i + shift, n_i)``.
+    A term ``n -> c`` stands for ``c * prod_i C(t_i + n_i + shift, n_i)``;
+    ``evaluate`` takes the binomials via falling factorials, so negative
+    arguments are fine.
     """
 
-    __slots__ = ("p", "terms", "shift")
+    __slots__ = ("shift",)
+    _vector = "index"
 
     def __init__(self, p: int, terms=None, shift: int = 0):
-        if not isinstance(p, int) or p < 1:
-            raise ValueError("p must be a positive integer, got %r" % (p,))
-        clean = {}
-        for n, coeff in (terms or {}).items():
-            n = tuple(n)
-            if len(n) != p:
-                raise DimensionMismatch("index vector %s has length != %d" % (n, p))
-            if any(x < 0 for x in n):
-                raise NegativeExponent("binomial basis indices must be nonnegative: %s" % (n,))
-            if not isinstance(coeff, int):
-                raise ValueError("coefficient %r is not an integer" % (coeff,))
-            if coeff != 0:
-                clean[n] = clean.get(n, 0) + coeff
-                if clean[n] == 0:
-                    del clean[n]
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        super().__init__(p, terms)
         object.__setattr__(self, "shift", shift)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BinomialBasisPoly is immutable")
+    def _coefficient(self, n, coeff):
+        if any(x < 0 for x in n):
+            raise NegativeExponent("binomial basis indices must be nonnegative: %s" % (n,))
+        return super()._coefficient(n, coeff)
 
-    def __eq__(self, other):
-        if not isinstance(other, BinomialBasisPoly):
-            return NotImplemented
-        return self.p == other.p and self.shift == other.shift and self.terms == other.terms
+    def _factor(self, ti, ni):
+        return binom_int(ti + ni + self.shift, ni)
 
-    def __hash__(self):
-        return hash((self.p, self.shift, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def evaluate(self, t) -> int:
-        """Exact value at an integer vector (binomials via falling factorials,
-        so negative arguments are fine)."""
-        t = _check_vector(t, self.p)
-        total = 0
-        for n, c in self.terms.items():
-            v = c
-            for ti, ni in zip(t, n):
-                if ni:
-                    v *= binom_int(ti + ni + self.shift, ni)
-            total += v
-        return total
-
-    def __repr__(self):
-        return "BinomialBasisPoly(%d, %s)" % (self.p, canonical_string(self))
+    def _fields(self) -> tuple:
+        return (self.p, self.shift)
 
 
-class RationalPoly:
+class RationalPoly(_SparsePoly):
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("p", "terms")
+    __slots__ = ()
 
-    def __init__(self, p: int, terms=None):
-        if not isinstance(p, int) or p < 1:
-            raise ValueError("p must be a positive integer, got %r" % (p,))
-        clean = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != p:
-                raise DimensionMismatch("exponent vector %s has length != %d" % (exps, p))
-            coeff = Fraction(coeff)
-            if coeff != 0:
-                clean[exps] = clean.get(exps, 0) + coeff
-                if clean[exps] == 0:
-                    del clean[exps]
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+    def _coefficient(self, exps, coeff):
+        return Fraction(coeff)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalPoly is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalPoly):
-            return NotImplemented
-        return self.p == other.p and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.p, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def evaluate(self, t) -> Fraction:
-        t = _check_vector(t, self.p)
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            v = c
-            for ti, e in zip(t, exps):
-                if e:
-                    v *= Fraction(ti) ** e
-            total += v
-        return total
-
-    def __repr__(self):
-        return "RationalPoly(%d, %s)" % (self.p, canonical_string(self))
+    def _factor(self, ti, e):
+        return Fraction(ti) ** e
 
 
 def binomial_map(q: MultiPoly) -> BinomialBasisPoly:

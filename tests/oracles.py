@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from cavepoly.algorithms import LexOrder, mobius_interval, stalactite, stalactite_polynomial
+from cavepoly.algorithms import LexOrder, MobiusTable, Stalactite, mobius_interval, stalactite_polynomial
 from cavepoly.core import (
     Polymatroid,
     RankFunction,
@@ -23,7 +23,7 @@ from cavepoly.core import (
     point_set,
     rank_from_points,
 )
-from cavepoly.errors import DimensionMismatch, InternalInvariantFailure, NotComparable
+from cavepoly.errors import DimensionMismatch, InternalInvariantFailure, NotABasePoint, NotComparable
 from cavepoly.geometry import independence_points, truncate
 from cavepoly.polyalg import MultiPoly, RationalPoly, _rising_coeffs
 
@@ -112,12 +112,60 @@ def is_generalized_polymatroid_pairwise(points):
     return True, None
 
 
+def neighbors_scan(P, u) -> frozenset:
+    """All (l, j, w) with w = u - e_l + e_j a base point, l != j (1-based),
+    by trying every move on a copy of u."""
+    u = as_point(u)
+    if u not in P.points:
+        raise NotABasePoint("%s is not a base point" % (u,))
+    found = set()
+    for ell in range(P.p):
+        if u[ell] == 0:
+            continue
+        for j in range(P.p):
+            if j == ell:
+                continue
+            w = list(u)
+            w[ell] -= 1
+            w[j] += 1
+            w = tuple(w)
+            if w in P.points:
+                found.add((ell + 1, j + 1, w))
+    return frozenset(found)
+
+
+def stalactite_scan(u, V, P) -> Stalactite:
+    """St(u; V), its directions found by comparing u with every w in V
+    coordinate by coordinate, and its members grown one direction at a
+    time."""
+    u = as_point(u)
+    if u not in P.points:
+        raise NotABasePoint("%s is not a base point" % (u,))
+    directions = set()
+    for w in V:
+        w = as_point(w)
+        if w not in P.points:
+            raise NotABasePoint("%s is not a base point" % (w,))
+        down = [i for i in range(P.p) if w[i] == u[i] - 1]
+        up = [i for i in range(P.p) if w[i] == u[i] + 1]
+        same = sum(1 for i in range(P.p) if w[i] == u[i])
+        if len(down) == 1 and len(up) == 1 and same == P.p - 2:
+            directions.add(down[0] + 1)
+    for ell in directions:
+        if u[ell - 1] < 1:
+            raise InternalInvariantFailure("direction %d leaves N^p at apex %s" % (ell, u))
+    members = {u}
+    for ell in sorted(directions):
+        members |= {m[:ell - 1] + (m[ell - 1] - 1,) + m[ell:] for m in members}
+    return Stalactite(u, frozenset(directions), frozenset(members))
+
+
 def stalactite_decomposition_prefix(P, order=None) -> tuple:
     """The i-th stalactite is St(a_i; {a_1, ..., a_{i-1}}), each found by
     scanning the whole prefix."""
     order = order or LexOrder.identity(P.p)
     ordered = order.sort(P.points)
-    return tuple(stalactite(apex, ordered[:i], P) for i, apex in enumerate(ordered))
+    return tuple(stalactite_scan(apex, ordered[:i], P) for i, apex in enumerate(ordered))
 
 
 def stalactite_polynomial_prefix(P, order=None) -> MultiPoly:
@@ -288,3 +336,53 @@ def truncation_lemmas_check_scan(P, stalactite=stalactite_polynomial):
                 return False, "truncation at %s: coefficient at %s is %d, expected %d" % (
                     n, m, stal_sub.get(m, 0), stal_p.get(m, 0))
     return True, None
+
+
+def mobius_table_box_sweep(P) -> MobiusTable:
+    """The recurrence level by level in decreasing coordinate sum, the sum
+    over {m > n} aggregated by a suffix-sum sweep over the whole bounding
+    box: O(rank * p * box)."""
+    region = independence_points(P)
+    p = P.p
+    pts = region.points
+    dims = [max(q[i] for q in pts) for i in range(p)]
+    sizes = [d + 1 for d in dims]
+    strides = [0] * p
+    step = 1
+    for i in range(p - 1, -1, -1):
+        strides[i] = step
+        step *= sizes[i]
+    box = step
+
+    def flat(n):
+        return sum(c * s for c, s in zip(n, strides))
+
+    levels = {}
+    for n in pts:
+        levels.setdefault(sum(n), []).append(n)
+
+    acc = [0] * box  # Mobius values of all levels strictly above the current one
+    values = {}
+    for degree in range(P.rank, -1, -1):
+        layer = levels.get(degree)
+        if not layer:
+            continue
+        if degree == P.rank:
+            for n in layer:
+                values[n] = 1
+                acc[flat(n)] = 1
+            continue
+        upper = list(acc)
+        for axis in range(p):
+            stride = strides[axis]
+            block = stride * sizes[axis]
+            for outer in range(0, box, block):
+                for inner in range(outer, outer + stride):
+                    for k in range(sizes[axis] - 2, -1, -1):
+                        pos = inner + k * stride
+                        upper[pos] += upper[pos + stride]
+        for n in layer:
+            mu = 1 - upper[flat(n)]
+            values[n] = mu
+            acc[flat(n)] = mu
+    return MobiusTable(p, P.rank, values)

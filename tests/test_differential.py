@@ -23,6 +23,7 @@ from cavepoly import (
     IndependenceSet,
     InternalInvariantFailure,
     MultiPoly,
+    NotABasePoint,
     NotComparable,
     NotInIndependence,
     NotMConvex,
@@ -39,6 +40,7 @@ from cavepoly import (
     independence_points,
     is_generalized_polymatroid,
     is_m_convex,
+    named_family,
     snapper_eur_larson,
     snapper_from_cave,
     stalactite_decomposition,
@@ -59,10 +61,13 @@ from oracles import (
     is_m_convex_pairwise,
     mobius_interval_check_scan,
     mobius_interval_normalized,
+    mobius_table_box_sweep,
+    neighbors_scan,
     points_from_rank_box_filter,
     rank_from_points_subset_loop,
     stalactite_decomposition_prefix,
     stalactite_polynomial_prefix,
+    stalactite_scan,
     submodular_violations_all_pairs,
     truncation_lemmas_check_scan,
 )
@@ -70,6 +75,9 @@ from oracles import (
 GENERATED = instance_mix(120, seed=8_000, ps=(1, 2, 3, 4, 5), max_rank=6, max_cage_entry=4)
 # Instances whose regions stay small enough for the quadratic oracles.
 SMALL = [P for P in GENERATED if len(independence_points(P)) <= 40]
+# The uniform rows rk(S) = min(r, sum of m over S) of the benchmark ladder.
+LADDER = [named_family("uniform", r=r, m=m)
+          for r, m in ((6, (3,) * 4), (8, (4,) * 4), (10, (4,) * 5), (9, (3,) * 6), (8, (2,) * 7))]
 
 
 def random_sets(seed, count):
@@ -142,6 +150,44 @@ def test_stalactite_decomposition_matches_prefix_scan():
         for perm in perms:
             order = LexOrder(perm)
             assert stalactite_decomposition(P, order) == stalactite_decomposition_prefix(P, order)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, CavepolyError) as exc:
+        return type(exc), str(exc)
+
+
+def test_stalactite_and_neighbors_match_scan_oracles():
+    rng = random.Random(17)
+    errors = set()
+    for P in GENERATED:
+        bases = sorted(P.points)
+        strays = [bases[0] + (0,), tuple(c + 1 for c in bases[-1]), [c + 1 for c in bases[0]]]
+        strays += [n for n in sorted(independence_points(P).points)[:2] if n not in P.points]
+        for u in bases + strays:
+            assert _outcome(algorithms.neighbors, P, u) == _outcome(neighbors_scan, P, u), (P, u)
+        for _ in range(12):
+            order = LexOrder(tuple(rng.sample(range(1, P.p + 1), P.p)))
+            ordered = order.sort(bases)
+            V = ordered[:rng.randint(0, len(ordered))]
+            if rng.random() < 0.5:
+                V = rng.sample(bases, rng.randint(0, len(bases)))
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                V.insert(rng.randint(0, len(V)), rng.choice(strays))
+            u = rng.choice(bases + strays[:1]) if rng.random() < 0.2 else rng.choice(bases)
+            expected = _outcome(stalactite_scan, u, V, P)
+            assert _outcome(algorithms.stalactite, u, V, P) == expected, (P, u, V)
+            if isinstance(expected, tuple):
+                errors.add(expected[0])
+    assert errors == {NotABasePoint}
+
+
+def test_mobius_table_matches_box_sweep():
+    for P in GENERATED + LADDER:
+        table = algorithms.mobius_table(P)
+        assert table == mobius_table_box_sweep(P) and table.rank == P.rank, P
 
 
 def test_stalactite_polynomial_matches_prefix_scan_under_every_order():

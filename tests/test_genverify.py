@@ -2,6 +2,7 @@
 
 import gc
 import json
+import types
 import weakref
 
 import pytest
@@ -152,12 +153,21 @@ def test_verified_instance_is_freed_when_dropped_without_the_collector():
     assert len(P.points) == 30
     alive = weakref.ref(P)
     was_enabled = gc.isenabled()
+    gc.collect()
     gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # the collector keeps what it finds in gc.garbage
     try:
         assert verify_instance(P).passed
         assert P._memo  # the checks filled the instance's store
         del P
         assert alive() is None
+        for seed in range(19):
+            assert verify_instance(random_polymatroid(GeneratorConfig(seed=seed, p=3))).passed
+        gc.collect()
+        cyclic = [obj.__qualname__ for obj in gc.garbage if isinstance(obj, types.FunctionType)]
+        assert cyclic == []
     finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
         if was_enabled:
             gc.enable()

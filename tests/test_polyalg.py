@@ -63,6 +63,16 @@ def test_mul_box_factor_pair():
     assert P2({(2, 0): 1, (1, 0): -1}) * P2({(0, 1): 1}) == P2({(2, 1): 1, (1, 1): -1})
 
 
+def raised(fn, *args):
+    """The type and message of the exception ``fn(*args)`` raises."""
+    with pytest.raises(Exception) as exc:
+        fn(*args)
+    return exc.type, str(exc.value)
+
+
+CLASSES = (MultiPoly, BinomialBasisPoly, RationalPoly)
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         MultiPoly.zero(2) + MultiPoly.zero(3)
@@ -70,11 +80,21 @@ def test_dimension_mismatch_raises():
         MultiPoly.zero(2) * MultiPoly.zero(3)
     with pytest.raises(DimensionMismatch):
         MultiPoly(2, {(1, 2, 3): 1})
+    for cls, vector in zip(CLASSES, ("exponent", "index", "exponent")):
+        assert raised(cls, 2, {(1, 2, 3): 1}) == (
+            DimensionMismatch, "%s vector (1, 2, 3) has length != 2" % vector)
+        for p in (0, -1, 1.0, None):
+            assert raised(cls, p, {}) == (ValueError, "p must be a positive integer, got %r" % (p,))
 
 
 def test_no_zero_coefficients_stored():
     q = P2({(1, 0): 0, (0, 1): 2})
     assert q.terms == {(0, 1): 2}
+    for cls in CLASSES[:2]:
+        assert raised(cls, 1, {(1,): 0.5}) == (ValueError, "coefficient 0.5 is not an integer")
+    assert RationalPoly(1, {(1,): 0.5, (0,): "1/3", (2,): Fraction(0)}).terms == {
+        (1,): Fraction(1, 2), (0,): Fraction(1, 3)}
+    assert raised(RationalPoly, 1, {(1,): "x"}) == (ValueError, "Invalid literal for Fraction: 'x'")
 
 
 @given(polys(2), polys(2), polys(2))
@@ -120,6 +140,9 @@ def test_binomial_map_constant():
 def test_binomial_map_rejects_negative_exponent():
     with pytest.raises(NegativeExponent):
         binomial_map(P2({(-1, 0): 1}))
+    # The index is checked before the coefficient.
+    assert raised(BinomialBasisPoly, 2, {(0, -1): 0.5}) == (
+        NegativeExponent, "binomial basis indices must be nonnegative: (0, -1)")
 
 
 def test_expand_linear_binomial():
@@ -168,6 +191,7 @@ def test_eval_integer_dispatch():
     assert binomial_map(q).evaluate((0, 0)) == 1
     assert expand_binomial(binomial_map(q)).evaluate((0, 0)) == Fraction(1)
     assert MultiPoly.zero(2).evaluate((9, -9)) == 0
+    assert type(RationalPoly(2).evaluate((9, -9))) is Fraction
 
 
 def test_eval_rejects_wrong_length_and_negative_exponents():
@@ -175,6 +199,10 @@ def test_eval_rejects_wrong_length_and_negative_exponents():
         P2({(1, 0): 1}).evaluate((1,))
     with pytest.raises(NegativeExponent):
         P2({(-1, 0): 1}).evaluate((1, 1))
+    # The vector is checked first.
+    assert raised(P2({(-1, 0): 1}).evaluate, (1,)) == (DimensionMismatch, "vector has length 1, expected 2")
+    assert raised(P2({(0, 0): 1, (-1, 0): 1}).evaluate, (0, 1)) == (
+        NegativeExponent, "cannot evaluate a polynomial with negative exponents")
 
 
 # ------------------------------------------------------------ canonical output
@@ -220,3 +248,6 @@ def test_polynomials_are_immutable():
     b = BinomialBasisPoly(2, {(1, 0): 1})
     with pytest.raises(AttributeError):
         b.shift = -1
+    for poly in (q, b, RationalPoly(2, {(1, 0): 1})):
+        assert raised(setattr, poly, "p", 3) == (AttributeError, "%s is immutable" % type(poly).__name__)
+        assert raised(setattr, poly, "extra", 3) == (AttributeError, "%s is immutable" % type(poly).__name__)
