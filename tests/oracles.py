@@ -5,9 +5,10 @@ expansions.  The library now uses output-sensitive versions (down-closure
 walk, bit-parallel exchange masks, indexed stalactite directions, changes
 of basis one coordinate at a time, local submodularity, base points
 enumerated inside the projection bounds, subset-sum tables, truncation
-lemmas over the parent region); the differential
-tests require both to return identical results and identical failure
-witnesses.
+lemmas over the parent region, one sparse Mobius pass over the region, the
+exchange index's neighbour masks for ``neighbors`` and ``stalactite``); the
+differential tests require both to return identical results and identical
+failure witnesses.
 """
 
 import itertools

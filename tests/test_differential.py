@@ -203,12 +203,6 @@ def test_stalactite_polynomial_matches_prefix_scan_under_every_order():
 
 
 def test_mobius_interval_matches_normalized_form():
-    def outcome(closed_form, m, n):
-        try:
-            return closed_form(m, n)
-        except (ValueError, CavepolyError) as exc:
-            return type(exc), str(exc)
-
     region = sorted(independence_points(GENERATED[7]).points)
     pairs = [(m, n) for m in region for n in region]
     pairs += [
@@ -220,8 +214,8 @@ def test_mobius_interval_matches_normalized_form():
     ]
     outcomes = set()
     for m, n in pairs:
-        result = outcome(algorithms.mobius_interval, m, n)
-        assert result == outcome(mobius_interval_normalized, m, n), (m, n)
+        result = _outcome(algorithms.mobius_interval, m, n)
+        assert result == _outcome(mobius_interval_normalized, m, n), (m, n)
         outcomes.add(result if isinstance(result, int) else result[0])
     assert outcomes == {1, -1, 0, ValueError, DimensionMismatch, NotComparable}
 
