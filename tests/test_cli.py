@@ -127,6 +127,27 @@ def test_mobius_table_wide_rank_document_matches_golden():
     assert out == (GOLDEN / "mobius_table_wide.json").read_text()
 
 
+def ladder_rank_document(r=8, m=(4,) * 4):
+    """The rank document of the uniform ladder row rk(S) = min(r, sum of m
+    over S), subsets in (size, lex) order, as the benchmark writes it."""
+    p = len(m)
+    subsets = [list(s) for k in range(p + 1) for s in itertools.combinations(range(1, p + 1), k)]
+    values = {json.dumps(s, separators=(",", ":")): min(r, sum(m[i - 1] for i in s)) for s in subsets}
+    return json.dumps({"rank": {"p": p, "cage": list(m), "values": values}})
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["cave"], "cave_ladder_row.json"),
+    (["snapper", "--expand"], "snapper_expand_ladder_row.json"),
+])
+def test_ladder_row_documents_match_golden(argv, golden):
+    # CI pipes the same document into the installed console script and
+    # compares its stdout with these files.
+    status, out, _ = run(argv, stdin=ladder_rank_document())
+    assert status == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_points_and_independence_commands():
     status, out, _ = run(["points"], stdin=RUNNING_DOC)
     assert status == 0 and json.loads(out) == {"points": [[0, 3], [1, 2], [2, 1]]}
