@@ -4,7 +4,7 @@ Four independent computations of one polynomial:
 
 * ``cave_polynomial``       -- expands the indicator-product formula
   sum_n 1_P(n) * prod_{i<p} (1 - [n has a neighbor n-e_i+e_j, j>i] t_i^{-1}) t^n
-  over the base points, using transiently signed exponents;
+  over the base points, in plain exponent dicts;
 * ``stalactite_polynomial`` -- counts, per lattice point, the stalactites
   containing it in the greedy lex-ordered decomposition, with sign
   (-1)^(rank-|n|);
@@ -23,10 +23,12 @@ The cave formula is tied to the identity coordinate order (its product
 skips coordinate p); permuted orders are exercised through the stalactite
 route, whose polynomial is order-invariant.
 
-Each route's result is held in the polymatroid's memo store; the routes
-share only its exchange index and independence region.  ``neighbors``,
-``stalactite`` and the stalactite decomposition all read the index's
-neighbour masks, and every stalactite's members come from ``core.cube``.
+Each route's result, and the stalactite counts of each lex order, are held
+in the polymatroid's memo store; the routes share only its exchange index
+and independence region.  ``neighbors``, ``stalactite`` and the stalactite
+decomposition all read the index's neighbour masks, and every stalactite's
+members come from ``core.cube``.  The cave route uses neither: it tries
+its own moves against the base points.
 """
 
 from __future__ import annotations
@@ -183,12 +185,18 @@ def stalactite_decomposition(P: Polymatroid, order: LexOrder | None = None) -> t
 
 
 def stalactite_counts(P: Polymatroid, order: LexOrder | None = None) -> dict:
-    """Number of stalactites of the decomposition containing each point."""
+    """Number of stalactites of the decomposition containing each point, as a
+    new dict on each call; the counts per order are held in P's memo store."""
+    return dict(_stalactite_counts(P, _resolve_order(P, order)))
+
+
+@memo
+def _stalactite_counts(P: Polymatroid, order: LexOrder) -> MappingProxyType:
     counts = {}
     for st in stalactite_decomposition(P, order):
         for m in st.members:
             counts[m] = counts.get(m, 0) + 1
-    return counts
+    return MappingProxyType(counts)
 
 
 def stalactite_polynomial(P: Polymatroid, order: LexOrder | None = None) -> MultiPoly:
@@ -209,27 +217,25 @@ def _stalactite_polynomial(P: Polymatroid, order: LexOrder) -> MultiPoly:
 def cave_polynomial(P: Polymatroid) -> MultiPoly:
     """Expand the indicator-product formula over the base points.
 
-    Intermediates carry t_i^{-1} factors; every negative exponent multiplies
-    a monomial with n_i >= 1, so the final polynomial is ordinary (asserted).
+    Each base point u starts as the exponent dict {u: 1}.  For each i < p
+    with a neighbour u - e_i + e_j, j > i, in P (tried by tuple slicing,
+    the route's own move test), the factor 1 - t_i^{-1} is one pass over
+    the dict: every exponent e keeps its coefficient and adds its negative
+    at e - e_i.  The products are summed into one dict, and one
+    ``MultiPoly`` is built at the end.  Every t_i^{-1} multiplies an
+    exponent with e_i >= 1, so that polynomial is ordinary (asserted).
     """
     p = P.p
+    points = P.points
     acc = {}
-    for u in sorted(P.points):
-        term = MultiPoly.monomial(p, u)
-        for i in range(1, p):  # the formula's product runs i = 1..p-1
-            has_neighbor = False
-            for j in range(i + 1, p + 1):
-                w = list(u)
-                w[i - 1] -= 1
-                w[j - 1] += 1
-                if tuple(w) in P.points:
-                    has_neighbor = True
-                    break
-            if has_neighbor:
-                inv = [0] * p
-                inv[i - 1] = -1
-                term = term * MultiPoly(p, {(0,) * p: 1, tuple(inv): -1})
-        for e, c in term.terms.items():
+    for u in sorted(points):
+        term = {u: 1}
+        for i in range(p - 1):  # the formula's product runs i = 1..p-1
+            head, down = u[:i], u[i] - 1
+            if any(head + (down,) + u[i + 1:j] + (u[j] + 1,) + u[j + 1:] in points for j in range(i + 1, p)):
+                # Every exponent so far has e_i = u_i, so each e - e_i is new.
+                term.update({e[:i] + (e[i] - 1,) + e[i + 1:]: -c for e, c in term.items()})
+        for e, c in term.items():
             acc[e] = acc.get(e, 0) + c
     return MultiPoly(p, acc).assert_ordinary()
 

@@ -4,13 +4,17 @@ Three representations on one base, ``_SparsePoly``, all with exact
 coefficients and dict-of-terms storage keyed by exponent/index tuples of
 fixed length p.  The base normalizes the terms and gives equality, hashing,
 truth, evaluation and ``repr``; each representation adds its coefficient
-check and its per-coordinate factor.  ``terms`` is a read-only
-``MappingProxyType`` view, so a result held in a polymatroid's memo store
-and handed to every caller cannot be changed by one caller under another:
+check and its per-coordinate factor.  Its per-term loop is the definition
+of the terms; a dict the library has built (exact tuple keys of length p,
+coefficients of exactly the stored type) is checked in bulk instead and
+keeps its items, zeros dropped, which is what the loop returns for it.
+``terms`` is a read-only ``MappingProxyType`` view, so a result held in a
+polymatroid's memo store and handed to every caller cannot be changed by
+one caller under another:
 
 * ``MultiPoly``        -- integer coefficients on monomials t^n.  Exponents
-  may go negative in transient intermediates (the cave expansion multiplies
-  by ``1 - t_i^{-1}`` factors); finished polynomials must pass
+  may be negative (the cave route cancels ``t_i^{-1}`` factors in plain
+  dicts before it builds its result); finished polynomials must pass
   ``assert_ordinary``.
 * ``BinomialBasisPoly`` -- integer coefficients on products of binomial
   expressions ``prod_i C(t_i + n_i + shift, n_i)``.  ``shift=0`` is the
@@ -35,6 +39,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from types import MappingProxyType
 
 from .errors import DimensionMismatch, InternalInvariantFailure, NegativeExponent
@@ -58,32 +63,52 @@ def canonical_key(exps):
 
 class _SparsePoly:
     """Immutable sparse combination of length-p keys.  A representation
-    supplies ``_coefficient`` (check and convert one term's coefficient)
-    and ``_factor`` (the value at t_i of key entry k != 0), and ``_fields``
-    when equality compares more than p and the terms."""
+    supplies ``_coefficient`` (check and convert one term's coefficient),
+    ``_normal`` (the coefficient type it stores) and ``_factor`` (the value
+    at t_i of key entry k != 0), and ``_fields`` when equality compares
+    more than p and the terms.
+
+    The per-term loop of ``__init__`` defines the terms: each key becomes a
+    tuple of length p, each coefficient is checked, equal keys merge and
+    zero sums are dropped.  Input that the loop would keep as it is (see
+    ``_is_normal``) is checked in bulk and only its zeros are dropped."""
 
     __slots__ = ("p", "terms")
     _vector = "exponent"
+    _normal = int
 
     def __init__(self, p: int, terms=None):
         if not isinstance(p, int) or p < 1:
             raise ValueError("p must be a positive integer, got %r" % (p,))
-        clean = {}
-        coefficient = self._coefficient
-        for key, coeff in (terms or {}).items():
-            key = tuple(key)
-            if len(key) != p:
-                raise DimensionMismatch("%s vector %s has length != %d" % (self._vector, key, p))
-            coeff = coefficient(key, coeff)
-            if coeff != 0:
-                clean[key] = clean.get(key, 0) + coeff
-                if clean[key] == 0:
-                    del clean[key]
+        if self._is_normal(p, terms):
+            clean = {key: coeff for key, coeff in terms.items() if coeff}
+        else:
+            clean = {}
+            coefficient = self._coefficient
+            for key, coeff in (terms or {}).items():
+                key = tuple(key)
+                if len(key) != p:
+                    raise DimensionMismatch("%s vector %s has length != %d" % (self._vector, key, p))
+                coeff = coefficient(key, coeff)
+                if coeff != 0:
+                    clean[key] = clean.get(key, 0) + coeff
+                    if clean[key] == 0:
+                        del clean[key]
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _is_normal(self, p, terms) -> bool:
+        """Whether the per-term loop would raise nothing, convert nothing and
+        merge nothing: ``terms`` is a dict whose keys are exact tuples of
+        length p and whose coefficients are exactly of type ``_normal``.
+        Never raises."""
+        return (type(terms) is dict
+                and set(map(type, terms)) <= {tuple}
+                and set(map(len, terms)) <= {p}
+                and set(map(type, terms.values())) <= {self._normal})
 
     def _coefficient(self, key, coeff):
         if not isinstance(coeff, int):
@@ -227,6 +252,13 @@ class BinomialBasisPoly(_SparsePoly):
         super().__init__(p, terms)
         object.__setattr__(self, "shift", shift)
 
+    def _is_normal(self, p, terms) -> bool:
+        """Also every index an int and none negative."""
+        if not super()._is_normal(p, terms):
+            return False
+        indices = list(chain.from_iterable(terms))
+        return set(map(type, indices)) <= {int} and min(indices, default=0) >= 0
+
     def _coefficient(self, n, coeff):
         if any(x < 0 for x in n):
             raise NegativeExponent("binomial basis indices must be nonnegative: %s" % (n,))
@@ -243,6 +275,7 @@ class RationalPoly(_SparsePoly):
     """Sparse multivariate polynomial with exact rational coefficients."""
 
     __slots__ = ()
+    _normal = Fraction
 
     def _coefficient(self, exps, coeff):
         return Fraction(coeff)

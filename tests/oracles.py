@@ -169,6 +169,32 @@ def stalactite_decomposition_prefix(P, order=None) -> tuple:
     return tuple(stalactite_scan(apex, ordered[:i], P) for i, apex in enumerate(ordered))
 
 
+def cave_polynomial_products(P) -> MultiPoly:
+    """The cave formula expanded as products of ``MultiPoly`` factors: one
+    monomial per base point, times 1 - t_i^{-1} for every i < p with a
+    neighbour u - e_i + e_j, j > i, each product a new polynomial."""
+    p = P.p
+    acc = {}
+    for u in sorted(P.points):
+        term = MultiPoly.monomial(p, u)
+        for i in range(1, p):  # the formula's product runs i = 1..p-1
+            has_neighbor = False
+            for j in range(i + 1, p + 1):
+                w = list(u)
+                w[i - 1] -= 1
+                w[j - 1] += 1
+                if tuple(w) in P.points:
+                    has_neighbor = True
+                    break
+            if has_neighbor:
+                inv = [0] * p
+                inv[i - 1] = -1
+                term = term * MultiPoly(p, {(0,) * p: 1, tuple(inv): -1})
+        for e, c in term.terms.items():
+            acc[e] = acc.get(e, 0) + c
+    return MultiPoly(p, acc).assert_ordinary()
+
+
 def stalactite_polynomial_prefix(P, order=None) -> MultiPoly:
     """Signed stalactite counts of the prefix-scan decomposition."""
     terms = {}
@@ -263,6 +289,24 @@ def submodular_violations_all_pairs(p, dense) -> list:
             if dense[m1] + dense[m2] < dense[m1 | m2] + dense[m1 & m2]:
                 violations.append(("submodular", (mask_to_subset(m1), mask_to_subset(m2))))
     return violations
+
+
+def sparse_terms_loop(cls, p, terms, **kw) -> dict:
+    """The polynomial constructor's terms by the per-term loop alone: every
+    key made a tuple and length-checked, every coefficient checked by the
+    representation, equal keys merged and zero sums dropped."""
+    coefficient = cls(p, None, **kw)._coefficient  # a bad p raises here, as in the constructor
+    clean = {}
+    for key, coeff in (terms or {}).items():
+        key = tuple(key)
+        if len(key) != p:
+            raise DimensionMismatch("%s vector %s has length != %d" % (cls._vector, key, p))
+        coeff = coefficient(key, coeff)
+        if coeff != 0:
+            clean[key] = clean.get(key, 0) + coeff
+            if clean[key] == 0:
+                del clean[key]
+    return clean
 
 
 def expand_binomial_per_term(b) -> RationalPoly:

@@ -11,6 +11,7 @@ from cavepoly import (
     NotABasePoint,
     NotComparable,
     Polymatroid,
+    algorithms,
     box_polynomial,
     box_summands,
     cave_polynomial,
@@ -150,6 +151,22 @@ def test_counts(running):
     assert stalactite_counts(running) == {n: 1 for n in GOLDEN}
     assert stalactite_counts(Polymatroid([(5,)])) == {(5,): 1}
     assert stalactite_counts(UNIT) == {(0, 1): 1, (1, 0): 1, (0, 0): 1}
+
+
+def test_counts_decompose_once_per_order_and_return_a_new_dict(monkeypatch):
+    calls = []
+    decompose = algorithms.stalactite_decomposition
+    monkeypatch.setattr(algorithms, "stalactite_decomposition",
+                        lambda P, order=None: calls.append(order) or decompose(P, order))
+    P = Polymatroid([(0, 3), (1, 2), (2, 1)])
+    reverse = LexOrder((2, 1))
+    counts = stalactite_counts(P)
+    counts[(0, 0)] = 7
+    del counts[(0, 3)]
+    assert stalactite_counts(P) == stalactite_counts(P, LexOrder.identity(2)) == {n: 1 for n in GOLDEN}
+    assert stalactite_counts(P, reverse) == stalactite_counts(P, reverse) == {n: 1 for n in GOLDEN}
+    assert stalactite_counts(P) is not stalactite_counts(P)
+    assert calls == [LexOrder.identity(2), reverse]
 
 
 def test_counts_support_inside_independence():

@@ -11,6 +11,8 @@ tables that are not polymatroid rank functions.
 import itertools
 import json
 import random
+from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -29,9 +31,11 @@ from cavepoly import (
     NotMConvex,
     Polymatroid,
     RankFunction,
+    RationalPoly,
     algorithms,
     box_polynomial,
     box_summands,
+    cave_polynomial,
     core,
     expand_binomial,
     genverify,
@@ -54,6 +58,7 @@ from cavepoly.genverify import CHECKS
 from conftest import instance_mix
 from oracles import (
     cave_condition_3_box_walk,
+    cave_polynomial_products,
     expand_binomial_per_term,
     in_independence_subset_sums,
     independence_points_box_filter,
@@ -65,6 +70,7 @@ from oracles import (
     neighbors_scan,
     points_from_rank_box_filter,
     rank_from_points_subset_loop,
+    sparse_terms_loop,
     stalactite_decomposition_prefix,
     stalactite_polynomial_prefix,
     stalactite_scan,
@@ -190,6 +196,11 @@ def test_mobius_table_matches_box_sweep():
         assert table == mobius_table_box_sweep(P) and table.rank == P.rank, P
 
 
+def test_cave_polynomial_matches_product_oracle():
+    for P in GENERATED + LADDER:
+        assert cave_polynomial(P) == cave_polynomial_products(P), P
+
+
 def test_stalactite_polynomial_matches_prefix_scan_under_every_order():
     orders = 0
     for P in GENERATED:
@@ -260,13 +271,14 @@ def _campaign_documents():
 def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
     def kernel_probe(P):
         # Fails on every instance with more than three independence points;
-        # the detail records a stalactite union and a cave verdict.
+        # the detail records a stalactite union, a cave verdict and the
+        # cave polynomial.
         region = geometry.independence_points(P).points
         union = set().union(*(st.members for st in algorithms.stalactite_decomposition(P)))
         report = geometry.is_cave(union | {max(region)})
         if len(region) > 3:
-            return False, "|I|=%d |union|=%d cave=%s %s" % (
-                len(region), len(union), report.failed_condition, report.witness)
+            return False, "|I|=%d |union|=%d cave=%s %s %r" % (
+                len(region), len(union), report.failed_condition, report.witness, algorithms.cave_polynomial(P))
         return True, None
 
     monkeypatch.setitem(CHECKS, "kernel-probe", kernel_probe)
@@ -282,6 +294,14 @@ def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
     monkeypatch.setattr(genverify, "rank_from_points", rank_from_points_subset_loop)
     monkeypatch.setattr(algorithms, "stalactite_decomposition", stalactite_decomposition_prefix)
     monkeypatch.setattr(algorithms, "_stalactite_polynomial", stalactite_polynomial_prefix)
+    cave_calls = []
+
+    def cave_oracle(P):
+        cave_calls.append(P)
+        return cave_polynomial_products(P)
+
+    for module in (algorithms, genverify):
+        monkeypatch.setattr(module, "cave_polynomial", cave_oracle)
     monkeypatch.setitem(CHECKS, "truncation-lemmas", truncation_lemmas_check_scan)
     for module in (core, geometry):
         monkeypatch.setattr(module, "is_m_convex", is_m_convex_pairwise)
@@ -295,6 +315,7 @@ def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
     for module in (core, geometry, genverify):
         monkeypatch.setattr(module, "ExchangeIndex", no_index)
     assert _campaign_documents() == fast
+    assert cave_calls
 
 
 def random_binomial_polys(seed, count):
@@ -320,6 +341,109 @@ def test_expand_binomial_matches_per_term_oracle():
     for b in polys:
         assert expand_binomial(b).terms == expand_binomial_per_term(b).terms, b
     assert {b.p for b in polys} >= {1, 2, 3, 4} and {b.shift for b in polys} >= {0, -1}
+
+
+class Key(tuple):
+    """A tuple subclass: the constructor stores its plain-tuple copy."""
+
+
+class KeyedItems(dict):
+    """A dict whose ``items`` hands out its keys as ``Key`` instances."""
+
+    def items(self):
+        return [(Key(key), c) for key, c in super().items()]
+
+
+def constructor_inputs(seed, count):
+    """(class, p, terms, keywords) for the polynomial constructors.  About
+    half are normal (a dict of exact tuples of length p with coefficients of
+    exactly the representation's type, zeros included); the rest carry one
+    or two faults: tuple subclasses, string keys that merge with tuple keys,
+    bool, float or mixed coefficients, wrong lengths, negative binomial
+    indices, other mappings (a dict subclass among them), or a bad p."""
+    rng = random.Random(seed)
+    classes = (MultiPoly, BinomialBasisPoly, RationalPoly)
+    for _ in range(count):
+        cls = rng.choice(classes)
+        p = rng.randint(1, 4)
+        normal = Fraction if cls is RationalPoly else int
+        low = 0 if cls is BinomialBasisPoly else -2
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            key = tuple(rng.randint(low, 9) for _ in range(p))
+            terms[key] = normal(rng.choice((0, 1, -1, rng.randint(-9, 9), rng.randint(-10**20, 10**20))))
+            if normal is Fraction and rng.random() < 0.5:
+                terms[key] /= rng.randint(1, 7)
+        keywords = {"shift": rng.choice((0, -1))} if cls is BinomialBasisPoly else {}
+        faults = rng.choice((0, 0, 0, 1, 1, 2))
+        for _ in range(faults):
+            items = list(terms.items())
+            fault = rng.randrange(9) if items else rng.choice((1, 5, 6, 7, 8))
+            if fault == 0:
+                key, c = rng.choice(items)
+                del terms[key]
+                terms[Key(key)] = c
+            elif fault == 1:
+                key = tuple(str(rng.randint(0, 9)) for _ in range(p))
+                terms["".join(key)] = rng.randint(-2, 2)
+                terms[key] = rng.randint(-2, 2)
+            elif fault == 2:
+                terms[rng.choice(items)[0]] = rng.choice((True, False))
+            elif fault == 3:
+                terms[rng.choice(items)[0]] = rng.choice((0.0, 0.5, -2.0))
+            elif fault == 4:
+                other = Fraction if normal is int else int
+                terms[rng.choice(items)[0]] = other(rng.randint(-3, 3))
+            elif fault == 5:
+                terms[tuple(rng.randint(0, 3) for _ in range(rng.choice((p - 1, p + 1))))] = 1
+            elif fault == 6:
+                terms[(-1,) + (0,) * (p - 1)] = rng.randint(-2, 2)
+            elif fault == 7:
+                terms = rng.choice((None, MappingProxyType(terms), KeyedItems(terms), list(terms.items())))
+                break
+            elif fault == 8:
+                p = rng.choice((0, -1, True, 2.0))
+                break
+        yield cls, p, terms, keywords, faults > 0
+
+
+def _terms_outcome(fn):
+    try:
+        terms = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(key, type(key), c, type(c)) for key, c in terms.items()]
+
+
+def test_polynomial_constructor_matches_per_term_loop():
+    inputs = list(constructor_inputs(23, 4000))
+    inputs += [
+        (MultiPoly, 2, {"12": 3, ("1", "2"): 4, (1, 2): 0}, {}, True),
+        (MultiPoly, 2, {"12": 3, ("1", "2"): -3}, {}, True),
+        (MultiPoly, 2, {(0, 1): True, (1, 0): False}, {}, True),
+        (MultiPoly, 2, {Key((0, 1)): 2, (1, 0): 1}, {}, True),
+        (MultiPoly, 2, KeyedItems({(0, 1): 2, (1, 0): 1}), {}, True),
+        (MultiPoly, 2, {(0, 1): 1, (1,): 1}, {}, True),
+        (BinomialBasisPoly, 2, {(0, 1): 1, (-1, 0): "x"}, {"shift": -1}, True),
+        (BinomialBasisPoly, 2, {(-1, 0): "x", (0, 1): 1}, {}, True),
+        (BinomialBasisPoly, 2, {(0, 1): "x", (-1, 0): 1}, {}, True),
+        (BinomialBasisPoly, 2, {(0, 1): 1.0, (1, 0): 1}, {}, True),
+        (BinomialBasisPoly, 2, {("a", "b"): 1}, {}, True),
+        (RationalPoly, 2, {(0, 1): 1, (1, 0): Fraction(1, 2), (1, 1): 0}, {}, True),
+        (RationalPoly, 2, {(0, 1): Fraction(1, 2), "01": Fraction(-1, 2)}, {}, True),
+        (RationalPoly, 2, {(0, 1): Fraction(0), (1, 0): Fraction(-3, 4)}, {}, True),
+        (RationalPoly, 2, {(0, 1): "1/3"}, {}, True),
+    ]
+    kept = {False: 0, True: 0}
+    raised = 0
+    for cls, p, terms, keywords, faulted in inputs:
+        expected = _terms_outcome(lambda: sparse_terms_loop(cls, p, terms, **keywords))
+        assert _terms_outcome(lambda: dict(cls(p, terms, **keywords).terms)) == expected, (cls, p, terms)
+        if isinstance(expected, list):
+            kept[faulted] += 1
+        else:
+            raised += 1
+    assert min(kept.values()) > 500 and raised > 500, (kept, raised)
 
 
 def test_box_polynomial_matches_summed_summands():
