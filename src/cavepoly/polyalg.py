@@ -68,10 +68,9 @@ class _SparsePoly:
     at t_i of key entry k != 0), and ``_fields`` when equality compares
     more than p and the terms.
 
-    The per-term loop of ``__init__`` defines the terms: each key becomes a
-    tuple of length p, each coefficient is checked, equal keys merge and
-    zero sums are dropped.  Input that the loop would keep as it is (see
-    ``_is_normal``) is checked in bulk and only its zeros are dropped."""
+    The per-term loop of ``__init__`` defines the terms.  Input that it
+    would keep as it is passes the bulk check ``_is_normal`` instead, and
+    only its zero coefficients are dropped."""
 
     __slots__ = ("p", "terms")
     _vector = "exponent"
