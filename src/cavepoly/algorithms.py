@@ -23,10 +23,13 @@ The cave formula is tied to the identity coordinate order (its product
 skips coordinate p); permuted orders are exercised through the stalactite
 route, whose polynomial is order-invariant.
 
-Each route's result, and the stalactite counts of each lex order, are held
-in the polymatroid's memo store; the routes share only its exchange index
-and independence region.  ``neighbors``, ``stalactite`` and the stalactite
-decomposition all read the index's neighbour masks, and every stalactite's
+Each route's result is held in the polymatroid's memo store; the routes
+share only its exchange index and independence region.  The stalactite
+counts of a lex order are the absolute coefficients of its stalactite
+polynomial, so they come from the same kernel,
+``ExchangeIndex.stalactite_terms``.  ``neighbors``, ``stalactite`` and
+``stalactite_decomposition`` read the index's neighbour masks and build
+``Stalactite`` cubes for callers that want them; every stalactite's
 members come from ``core.cube``.  The cave route uses neither: it tries
 its own moves against the base points.
 """
@@ -186,17 +189,9 @@ def stalactite_decomposition(P: Polymatroid, order: LexOrder | None = None) -> t
 
 def stalactite_counts(P: Polymatroid, order: LexOrder | None = None) -> dict:
     """Number of stalactites of the decomposition containing each point, as a
-    new dict on each call; the counts per order are held in P's memo store."""
-    return dict(_stalactite_counts(P, _resolve_order(P, order)))
-
-
-@memo
-def _stalactite_counts(P: Polymatroid, order: LexOrder) -> MappingProxyType:
-    counts = {}
-    for st in stalactite_decomposition(P, order):
-        for m in st.members:
-            counts[m] = counts.get(m, 0) + 1
-    return MappingProxyType(counts)
+    new dict on each call: the absolute coefficients of the stalactite
+    polynomial, whose terms are never zero and signed by the point alone."""
+    return {n: abs(c) for n, c in stalactite_polynomial(P, order).terms.items()}
 
 
 def stalactite_polynomial(P: Polymatroid, order: LexOrder | None = None) -> MultiPoly:

@@ -24,12 +24,10 @@ import sys
 from . import algorithms, genverify
 from .core import Polymatroid, points_from_rank, rank_from_points, validate_rank_function
 from .errors import (
-    AxiomViolation,
     CavepolyError,
     DimensionMismatch,
     EmptyInput,
     InternalInvariantFailure,
-    NotMConvex,
     ParseError,
 )
 from .geometry import independence_points, is_cave, truncate
@@ -121,6 +119,8 @@ def parse_instance(text) -> Polymatroid:
     values = {}
     for key, val in raw_values.items():
         subset = _parse_subset_key(key, p)
+        if subset in values:
+            raise ParseError("subset key %r repeats a subset named by an earlier key" % key)
         if not isinstance(val, int):
             raise ParseError("rank of %s is not an integer" % key)
         values[subset] = val
@@ -392,16 +392,10 @@ def run_command(argv, stdin=None, stdout=None, stderr=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, stdout)
         raise AssertionError("unhandled command %r" % args.command)
-    except (ParseError, AxiomViolation, NotMConvex, ValueError) as exc:
-        stderr.write("error: %s\n" % exc)
-        return EXIT_INPUT
     except InternalInvariantFailure as exc:
         stderr.write("internal error: %s\n" % exc)
         return EXIT_INTERNAL
-    except CavepolyError as exc:
-        stderr.write("error: %s\n" % exc)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (CavepolyError, ValueError, OSError) as exc:
         stderr.write("error: %s\n" % exc)
         return EXIT_INPUT
 

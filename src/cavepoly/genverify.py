@@ -297,10 +297,11 @@ def _check_coefficient_sum(P):
 
 def _check_cancellation_free(P):
     rank = P.rank
-    for e, c in cave_polynomial(P).terms.items():
-        sign = -1 if (rank - sum(e)) % 2 else 1
-        if c * sign <= 0:
-            return False, "coefficient %d at t^%s has the wrong sign" % (c, list(e))
+    terms = cave_polynomial(P).terms
+    wrong = [e for e, c in terms.items() if c * (-1 if (rank - sum(e)) % 2 else 1) <= 0]
+    if wrong:
+        e = min(wrong)
+        return False, "coefficient %d at t^%s has the wrong sign" % (terms[e], list(e))
     return True, None
 
 
@@ -441,7 +442,7 @@ class CampaignFailure:
     check: str
     detail: str | None
     points: tuple
-    shrunk_points: tuple | None
+    shrunk_points: tuple
 
 
 @dataclass
@@ -478,17 +479,17 @@ class CampaignReport:
                     "check": f.check,
                     "detail": f.detail,
                     "points": [list(q) for q in f.points],
-                    "shrunk_points": None if f.shrunk_points is None else [list(q) for q in f.shrunk_points],
+                    "shrunk_points": [list(q) for q in f.shrunk_points],
                 }
                 for f in self.failures
             ],
         }
 
 
-def verify_campaign(cfg: GeneratorConfig, count: int, checks=None, shrink=True) -> CampaignReport:
+def verify_campaign(cfg: GeneratorConfig, count: int, checks=None) -> CampaignReport:
     """Generate ``count`` instances from consecutive seeds, verify each, and
-    aggregate.  Failures carry their seed and, when shrinking is enabled, a
-    minimized witness that still fails the same check."""
+    aggregate.  Failures carry their seed and a minimized witness that still
+    fails the same check."""
     if count < 1:
         raise ValueError("count must be >= 1")
     names = tuple(CHECKS) if checks is None else tuple(checks)
@@ -501,13 +502,9 @@ def verify_campaign(cfg: GeneratorConfig, count: int, checks=None, shrink=True) 
         report = verify_instance(P, checks=names, descriptor=instance_descriptor(P, seed=icfg.seed))
         reports.append(report)
         for bad in report.failures():
-            shrunk = None
-            if shrink:
-                fn = CHECKS[bad.name]
-                small = shrink_instance(P, lambda Q: not fn(Q)[0])
-                shrunk = tuple(sorted(small.points))
-            failures.append(
-                CampaignFailure(icfg.seed, bad.name, bad.detail, tuple(sorted(P.points)), shrunk)
-            )
+            fn = CHECKS[bad.name]
+            small = shrink_instance(P, lambda Q: not fn(Q)[0])
+            failures.append(CampaignFailure(
+                icfg.seed, bad.name, bad.detail, tuple(sorted(P.points)), tuple(sorted(small.points))))
     failures.sort(key=lambda f: (f.seed, f.check))
     return CampaignReport(cfg, count, names, tuple(reports), tuple(failures), time.perf_counter() - start)

@@ -166,13 +166,6 @@ class MultiPoly(_SparsePoly):
     def monomial(cls, p: int, exps, coeff: int = 1) -> "MultiPoly":
         return cls(p, {tuple(exps): coeff})
 
-    @classmethod
-    def variable(cls, p: int, i: int) -> "MultiPoly":
-        """The monomial t_i (1-based index)."""
-        exps = [0] * p
-        exps[i - 1] = 1
-        return cls(p, {tuple(exps): 1})
-
     def _factor(self, ti, e):
         if e < 0:
             raise NegativeExponent("cannot evaluate a polynomial with negative exponents")
@@ -222,9 +215,6 @@ class MultiPoly(_SparsePoly):
         return MultiPoly(self.p, out)
 
     __rmul__ = __mul__
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def has_negative_exponent(self) -> bool:
         return any(x < 0 for e in self.terms for x in e)

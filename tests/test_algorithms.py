@@ -11,10 +11,10 @@ from cavepoly import (
     NotABasePoint,
     NotComparable,
     Polymatroid,
-    algorithms,
     box_polynomial,
     box_summands,
     cave_polynomial,
+    core,
     expand_binomial,
     independence_points,
     mobius_interval,
@@ -155,9 +155,13 @@ def test_counts(running):
 
 def test_counts_decompose_once_per_order_and_return_a_new_dict(monkeypatch):
     calls = []
-    decompose = algorithms.stalactite_decomposition
-    monkeypatch.setattr(algorithms, "stalactite_decomposition",
-                        lambda P, order=None: calls.append(order) or decompose(P, order))
+    terms = core.ExchangeIndex.stalactite_terms
+
+    def counted(index, visit):
+        calls.append(tuple(index.ordered[k] for k in visit))
+        return terms(index, visit)
+
+    monkeypatch.setattr(core.ExchangeIndex, "stalactite_terms", counted)
     P = Polymatroid([(0, 3), (1, 2), (2, 1)])
     reverse = LexOrder((2, 1))
     counts = stalactite_counts(P)
@@ -166,7 +170,7 @@ def test_counts_decompose_once_per_order_and_return_a_new_dict(monkeypatch):
     assert stalactite_counts(P) == stalactite_counts(P, LexOrder.identity(2)) == {n: 1 for n in GOLDEN}
     assert stalactite_counts(P, reverse) == stalactite_counts(P, reverse) == {n: 1 for n in GOLDEN}
     assert stalactite_counts(P) is not stalactite_counts(P)
-    assert calls == [LexOrder.identity(2), reverse]
+    assert calls == [((0, 3), (1, 2), (2, 1)), ((2, 1), (1, 2), (0, 3))]
 
 
 def test_counts_support_inside_independence():

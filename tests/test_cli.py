@@ -74,6 +74,17 @@ def test_parse_errors(bad):
         parse_instance(bad)
 
 
+@pytest.mark.parametrize("keys", [("[1,2]", "[1, 2]"), ("[1, 2]", "[1,2]")])
+def test_rank_document_naming_a_subset_twice_is_rejected(keys):
+    values = '"[]": 0, "[1]": 2, "[2]": 3, "%s": 3, "%s": 4' % keys
+    doc = '{"rank": {"p": 2, "cage": [2, 3], "values": {%s}}}' % values
+    with pytest.raises(ParseError):
+        parse_instance(doc)
+    status, out, err = run(["validate"], stdin=doc)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_parse_accepts_bytes():
     assert parse_instance(RUNNING_DOC.encode()).rank == 3
 

@@ -11,6 +11,7 @@ tables that are not polymatroid rank functions.
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -47,6 +48,7 @@ from cavepoly import (
     named_family,
     snapper_eur_larson,
     snapper_from_cave,
+    stalactite_counts,
     stalactite_decomposition,
     stalactite_polynomial,
     validate_rank_function,
@@ -156,6 +158,16 @@ def test_stalactite_decomposition_matches_prefix_scan():
         for perm in perms:
             order = LexOrder(perm)
             assert stalactite_decomposition(P, order) == stalactite_decomposition_prefix(P, order)
+
+
+def test_stalactite_counts_match_prefix_scan_tally():
+    for P in GENERATED:
+        if P.p > 4:
+            continue
+        for perm in itertools.permutations(range(1, P.p + 1)):
+            order = LexOrder(perm)
+            tally = Counter(m for st in stalactite_decomposition_prefix(P, order) for m in st.members)
+            assert stalactite_counts(P, order) == tally
 
 
 def _outcome(fn, *args):

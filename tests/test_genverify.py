@@ -10,6 +10,7 @@ import pytest
 from cavepoly import (
     GenerationExhausted,
     GeneratorConfig,
+    MultiPoly,
     NotMConvex,
     Polymatroid,
     UnknownFamily,
@@ -93,6 +94,20 @@ def test_verify_instance_check_subset(running):
     report = verify_instance(running, checks=("four-way-equality", "coefficient-sum"))
     assert [r.name for r in report.results] == ["four-way-equality", "coefficient-sum"]
     assert report.passed
+
+
+def test_cancellation_free_reports_the_smallest_wrong_sign(monkeypatch, running):
+    # Two coefficients of the running example's cave polynomial flipped, the
+    # flipped terms inserted in either order: the detail names the smaller.
+    golden = {(0, 3): 1, (1, 2): 1, (0, 2): -1, (2, 1): 1, (1, 1): -1}
+    details = set()
+    for first, second in (((2, 1), (0, 3)), ((0, 3), (2, 1))):
+        terms = {first: -golden[first], second: -golden[second]}
+        terms.update((e, c) for e, c in golden.items() if e not in terms)
+        monkeypatch.setattr(genverify, "cave_polynomial", lambda P, terms=terms: MultiPoly(2, terms))
+        assert list(genverify.cave_polynomial(running).terms)[0] == first
+        details.add(CHECKS["cancellation-free"](running))
+    assert details == {(False, "coefficient -1 at t^[0, 3] has the wrong sign")}
 
 
 def test_campaign_rejects_zero_count():
