@@ -258,6 +258,16 @@ def test_is_cave_command():
     assert doc["witness"]["missing"] == [[0, 2], [1, 1]]
 
 
+IS_CAVE_CASES = json.loads((GOLDEN / "is_cave_cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", IS_CAVE_CASES, ids=[" ".join(c["argv"]) + " " + c["stdin"] for c in IS_CAVE_CASES])
+def test_is_cave_command_matches_golden_cases(case):
+    # CI pipes two of these documents into the installed console script and
+    # compares its exit status and stdout with the recorded ones.
+    assert run(case["argv"], stdin=case["stdin"]) == (case["status"], case["stdout"], "")
+
+
 def test_random_command_is_deterministic_and_valid():
     args = ["random", "--seed", "5", "--p", "3", "--strategy", "lattice-path"]
     first = run(args)
