@@ -46,6 +46,16 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
+def _unique_keys(pairs):
+    """Refuses a JSON object naming a key twice, whose last value would win."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError("key %s appears twice in one JSON object" % json.dumps(key))
+        obj[key] = value
+    return obj
+
+
 def _load_document(text):
     if isinstance(text, bytes):
         try:
@@ -53,7 +63,7 @@ def _load_document(text):
         except UnicodeDecodeError as exc:
             raise ParseError("input is not UTF-8: %s" % exc)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON: %s" % exc)
     if not isinstance(doc, dict):

@@ -85,6 +85,19 @@ def test_rank_document_naming_a_subset_twice_is_rejected(keys):
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("values", [(3, 4), (4, 3)])
+def test_repeated_json_key_is_rejected(values):
+    # The same spelling twice: json.loads alone would keep the last value.
+    doc = '{"rank": {"p": 2, "cage": [2, 3], "values": {"[]": 0, "[1]": 2, "[2]": 3, "[1,2]": %d, "[1,2]": %d}}}' % values
+    with pytest.raises(ParseError, match=r'key "\[1,2\]" appears twice'):
+        parse_instance(doc)
+    status, out, err = run(["validate"], stdin=doc)
+    assert (status, out) == (2, "")
+    assert err == 'error: key "[1,2]" appears twice in one JSON object\n'
+    for repeated in ('{"points": [[0,3]], "points": [[1,2]]}', '{"rank": {"p": 1, "p": 1}}'):
+        assert run(["validate"], stdin=repeated)[0] == 2
+
+
 def test_parse_accepts_bytes():
     assert parse_instance(RUNNING_DOC.encode()).rank == 3
 
