@@ -8,7 +8,6 @@ and randomly generated instances.
 """
 
 from .algorithms import (
-    LexOrder,
     MobiusTable,
     Stalactite,
     box_polynomial,
@@ -26,6 +25,7 @@ from .algorithms import (
     stalactite_polynomial,
 )
 from .core import (
+    LexOrder,
     Polymatroid,
     RankFunction,
     homogenize,

@@ -37,50 +37,15 @@ its own moves against the base points.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
-from operator import gt, itemgetter, sub
+from operator import gt, sub
 from types import MappingProxyType
-from typing import Callable
 
-from .core import Polymatroid, _bits, as_point, cube, exchange_index, memo
+from .core import LexOrder, Polymatroid, _bits, as_point, cube, exchange_index, memo, resolve_order
 from .errors import DimensionMismatch, NotABasePoint, NotComparable
 from .geometry import independence_points
 from .polyalg import BinomialBasisPoly, MultiPoly, axiswise, binomial_map
-
-
-@dataclass(frozen=True)
-class LexOrder:
-    """Coordinate-priority lexicographic order on lattice points.
-
-    ``permutation`` lists 1-based coordinates from highest to lowest
-    priority; points compare by the first differing prioritized coordinate,
-    smaller value meaning smaller point.  The identity permutation is the
-    standard lex order, under which (0,3) < (1,2) < (2,1).
-    """
-
-    permutation: tuple
-    key: Callable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        perm = tuple(self.permutation)
-        object.__setattr__(self, "permutation", perm)
-        if sorted(perm) != list(range(1, len(perm) + 1)):
-            raise ValueError("%r is not a permutation of 1..%d" % (perm, len(perm)))
-        # key(n): n's coordinates in priority order.  An itemgetter of one
-        # index returns the entry itself, so p = 1 takes the 1-tuple whole.
-        object.__setattr__(self, "key", itemgetter(*(i - 1 for i in perm)) if len(perm) > 1 else tuple)
-
-    @classmethod
-    def identity(cls, p: int) -> "LexOrder":
-        return cls(tuple(range(1, p + 1)))
-
-    @property
-    def p(self) -> int:
-        return len(self.permutation)
-
-    def sort(self, points) -> list:
-        return sorted(points, key=self.key)
 
 
 @dataclass(frozen=True)
@@ -124,14 +89,6 @@ class MobiusTable:
         return "MobiusTable(p=%d, rank=%d, %d points)" % (self.p, self.rank, len(self.values))
 
 
-def _resolve_order(P: Polymatroid, order) -> LexOrder:
-    if order is None:
-        return LexOrder.identity(P.p)
-    if order.p != P.p:
-        raise DimensionMismatch("order on %d coordinates, polymatroid has %d" % (order.p, P.p))
-    return order
-
-
 def _position(P: Polymatroid, index, q) -> int:
     """The position of the base point ``q`` in P's ``exchange_index``."""
     q = as_point(q)
@@ -168,13 +125,6 @@ def stalactite(u, V, P: Polymatroid) -> Stalactite:
     return _hanging_cube(index.ordered[k], index.directions(k, placed))
 
 
-def _visit(P: Polymatroid, order: LexOrder):
-    """P's shared ``exchange_index`` and its positions in ascending ``order``."""
-    index = exchange_index(P)
-    keys = list(map(order.key, index.ordered))
-    return index, sorted(range(len(keys)), key=keys.__getitem__)
-
-
 def stalactite_decomposition(P: Polymatroid, order: LexOrder | None = None) -> tuple:
     """Greedy stalactites of the base points in ascending ``order``: the i-th
     stalactite is St(a_i; {a_1, ..., a_{i-1}}).  Their union is the cave set.
@@ -183,7 +133,8 @@ def stalactite_decomposition(P: Polymatroid, order: LexOrder | None = None) -> t
     masks in P's ``exchange_index`` against the apexes before it: O(|B| p)
     mask operations, plus the stalactites' own size.
     """
-    index, visit = _visit(P, _resolve_order(P, order))
+    index = exchange_index(P)
+    visit = index.in_order(resolve_order(order, P.p))
     return tuple(_hanging_cube(index.ordered[k], directions) for k, directions in index.stalactites(visit))
 
 
@@ -199,13 +150,13 @@ def stalactite_polynomial(P: Polymatroid, order: LexOrder | None = None) -> Mult
 
     Individual stalactites depend on the order; this polynomial does not.
     """
-    return _stalactite_polynomial(P, _resolve_order(P, order))
+    return _stalactite_polynomial(P, resolve_order(order, P.p))
 
 
 @memo
 def _stalactite_polynomial(P: Polymatroid, order: LexOrder) -> MultiPoly:
-    index, visit = _visit(P, order)
-    return MultiPoly(P.p, index.stalactite_terms(visit))
+    index = exchange_index(P)
+    return MultiPoly(P.p, index.stalactite_terms(index.in_order(order)))
 
 
 @memo

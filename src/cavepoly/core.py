@@ -17,12 +17,13 @@ element ``i``; the dense 2^p table caps ``p`` at 16.
 
 ``ExchangeIndex`` answers the exchange questions (first M-convex and
 generalized-polymatroid failures, stalactite directions, signed stalactite
-terms) for a point list and for each threshold truncation {q >= b} of it,
-given as a bitmask; ``is_m_convex`` and ``is_generalized_polymatroid`` are
-its whole-set case.  Each point's failure masks cost O(p^2) lookups and mask
-operations, once; a truncation then costs O(p) mask operations per kept
-point, with no set-up of its own.  ``cube`` builds the members of every
-stalactite as one product of per-coordinate axes.
+terms) for a point list, for each threshold truncation {q >= b} of it and
+for its top-degree level, each given as a bitmask; ``is_m_convex`` and
+``is_generalized_polymatroid`` are its whole-set case.  Each point's failure
+masks cost O(p^2) lookups and mask operations, once; a subset then costs
+O(p) mask operations per kept point, with no set-up of its own.  ``cube``
+builds the members of every stalactite, whose apexes are visited in a
+``LexOrder``, as one product of per-coordinate axes.
 
 A ``Polymatroid``'s derived data (rank table, exchange index, independence
 region, each route's result) lives in the instance's own memo store (see
@@ -38,10 +39,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
 from itertools import chain, product
-from operator import mul, or_, sub
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter, mul, or_, sub
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -74,6 +76,58 @@ def point_set(points) -> frozenset:
     if len(lengths) != 1:
         raise DimensionMismatch("points have mixed lengths %s" % sorted(lengths))
     return pts
+
+
+def nonnegative_set(points) -> frozenset:
+    """``point_set(points)``, naming its first point with a negative entry."""
+    pts = point_set(points)
+    for q in pts:
+        if any(c < 0 for c in q):
+            raise ValueError("polymatroid points must be nonnegative, got %s" % (q,))
+    return pts
+
+
+@dataclass(frozen=True)
+class LexOrder:
+    """Coordinate-priority lexicographic order on lattice points.
+
+    ``permutation`` lists 1-based coordinates from highest to lowest
+    priority; points compare by the first differing prioritized coordinate,
+    smaller value meaning smaller point.  The identity permutation is the
+    standard lex order, under which (0,3) < (1,2) < (2,1).
+    """
+
+    permutation: tuple
+    key: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        perm = tuple(self.permutation)
+        object.__setattr__(self, "permutation", perm)
+        if sorted(perm) != list(range(1, len(perm) + 1)):
+            raise ValueError("%r is not a permutation of 1..%d" % (perm, len(perm)))
+        # key(n): n's coordinates in priority order.  An itemgetter of one
+        # index returns the entry itself, so p = 1 takes the 1-tuple whole.
+        object.__setattr__(self, "key", itemgetter(*(i - 1 for i in perm)) if len(perm) > 1 else tuple)
+
+    @classmethod
+    def identity(cls, p: int) -> "LexOrder":
+        return cls(tuple(range(1, p + 1)))
+
+    @property
+    def p(self) -> int:
+        return len(self.permutation)
+
+    def sort(self, points) -> list:
+        return sorted(points, key=self.key)
+
+
+def resolve_order(order, p: int) -> LexOrder:
+    """``order`` (the identity if None), refused unless it orders p coordinates."""
+    if order is None:
+        return LexOrder.identity(p)
+    if order.p != p:
+        raise DimensionMismatch("order on %d coordinates, polymatroid has %d" % (order.p, p))
+    return order
 
 
 def mask_to_subset(mask: int) -> tuple:
@@ -239,22 +293,24 @@ def _bits(mask) -> list:
 
 class ExchangeIndex:
     """One index over a list of equal-length points, answering exchange
-    questions for the set and for each threshold truncation {q >= b}.
+    questions for the set and for two kinds of subset of it.
 
-    A truncation is a bitmask over the list, bit k standing for
-    ``ordered[k]``; ``truncation(b)`` builds it, and masks of other subsets
-    are not supported.  Every answer is the one the materialized subset
-    gives in the same order, witness included.  The
-    restriction is exact: each neighbour an exchange consults for u and v in
-    the truncation (u - e_i + e_j when v_i < u_i, v + e_i - e_j when
-    v_j > u_j, u - e_i, v + e_i) is itself >= b, so it lies in the
-    truncation exactly when it lies in the whole set.  So each point's
-    failure masks over the whole set are built once, in O(p^2) lookups and
-    mask operations, and a truncation costs O(p) mask operations per kept
-    point, with no set-up of its own.  Stalactites visit the points in any
-    sequence (a lex order, a truncation's points): each point's neighbour
-    masks are built once in O(p^2) lookups, and each direction is then one
-    AND against the points visited before it.
+    A subset is a bitmask over the list, bit k standing for ``ordered[k]``;
+    every answer is the one the materialized subset gives in the same
+    order, witness included.  A threshold truncation {q >= b}, built by
+    ``truncation(b)``, serves every question: each neighbour an exchange
+    consults for u and v in it (u - e_i + e_j when v_i < u_i, v + e_i - e_j
+    when v_j > u_j, u - e_i, v + e_i) is itself >= b, so it lies in the
+    truncation exactly when it lies in the whole set.  The top-degree level
+    of ``degree_masks`` serves the M-convex and stalactite questions: each
+    u - e_i + e_j they consult has u's degree, so it lies in the level
+    exactly when it lies in the whole set.  Masks of other subsets are not
+    supported.  So each point's failure masks over the whole set are built
+    once, in O(p^2) lookups and mask operations, and a subset costs O(p)
+    mask operations per kept point, with no set-up of its own.  Stalactites
+    visit the points in any sequence (a lex order, a subset's points):
+    each point's neighbour masks are built once in O(p^2) lookups, and
+    each direction is then one AND against the points visited before it.
 
     Every part is built on first use: the lattice codes, which turn
     neighbour lookups into integer additions, the per-coordinate and degree
@@ -434,6 +490,12 @@ class ExchangeIndex:
         which some neighbour u - e_l + e_j lies in V, one AND each."""
         return [ell for ell, mask in enumerate(self.neighbours[k]) if mask & placed]
 
+    def in_order(self, order, mask=None) -> list:
+        """The positions of the points under ``mask`` (all by default) in
+        ascending ``order``, a ``LexOrder``: a stalactite visiting sequence."""
+        keys = list(map(order.key, self.ordered))
+        return sorted(range(len(keys)) if mask is None else _bits(mask), key=keys.__getitem__)
+
     def stalactites(self, visit):
         """(k, directions) for each position k of ``visit`` in turn: the
         ``directions`` of the apex ``ordered[k]`` against the points
@@ -452,7 +514,7 @@ class ExchangeIndex:
         ordered = self.ordered
         cubes = (cube(ordered[k], directions) for k, directions in self.stalactites(visit))
         counts = Counter(chain.from_iterable(cubes))
-        degree = sum(ordered[0])
+        degree = sum(ordered[visit[0]])
         return {n: -c if (degree - sum(n)) % 2 else c for n, c in counts.items()}
 
 
@@ -524,10 +586,7 @@ class Polymatroid:
     __slots__ = ("p", "points", "rank", "_memo", "__weakref__")
 
     def __init__(self, points):
-        pts = point_set(points)
-        for q in pts:
-            if any(c < 0 for c in q):
-                raise ValueError("polymatroid points must be nonnegative, got %s" % (q,))
+        pts = nonnegative_set(points)
         ok, witness = is_m_convex(pts)
         if not ok:
             raise not_m_convex(witness)

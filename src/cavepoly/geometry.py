@@ -5,7 +5,8 @@ elements, and the three-condition cave predicate.  Everything works on
 plain coordinate tuples, and the costs follow the output rather than the
 bounding box: the independence region is the down-closure of the base
 points, found level by level in O(|I| p) steps, and the cave predicate
-represents truncations as bitmasks over the point set.
+reads all three conditions from one ``ExchangeIndex`` over the point set,
+its tops and its truncations being bitmasks over it.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from dataclasses import dataclass
 
 from .core import (
     ExchangeIndex,
+    LexOrder,
     Polymatroid,
     as_point,
-    is_m_convex,
     memo,
+    nonnegative_set,
     point_set,
+    resolve_order,
 )
 from .errors import (
     DimensionMismatch,
@@ -162,19 +165,18 @@ def _box_walk(above, prefix, mask):
         yield from _box_walk(above, prefix + (value,), sub)
 
 
-def _truncation_failure(pts):
+def _truncation_failure(index):
     """Condition (3) of the cave predicate: ``{"at": b, "witness": w}`` for
     the first nonzero b of the bounding box, in ``itertools.product`` order,
     whose truncation is not a generalized polymatroid; None if there is none.
 
-    One ``ExchangeIndex`` over the sorted points serves every truncation: a
+    ``index`` is the set's ``ExchangeIndex`` and serves every truncation: a
     truncation is the AND of per-coordinate "q_i >= b_i" masks, built one
     coordinate at a time.  Masks only shrink as b grows, so the walk leaves a
     coordinate's range at the first b_i that keeps fewer than two points, and
     each distinct truncation is checked once, in O(p) mask operations per
     kept point against the index's per-point failure masks.
     """
-    index = ExchangeIndex(sorted(pts))
     above = [[index.at_least(i, value) for value in range(bound + 1)]
              for i, bound in enumerate(map(max, zip(*index.ordered)))]
     checked = {}
@@ -195,42 +197,32 @@ def is_cave(C, order=None) -> CaveReport:
     stalactites of its tops under ``order`` (identity coordinate order by
     default); (3) every nonempty truncation at nonzero b is a generalized
     polymatroid.  Which lex order condition (2) uses is a parameter: the
-    verdict is per-order and recorded in the report.
+    verdict is per-order and recorded in the report.  Past (1), negative
+    tops and an order of another length are refused.
 
-    Conditions (1) and (2) cost O(|T| p^2) lookups for the tops T, plus the
-    union's size.  (3) builds one ``ExchangeIndex`` over the set, whose
-    per-point failure masks cost O(p^2) lookups and mask operations each,
-    once; then it costs O(p) mask operations per visited box point and per
-    point kept by a distinct truncation, with no per-truncation set-up
+    One ``ExchangeIndex`` over the set answers all three, the tops being
+    its top-degree level.  Its tables cost O(p^2) lookups per point, once.
+    Then (1) and (2) cost O(p^2) mask operations per top plus the union's
+    size, and (3) O(p) mask operations per visited box point and per point
+    kept by a distinct truncation, with no per-truncation set-up
     (``_truncation_failure``).
     """
-    from . import algorithms  # deferred: algorithms builds on this module
-
     pts = point_set(C)
-    p = len(next(iter(pts)))
-    if order is None:
-        order = algorithms.LexOrder.identity(p)
+    index = ExchangeIndex(sorted(pts))
+    order = order or LexOrder.identity(index.p)
+    tops = index.full & ~index.degree_masks[max(index.degree_masks)][0]
+    witness = index.m_convex_failure(tops)
+    if witness:
+        return CaveReport(False, 1, witness, order.permutation)
+    nonnegative_set(top_elements(pts))  # the check a polymatroid of the tops makes
 
-    tops = top_elements(pts)
-    try:
-        top_poly = Polymatroid(tops)
-    except NotMConvex as exc:
-        return CaveReport(False, 1, exc.witness, order.permutation)
-    except ValueError:
-        # The constructor checks signs before M-convexity; condition (1)
-        # is judged first all the same.
-        ok, witness = is_m_convex(tops)
-        if not ok:
-            return CaveReport(False, 1, witness, order.permutation)
-        raise
-
-    union = set(algorithms.stalactite_counts(top_poly, order))
+    visit = index.in_order(resolve_order(order, index.p), tops)
+    union = set(index.stalactite_terms(visit))
     if union != pts:
-        missing = tuple(sorted(union - pts))
-        extra = tuple(sorted(pts - union))
-        return CaveReport(False, 2, {"missing": missing, "extra": extra}, order.permutation)
+        witness = {"missing": tuple(sorted(union - pts)), "extra": tuple(sorted(pts - union))}
+        return CaveReport(False, 2, witness, order.permutation)
 
-    failure = _truncation_failure(pts)
+    failure = _truncation_failure(index)
     if failure:
         return CaveReport(False, 3, failure, order.permutation)
     return CaveReport(True, None, None, order.permutation)

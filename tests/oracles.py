@@ -15,7 +15,14 @@ import itertools
 import math
 from fractions import Fraction
 
-from cavepoly.algorithms import LexOrder, MobiusTable, Stalactite, mobius_interval, stalactite_polynomial
+from cavepoly.algorithms import (
+    LexOrder,
+    MobiusTable,
+    Stalactite,
+    mobius_interval,
+    stalactite_counts,
+    stalactite_polynomial,
+)
 from cavepoly.core import (
     Polymatroid,
     RankFunction,
@@ -24,8 +31,8 @@ from cavepoly.core import (
     point_set,
     rank_from_points,
 )
-from cavepoly.errors import DimensionMismatch, InternalInvariantFailure, NotABasePoint, NotComparable
-from cavepoly.geometry import independence_points, truncate
+from cavepoly.errors import DimensionMismatch, InternalInvariantFailure, NotABasePoint, NotComparable, NotMConvex
+from cavepoly.geometry import CaveReport, independence_points, top_elements, truncate
 from cavepoly.polyalg import MultiPoly, RationalPoly, _rising_coeffs
 
 
@@ -225,6 +232,42 @@ def cave_condition_3_box_walk(pts, is_generalized):
         if not ok:
             return {"at": b, "witness": witness}
     return None
+
+
+def is_cave_via_tops_polymatroid(C, order=None) -> CaveReport:
+    """The cave predicate through a second ``Polymatroid`` built from the
+    tops: its constructor judges condition 1 (M-convexity, re-checked
+    pairwise when it first refuses a negative coordinate), its stalactite
+    counts give the union of condition 2, and condition 3 is the box walk
+    with the pairwise generalized-polymatroid check."""
+    pts = point_set(C)
+    p = len(next(iter(pts)))
+    if order is None:
+        order = LexOrder.identity(p)
+
+    tops = top_elements(pts)
+    try:
+        top_poly = Polymatroid(tops)
+    except NotMConvex as exc:
+        return CaveReport(False, 1, exc.witness, order.permutation)
+    except ValueError:
+        # The constructor checks signs before M-convexity; condition (1)
+        # is judged first all the same.
+        ok, witness = is_m_convex_pairwise(tops)
+        if not ok:
+            return CaveReport(False, 1, witness, order.permutation)
+        raise
+
+    union = set(stalactite_counts(top_poly, order))
+    if union != pts:
+        missing = tuple(sorted(union - pts))
+        extra = tuple(sorted(pts - union))
+        return CaveReport(False, 2, {"missing": missing, "extra": extra}, order.permutation)
+
+    failure = cave_condition_3_box_walk(pts, is_generalized_polymatroid_pairwise)
+    if failure:
+        return CaveReport(False, 3, failure, order.permutation)
+    return CaveReport(True, None, None, order.permutation)
 
 
 def mobius_interval_check_scan(P, closed_form=mobius_interval):

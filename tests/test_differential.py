@@ -65,6 +65,7 @@ from oracles import (
     in_independence_subset_sums,
     independence_points_box_filter,
     is_generalized_polymatroid_pairwise,
+    is_cave_via_tops_polymatroid,
     is_m_convex_pairwise,
     mobius_interval_check_scan,
     mobius_interval_normalized,
@@ -247,13 +248,49 @@ def test_cave_condition_3_matches_box_walk():
     failures = 0
     for pts in random_sets(4, 2500):
         expected = cave_condition_3_box_walk(pts, is_generalized_polymatroid_pairwise)
-        assert geometry._truncation_failure(frozenset(pts)) == expected, sorted(pts)
+        assert geometry._truncation_failure(core.ExchangeIndex(sorted(pts))) == expected, sorted(pts)
         failures += expected is not None
     for P in SMALL:
         union = set().union(*(st.members for st in stalactite_decomposition(P)))
-        assert geometry._truncation_failure(frozenset(union)) is None
+        assert geometry._truncation_failure(core.ExchangeIndex(sorted(union))) is None
         assert cave_condition_3_box_walk(union, is_generalized_polymatroid_pairwise) is None
     assert failures > 100
+
+
+def cave_predicate_inputs(seed):
+    """(point set, order) pairs: random sets, also with negative entries,
+    under the default order, every order for p <= 3 (one random order
+    beyond) and orders one coordinate too long or too short; then the
+    stalactite unions of small generated instances under the same orders,
+    as built and with one point added or removed."""
+    rng = random.Random(seed)
+
+    def orders(p):
+        perms = itertools.permutations(range(1, p + 1)) if p <= 3 else [rng.sample(range(1, p + 1), p)]
+        return [None, LexOrder.identity(p + 1)] + [LexOrder.identity(p - 1)] * (p > 1) + [*map(LexOrder, perms)]
+
+    for pts in random_sets(seed, 1200):
+        for order in orders(len(next(iter(pts)))):
+            yield pts, order
+    for P in SMALL:
+        for order in orders(P.p)[3:] or [None]:
+            union = set().union(*(st.members for st in stalactite_decomposition(P, order)))
+            region = sorted(independence_points(P).points)
+            yield union, order
+            yield union | {rng.choice(region)}, order
+            yield union | {tuple(c + rng.choice((-1, 1)) for c in rng.choice(region))}, order
+            yield union - {rng.choice(sorted(union))}, order
+
+
+def test_is_cave_matches_tops_polymatroid_oracle():
+    seen = Counter()
+    for pts, order in cave_predicate_inputs(23):
+        expected = _outcome(is_cave_via_tops_polymatroid, pts, order)
+        assert _outcome(geometry.is_cave, pts, order) == expected, (sorted(pts), order)
+        seen[expected.failed_condition if isinstance(expected, geometry.CaveReport) else expected[0]] += 1
+    assert sum(seen.values()) >= 5000
+    # Condition 3 is not in the list: no input here passes (1) and (2) yet fails (3).
+    assert min(seen[k] for k in (None, 1, 2, ValueError, DimensionMismatch)) >= 20, seen
 
 
 def test_mobius_interval_check_matches_scan(monkeypatch):
@@ -315,11 +352,10 @@ def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
     for module in (algorithms, genverify):
         monkeypatch.setattr(module, "cave_polynomial", cave_oracle)
     monkeypatch.setitem(CHECKS, "truncation-lemmas", truncation_lemmas_check_scan)
-    for module in (core, geometry):
-        monkeypatch.setattr(module, "is_m_convex", is_m_convex_pairwise)
+    monkeypatch.setattr(core, "is_m_convex", is_m_convex_pairwise)
     monkeypatch.setattr(core, "is_generalized_polymatroid", is_generalized_polymatroid_pairwise)
-    monkeypatch.setattr(geometry, "_truncation_failure",
-                        lambda pts: cave_condition_3_box_walk(pts, is_generalized_polymatroid_pairwise))
+    for module in (geometry, genverify):
+        monkeypatch.setattr(module, "is_cave", is_cave_via_tops_polymatroid)
 
     def no_index(ordered):
         raise AssertionError("the oracle run reached the exchange index")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cavepoly import core, geometry
+from cavepoly import core
 from cavepoly import (
     DimensionMismatch,
     EmptyInput,
@@ -157,15 +157,35 @@ def test_is_cave_judges_m_convexity_of_tops_before_their_signs(monkeypatch):
         is_cave({(-1, 2), (0, 1), (0, 0)})
     # The tops are validated once.
     calls = []
+    m_convex_failure = core.ExchangeIndex.m_convex_failure
 
-    def counted(points):
-        calls.append(frozenset(points))
-        return is_m_convex(points)
+    def counted(index, mask=None):
+        calls.append(frozenset(index.ordered[k] for k in core._bits(index.full if mask is None else mask)))
+        return m_convex_failure(index, mask)
 
-    monkeypatch.setattr(geometry, "is_m_convex", counted)
-    monkeypatch.setattr(core, "is_m_convex", counted)
+    monkeypatch.setattr(core.ExchangeIndex, "m_convex_failure", counted)
     assert is_cave(RUNNING_CAVE)
     assert calls == [frozenset({(0, 3), (1, 2), (2, 1)})]
+
+
+def test_is_cave_builds_one_exchange_index_and_no_polymatroid(monkeypatch):
+    unions = [set().union(*(st.members for st in stalactite_decomposition(P))) for P in instance_mix(6, seed=34)]
+    built = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, points):
+            built.append(cls)
+            init(self, points)
+        return counted
+
+    for cls in (core.ExchangeIndex, Polymatroid):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    for C in [RUNNING_CAVE, {(0, 3), (1, 2), (2, 1)}, {(2, 0), (0, 2)}] + unions:
+        built.clear()
+        is_cave(C)
+        assert built == [core.ExchangeIndex], sorted(C)
 
 
 def test_is_cave_origin_singleton():
