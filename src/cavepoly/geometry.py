@@ -209,18 +209,20 @@ def is_cave(C, order=None) -> CaveReport:
     """
     pts = point_set(C)
     index = ExchangeIndex(sorted(pts))
-    order = order or LexOrder.identity(index.p)
+    if order is None:
+        order = LexOrder.identity(index.p)
     tops = index.full & ~index.degree_masks[max(index.degree_masks)][0]
     witness = index.m_convex_failure(tops)
     if witness:
         return CaveReport(False, 1, witness, order.permutation)
-    nonnegative_set(top_elements(pts))  # the check a polymatroid of the tops makes
+    nonnegative_set(top_elements(pts))  # as a Polymatroid of the tops: the same point is named
 
     visit = index.in_order(resolve_order(order, index.p), tops)
     union = set(index.stalactite_terms(visit))
     if union != pts:
-        witness = {"missing": tuple(sorted(union - pts)), "extra": tuple(sorted(pts - union))}
-        return CaveReport(False, 2, witness, order.permutation)
+        missing = tuple(sorted(union - pts))
+        extra = tuple(sorted(pts - union))
+        return CaveReport(False, 2, {"missing": missing, "extra": extra}, order.permutation)
 
     failure = _truncation_failure(index)
     if failure:

@@ -262,7 +262,8 @@ def cave_predicate_inputs(seed):
     under the default order, every order for p <= 3 (one random order
     beyond) and orders one coordinate too long or too short; then the
     stalactite unions of small generated instances under the same orders,
-    as built and with one point added or removed."""
+    as built, with one point added or removed, and translated by a vector
+    with negative entries (M-convex tops with several negative points)."""
     rng = random.Random(seed)
 
     def orders(p):
@@ -280,6 +281,8 @@ def cave_predicate_inputs(seed):
             yield union | {rng.choice(region)}, order
             yield union | {tuple(c + rng.choice((-1, 1)) for c in rng.choice(region))}, order
             yield union - {rng.choice(sorted(union))}, order
+            shift = [rng.randint(-2, 0) for _ in range(P.p)]
+            yield {tuple(map(sum, zip(q, shift))) for q in union}, order
 
 
 def test_is_cave_matches_tops_polymatroid_oracle():
