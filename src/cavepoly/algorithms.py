@@ -4,15 +4,14 @@ Four independent computations of one polynomial:
 
 * ``cave_polynomial``       -- expands the indicator-product formula
   sum_n 1_P(n) * prod_{i<p} (1 - [n has a neighbor n-e_i+e_j, j>i] t_i^{-1}) t^n
-  over the base points, in plain exponent dicts;
+  over the base points, in dicts keyed by lattice codes;
 * ``stalactite_polynomial`` -- counts, per lattice point, the stalactites
   containing it in the greedy lex-ordered decomposition, with sign
   (-1)^(rank-|n|);
 * ``box_polynomial``        -- sums prod_i (t_i^{n_i} - t_i^{n_i-1}) over the
   independence points (factor 1 where n_i = 0), one coordinate at a time;
 * ``mobius_polynomial``     -- Mobius values of the independence lattice with
-  a maximum adjoined, via the three-case recurrence, summed in one pass
-  over the region in decreasing degree (O(|I| p)).
+  a maximum adjoined, via the three-case recurrence.
 
 They agree exactly on every polymatroid; the genverify module tests that
 differentially.  The Snapper polynomial is reached two ways as well: by
@@ -24,14 +23,11 @@ skips coordinate p); permuted orders are exercised through the stalactite
 route, whose polynomial is order-invariant.
 
 Each route's result is held in the polymatroid's memo store; the routes
-share only its exchange index and independence region.  The stalactite
-counts of a lex order are the absolute coefficients of its stalactite
-polynomial, so they come from the same kernel,
-``ExchangeIndex.stalactite_terms``.  ``neighbors``, ``stalactite`` and
-``stalactite_decomposition`` read the index's neighbour masks and build
-``Stalactite`` cubes for callers that want them; every stalactite's
-members come from ``core.cube``.  The cave route uses neither: it tries
-its own moves against the base points.
+share only its exchange index and independence region.  ``neighbors``,
+``stalactite`` and ``stalactite_decomposition`` read the index's neighbour
+masks and build ``Stalactite`` cubes for callers that want them; every
+stalactite's members come from ``core.cube``.  The cave route uses
+neither: it tries its own moves against the base points' lattice codes.
 """
 
 from __future__ import annotations
@@ -42,8 +38,8 @@ from itertools import accumulate
 from operator import gt, sub
 from types import MappingProxyType
 
-from .core import LexOrder, Polymatroid, _bits, as_point, cube, exchange_index, memo, resolve_order
-from .errors import DimensionMismatch, NotABasePoint, NotComparable
+from .core import LatticeCode, LexOrder, Polymatroid, _bits, as_point, cube, exchange_index, memo, resolve_order
+from .errors import DimensionMismatch, InternalInvariantFailure, NotABasePoint, NotComparable
 from .geometry import independence_points
 from .polyalg import BinomialBasisPoly, MultiPoly, axiswise, binomial_map
 
@@ -163,27 +159,34 @@ def _stalactite_polynomial(P: Polymatroid, order: LexOrder) -> MultiPoly:
 def cave_polynomial(P: Polymatroid) -> MultiPoly:
     """Expand the indicator-product formula over the base points.
 
-    Each base point u starts as the exponent dict {u: 1}.  For each i < p
-    with a neighbour u - e_i + e_j, j > i, in P (tried by tuple slicing,
-    the route's own move test), the factor 1 - t_i^{-1} is one pass over
-    the dict: every exponent e keeps its coefficient and adds its negative
-    at e - e_i.  The products are summed into one dict, and one
-    ``MultiPoly`` is built at the end.  Every t_i^{-1} multiplies an
-    exponent with e_i >= 1, so that polynomial is ordinary (asserted).
+    Exponents are codes of the ``LatticeCode`` with spans cage_i + 2 and
+    strides s_i.  Each base point u starts as {code(u): 1}.  For each i < p
+    with a neighbour u - e_i + e_j, j > i, in P (the route's own move test,
+    code(u) - s_i + s_j among the base points' codes: the margin keeps
+    u_j + 1 from carrying, and u_i = 0 leaves digit i at cage_i + 1, so no
+    move aliases), the factor 1 - t_i^{-1} adds each code's negative at
+    e - s_i.  Every such e has e_i = u_i >= 1 (else
+    ``InternalInvariantFailure``), so no code leaves the box.  The sum is
+    decoded into one ``MultiPoly``: O(|B| p^2) lookups plus O(p) per term.
     """
-    p = P.p
-    points = P.points
+    lattice = LatticeCode([c + 2 for c in P.cage])
+    strides = lattice.strides
+    rises = [[s - down for s in strides[i + 1:]] for i, down in enumerate(strides[:-1])]
+    ordered = sorted(P.points)
+    base = dict(zip(lattice.encode(ordered), ordered))
     acc = {}
-    for u in sorted(points):
-        term = {u: 1}
-        for i in range(p - 1):  # the formula's product runs i = 1..p-1
-            head, down = u[:i], u[i] - 1
-            if any(head + (down,) + u[i + 1:j] + (u[j] + 1,) + u[j + 1:] in points for j in range(i + 1, p)):
-                # Every exponent so far has e_i = u_i, so each e - e_i is new.
-                term.update({e[:i] + (e[i] - 1,) + e[i + 1:]: -c for e, c in term.items()})
+    for code, u in base.items():
+        term = {code: 1}
+        for i, moves in enumerate(rises):  # the formula's product runs i = 1..p-1
+            if any(code + move in base for move in moves):
+                if u[i] < 1:
+                    raise InternalInvariantFailure("t_%d^-1 applied to %s, whose entry %d is 0" % (i + 1, u, i + 1))
+                # Every code so far has digit i = u_i, so each e - s_i is new.
+                down = strides[i]
+                term.update({e - down: -c for e, c in term.items()})
         for e, c in term.items():
             acc[e] = acc.get(e, 0) + c
-    return MultiPoly(p, acc).assert_ordinary()
+    return MultiPoly(P.p, dict(zip(lattice.decode(acc), acc.values())))
 
 
 def box_summands(P: Polymatroid) -> dict:
@@ -250,15 +253,21 @@ def mobius_table(P: Polymatroid) -> MobiusTable:
     exceeds n, so mu(n) = 1 - sum_k partial[n + e_k][k] (0 outside the
     region, which is down-closed), and partial[n][k] = partial[n][k - 1] +
     partial[n + e_k][k] with partial[n][-1] = mu(n): O(|I| p) in total
-    (a trimmed zeta transform over the product of chains).
+    (a trimmed zeta transform over the product of chains).  ``partial`` is
+    keyed by the codes of the ``LatticeCode`` with spans cage_i + 2, so
+    n + e_k is the lookup code(n) + stride_k, which the margin keeps from
+    carrying.
     """
     outside = (0,) * P.p
+    lattice = LatticeCode([c + 2 for c in P.cage])
+    strides = list(enumerate(lattice.strides))
     partial = {}
     values = {}
-    for n in sorted(independence_points(P).points, key=sum, reverse=True):
-        above = [partial.get(n[:k] + (c + 1,) + n[k + 1:], outside)[k] for k, c in enumerate(n)]
+    order = sorted(independence_points(P).points, key=sum, reverse=True)
+    for n, code in zip(order, lattice.encode(order)):
+        above = [partial.get(code + s, outside)[k] for k, s in strides]
         values[n] = mu = 1 - sum(above)
-        partial[n] = tuple(accumulate(above, initial=mu))[1:]
+        partial[code] = tuple(accumulate(above, initial=mu))[1:]
     return MobiusTable(P.p, P.rank, values)
 
 

@@ -9,19 +9,15 @@ A polymatroid on ground set {1, ..., p} is handled in two equivalent forms:
   (``Polymatroid``).
 
 ``points_from_rank`` and ``rank_from_points`` convert between the two and
-round-trip exactly, each in O(|B| 2^p) list operations: base points grow
-coordinate by coordinate inside the projection bounds of the base polytope,
-and the rank table is the columnwise maximum of their subset-sum tables.
-Subsets are encoded internally as p-bit masks, with bit ``i-1`` standing for
-element ``i``; the dense 2^p table caps ``p`` at 16.
+round-trip exactly.  Subsets are encoded internally as p-bit masks, with
+bit ``i-1`` standing for element ``i``; the dense 2^p table caps ``p`` at 16.
 
-``ExchangeIndex`` answers the exchange questions (first M-convex and
-generalized-polymatroid failures, stalactite directions, signed stalactite
-terms) for a point list, for each threshold truncation {q >= b} of it and
-for its top-degree level, each given as a bitmask; ``is_m_convex`` and
-``is_generalized_polymatroid`` are its whole-set case.  Each point's failure
-masks cost O(p^2) lookups and mask operations, once; a subset then costs
-O(p) mask operations per kept point, with no set-up of its own.  ``cube``
+``LatticeCode`` is the one mixed-radix integer code of lattice points, in
+which a step +- e_i is an addition; the exchange index, the changes of
+basis in ``polyalg``, the Mobius table and the cave route key their points
+by it.  ``ExchangeIndex`` answers the exchange questions for a point list
+and for its bitmask subsets; ``is_m_convex`` and
+``is_generalized_polymatroid`` are its whole-set case.  ``cube``
 builds the members of every stalactite, whose apexes are visited in a
 ``LexOrder``, as one product of per-coordinate axes.
 
@@ -41,8 +37,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
-from itertools import chain, product
-from operator import itemgetter, mul, or_, sub
+from itertools import accumulate, chain, product, repeat
+from operator import floordiv, itemgetter, mod, mul, or_, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -79,11 +75,11 @@ def point_set(points) -> frozenset:
 
 
 def nonnegative_set(points) -> frozenset:
-    """``point_set(points)``, naming its first point with a negative entry."""
+    """``point_set(points)``, naming its smallest point with a negative entry."""
     pts = point_set(points)
-    for q in pts:
-        if any(c < 0 for c in q):
-            raise ValueError("polymatroid points must be nonnegative, got %s" % (q,))
+    negative = [q for q in pts if min(q, default=0) < 0]
+    if negative:
+        raise ValueError("polymatroid points must be nonnegative, got %s" % (min(negative),))
     return pts
 
 
@@ -287,8 +283,38 @@ def cube(apex, directions):
 
 
 def _bits(mask) -> list:
-    """Positions of the set bits of a nonnegative ``mask``, ascending."""
-    return [k for k, c in enumerate(reversed(bin(mask))) if c == "1"]
+    """Positions of the set bits of a nonnegative ``mask``, ascending: one
+    ``str.find`` per set bit over the reversed binary string."""
+    digits, out = bin(mask)[::-1], []
+    k = digits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = digits.find("1", k + 1)
+    return out
+
+
+class LatticeCode:
+    """Mixed-radix integer codes of lattice points with per-coordinate
+    ``spans``: code(q) = sum of q_i * strides[i], strides[0] = 1 and
+    strides[i + 1] = strides[i] * spans[i].  So q +- e_i has the code
+    code(q) +- strides[i], and on the box 0 <= q_i < spans[i] the code is a
+    bijection onto range(prod spans), which ``decode`` inverts."""
+
+    __slots__ = ("spans", "strides")
+
+    def __init__(self, spans):
+        self.spans = tuple(spans)
+        self.strides = tuple(accumulate(self.spans, mul, initial=1))[:-1]
+
+    def encode(self, points) -> list:
+        """The codes of a collection of points of length p, as a list."""
+        return [sum(map(mul, q, self.strides)) for q in points]
+
+    def decode(self, codes) -> list:
+        """The points of a collection of codes of the box, as a list: digit i
+        is code // strides[i] % spans[i], one ``map`` per coordinate."""
+        return list(zip(*[map(mod, map(floordiv, codes, repeat(stride)), repeat(span))
+                          for stride, span in zip(self.strides, self.spans)]))
 
 
 class ExchangeIndex:
@@ -326,17 +352,14 @@ class ExchangeIndex:
         self._gp = [None] * len(ordered)
 
     @cached_property
-    def strides(self) -> list:
-        """code(q +- e_i) = code(q) +- strides[i]; a margin of one around
-        each coordinate's range keeps all those codes distinct."""
-        strides = [1]
-        for col in zip(*self.ordered):
-            strides.append(strides[-1] * (max(col) - min(col) + 3))
-        return strides[:-1]
+    def lattice(self) -> LatticeCode:
+        """The code of each coordinate's range widened by one on both sides,
+        which keeps the codes of all q +- e_i distinct."""
+        return LatticeCode([max(col) - min(col) + 3 for col in zip(*self.ordered)])
 
     @cached_property
     def codes(self) -> list:
-        return [sum(map(mul, q, self.strides)) for q in self.ordered]
+        return self.lattice.encode(self.ordered)
 
     @cached_property
     def position(self) -> dict:
@@ -345,8 +368,8 @@ class ExchangeIndex:
     @cached_property
     def moves(self) -> list:
         """moves[i]: (j, code(u - e_i + e_j) - code(u)) for every j != i."""
-        return [[(j, rise - down) for j, rise in enumerate(self.strides) if j != i]
-                for i, down in enumerate(self.strides)]
+        strides = self.lattice.strides
+        return [[(j, rise - down) for j, rise in enumerate(strides) if j != i] for i, down in enumerate(strides)]
 
     @cached_property
     def neighbours(self) -> list:
@@ -379,9 +402,10 @@ class ExchangeIndex:
         """up[i][j]: the points v with v + e_i - e_j in the set; up[i][i]:
         those with v + e_i in it."""
         up = [[0] * self.p for _ in range(self.p)]
+        strides = self.lattice.strides
         for k, code in enumerate(self.codes):
             for j, moves in enumerate(self.moves):
-                if code + self.strides[j] in self.position:
+                if code + strides[j] in self.position:
                     up[j][j] |= 1 << k
                 for i, move in moves:  # move = code(v - e_j + e_i) - code(v)
                     if code + move in self.position:
@@ -433,7 +457,7 @@ class ExchangeIndex:
             u, code = self.ordered[k], self.codes[k]
             masks, position, up = self.masks, self.position, self.up
             lower = self.degree_masks[sum(u)][0]
-            drops = [code - s in position for s in self.strides]
+            drops = [code - s in position for s in self.lattice.strides]
             failing = []
             for i, moves in enumerate(self.moves):
                 rescued = lower & up[i][i] if drops[i] else 0
@@ -535,8 +559,7 @@ def is_m_convex(points):
     failure is reported as ``(u, v, None)``.  The witness is the first
     failure in sorted (u, v, i) order.
 
-    The whole-set case of ``ExchangeIndex.m_convex_failure``: bit-parallel
-    over v, O(p^2) lookups and operations on |B|-bit masks per u.
+    The whole-set case of ``ExchangeIndex.m_convex_failure``.
     """
     witness = ExchangeIndex(sorted(point_set(points))).m_convex_failure()
     return witness is None, witness
@@ -556,8 +579,7 @@ def is_generalized_polymatroid(points):
     condition (2) failure of the degree comparison.  The witness is the
     first failure in sorted (u, v, i) order, condition (2) after every i.
 
-    The whole-set case of ``ExchangeIndex.gp_failure``: O(|S| p^2) lookups
-    build the up-table, then each u costs O(p^2) lookups and mask operations.
+    The whole-set case of ``ExchangeIndex.gp_failure``.
     """
     witness = ExchangeIndex(sorted(point_set(points))).gp_failure()
     return witness is None, witness

@@ -40,6 +40,7 @@ from .algorithms import (
     stalactite_polynomial,
 )
 from .core import (
+    MAX_GROUND_SET,
     ExchangeIndex,
     Polymatroid,
     RankFunction,
@@ -80,6 +81,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be >= 1")
+        if self.p > MAX_GROUND_SET:  # before any 2^p subset-sum table is built
+            raise ValueError("p must be <= %d" % MAX_GROUND_SET)
         if self.max_rank < 1 or self.max_cage_entry < 1:
             raise ValueError("generation bounds must be positive")
         if self.strategy not in STRATEGIES:
@@ -208,36 +211,36 @@ def _check_lex_order_invariance(P):
     return True, None
 
 
-def _points_above(region):
-    """Each point n of the region, in order, with the region's points >= n in
-    region order, selected by the threshold masks of one ``ExchangeIndex``."""
-    index = ExchangeIndex(region)
-    for n in region:
-        yield n, [region[k] for k in _bits(index.truncation(n))]
-
-
 def _check_mobius_interval_closed_form(P):
     """The raw recurrence mu(m, a) = -sum of mu(m, b) over m <= b < a against
     ``mobius_interval``, for every comparable pair of independence points.
 
-    The a >= m come from threshold masks over the region in (degree, lex)
-    order.  The region is down-closed, so the b of the sum are exactly the
-    interval box [m, a] without a, all processed before a, and the value
-    depends only on d = a - m: it is memoised by d and summed over the box
-    [0, d] once per distinct d, from entries that earlier pairs of the same
-    m have filled.  Every pair still meets the closed form."""
+    The a >= m come from the threshold masks of one ``ExchangeIndex`` over
+    the region in (degree, lex) order.  The region is down-closed, so the b
+    of the sum are the box [m, a] without a, all processed before a, and
+    the value depends only on d = a - m: it is memoised by the code
+    difference code(a) - code(m) and, on a miss, summed over the codes of
+    [0, d], which earlier pairs of the same m have filled.  Per m, the list
+    of ``mobius_interval`` values, one call per pair, meets the recurrence's."""
     region = sorted(independence_points(P).points, key=lambda n: (sum(n), n))
+    index = ExchangeIndex(region)
+    codes, strides = index.codes, index.lattice.strides
     raw = {}
-    for m, above in _points_above(region):
-        for a in above:
-            d = tuple(map(sub, a, m))
-            val = raw.get(d)
-            if val is None:
-                box = itertools.product(*(range(c + 1) for c in d))
-                val = raw[d] = -sum(raw[b] for b in box if b != d) if any(d) else 1
-            if mobius_interval(m, a) != val:
-                return False, "interval [%s, %s]: closed form %d, recurrence %d" % (
-                    m, a, mobius_interval(m, a), val)
+    for m, code in zip(region, codes):
+        above = _bits(index.truncation(m))
+        keys = list(map(sub, map(codes.__getitem__, above), itertools.repeat(code)))
+        recurrence = list(map(raw.get, keys))
+        for t, key in enumerate(keys):
+            if recurrence[t] is None:
+                d = map(sub, region[above[t]], m)
+                box = itertools.product(*(range(0, (c + 1) * s, s) for c, s in zip(d, strides)))
+                recurrence[t] = raw[key] = -sum(raw[b] for b in map(sum, box) if b != key) if key else 1
+        points = list(map(region.__getitem__, above))
+        closed = list(map(mobius_interval, itertools.repeat(m), points))
+        if closed != recurrence:
+            t = next(t for t, (c, r) in enumerate(zip(closed, recurrence)) if c != r)
+            return False, "interval [%s, %s]: closed form %d, recurrence %d" % (
+                m, points[t], closed[t], recurrence[t])
     return True, None
 
 
@@ -269,8 +272,10 @@ def _check_truncation_lemmas(P):
     per-truncation set-up."""
     stal_p = stalactite_polynomial(P).terms
     bases = exchange_index(P)
+    region = sorted(independence_points(P).points)
+    index = ExchangeIndex(region)  # its threshold masks give the region above n
     truncations = {}
-    for n, above in _points_above(sorted(independence_points(P).points)):
+    for n in region:
         kept = bases.truncation(n)
         if kept not in truncations:
             if not kept:
@@ -281,7 +286,7 @@ def _check_truncation_lemmas(P):
                     "truncation at %s is not a polymatroid: %s" % (n, not_m_convex(witness)))
             truncations[kept] = bases.stalactite_terms(_bits(kept))
         stal_sub = truncations[kept]
-        for m in above:
+        for m in map(region.__getitem__, _bits(index.truncation(n))):
             if stal_sub.get(m, 0) != stal_p.get(m, 0):
                 return False, "truncation at %s: coefficient at %s is %d, expected %d" % (
                     n, m, stal_sub.get(m, 0), stal_p.get(m, 0))

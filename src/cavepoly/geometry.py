@@ -1,12 +1,10 @@
 """Lattice-point machinery around a polymatroid.
 
 Covers the integer points of the independence polytope, truncations, top
-elements, and the three-condition cave predicate.  Everything works on
-plain coordinate tuples, and the costs follow the output rather than the
-bounding box: the independence region is the down-closure of the base
-points, found level by level in O(|I| p) steps, and the cave predicate
-reads all three conditions from one ``ExchangeIndex`` over the point set,
-its tops and its truncations being bitmasks over it.
+elements, and the three-condition cave predicate, on plain coordinate
+tuples.  The cave predicate reads all three conditions from one
+``ExchangeIndex`` over the point set, its tops and its truncations being
+bitmasks over it.
 """
 
 from __future__ import annotations
@@ -17,6 +15,7 @@ from .core import (
     ExchangeIndex,
     LexOrder,
     Polymatroid,
+    _bits,
     as_point,
     memo,
     nonnegative_set,
@@ -201,11 +200,8 @@ def is_cave(C, order=None) -> CaveReport:
     tops and an order of another length are refused.
 
     One ``ExchangeIndex`` over the set answers all three, the tops being
-    its top-degree level.  Its tables cost O(p^2) lookups per point, once.
-    Then (1) and (2) cost O(p^2) mask operations per top plus the union's
-    size, and (3) O(p) mask operations per visited box point and per point
-    kept by a distinct truncation, with no per-truncation set-up
-    (``_truncation_failure``).
+    its top-degree level: (1) and (2) cost O(p^2) mask operations per top
+    plus the union's size, and (3) is ``_truncation_failure``.
     """
     pts = point_set(C)
     index = ExchangeIndex(sorted(pts))
@@ -215,7 +211,7 @@ def is_cave(C, order=None) -> CaveReport:
     witness = index.m_convex_failure(tops)
     if witness:
         return CaveReport(False, 1, witness, order.permutation)
-    nonnegative_set(top_elements(pts))  # as a Polymatroid of the tops: the same point is named
+    nonnegative_set(map(index.ordered.__getitem__, _bits(tops)))  # the error a Polymatroid of the tops raises
 
     visit = index.in_order(resolve_order(order, index.p), tops)
     union = set(index.stalactite_terms(visit))

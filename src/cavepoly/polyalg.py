@@ -4,18 +4,12 @@ Three representations on one base, ``_SparsePoly``, all with exact
 coefficients and dict-of-terms storage keyed by exponent/index tuples of
 fixed length p.  The base normalizes the terms and gives equality, hashing,
 truth, evaluation and ``repr``; each representation adds its coefficient
-check and its per-coordinate factor.  Its per-term loop is the definition
-of the terms; a dict the library has built (exact tuple keys of length p,
-coefficients of exactly the stored type) is checked in bulk instead and
-keeps its items, zeros dropped, which is what the loop returns for it.
-``terms`` is a read-only ``MappingProxyType`` view, so a result held in a
-polymatroid's memo store and handed to every caller cannot be changed by
-one caller under another:
+check and its per-coordinate factor.  ``terms`` is a read-only
+``MappingProxyType`` view, so a result held in a polymatroid's memo store
+and handed to every caller cannot be changed by one caller under another:
 
 * ``MultiPoly``        -- integer coefficients on monomials t^n.  Exponents
-  may be negative (the cave route cancels ``t_i^{-1}`` factors in plain
-  dicts before it builds its result); finished polynomials must pass
-  ``assert_ordinary``.
+  may be negative; ``assert_ordinary`` refuses them in a finished result.
 * ``BinomialBasisPoly`` -- integer coefficients on products of binomial
   expressions ``prod_i C(t_i + n_i + shift, n_i)``.  ``shift=0`` is the
   basis of the Snapper polynomial, ``shift=-1`` the shifted basis of the
@@ -24,10 +18,8 @@ one caller under another:
   expanded form in which the two binomial bases can be compared exactly.
 
 ``expand_binomial`` and the box route in ``algorithms`` are per-coordinate
-changes of basis of an integer combination indexed by lattice points.
-``axiswise`` applies one coordinate's table to every key at a time, so a
-change costs O(p * terms * row length) instead of a full product per term;
-the binomial expansion stays in integers until one Fraction per monomial.
+changes of basis of an integer combination indexed by lattice points,
+both through ``axiswise``.
 
 Canonical printing orders terms by total degree descending, ties broken by
 descending comparison of the sparse (variable, exponent) pair sequence, so
@@ -40,8 +32,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 
+from .core import LatticeCode
 from .errors import DimensionMismatch, InternalInvariantFailure, NegativeExponent
 
 
@@ -301,21 +295,33 @@ def _rising_coeffs(n: int, shift: int) -> tuple:
 def axiswise(terms, rows) -> dict:
     """Change basis one coordinate at a time.
 
-    ``terms`` maps index tuples to integer coefficients; ``rows[i][n]`` is
-    the combination of (index, coefficient) pairs that index n on
-    coordinate i becomes.  Each coordinate is one pass over the current
-    terms, so the change costs O(p * terms * row length) rather than a full
-    product per term.  Zero coefficients are dropped after every pass.
+    ``terms`` maps index tuples of length p = len(rows) to integer
+    coefficients; ``rows[i][n]`` is the combination of (index, coefficient)
+    pairs that index n on coordinate i becomes.  Another key length, or an
+    index outside [0, len(rows[i])) in a key or a row, raises ``ValueError``.
+    Keys are encoded once by the ``LatticeCode`` of those spans and decoded
+    once; n -> d on coordinate i adds (d - n) * strides[i].  Each coordinate
+    is one pass, O(p * terms * row length) additions, then drops zeros.
     """
-    for i, row in enumerate(rows):
+    lattice = LatticeCode(map(len, rows))
+    if not set(map(len, terms)) <= {len(rows)}:
+        raise ValueError("every key must have %d entries" % len(rows))
+    columns = zip(*terms) if terms else [()] * len(rows)
+    for i, (span, column, row) in enumerate(zip(lattice.spans, columns, rows)):
+        bad = {*column, *map(itemgetter(0), chain.from_iterable(row))}.difference(range(span))
+        if bad:
+            raise ValueError("index %d on coordinate %d is outside [0, %d)" % (min(bad), i + 1, span))
+    codes = dict(zip(lattice.encode(terms), terms.values()))
+    for span, stride, row in zip(lattice.spans, lattice.strides, rows):
+        offsets = [[((d - n) * stride, c) for d, c in entries] for n, entries in enumerate(row)]
         out = {}
-        for key, v in terms.items():
-            head, tail = key[:i], key[i + 1:]
-            for d, c in row[key[i]]:
-                k = head + (d,) + tail
-                out[k] = out.get(k, 0) + v * c
-        terms = {k: v for k, v in out.items() if v}
-    return terms
+        get = out.get
+        for code, v in codes.items():
+            for move, c in offsets[code // stride % span]:
+                k = code + move
+                out[k] = get(k, 0) + v * c
+        codes = {k: v for k, v in out.items() if v}
+    return dict(zip(lattice.decode(codes), codes.values()))
 
 
 def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:
@@ -323,8 +329,8 @@ def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:
     C(t+2,2) -> (t^2 + 3t + 2)/2.
 
     Coordinate i is scaled by N_i!, N_i its largest index, so index n maps
-    to the integer row ``_rising_coeffs(n, shift) * N_i!/n!``.  The change
-    runs in integers through ``axiswise``, O(p * terms * max N_i), and one
+    to the integer row ``_rising_coeffs(n, shift) * N_i!/n!`` of degrees
+    0..n.  The change runs in integers through ``axiswise``, and one
     Fraction is built per final monomial.
     """
     tops = [max((n[i] for n in b.terms), default=0) for i in range(b.p)]

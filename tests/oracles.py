@@ -6,14 +6,16 @@ walk, bit-parallel exchange masks, indexed stalactite directions, changes
 of basis one coordinate at a time, local submodularity, base points
 enumerated inside the projection bounds, subset-sum tables, truncation
 lemmas over the parent region, one sparse Mobius pass over the region, the
-exchange index's neighbour masks for ``neighbors`` and ``stalactite``); the
-differential tests require both to return identical results and identical
-failure witnesses.
+exchange index's neighbour masks for ``neighbors`` and ``stalactite``,
+integer lattice codes in the changes of basis, the Mobius table and the
+cave route, a ``str.find`` loop for set bits); the differential tests
+require both to return identical results and identical failure witnesses.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from cavepoly.algorithms import (
     LexOrder,
@@ -474,3 +476,54 @@ def mobius_table_box_sweep(P) -> MobiusTable:
             values[n] = mu
             acc[flat(n)] = mu
     return MobiusTable(p, P.rank, values)
+
+
+def bits_scan(mask) -> list:
+    """Positions of the set bits of ``mask``: a walk over every character
+    of its binary string."""
+    return [k for k, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+
+def axiswise_slices(terms, rows) -> dict:
+    """The change of basis one coordinate at a time on index tuples: every
+    (term, row entry) builds a new key by slicing, and an entry outside
+    [0, len(rows[i])) indexes its row as Python does (-1 is the last)."""
+    for i, row in enumerate(rows):
+        out = {}
+        for key, v in terms.items():
+            head, tail = key[:i], key[i + 1:]
+            for d, c in row[key[i]]:
+                k = head + (d,) + tail
+                out[k] = out.get(k, 0) + v * c
+        terms = {k: v for k, v in out.items() if v}
+    return terms
+
+
+def mobius_table_slices(P) -> MobiusTable:
+    """The one-pass Mobius recurrence with ``partial`` keyed by points, each
+    n + e_k built by slicing."""
+    outside = (0,) * P.p
+    partial = {}
+    values = {}
+    for n in sorted(independence_points(P).points, key=sum, reverse=True):
+        above = [partial.get(n[:k] + (c + 1,) + n[k + 1:], outside)[k] for k, c in enumerate(n)]
+        values[n] = mu = 1 - sum(above)
+        partial[n] = tuple(accumulate(above, initial=mu))[1:]
+    return MobiusTable(P.p, P.rank, values)
+
+
+def cave_polynomial_slices(P) -> MultiPoly:
+    """The cave formula over plain exponent dicts keyed by tuples: every move
+    u - e_i + e_j and every e - e_i built by slicing."""
+    p = P.p
+    points = P.points
+    acc = {}
+    for u in sorted(points):
+        term = {u: 1}
+        for i in range(p - 1):
+            head, down = u[:i], u[i] - 1
+            if any(head + (down,) + u[i + 1:j] + (u[j] + 1,) + u[j + 1:] in points for j in range(i + 1, p)):
+                term.update({e[:i] + (e[i] - 1,) + e[i + 1:]: -c for e, c in term.items()})
+        for e, c in term.items():
+            acc[e] = acc.get(e, 0) + c
+    return MultiPoly(p, acc).assert_ordinary()

@@ -307,6 +307,17 @@ def test_verify_campaign_matches_golden_document(strategy):
     assert out.encode("utf-8") == (GOLDEN / ("verify_p4_%s.json" % strategy)).read_bytes()
 
 
+def test_generator_commands_refuse_p_beyond_the_ground_set_bound(monkeypatch):
+    from cavepoly import genverify
+
+    def no_table(weights):
+        raise AssertionError("a subset-sum table was built")
+
+    monkeypatch.setattr(genverify, "_subset_sums", no_table)
+    for argv in (["random", "--p", "40"], ["verify", "--p", "17", "--count", "1"]):
+        assert run(argv) == (2, "", "error: p must be <= 16\n"), argv
+
+
 def test_exit_statuses_on_bad_input():
     assert run(["cave"], stdin="{oops")[0] == 2
     assert run(["cave"], stdin='{"points": [[2,0],[0,2]]}')[0] == 2

@@ -22,6 +22,8 @@ from cavepoly import (
     rank_from_points,
     validate_rank_function,
 )
+from cavepoly.core import LatticeCode
+from cavepoly.geometry import is_cave
 from conftest import instance_mix
 
 RUNNING_VALUES = {(): 0, (1,): 2, (2,): 3, (1, 2): 3}
@@ -254,6 +256,25 @@ def test_polymatroid_rejects_bad_inputs():
     with pytest.raises(NotMConvex) as exc:
         Polymatroid([(2, 0), (0, 2)])
     assert exc.value.witness is not None
+
+
+def test_the_smallest_negative_point_is_named():
+    points = [(2, -1), (-1, 2), (0, 1), (1, 0)]
+    for order in (points, points[::-1], sorted(points)):
+        with pytest.raises(ValueError, match=r"nonnegative, got \(-1, 2\)$"):
+            Polymatroid(order)
+    # is_cave refuses the same M-convex tops with the same message.
+    with pytest.raises(ValueError, match=r"nonnegative, got \(-1, 2\)$"):
+        is_cave(set(points) | {(0, 0), (-1, 1)})
+
+
+def test_lattice_code_steps_and_decodes():
+    code = LatticeCode((3, 1, 4))
+    assert code.strides == (1, 3, 3)
+    box = list(itertools.product(range(3), range(1), range(4)))
+    assert sorted(code.encode(box)) == list(range(12))
+    assert code.decode(code.encode(box)) == box
+    assert code.encode([(2, 0, 1)])[0] + code.strides[2] == code.encode([(2, 0, 2)])[0]
 
 
 def test_polymatroid_is_immutable(running):

@@ -46,6 +46,7 @@ from cavepoly import (
     is_generalized_polymatroid,
     is_m_convex,
     named_family,
+    polyalg,
     snapper_eur_larson,
     snapper_from_cave,
     stalactite_counts,
@@ -59,8 +60,11 @@ from cavepoly.algorithms import LexOrder
 from cavepoly.genverify import CHECKS
 from conftest import instance_mix
 from oracles import (
+    axiswise_slices,
+    bits_scan,
     cave_condition_3_box_walk,
     cave_polynomial_products,
+    cave_polynomial_slices,
     expand_binomial_per_term,
     in_independence_subset_sums,
     independence_points_box_filter,
@@ -70,6 +74,7 @@ from oracles import (
     mobius_interval_check_scan,
     mobius_interval_normalized,
     mobius_table_box_sweep,
+    mobius_table_slices,
     neighbors_scan,
     points_from_rank_box_filter,
     rank_from_points_subset_loop,
@@ -204,14 +209,84 @@ def test_stalactite_and_neighbors_match_scan_oracles():
 
 
 def test_mobius_table_matches_box_sweep():
+    # Most generated instances have a zero cage entry, where a lattice code
+    # without its margin would alias n + e_k with another point.
+    assert sum(0 in P.cage for P in GENERATED) > 50
     for P in GENERATED + LADDER:
         table = algorithms.mobius_table(P)
         assert table == mobius_table_box_sweep(P) and table.rank == P.rank, P
+        assert table == mobius_table_slices(P), P
 
 
 def test_cave_polynomial_matches_product_oracle():
     for P in GENERATED + LADDER:
         assert cave_polynomial(P) == cave_polynomial_products(P), P
+        # The coded route builds its terms in the same order as the tuple one.
+        assert list(cave_polynomial(P).terms.items()) == list(cave_polynomial_slices(P).terms.items()), P
+
+
+def test_cave_polynomial_reads_no_exchange_index(monkeypatch):
+    instances = instance_mix(30, seed=8_500, ps=(2, 3, 4, 5), max_rank=6, max_cage_entry=4)
+
+    def banned(*args):
+        raise AssertionError("the cave route read the exchange index")
+
+    for module in (core, algorithms):
+        monkeypatch.setattr(module, "exchange_index", banned)
+    monkeypatch.setattr(core, "ExchangeIndex", banned)
+    for P in instances:
+        assert cave_polynomial(P) == cave_polynomial_slices(P), P
+
+
+def test_cave_polynomial_refuses_an_inverse_of_a_zero_entry(monkeypatch):
+    # Without the margin of one, spans cage_i + 1, the move test on (0, 1, 0)
+    # at i = 1 reads code(u) - s_1 + s_2 = code(u): a false neighbour whose
+    # t_1^{-1} would drop the zero first entry.
+    assert cave_polynomial(Polymatroid([(0, 1, 0)])).terms == {(0, 1, 0): 1}
+    monkeypatch.setattr(algorithms, "LatticeCode", lambda spans: core.LatticeCode([s - 1 for s in spans]))
+    with pytest.raises(InternalInvariantFailure, match=r"t_1\^-1 applied to \(0, 1, 0\), whose entry 1 is 0"):
+        cave_polynomial(Polymatroid([(0, 1, 0)]))
+
+
+def random_axiswise_inputs(seed, count):
+    """(terms, rows) for ``axiswise``: p = 1..4, row lengths 1..6, up to
+    three (index, coefficient) pairs per row entry, all indices in range,
+    and up to twelve keys with coefficients of both signs up to 10^30,
+    zeros included."""
+    rng = random.Random(seed)
+
+    def coefficient():
+        return rng.choice((0, 1, -1, rng.randint(-9, 9), rng.randint(-10**30, 10**30)))
+
+    for _ in range(count):
+        spans = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+        rows = [[tuple((rng.randrange(span), coefficient()) for _ in range(rng.randint(0, 3)))
+                 for _ in range(span)] for span in spans]
+        terms = {tuple(map(rng.randrange, spans)): coefficient() for _ in range(rng.randint(0, 12))}
+        yield terms, rows
+
+
+def test_axiswise_matches_tuple_slicing_oracle():
+    inputs = list(random_axiswise_inputs(5, 1500))
+    for P in GENERATED + LADDER:  # the box route's rows on every region
+        region = independence_points(P).points
+        row = [((0, 1),)] + [((n, 1), (n - 1, -1)) for n in range(1, max(map(max, region)) + 1)]
+        inputs.append(({n: 1 for n in region}, [row] * P.p))
+    nonzero = 0
+    for terms, rows in inputs:
+        result = polyalg.axiswise(terms, rows)
+        assert list(result.items()) == list(axiswise_slices(terms, rows).items()), (terms, rows)
+        nonzero += bool(result)
+    assert 800 < nonzero < len(inputs) - 100
+
+
+def test_bits_match_character_walk():
+    rng = random.Random(12)
+    masks = [0, 1] + [1 << k for k in (1, 7, 8, 63, 64, 65, 1000, 4095, 9999)]
+    masks += [rng.getrandbits(rng.randint(1, 10_000)) for _ in range(200)]
+    masks += [rng.getrandbits(10_000) & rng.getrandbits(10_000) & rng.getrandbits(10_000) for _ in range(50)]
+    for mask in masks:
+        assert core._bits(mask) == bits_scan(mask), mask
 
 
 def test_stalactite_polynomial_matches_prefix_scan_under_every_order():
@@ -305,13 +380,19 @@ def test_mobius_interval_check_matches_scan(monkeypatch):
         true = algorithms.mobius_interval(m, n)
         return true + 1 if sum(b - a for a, b in zip(m, n)) == 2 else true
 
-    monkeypatch.setattr(genverify, "mobius_interval", off_by_one)
-    caught = 0
-    for P in instances:
-        result = CHECKS["mobius-interval-closed-form"](P)
-        assert result == mobius_interval_check_scan(P, off_by_one)
-        caught += not result[0]
-    assert caught > 10
+    def late_sign(m, n):  # a fault on 0/1 intervals of length 3 that raise the last coordinate
+        true = algorithms.mobius_interval(m, n)
+        d = [b - a for a, b in zip(m, n)]
+        return -true if sum(d) == 3 and max(d) == 1 and d[-1] == 1 else true
+
+    for fault, least in ((off_by_one, 10), (late_sign, 3)):
+        monkeypatch.setattr(genverify, "mobius_interval", fault)
+        caught = 0
+        for P in instances:
+            result = CHECKS["mobius-interval-closed-form"](P)
+            assert result == mobius_interval_check_scan(P, fault)
+            caught += not result[0]
+        assert caught > least, fault
 
 
 def _campaign_documents():

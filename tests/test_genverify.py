@@ -34,6 +34,8 @@ def test_config_validation():
         GeneratorConfig(seed=0, p=2, max_rank=0)
     with pytest.raises(ValueError):
         GeneratorConfig(seed=0, p=2, strategy="nope")
+    with pytest.raises(ValueError, match="p must be <= 16"):
+        GeneratorConfig(seed=0, p=17)
 
 
 def test_generation_is_deterministic():
