@@ -18,11 +18,12 @@ one ``internal error: ...`` line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import algorithms, genverify
-from .core import Polymatroid, points_from_rank, rank_from_points, validate_rank_function
+from .core import MAX_GROUND_SET, Polymatroid, points_from_rank, rank_from_points, validate_rank_function
 from .errors import (
     CavepolyError,
     DimensionMismatch,
@@ -76,7 +77,7 @@ def _parse_point_list(raw):
         raise ParseError('"points" must be a nonempty list of integer vectors')
     points = []
     for k, vec in enumerate(raw):
-        if not isinstance(vec, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in vec):
+        if not isinstance(vec, list) or not all(type(c) is int for c in vec):
             raise ParseError("points[%d] is not an integer vector" % k)
         if any(c < 0 for c in vec):
             raise ParseError("points[%d] has a negative coordinate" % k)
@@ -92,15 +93,28 @@ def _parse_subset_key(key, p):
         subset = json.loads(key)
     except json.JSONDecodeError:
         raise ParseError("bad subset key %r, expected e.g. \"[1,2]\"" % key)
-    if not isinstance(subset, list) or not all(isinstance(i, int) for i in subset):
+    if not isinstance(subset, list) or not all(type(i) is int for i in subset):
         raise ParseError("bad subset key %r, expected a list of indices" % key)
     if sorted(set(subset)) != sorted(subset) or any(not 1 <= i <= p for i in subset):
         raise ParseError("subset key %r is not a sorted set of indices in 1..%d" % (key, p))
     return tuple(subset)
 
 
+def _subset_spellings(p) -> dict:
+    """Each subset of 1..p as a tuple, keyed by the spellings "[1,2]" and "[1, 2]"."""
+    subsets, inner = [()], [""]
+    for i in range(1, p + 1):
+        subsets += [s + (i,) for s in subsets]
+        inner += ["%s,%d" % (t, i) if t else str(i) for t in inner]
+    table = {}
+    for subset, t in zip(subsets, inner):
+        table["[%s]" % t] = table["[%s]" % t.replace(",", ", ")] = subset
+    return table
+
+
 def parse_instance(text) -> Polymatroid:
-    """Parse and validate an instance document (bytes or str of UTF-8 JSON)."""
+    """Parse and validate an instance document (bytes or str of UTF-8 JSON).
+    A JSON boolean is never read as an integer."""
     doc = _load_document(text)
     has_points = "points" in doc
     has_rank = "rank" in doc
@@ -118,20 +132,22 @@ def parse_instance(text) -> Polymatroid:
         if field not in rank_doc:
             raise ParseError('"rank" is missing "%s"' % field)
     p = rank_doc["p"]
-    if not isinstance(p, int) or p < 1:
+    if type(p) is not int or p < 1:
         raise ParseError('"p" must be a positive integer')
+    if p > MAX_GROUND_SET:
+        raise ParseError("ground sets larger than %d are not supported" % MAX_GROUND_SET)
     cage = rank_doc["cage"]
-    if not isinstance(cage, list) or len(cage) != p or not all(isinstance(c, int) for c in cage):
+    if not isinstance(cage, list) or len(cage) != p or not all(type(c) is int for c in cage):
         raise ParseError('"cage" must be a list of %d integers' % p)
     raw_values = rank_doc["values"]
     if not isinstance(raw_values, dict):
         raise ParseError('"values" must map subset keys to integers')
-    values = {}
+    spellings, values = _subset_spellings(p), {}
     for key, val in raw_values.items():
-        subset = _parse_subset_key(key, p)
+        subset = spellings[key] if key in spellings else _parse_subset_key(key, p)
         if subset in values:
             raise ParseError("subset key %r repeats a subset named by an earlier key" % key)
-        if not isinstance(val, int):
+        if type(val) is not int:
             raise ParseError("rank of %s is not an integer" % key)
         values[subset] = val
     try:
@@ -198,6 +214,7 @@ def _int_vector(text):
         raise argparse.ArgumentTypeError("expected comma-separated integers, got %r" % text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavepoly",
@@ -246,59 +263,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(P, args, out):
-    _emit({"valid": True, "p": P.p, "rank": P.rank, "base_points": len(P.points),
-           "cage": list(P.cage)}, out)
-    return EXIT_OK
-
-
-def _cmd_points(P, args, out):
-    _emit(serialize_instance(P), out)
-    return EXIT_OK
-
-
-def _cmd_independence(P, args, out):
-    _emit({"points": [list(q) for q in sorted(independence_points(P).points)]}, out)
-    return EXIT_OK
-
-
-def _cmd_cave(P, args, out):
-    _emit(polynomial_document(algorithms.cave_polynomial(P)), out)
-    return EXIT_OK
-
-
-def _cmd_stal(P, args, out):
+def _stal_document(P, args):
     order = algorithms.LexOrder(args.order) if args.order else algorithms.LexOrder.identity(P.p)
-    doc = polynomial_document(algorithms.stalactite_polynomial(P, order), order=list(order.permutation))
-    _emit(doc, out)
-    return EXIT_OK
+    return polynomial_document(algorithms.stalactite_polynomial(P, order), order=list(order.permutation))
 
 
-def _cmd_box(P, args, out):
-    _emit(polynomial_document(algorithms.box_polynomial(P)), out)
-    return EXIT_OK
-
-
-def _cmd_mobius(P, args, out):
+def _mobius_document(P, args):
     doc = polynomial_document(algorithms.mobius_polynomial(P))
     if args.table:
         table = algorithms.mobius_table(P)
-        doc["table"] = [
-            {"point": list(n), "value": table[n]}
-            for n in sorted(table.values, key=canonical_key)
-        ]
-    _emit(doc, out)
-    return EXIT_OK
+        doc["table"] = [{"point": list(n), "value": table[n]} for n in sorted(table.values, key=canonical_key)]
+    return doc
+
+
+def _config(args) -> genverify.GeneratorConfig:
+    return genverify.GeneratorConfig(
+        seed=args.seed, p=args.p, max_rank=args.max_rank,
+        max_cage_entry=args.max_cage_entry, strategy=args.strategy)
+
+
+# The commands that write one document and exit 0; ``random`` reads no instance P.
+_DOCUMENTS = {
+    "validate": lambda P, args: {"valid": True, "p": P.p, "rank": P.rank, "base_points": len(P.points),
+                                 "cage": list(P.cage)},
+    "points": lambda P, args: serialize_instance(P),
+    "independence": lambda P, args: {"points": [list(q) for q in sorted(independence_points(P).points)]},
+    "cave": lambda P, args: polynomial_document(algorithms.cave_polynomial(P)),
+    "stal": _stal_document,
+    "box": lambda P, args: polynomial_document(algorithms.box_polynomial(P)),
+    "mobius": _mobius_document,
+    "truncate": lambda P, args: serialize_instance(truncate(P, args.at)),
+    "random": lambda P, args: serialize_instance(genverify.random_polymatroid(_config(args))),
+}
 
 
 def _cmd_snapper(P, args, out):
     snapper = algorithms.snapper_from_cave(P)
     target = expand_binomial(snapper) if args.expand else snapper
-    if args.eval_at is not None:
-        value = target.evaluate(args.eval_at)
-        out.write("%s\n" % value)
-        return EXIT_OK
-    _emit(polynomial_document(target), out)
+    if args.eval_at is None:
+        _emit(polynomial_document(target), out)
+    else:
+        out.write("%s\n" % target.evaluate(args.eval_at))
     return EXIT_OK
 
 
@@ -318,11 +323,6 @@ def _cmd_equal(P, args, out):
     for name in sorted(unequal):
         out.write("%s: %s\n" % (name, canonical_string(unequal[name])))
     return EXIT_UNEQUAL
-
-
-def _cmd_truncate(P, args, out):
-    _emit(serialize_instance(truncate(P, args.at)), out)
-    return EXIT_OK
 
 
 def _cmd_is_cave(args, stdin, out):
@@ -350,35 +350,10 @@ def _jsonable(value):
     return value
 
 
-def _cmd_random(args, out):
-    cfg = genverify.GeneratorConfig(
-        seed=args.seed, p=args.p, max_rank=args.max_rank,
-        max_cage_entry=args.max_cage_entry, strategy=args.strategy)
-    _emit(serialize_instance(genverify.random_polymatroid(cfg)), out)
-    return EXIT_OK
-
-
 def _cmd_verify(args, out):
-    cfg = genverify.GeneratorConfig(
-        seed=args.seed, p=args.p, max_rank=args.max_rank,
-        max_cage_entry=args.max_cage_entry, strategy=args.strategy)
-    report = genverify.verify_campaign(cfg, args.count)
+    report = genverify.verify_campaign(_config(args), args.count)
     _emit(report.to_document(), out)
     return EXIT_OK if report.passed else EXIT_UNEQUAL
-
-
-_INSTANCE_COMMANDS = {
-    "validate": _cmd_validate,
-    "points": _cmd_points,
-    "independence": _cmd_independence,
-    "cave": _cmd_cave,
-    "stal": _cmd_stal,
-    "box": _cmd_box,
-    "mobius": _cmd_mobius,
-    "snapper": _cmd_snapper,
-    "equal": _cmd_equal,
-    "truncate": _cmd_truncate,
-}
 
 
 def run_command(argv, stdin=None, stdout=None, stderr=None) -> int:
@@ -386,22 +361,22 @@ def run_command(argv, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        if args.command in _INSTANCE_COMMANDS:
-            P = parse_instance(_read_source(args.file, stdin))
-            return _INSTANCE_COMMANDS[args.command](P, args, stdout)
         if args.command == "is-cave":
             return _cmd_is_cave(args, stdin, stdout)
-        if args.command == "random":
-            return _cmd_random(args, stdout)
         if args.command == "verify":
             return _cmd_verify(args, stdout)
-        raise AssertionError("unhandled command %r" % args.command)
+        P = None if args.command == "random" else parse_instance(_read_source(args.file, stdin))
+        if args.command == "snapper":
+            return _cmd_snapper(P, args, stdout)
+        if args.command == "equal":
+            return _cmd_equal(P, args, stdout)
+        _emit(_DOCUMENTS[args.command](P, args), stdout)
+        return EXIT_OK
     except InternalInvariantFailure as exc:
         stderr.write("internal error: %s\n" % exc)
         return EXIT_INTERNAL

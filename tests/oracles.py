@@ -8,12 +8,14 @@ enumerated inside the projection bounds, subset-sum tables, truncation
 lemmas over the parent region, one sparse Mobius pass over the region, the
 exchange index's neighbour masks for ``neighbors`` and ``stalactite``,
 integer lattice codes in the changes of basis, the Mobius table and the
-cave route, a ``str.find`` loop for set bits); the differential tests
+cave route, a ``str.find`` loop for set bits, halving bound tables in the
+base-point walk, sliced axiom checks); the differential tests
 require both to return identical results and identical failure witnesses.
 """
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from itertools import accumulate
 
@@ -527,3 +529,53 @@ def cave_polynomial_slices(P) -> MultiPoly:
         for e, c in term.items():
             acc[e] = acc.get(e, 0) + c
     return MultiPoly(p, acc).assert_ordinary()
+
+
+def base_points_subset_sums(rk) -> list:
+    """The top-degree points within the projection bounds, in lex order: at
+    each depth the new coordinate's bounds are read off the 2^j subset sums
+    of the prefix, and each child rebuilds the next 2^j sums."""
+    values = rk.values
+    lower = [rk.rank - v for v in reversed(values)]
+    members = []
+
+    def extend(prefix, sums):
+        top = 1 << len(prefix)
+        if top == len(values):
+            if sums[-1] == values[-1]:
+                members.append(prefix)
+            return
+        below = sums[:top]
+        lo = max(0, max(map(operator.sub, lower[top:2 * top], below)))
+        for c in range(lo, min(map(operator.sub, values[top:2 * top], below)) + 1):
+            sums[top:2 * top] = [s + c for s in below]
+            extend(prefix + (c,), sums)
+
+    extend((), [0] * len(values))
+    return members
+
+
+def rank_axiom_violations_loops(p, dense, cage) -> list:
+    """Every violated rank axiom with its witnesses: the empty set and the
+    cage, then monotonicity over covering pairs (mask, then bit) and local
+    submodularity (mask, then each pair of bits outside it)."""
+    violations = []
+    if dense[0] != 0:
+        violations.append(("empty", ((),)))
+    for i in range(p):
+        if dense[1 << i] > cage[i]:
+            violations.append(("cage", ((i + 1,),)))
+    for mask in range(1 << p):
+        for i in range(p):
+            if not mask >> i & 1:
+                bigger = mask | 1 << i
+                if dense[mask] > dense[bigger]:
+                    violations.append(("monotone", (mask_to_subset(mask), mask_to_subset(bigger))))
+    for mask in range(1 << p):
+        outside = [i for i in range(p) if not mask >> i & 1]
+        for a, i in enumerate(outside):
+            for j in outside[a + 1:]:
+                mi, mj = mask | 1 << i, mask | 1 << j
+                if dense[mi] + dense[mj] < dense[mi | mj] + dense[mask]:
+                    violations.append(("submodular", (mask_to_subset(mi), mask_to_subset(mj))))
+    return violations

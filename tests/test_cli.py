@@ -98,6 +98,63 @@ def test_repeated_json_key_is_rejected(values):
         assert run(["validate"], stdin=repeated)[0] == 2
 
 
+RUNNING_RANK_VALUES = '"[]": 0, "[1]": 2, "[2]": 3'
+
+
+@pytest.mark.parametrize("extra, message", [
+    ('"[1,2]": 3, "[2,1]": 3', "duplicate subset (1, 2) in rank map"),
+    ('"[1,2]": 3, "[1": 0', "bad subset key '[1', expected e.g. \"[1,2]\""),
+    ('"[1,2]": 3, "[0]": 0', "subset key '[0]' is not a sorted set of indices in 1..2"),
+    ('"[1,2]": 3, "[3]": 0', "subset key '[3]' is not a sorted set of indices in 1..2"),
+    ('"[1,2]": 3, "[1.0]": 2', "bad subset key '[1.0]', expected a list of indices"),
+    ('"[1,2]": 3, "[1, 2]": 4', "subset key '[1, 2]' repeats a subset named by an earlier key"),
+    ('"[1, 2]": 3, "[1,2]": 4', "subset key '[1,2]' repeats a subset named by an earlier key"),
+    ('"[1,2]": 3, " [1,  2] ": 3', "subset key ' [1,  2] ' repeats a subset named by an earlier key"),
+])
+def test_bad_subset_keys_keep_their_messages(extra, message):
+    doc = '{"rank": {"p": 2, "cage": [2, 3], "values": {%s, %s}}}' % (RUNNING_RANK_VALUES, extra)
+    assert run(["validate"], stdin=doc) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("spelling", [
+    lambda doc: json.dumps(doc),
+    lambda doc: json.dumps(doc, separators=(", ", ": ")),
+    lambda doc: json.dumps({"rank": dict(doc["rank"], values={
+        json.dumps(json.loads(key)): value for key, value in doc["rank"]["values"].items()})}),
+    lambda doc: json.dumps({"rank": dict(doc["rank"], values={
+        " [ %s ] " % " ,  ".join(key[1:-1].split(",")): value for key, value in doc["rank"]["values"].items()})}),
+])
+def test_rank_document_key_spellings_give_the_compact_output(spelling):
+    for P in instance_mix(6, seed=67, ps=(2, 3, 4)):
+        doc = rank_document(P)
+        for argv in (["validate"], ["cave"], ["mobius", "--table"]):
+            assert run(argv, stdin=spelling(doc)) == run(argv, stdin=json.dumps(doc, separators=(",", ":")))
+
+
+@pytest.mark.parametrize("rank, message", [
+    ({"p": True, "cage": [1], "values": {"[]": 0, "[1]": 1}}, '"p" must be a positive integer'),
+    ({"p": 1, "cage": [True], "values": {"[]": 0, "[1]": 1}}, '"cage" must be a list of 1 integers'),
+    ({"p": 1, "cage": [1], "values": {"[]": 0, "[1]": True}}, "rank of [1] is not an integer"),
+    ({"p": 1, "cage": [1], "values": {"[]": 0, "[true]": 1}}, "bad subset key '[true]', expected a list of indices"),
+])
+def test_rank_document_refuses_json_booleans(rank, message):
+    doc = json.dumps({"rank": rank})
+    assert run(["validate"], stdin=doc) == (2, "", "error: %s\n" % message)
+    assert run(["validate"], stdin=doc.replace("true", "1"))[0] == 0
+
+
+def test_rank_document_refuses_p_beyond_the_ground_set_bound(monkeypatch):
+    from cavepoly import cli
+
+    def no_table(p):
+        raise AssertionError("a table of 2^p subset keys was built")
+
+    monkeypatch.setattr(cli, "_subset_spellings", no_table)
+    for p in (17, 40, 10 ** 12):
+        doc = json.dumps({"rank": {"p": p, "cage": [1], "values": {"[]": 0}}})
+        assert run(["validate"], stdin=doc) == (2, "", "error: ground sets larger than 16 are not supported\n")
+
+
 def test_parse_accepts_bytes():
     assert parse_instance(RUNNING_DOC.encode()).rank == 3
 
@@ -347,6 +404,22 @@ def test_file_input(tmp_path):
     path.write_text(RUNNING_DOC)
     status, out, _ = run(["equal", str(path)])
     assert status == 0 and out.strip() == "EQUAL"
+
+
+def test_one_parser_serves_every_invocation_of_a_process():
+    from cavepoly import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    sequence = [(["stal", "--order", "2,1"], RUNNING_DOC), (["stal"], RUNNING_DOC),
+                (["snapper", "--eval", "1,1"], RUNNING_DOC), (["snapper"], RUNNING_DOC),
+                (["stal", "--order"], RUNNING_DOC), (["stal", "--order"], RUNNING_DOC),
+                (["mobius", "--table"], RUNNING_DOC), (["mobius"], RUNNING_DOC)]
+    reused = [run(argv, stdin) for argv, stdin in sequence]
+    for (argv, stdin), result in zip(sequence, reused):
+        cli._build_parser.cache_clear()
+        assert run(argv, stdin) == result, argv
+    assert [status for status, _, _ in reused] == [0, 0, 0, 0, 2, 2, 0, 0]
+    assert reused[0][1] != reused[1][1] and reused[2][1] != reused[3][1]
 
 
 def test_output_is_byte_identical_across_runs():

@@ -61,6 +61,7 @@ from cavepoly.genverify import CHECKS
 from conftest import instance_mix
 from oracles import (
     axiswise_slices,
+    base_points_subset_sums,
     bits_scan,
     cave_condition_3_box_walk,
     cave_polynomial_products,
@@ -77,6 +78,7 @@ from oracles import (
     mobius_table_slices,
     neighbors_scan,
     points_from_rank_box_filter,
+    rank_axiom_violations_loops,
     rank_from_points_subset_loop,
     sparse_terms_loop,
     stalactite_decomposition_prefix,
@@ -668,14 +670,16 @@ def _points_or_error(convert, rk):
         return type(exc), str(exc)
 
 
+# A negative rank of the empty set admits no point; a positive one loosens
+# the degree bound that the full-sum condition must still fix.
+EDGE_RANK_TABLES = [(2, [-1, 1, 1, 1]), (2, [1, 1, 1, 1]), (3, [1, 1, 1, 2, 1, 2, 2, 2])]
+
+
 def test_points_from_rank_matches_box_filter():
     for P in GENERATED:
         rk = core.rank_from_points(P)
         assert core.points_from_rank(rk).points == points_from_rank_box_filter(rk).points == P.points
-    tables = list(random_rank_tables(12, 1500))
-    # A negative rank of the empty set admits no point; a positive one
-    # loosens the degree bound that the full-sum condition must still fix.
-    tables += [(2, [-1, 1, 1, 1]), (2, [1, 1, 1, 1]), (3, [1, 1, 1, 2, 1, 2, 2, 2])]
+    tables = list(random_rank_tables(12, 1500)) + EDGE_RANK_TABLES
     outcomes = set()
     for p, values in tables:
         rk = RankFunction(p, values, [values[1 << i] for i in range(p)])
@@ -683,6 +687,48 @@ def test_points_from_rank_matches_box_filter():
         assert result == _points_or_error(points_from_rank_box_filter, rk), (p, values)
         outcomes.add(result[0] if isinstance(result, tuple) else frozenset)
     assert outcomes == {frozenset, InternalInvariantFailure, NotMConvex}
+
+
+def test_base_point_walk_matches_subset_sum_walk(monkeypatch):
+    """The halving-bounds walk hands ``Polymatroid`` the members of the
+    subset-sum walk in the same order, or fails the same way before it."""
+    handed, polymatroid = [], core.Polymatroid
+
+    def recorded(members):
+        handed.append(members)
+        return polymatroid(members)
+
+    monkeypatch.setattr(core, "Polymatroid", recorded)
+    tables = [t for seed in (11, 12, 13) for t in random_rank_tables(seed, 1500)] + EDGE_RANK_TABLES
+    outcomes = set()
+    for p, values in tables:
+        rk = RankFunction(p, values, [values[1 << i] for i in range(p)])
+        handed.clear()
+        result = _points_or_error(core.points_from_rank, rk)
+        expected = base_points_subset_sums(rk)
+        assert handed == ([expected] if expected else []), (p, values)
+        if not expected:
+            assert result == (InternalInvariantFailure, "valid rank function produced no base points")
+        outcomes.add(result[0] if isinstance(result, tuple) else frozenset)
+    assert outcomes == {frozenset, InternalInvariantFailure, NotMConvex}
+
+
+def test_sliced_axiom_check_matches_covering_pair_loops():
+    rng = random.Random(14)
+    kinds = Counter()
+    for p, values in random_rank_tables(14, 1500):
+        values = list(values)
+        if rng.random() < 0.1:
+            values[0] = rng.choice((-1, 1))
+        cage = [values[1 << i] + rng.choice((0, 0, 0, -1)) for i in range(p)]
+        try:
+            validate_rank_function(p, values, cage)
+            reported = []
+        except AxiomViolation as exc:
+            reported = exc.violations
+        assert reported == rank_axiom_violations_loops(p, values, cage), (p, values, cage)
+        kinds.update({axiom for axiom, _ in reported} or {"valid"})
+    assert set(kinds) == {"valid", "empty", "cage", "monotone", "submodular"}, kinds
 
 
 def test_rank_from_points_matches_subset_loop():
