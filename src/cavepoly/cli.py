@@ -77,7 +77,7 @@ def _parse_point_list(raw):
         raise ParseError('"points" must be a nonempty list of integer vectors')
     points = []
     for k, vec in enumerate(raw):
-        if not isinstance(vec, list) or not all(type(c) is int for c in vec):
+        if not isinstance(vec, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in vec):
             raise ParseError("points[%d] is not an integer vector" % k)
         if any(c < 0 for c in vec):
             raise ParseError("points[%d] has a negative coordinate" % k)
@@ -101,15 +101,12 @@ def _parse_subset_key(key, p):
 
 
 def _subset_spellings(p) -> dict:
-    """Each subset of 1..p as a tuple, keyed by the spellings "[1,2]" and "[1, 2]"."""
+    """Each subset of 1..p as a tuple, keyed by its compact spelling "[1,2]"."""
     subsets, inner = [()], [""]
     for i in range(1, p + 1):
         subsets += [s + (i,) for s in subsets]
         inner += ["%s,%d" % (t, i) if t else str(i) for t in inner]
-    table = {}
-    for subset, t in zip(subsets, inner):
-        table["[%s]" % t] = table["[%s]" % t.replace(",", ", ")] = subset
-    return table
+    return {"[%s]" % t: subset for subset, t in zip(subsets, inner)}
 
 
 def parse_instance(text) -> Polymatroid:
@@ -272,7 +269,10 @@ def _mobius_document(P, args):
     doc = polynomial_document(algorithms.mobius_polynomial(P))
     if args.table:
         table = algorithms.mobius_table(P)
-        doc["table"] = [{"point": list(n), "value": table[n]} for n in sorted(table.values, key=canonical_key)]
+        doc["table"] = [
+            {"point": list(n), "value": table[n]}
+            for n in sorted(table.values, key=canonical_key)
+        ]
     return doc
 
 
@@ -282,7 +282,7 @@ def _config(args) -> genverify.GeneratorConfig:
         max_cage_entry=args.max_cage_entry, strategy=args.strategy)
 
 
-# The commands that write one document and exit 0; ``random`` reads no instance P.
+# The instance commands that write one document and exit 0.
 _DOCUMENTS = {
     "validate": lambda P, args: {"valid": True, "p": P.p, "rank": P.rank, "base_points": len(P.points),
                                  "cage": list(P.cage)},
@@ -293,17 +293,17 @@ _DOCUMENTS = {
     "box": lambda P, args: polynomial_document(algorithms.box_polynomial(P)),
     "mobius": _mobius_document,
     "truncate": lambda P, args: serialize_instance(truncate(P, args.at)),
-    "random": lambda P, args: serialize_instance(genverify.random_polymatroid(_config(args))),
 }
 
 
 def _cmd_snapper(P, args, out):
     snapper = algorithms.snapper_from_cave(P)
     target = expand_binomial(snapper) if args.expand else snapper
-    if args.eval_at is None:
-        _emit(polynomial_document(target), out)
-    else:
-        out.write("%s\n" % target.evaluate(args.eval_at))
+    if args.eval_at is not None:
+        value = target.evaluate(args.eval_at)
+        out.write("%s\n" % value)
+        return EXIT_OK
+    _emit(polynomial_document(target), out)
     return EXIT_OK
 
 
@@ -368,9 +368,12 @@ def run_command(argv, stdin=None, stdout=None, stderr=None) -> int:
     try:
         if args.command == "is-cave":
             return _cmd_is_cave(args, stdin, stdout)
+        if args.command == "random":
+            _emit(serialize_instance(genverify.random_polymatroid(_config(args))), stdout)
+            return EXIT_OK
         if args.command == "verify":
             return _cmd_verify(args, stdout)
-        P = None if args.command == "random" else parse_instance(_read_source(args.file, stdin))
+        P = parse_instance(_read_source(args.file, stdin))
         if args.command == "snapper":
             return _cmd_snapper(P, args, stdout)
         if args.command == "equal":

@@ -150,8 +150,9 @@ def test_rank_document_refuses_p_beyond_the_ground_set_bound(monkeypatch):
         raise AssertionError("a table of 2^p subset keys was built")
 
     monkeypatch.setattr(cli, "_subset_spellings", no_table)
-    for p in (17, 40, 10 ** 12):
-        doc = json.dumps({"rank": {"p": p, "cage": [1], "values": {"[]": 0}}})
+    # A well-formed cage for p = 17 and 40, so only the bound stops the table.
+    for p, cage in ((17, [1] * 17), (40, [1] * 40), (10 ** 12, [1])):
+        doc = json.dumps({"rank": {"p": p, "cage": cage, "values": {"[]": 0}}})
         assert run(["validate"], stdin=doc) == (2, "", "error: ground sets larger than 16 are not supported\n")
 
 
