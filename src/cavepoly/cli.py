@@ -8,6 +8,9 @@ Instance documents carry exactly one of:
 
 Polynomial documents list terms in the canonical order together with the
 canonical string; the term list is authoritative, the string advisory.
+Every document is written byte for byte as ``json.dump(doc, indent=2)``
+writes it, then a newline, but in one pass of string joins (``_emit``):
+with ``indent``, ``json`` falls back to its pure-Python encoder.
 All commands read an instance from a file argument or stdin, write results
 to stdout and diagnostics to stderr, and are stateless.  Exit status: 0 on
 success/equality, 1 on mathematical inequality or a cave-check false, 2 on
@@ -23,7 +26,15 @@ import json
 import sys
 
 from . import algorithms, genverify
-from .core import MAX_GROUND_SET, Polymatroid, points_from_rank, rank_from_points, validate_rank_function
+from .core import (
+    MAX_GROUND_SET,
+    Polymatroid,
+    mask_to_subset,
+    points_from_rank,
+    rank_from_points,
+    subset_to_mask,
+    validate_rank_function,
+)
 from .errors import (
     CavepolyError,
     DimensionMismatch,
@@ -49,11 +60,13 @@ EXIT_INTERNAL = 3
 
 def _unique_keys(pairs):
     """Refuses a JSON object naming a key twice, whose last value would win."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ParseError("key %s appears twice in one JSON object" % json.dumps(key))
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError("key %s appears twice in one JSON object" % json.dumps(key))
+            seen.add(key)
     return obj
 
 
@@ -95,18 +108,17 @@ def _parse_subset_key(key, p):
         raise ParseError("bad subset key %r, expected e.g. \"[1,2]\"" % key)
     if not isinstance(subset, list) or not all(type(i) is int for i in subset):
         raise ParseError("bad subset key %r, expected a list of indices" % key)
-    if sorted(set(subset)) != sorted(subset) or any(not 1 <= i <= p for i in subset):
+    if subset != sorted(set(subset)) or any(not 1 <= i <= p for i in subset):
         raise ParseError("subset key %r is not a sorted set of indices in 1..%d" % (key, p))
-    return tuple(subset)
+    return subset
 
 
 def _subset_spellings(p) -> dict:
-    """Each subset of 1..p as a tuple, keyed by its compact spelling "[1,2]"."""
-    subsets, inner = [()], [""]
+    """Each subset of 1..p as a bit mask, keyed by its compact spelling "[1,2]"."""
+    inner = [""]
     for i in range(1, p + 1):
-        subsets += [s + (i,) for s in subsets]
         inner += ["%s,%d" % (t, i) if t else str(i) for t in inner]
-    return {"[%s]" % t: subset for subset, t in zip(subsets, inner)}
+    return {"[%s]" % t: mask for mask, t in enumerate(inner)}
 
 
 def parse_instance(text) -> Polymatroid:
@@ -139,14 +151,18 @@ def parse_instance(text) -> Polymatroid:
     raw_values = rank_doc["values"]
     if not isinstance(raw_values, dict):
         raise ParseError('"values" must map subset keys to integers')
-    spellings, values = _subset_spellings(p), {}
+    spellings, values = _subset_spellings(p), [None] * (1 << p)
     for key, val in raw_values.items():
-        subset = spellings[key] if key in spellings else _parse_subset_key(key, p)
-        if subset in values:
+        mask = spellings.get(key)
+        if mask is None:
+            mask = subset_to_mask(_parse_subset_key(key, p), p)
+        if values[mask] is not None:
             raise ParseError("subset key %r repeats a subset named by an earlier key" % key)
         if type(val) is not int:
             raise ParseError("rank of %s is not an integer" % key)
-        values[subset] = val
+        values[mask] = val
+    if None in values:
+        raise ParseError("rank map missing subsets, e.g. %s" % (mask_to_subset(values.index(None)),))
     try:
         rk = validate_rank_function(p, values, cage)
     except (ValueError, DimensionMismatch) as exc:
@@ -191,9 +207,60 @@ def polynomial_document(q, **extra) -> dict:
     return doc
 
 
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key) -> str:
+    """A non-string object key as ``json`` spells it, or json's TypeError."""
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError("keys must be str, int, float, bool or None, not %s" % type(key).__name__)
+
+
+def _json_parts(value, parts, newline):
+    """Append to ``parts`` the text ``json.dumps(value, indent=2)`` gives
+    ``value``; ``newline`` is a line break and the indentation of ``value``."""
+    if isinstance(value, str):
+        parts.append(_encode_string(value))
+    elif type(value) is int:
+        parts.append(int.__repr__(value))
+    elif value is None or value is True or value is False:
+        parts.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        if not value:
+            parts.append("[]")
+        elif {*map(type, value)} == {int}:
+            parts.append("[%s%s%s]" % (inner, ("," + inner).join(map(int.__repr__, value)), newline))
+        else:
+            separator = "[" + inner
+            for item in value:
+                parts.append(separator)
+                _json_parts(item, parts, inner)
+                separator = "," + inner
+            parts.append(newline + "]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        if not value:
+            parts.append("{}")
+        else:
+            separator = "{" + inner
+            for key, item in value.items():
+                key = key if isinstance(key, str) else _json_key(key)
+                parts.append("%s%s: " % (separator, _encode_string(key)))
+                _json_parts(item, parts, inner)
+                separator = "," + inner
+            parts.append(newline + "}")
+    else:
+        # Floats and int subclasses as json spells them; json's TypeError for the rest.
+        parts.append(json.dumps(value))
+
+
 def _emit(doc, out):
-    json.dump(doc, out, indent=2)
-    out.write("\n")
+    parts = []
+    _json_parts(doc, parts, "\n")
+    parts.append("\n")
+    out.write("".join(parts))
 
 
 def _read_source(path, stdin):

@@ -3,12 +3,16 @@
 import io
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cavepoly import AxiomViolation, NotMConvex, ParseError
 from cavepoly.cli import (
+    _emit,
     parse_instance,
     polynomial_document,
     rank_document,
@@ -96,13 +100,16 @@ def test_repeated_json_key_is_rejected(values):
     assert err == 'error: key "[1,2]" appears twice in one JSON object\n'
     for repeated in ('{"points": [[0,3]], "points": [[1,2]]}', '{"rank": {"p": 1, "p": 1}}'):
         assert run(["validate"], stdin=repeated)[0] == 2
+    # The first key repeated in document order is named, not the first one spelled.
+    assert run(["validate"], stdin='{"a": 1, "b": 2, "b": 3, "a": 4}') == (
+        2, "", 'error: key "b" appears twice in one JSON object\n')
 
 
 RUNNING_RANK_VALUES = '"[]": 0, "[1]": 2, "[2]": 3'
 
 
 @pytest.mark.parametrize("extra, message", [
-    ('"[1,2]": 3, "[2,1]": 3', "duplicate subset (1, 2) in rank map"),
+    ('"[1,2]": 3, "[2,1]": 3', "subset key '[2,1]' is not a sorted set of indices in 1..2"),
     ('"[1,2]": 3, "[1": 0', "bad subset key '[1', expected e.g. \"[1,2]\""),
     ('"[1,2]": 3, "[0]": 0', "subset key '[0]' is not a sorted set of indices in 1..2"),
     ('"[1,2]": 3, "[3]": 0', "subset key '[3]' is not a sorted set of indices in 1..2"),
@@ -113,6 +120,16 @@ RUNNING_RANK_VALUES = '"[]": 0, "[1]": 2, "[2]": 3'
 ])
 def test_bad_subset_keys_keep_their_messages(extra, message):
     doc = '{"rank": {"p": 2, "cage": [2, 3], "values": {%s, %s}}}' % (RUNNING_RANK_VALUES, extra)
+    assert run(["validate"], stdin=doc) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("values, message", [
+    (RUNNING_RANK_VALUES, "rank map missing subsets, e.g. (1, 2)"),
+    ('"[]": 0, "[1,2]": 3, "[1]": 2', "rank map missing subsets, e.g. (2,)"),
+    ('%s, "[2,1]": 3' % RUNNING_RANK_VALUES, "subset key '[2,1]' is not a sorted set of indices in 1..2"),
+])
+def test_rank_document_missing_or_unsorted_subsets_are_refused(values, message):
+    doc = '{"rank": {"p": 2, "cage": [2, 3], "values": {%s}}}' % values
     assert run(["validate"], stdin=doc) == (2, "", "error: %s\n" % message)
 
 
@@ -228,6 +245,15 @@ def test_ladder_row_documents_match_golden(argv, golden):
     status, out, _ = run(argv, stdin=ladder_rank_document())
     assert status == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("command", ["points", "independence"])
+def test_point_list_documents_match_golden(command):
+    # Long lists of integer vectors; CI pipes the same document into the
+    # installed console script and compares its stdout with these files.
+    status, out, _ = run([command], stdin=ladder_rank_document(3, (2, 1) * 5))
+    assert status == 0
+    assert out == (GOLDEN / ("%s_ladder_r3_p10.json" % command)).read_text()
 
 
 def test_points_and_independence_commands():
@@ -426,3 +452,46 @@ def test_one_parser_serves_every_invocation_of_a_process():
 def test_output_is_byte_identical_across_runs():
     for cmd in (["cave"], ["mobius", "--table"], ["snapper", "--expand"]):
         assert run(cmd, stdin=RUNNING_DOC) == run(cmd, stdin=RUNNING_DOC)
+
+
+# ---------------------------------------------------------------- JSON writer
+
+def emitted(doc):
+    out = io.StringIO()
+    _emit(doc, out)
+    return out.getvalue()
+
+
+TRICKY_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800é☃😀'), st.characters()))
+JSON_SCALARS = st.one_of(TRICKY_TEXT, st.integers(-10 ** 40, 10 ** 40), st.floats(), st.booleans(), st.none())
+JSON_TREES = st.recursive(JSON_SCALARS, lambda children: st.one_of(
+    st.lists(children), st.lists(children).map(tuple), st.dictionaries(JSON_SCALARS, children)), max_leaves=20)
+DEEP = [{"a": ({"b": [[], {}, ()]},)}]
+for _ in range(100):
+    DEEP = [-1, {"": DEEP, 1.5: []}]
+
+
+@settings(deadline=None)
+@given(JSON_TREES)
+@example(DEEP)
+@example({True: 1, None: [-1, 0, 1], 2.5: (), float("nan"): float("-inf"), 10 ** 40: "\u00e9"})
+def test_emit_writes_what_json_dump_writes(tree):
+    assert emitted(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+UNSERIALIZABLE = st.sampled_from([{1, 2}, frozenset(), b"bytes", Fraction(1, 3)])
+SIBLINGS = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3))
+POISONED_TREES = st.recursive(UNSERIALIZABLE, lambda inner: st.one_of(
+    st.tuples(SIBLINGS, inner).map(list),
+    st.tuples(inner, SIBLINGS),
+    st.builds(lambda before, bad: {**before, "bad": bad}, st.dictionaries(TRICKY_TEXT, SIBLINGS), inner),
+    st.builds(lambda bad: {(1, 2): bad}, inner)), max_leaves=6)
+
+
+@settings(deadline=None)
+@given(POISONED_TREES)
+def test_emit_refuses_what_json_dump_refuses(tree):
+    with pytest.raises(TypeError):
+        json.dumps(tree, indent=2)
+    with pytest.raises(TypeError):
+        emitted(tree)
