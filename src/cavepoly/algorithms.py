@@ -166,19 +166,22 @@ def cave_polynomial(P: Polymatroid) -> MultiPoly:
     u_j + 1 from carrying, and u_i = 0 leaves digit i at cage_i + 1, so no
     move aliases), the factor 1 - t_i^{-1} adds each code's negative at
     e - s_i.  Every such e has e_i = u_i >= 1 (else
-    ``InternalInvariantFailure``), so no code leaves the box.  The sum is
-    decoded into one ``MultiPoly``: O(|B| p^2) lookups plus O(p) per term.
+    ``InternalInvariantFailure``), so no code leaves the box.  Each (u, i)
+    is one probe of the base codes, ``isdisjoint`` over the codes of its
+    p - i - 1 moves.  The sum is decoded into one ``MultiPoly``: O(|B| p^2)
+    lookups plus O(p) per term.
     """
     lattice = LatticeCode([c + 2 for c in P.cage])
     strides = lattice.strides
     rises = [[s - down for s in strides[i + 1:]] for i, down in enumerate(strides[:-1])]
     ordered = sorted(P.points)
     base = dict(zip(lattice.encode(ordered), ordered))
+    keys = base.keys()
     acc = {}
     for code, u in base.items():
         term = {code: 1}
         for i, moves in enumerate(rises):  # the formula's product runs i = 1..p-1
-            if any(code + move in base for move in moves):
+            if not keys.isdisjoint(map(code.__add__, moves)):
                 if u[i] < 1:
                     raise InternalInvariantFailure("t_%d^-1 applied to %s, whose entry %d is 0" % (i + 1, u, i + 1))
                 # Every code so far has digit i = u_i, so each e - s_i is new.

@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 
 from . import algorithms, genverify
 from .core import (
@@ -47,7 +48,7 @@ from .polyalg import (
     BinomialBasisPoly,
     MultiPoly,
     RationalPoly,
-    canonical_key,
+    canonical_order,
     canonical_string,
     expand_binomial,
 )
@@ -88,13 +89,15 @@ def _load_document(text):
 def _parse_point_list(raw):
     if not isinstance(raw, list) or not raw:
         raise ParseError('"points" must be a nonempty list of integer vectors')
-    points = []
-    for k, vec in enumerate(raw):
-        if not isinstance(vec, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in vec):
-            raise ParseError("points[%d] is not an integer vector" % k)
-        if any(c < 0 for c in vec):
-            raise ParseError("points[%d] has a negative coordinate" % k)
-        points.append(tuple(vec))
+    # One test over every coordinate; the loop names the first offender.
+    if not ({*map(type, raw)} == {list} and {*map(type, chain.from_iterable(raw))} <= {int}
+            and min(chain.from_iterable(raw), default=0) >= 0):
+        for k, vec in enumerate(raw):
+            if not isinstance(vec, list) or not all(isinstance(c, int) and not isinstance(c, bool) for c in vec):
+                raise ParseError("points[%d] is not an integer vector" % k)
+            if any(c < 0 for c in vec):
+                raise ParseError("points[%d] has a negative coordinate" % k)
+    points = list(map(tuple, raw))
     lengths = {len(q) for q in points}
     if len(lengths) != 1:
         raise ParseError("points have mixed lengths %s" % sorted(lengths))
@@ -199,11 +202,9 @@ def polynomial_document(q, **extra) -> dict:
         raise TypeError("cannot serialize %r" % type(q).__name__)
     doc = {"basis": basis, "p": q.p}
     doc.update(extra)
-    doc["terms"] = [
-        {"exponents": list(e), "coefficient": coeff(c)}
-        for e, c in sorted(q.terms.items(), key=lambda item: canonical_key(item[0]))
-    ]
-    doc["canonical"] = canonical_string(q)
+    terms, order = q.terms, canonical_order(q.terms)
+    doc["terms"] = [{"exponents": list(e), "coefficient": coeff(terms[e])} for e in order]
+    doc["canonical"] = canonical_string(q, order)
     return doc
 
 
@@ -336,10 +337,7 @@ def _mobius_document(P, args):
     doc = polynomial_document(algorithms.mobius_polynomial(P))
     if args.table:
         table = algorithms.mobius_table(P)
-        doc["table"] = [
-            {"point": list(n), "value": table[n]}
-            for n in sorted(table.values, key=canonical_key)
-        ]
+        doc["table"] = [{"point": list(n), "value": table[n]} for n in canonical_order(table.values)]
     return doc
 
 

@@ -37,7 +37,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
-from itertools import accumulate, chain, compress, count, cycle, product, repeat
+from itertools import accumulate, chain, compress, count, product, repeat
 from operator import floordiv, gt, itemgetter, lt, mod, mul, or_, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -64,8 +64,17 @@ def as_point(coords) -> Point:
 
 
 def point_set(points) -> frozenset:
-    """Normalize an iterable of vectors to a frozenset of equal-length tuples."""
-    pts = frozenset(as_point(q) for q in points)
+    """Normalize an iterable of vectors to a frozenset of equal-length tuples.
+    ``as_point`` names the first non-integer only when one type test over
+    all coordinates fails."""
+    pts = []
+    try:
+        pts.extend(map(tuple, points))
+    finally:  # also before an error from a later point: a bad coordinate ahead of it is named first
+        if not {*map(type, chain.from_iterable(pts))} <= {int}:
+            for q in pts:
+                as_point(q)
+    pts = frozenset(pts)
     if not pts:
         raise EmptyInput("point set is empty")
     lengths = {len(q) for q in pts}
@@ -77,8 +86,8 @@ def point_set(points) -> frozenset:
 def nonnegative_set(points) -> frozenset:
     """``point_set(points)``, naming its smallest point with a negative entry."""
     pts = point_set(points)
-    negative = [q for q in pts if min(q, default=0) < 0]
-    if negative:
+    if min(chain.from_iterable(pts), default=0) < 0:
+        negative = [q for q in pts if min(q, default=0) < 0]
         raise ValueError("polymatroid points must be nonnegative, got %s" % (min(negative),))
     return pts
 
@@ -259,12 +268,13 @@ def validate_rank_function(p: int, values, cage) -> RankFunction:
 
 
 def _split(seq, bit):
-    """(entries of ``seq`` whose index lacks ``bit``, those with it), in order."""
+    """(entries of ``seq`` whose index lacks ``bit``, those with it), in order:
+    a bit b >= 1 cuts ``seq`` into blocks of 2^b by one ``zip`` of a shared
+    iterator, and chains the even blocks and the odd ones."""
     if not bit:
         return seq[0::2], seq[1::2]
-    size = 1 << bit
-    return (list(compress(seq, cycle([1] * size + [0] * size))),
-            list(compress(seq, cycle([0] * size + [1] * size))))
+    blocks = list(zip(*[iter(seq)] * (1 << bit)))
+    return list(chain.from_iterable(blocks[0::2])), list(chain.from_iterable(blocks[1::2]))
 
 
 def _unsplit(t, bit) -> int:
@@ -715,7 +725,7 @@ def points_from_rank(rk: RankFunction) -> Polymatroid:
     (Fujishige), which all those points meet; see ``_extensions``.
     """
     members = []
-    _extensions((), rk.values, [rk.rank - v for v in reversed(rk.values)], rk.rank, members)
+    _extensions((), rk.values, list(map(sub, repeat(rk.rank), reversed(rk.values))), rk.rank, members)
     if not members:
         raise InternalInvariantFailure("valid rank function produced no base points")
     return Polymatroid(members)
@@ -733,8 +743,16 @@ def _extensions(prefix, upper, lower, rest, out):
     max(lower[0::2], lower[1::2] - c).  The last coordinate is ``rest``, the
     rank less the prefix's degree, and is only bound-checked.  With N_j
     nodes at depth j the walk costs O(sum of N_j 2^(p - j)); on a
-    polymatroid no prefix dead-ends.
+    polymatroid no prefix dead-ends.  At ``rest`` 0 only all zeros can
+    extend, so one O(2^free) test ends the walk: down the zero path each
+    depth checks lower[r] <= 0 <= upper[r] for the r whose top is the
+    coordinate it fixes, every r != 0 in all.  r = 0 adds nothing: lower[0]
+    <= 0, and upper[0] < 0 only if rk({}) < 0, when lower[all free] > 0.
     """
+    if not rest:
+        if max(lower) <= 0 <= min(upper):
+            out.append(prefix + (0,) * (len(upper).bit_length() - 1))
+        return
     lo, hi = max(0, lower[1]), upper[1]
     if len(upper) == 2:
         if lo <= rest <= hi:

@@ -23,7 +23,9 @@ both through ``axiswise``.
 
 Canonical printing orders terms by total degree descending, ties broken by
 descending comparison of the sparse (variable, exponent) pair sequence, so
-for example ``t2^3 + t1^2*t2 + t1*t2^2 - t2^2 - t1*t2``.
+for example ``t2^3 + t1^2*t2 + t1*t2^2 - t2^2 - t1*t2``.  ``canonical_order``
+sorts by one flat key: the degree's negative, then each entry's rank, 0
+first and a larger nonzero entry before a smaller one.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, count
+from operator import itemgetter, neg
 from types import MappingProxyType
 
 from .core import LatticeCode
@@ -50,9 +52,13 @@ def binom_int(x: int, k: int) -> int:
     return num // math.factorial(k)
 
 
-def canonical_key(exps):
-    """Sort key realizing the canonical term order (see module docstring)."""
-    return (-sum(exps), tuple((-i, -e) for i, e in enumerate(exps, 1) if e != 0))
+def canonical_order(terms) -> list:
+    """The keys of ``terms`` in the canonical term order, sorted once by a
+    tuple of ints per key, built a coordinate at a time (module docstring)."""
+    keys = list(terms)
+    rank = dict(zip([0, *sorted({*chain.from_iterable(keys)} - {0}, reverse=True)], count()))
+    flat = list(zip(map(neg, map(sum, keys)), *[map(rank.__getitem__, column) for column in zip(*keys)]))
+    return [keys[k] for k in sorted(range(len(keys)), key=flat.__getitem__)]
 
 
 class _SparsePoly:
@@ -374,21 +380,23 @@ def _binomial_term_str(n, shift) -> str:
     return "*".join(parts)
 
 
-def canonical_string(q) -> str:
+def canonical_string(q, order=None) -> str:
     """Deterministic rendering with the canonical term order; injective per
-    representation for a fixed number of variables."""
+    representation for a fixed number of variables.  ``order`` is
+    ``canonical_order(q.terms)`` when the caller has it already."""
     if isinstance(q, BinomialBasisPoly):
-        items = [(n, c, _binomial_term_str(n, q.shift)) for n, c in q.terms.items()]
+        render = lambda n: _binomial_term_str(n, q.shift)
     elif isinstance(q, (MultiPoly, RationalPoly)):
-        items = [(e, c, _monomial_str(e)) for e, c in q.terms.items()]
+        render = _monomial_str
     else:
         raise TypeError("cannot render %r" % type(q).__name__)
-    if not items:
+    terms = q.terms
+    if not terms:
         return "0"
-    items.sort(key=lambda item: canonical_key(item[0]))
     pieces = []
-    for _, coeff, body in items:
-        sign, mag = _coeff_str(coeff)
+    for key in canonical_order(terms) if order is None else order:
+        sign, mag = _coeff_str(terms[key])
+        body = render(key)
         if not body:
             text = mag or "1"
         elif mag is None:

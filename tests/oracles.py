@@ -9,7 +9,8 @@ lemmas over the parent region, one sparse Mobius pass over the region, the
 exchange index's neighbour masks for ``neighbors`` and ``stalactite``,
 integer lattice codes in the changes of basis, the Mobius table and the
 cave route, a ``str.find`` loop for set bits, halving bound tables in the
-base-point walk, sliced axiom checks); the differential tests
+base-point walk, sliced axiom checks, one flat key per term for the
+canonical order, local axiom checks on the lattice path); the differential tests
 require both to return identical results and identical failure witnesses.
 """
 
@@ -34,8 +35,17 @@ from cavepoly.core import (
     mask_to_subset,
     point_set,
     rank_from_points,
+    validate_rank_function,
 )
-from cavepoly.errors import DimensionMismatch, InternalInvariantFailure, NotABasePoint, NotComparable, NotMConvex
+from cavepoly.errors import (
+    AxiomViolation,
+    DimensionMismatch,
+    InternalInvariantFailure,
+    NotABasePoint,
+    NotComparable,
+    NotMConvex,
+)
+from cavepoly.genverify import _uniform_values
 from cavepoly.geometry import CaveReport, independence_points, top_elements, truncate
 from cavepoly.polyalg import MultiPoly, RationalPoly, _rising_coeffs
 
@@ -579,3 +589,30 @@ def rank_axiom_violations_loops(p, dense, cage) -> list:
                 if dense[mi] + dense[mj] < dense[mi | mj] + dense[mask]:
                     violations.append(("submodular", (mask_to_subset(mi), mask_to_subset(mj))))
     return violations
+
+
+def canonical_key(exps):
+    """Sort key of the canonical term order: degree descending, then the
+    sparse (variable, exponent) pair sequence descending."""
+    return (-sum(exps), tuple((-i, -e) for i, e in enumerate(exps, 1) if e != 0))
+
+
+def draw_lattice_path_validating(cfg, rng) -> RankFunction:
+    """The lattice-path draw with a full ``validate_rank_function`` of every
+    candidate table, one entry lowered by one."""
+    p = cfg.p
+    r = rng.randint(0, cfg.max_rank)
+    m = [rng.randint(0, cfg.max_cage_entry) for _ in range(p)]
+    values = _uniform_values(p, r, m)
+    for _ in range(rng.randint(0, 2 << p)):
+        mask = rng.randrange(1, 1 << p)
+        if values[mask] == 0:
+            continue
+        cand = list(values)
+        cand[mask] -= 1
+        try:
+            validate_rank_function(p, cand, [cand[1 << i] for i in range(p)])
+        except AxiomViolation:
+            continue
+        values = cand
+    return validate_rank_function(p, values, [values[1 << i] for i in range(p)])

@@ -78,6 +78,21 @@ def test_parse_errors(bad):
         parse_instance(bad)
 
 
+# Recorded before ``_parse_point_list`` tested every coordinate at once.
+@pytest.mark.parametrize("points, message", [
+    ("[[0,1],[1,0],[2,true]]", "points[2] is not an integer vector"),
+    ("[[false]]", "points[0] is not an integer vector"),
+    ("[[0,1],[1,-1],[1.5,0]]", "points[1] has a negative coordinate"),
+    ("[[0,2],[1,1],[1.5,-1]]", "points[2] is not an integer vector"),
+    ("[[0,1],[1,0],5]", "points[2] is not an integer vector"),
+    ("[[0,1],[1,0],[-1,2]]", "points[2] has a negative coordinate"),
+    ("[[0,1],[1,0],[1]]", "points have mixed lengths [1, 2]"),
+])
+@pytest.mark.parametrize("command", ["validate", "is-cave"])
+def test_point_list_errors_name_the_first_bad_point(command, points, message):
+    assert run([command], stdin='{"points": %s}' % points) == (2, "", "error: %s\n" % message)
+
+
 @pytest.mark.parametrize("keys", [("[1,2]", "[1, 2]"), ("[1, 2]", "[1,2]")])
 def test_rank_document_naming_a_subset_twice_is_rejected(keys):
     values = '"[]": 0, "[1]": 2, "[2]": 3, "%s": 3, "%s": 4' % keys
@@ -372,6 +387,14 @@ def test_random_command_is_deterministic_and_valid():
     assert first == second and first[0] == 0
     P = parse_instance(first[1])
     assert P.p == 3
+
+
+def test_random_lattice_path_at_p12_matches_golden():
+    # Recorded while every lattice-path step ran a full axiom check; CI runs
+    # the installed console script on the same draw under a time limit.
+    status, out, _ = run(["random", "--p", "12", "--strategy", "lattice-path", "--seed", "0"])
+    assert status == 0
+    assert out == (GOLDEN / "random_p12_lattice-path.json").read_text()
 
 
 def test_verify_command():

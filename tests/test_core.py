@@ -22,7 +22,7 @@ from cavepoly import (
     rank_from_points,
     validate_rank_function,
 )
-from cavepoly.core import LatticeCode
+from cavepoly.core import LatticeCode, nonnegative_set, point_set
 from cavepoly.geometry import is_cave
 from conftest import instance_mix
 
@@ -266,6 +266,30 @@ def test_the_smallest_negative_point_is_named():
     # is_cave refuses the same M-convex tops with the same message.
     with pytest.raises(ValueError, match=r"nonnegative, got \(-1, 2\)$"):
         is_cave(set(points) | {(0, 0), (-1, 1)})
+
+
+# Recorded before ``point_set`` checked every coordinate in one test: the
+# per-point loop that now runs only after that test fails names the same
+# first offender, also when the points arrive from a generator.
+@pytest.mark.parametrize("points, error", [
+    ([(0, 1), (1, 0.5), ("x", 0)], (ValueError, "lattice point coordinates must be integers, got 0.5")),
+    ((q for q in [[0, 1], [1, "x"]]), (ValueError, "lattice point coordinates must be integers, got 'x'")),
+    ((iter(q) for q in [[0, 1], [2, 0.5]]), (ValueError, "lattice point coordinates must be integers, got 0.5")),
+    ([(0, 1.5), 3], (ValueError, "lattice point coordinates must be integers, got 1.5")),
+    ([(0, 1), 3], (TypeError, "'int' object is not iterable")),
+    ([(0, 1), (1,)], (DimensionMismatch, "points have mixed lengths [1, 2]")),
+    ([], (EmptyInput, "point set is empty")),
+], ids=["later-point", "generator", "generator-vectors", "before-a-non-vector", "non-vector", "mixed", "empty"])
+def test_point_set_names_the_first_bad_entry(points, error):
+    with pytest.raises(error[0]) as exc:
+        point_set(points)
+    assert str(exc.value) == error[1]
+
+
+def test_point_set_reads_a_bool_as_before():
+    assert point_set([(0, 1), (True, 0)]) == frozenset({(0, 1), (1, 0)})
+    with pytest.raises(ValueError, match=r"^polymatroid points must be nonnegative, got \(-1, 3\)$"):
+        nonnegative_set([(0, 2), (1, -1), (-1, 3)])
 
 
 def test_lattice_code_steps_and_decodes():

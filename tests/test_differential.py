@@ -66,6 +66,7 @@ from oracles import (
     cave_condition_3_box_walk,
     cave_polynomial_products,
     cave_polynomial_slices,
+    draw_lattice_path_validating,
     expand_binomial_per_term,
     in_independence_subset_sums,
     independence_points_box_filter,
@@ -711,6 +712,54 @@ def test_base_point_walk_matches_subset_sum_walk(monkeypatch):
             assert result == (InternalInvariantFailure, "valid rank function produced no base points")
         outcomes.add(result[0] if isinstance(result, tuple) else frozenset)
     assert outcomes == {frozenset, InternalInvariantFailure, NotMConvex}
+
+
+def wide_low_rank_tables():
+    """p = 8..10 tables whose walk reaches ``rest`` 0 a few coordinates in:
+    uniform tables of rank 1..3 with cages in {0, 1, 2}^p, and random
+    submodular ones of rank at most 3."""
+    rng = random.Random(15)
+    for p in (8, 9, 10):
+        for r in (1, 2, 3):
+            m = [rng.randint(0, 2) for _ in range(p)]
+            yield validate_rank_function(p, genverify._uniform_values(p, r, m), m)
+        drawn = 0
+        for seed in itertools.count(p * 1000):
+            rk = genverify._draw_submodular(GeneratorConfig(seed=seed, p=p, max_rank=3, max_cage_entry=2),
+                                            random.Random(seed))
+            if rk is not None and rk.rank:
+                yield rk
+                drawn += 1
+                if drawn == 2:
+                    break
+
+
+def test_base_point_walk_on_wide_low_rank_tables(monkeypatch):
+    """Stopping at ``rest`` 0 keeps the box filter's points and the
+    subset-sum walk's order."""
+    handed, polymatroid = [], core.Polymatroid
+
+    def recorded(members):
+        handed.append(members)
+        return polymatroid(members)
+
+    monkeypatch.setattr(core, "Polymatroid", recorded)
+    for rk in wide_low_rank_tables():
+        handed.clear()
+        assert core.points_from_rank(rk).points == points_from_rank_box_filter(rk).points, rk
+        assert handed[0] == base_points_subset_sums(rk), rk
+
+
+def test_lattice_path_draw_matches_full_validation():
+    """Checking only the axioms that read the lowered entry draws the same
+    tables as validating every candidate in full."""
+    for p in range(1, 8):
+        for seed in range(40 if p < 7 else 4):
+            cfg = GeneratorConfig(seed=seed, p=p, max_rank=1 + seed % 7, max_cage_entry=1 + seed % 4,
+                                  strategy="lattice-path")
+            drawn = genverify._draw_lattice_path(cfg, random.Random(seed))
+            expected = draw_lattice_path_validating(cfg, random.Random(seed))
+            assert (drawn.values, drawn.cage) == (expected.values, expected.cage), cfg
 
 
 def test_sliced_axiom_check_matches_covering_pair_loops():

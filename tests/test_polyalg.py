@@ -17,7 +17,8 @@ from cavepoly import (
     canonical_string,
     expand_binomial,
 )
-from cavepoly.polyalg import axiswise, binom_int
+from cavepoly.polyalg import axiswise, binom_int, canonical_order
+from oracles import canonical_key
 
 
 def P2(terms):
@@ -256,6 +257,24 @@ def test_canonical_string_is_injective_at_fixed_p():
         if s in seen:
             assert seen[s] == q.terms
         seen[s] = q.terms
+
+
+@given(st.integers(1, 6).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.dictionaries(st.tuples(*[st.integers(-3, 6)] * p), st.integers(-5, 5), max_size=12),
+    st.booleans(),
+)))
+@settings(max_examples=300, deadline=None)
+def test_canonical_order_sorts_by_the_pair_sequence_key(case):
+    p, terms, with_zero_key = case
+    if with_zero_key:
+        terms[(0,) * p] = 1
+    assert canonical_order(terms) == sorted(terms, key=canonical_key)
+    indices = {tuple(map(abs, n)): c for n, c in terms.items()}
+    for q in (MultiPoly(p, terms), RationalPoly(p, {e: Fraction(c, 3) for e, c in terms.items()}),
+              BinomialBasisPoly(p, indices), BinomialBasisPoly(p, indices, shift=-1)):
+        assert canonical_string(q) == canonical_string(q, sorted(q.terms, key=canonical_key))
+    assert canonical_order({}) == []
 
 
 def test_polynomials_are_immutable():
