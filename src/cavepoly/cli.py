@@ -11,8 +11,11 @@ canonical string; the term list is authoritative, the string advisory.
 Every document is written byte for byte as ``json.dump(doc, indent=2)``
 writes it, then a newline, but in one pass of string joins (``_emit``):
 with ``indent``, ``json`` falls back to its pure-Python encoder.
-All commands read an instance from a file argument or stdin, write results
-to stdout and diagnostics to stderr, and are stateless.  Exit status: 0 on
+Each command is one ``_COMMANDS`` handler ``(args, stdin) -> (output,
+status)``: the output is a document, written as above, or a text, written
+as it is, and the status is the exit status.  Instance commands read their
+instance from a file argument or stdin; diagnostics go to stderr, and no
+command keeps state.  Exit status: 0 on
 success/equality, 1 on mathematical inequality or a cave-check false, 2 on
 input or usage errors, 3 on an internal error (a library bug, reported as
 one ``internal error: ...`` line on stderr).
@@ -24,6 +27,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields
 from itertools import chain
 
 from . import algorithms, genverify
@@ -311,21 +315,23 @@ def _build_parser() -> argparse.ArgumentParser:
     cave_chk = instance_command("is-cave", "check the three cave conditions on a raw point set")
     cave_chk.add_argument("--order", type=_int_vector, default=None, help="lex order for the union condition")
 
-    rand = sub.add_parser("random", help="emit a random instance")
-    rand.add_argument("--seed", type=int, default=0)
-    rand.add_argument("--p", type=int, default=3)
-    rand.add_argument("--strategy", choices=genverify.STRATEGIES, default="submodular-rejection")
-    rand.add_argument("--max-rank", type=int, default=5)
-    rand.add_argument("--max-cage-entry", type=int, default=4)
+    def generator_options(cmd, max_rank, max_cage_entry):
+        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--p", type=int, default=3)
+        cmd.add_argument("--strategy", choices=genverify.STRATEGIES, default="submodular-rejection")
+        cmd.add_argument("--max-rank", type=int, default=max_rank)
+        cmd.add_argument("--max-cage-entry", type=int, default=max_cage_entry)
 
+    generator_options(sub.add_parser("random", help="emit a random instance"), 5, 4)
     ver = sub.add_parser("verify", help="generate instances and verify the theorem suite")
     ver.add_argument("--count", type=int, default=25)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--p", type=int, default=3)
-    ver.add_argument("--strategy", choices=genverify.STRATEGIES, default="submodular-rejection")
-    ver.add_argument("--max-rank", type=int, default=4)
-    ver.add_argument("--max-cage-entry", type=int, default=3)
+    generator_options(ver, 4, 3)
     return parser
+
+
+def _on_instance(build):
+    """The handler of a command that reads an instance P and exits 0 with ``build(P, args)``."""
+    return lambda args, stdin: (build(parse_instance(_read_source(args.file, stdin)), args), EXIT_OK)
 
 
 def _stal_document(P, args):
@@ -341,84 +347,64 @@ def _mobius_document(P, args):
     return doc
 
 
-def _config(args) -> genverify.GeneratorConfig:
-    return genverify.GeneratorConfig(
-        seed=args.seed, p=args.p, max_rank=args.max_rank,
-        max_cage_entry=args.max_cage_entry, strategy=args.strategy)
-
-
-# The instance commands that write one document and exit 0.
-_DOCUMENTS = {
-    "validate": lambda P, args: {"valid": True, "p": P.p, "rank": P.rank, "base_points": len(P.points),
-                                 "cage": list(P.cage)},
-    "points": lambda P, args: serialize_instance(P),
-    "independence": lambda P, args: {"points": [list(q) for q in sorted(independence_points(P).points)]},
-    "cave": lambda P, args: polynomial_document(algorithms.cave_polynomial(P)),
-    "stal": _stal_document,
-    "box": lambda P, args: polynomial_document(algorithms.box_polynomial(P)),
-    "mobius": _mobius_document,
-    "truncate": lambda P, args: serialize_instance(truncate(P, args.at)),
-}
-
-
-def _cmd_snapper(P, args, out):
+def _snapper_output(P, args):
     snapper = algorithms.snapper_from_cave(P)
     target = expand_binomial(snapper) if args.expand else snapper
     if args.eval_at is not None:
-        value = target.evaluate(args.eval_at)
-        out.write("%s\n" % value)
-        return EXIT_OK
-    _emit(polynomial_document(target), out)
-    return EXIT_OK
+        return "%s\n" % target.evaluate(args.eval_at)
+    return polynomial_document(target)
 
 
-def _cmd_equal(P, args, out):
+def _equal(args, stdin):
+    P = parse_instance(_read_source(args.file, stdin))
     cave = algorithms.cave_polynomial(P)
     others = {
         "stalactite": algorithms.stalactite_polynomial(P),
         "box": algorithms.box_polynomial(P),
         "mobius": algorithms.mobius_polynomial(P),
     }
-    unequal = {name: q for name, q in others.items() if q != cave}
+    unequal = sorted(name for name, q in others.items() if q != cave)
     if not unequal:
-        out.write("EQUAL\n")
-        return EXIT_OK
-    out.write("UNEQUAL\n")
-    out.write("cave: %s\n" % canonical_string(cave))
-    for name in sorted(unequal):
-        out.write("%s: %s\n" % (name, canonical_string(unequal[name])))
-    return EXIT_UNEQUAL
+        return "EQUAL\n", EXIT_OK
+    lines = ["UNEQUAL", "cave: %s" % canonical_string(cave)]
+    lines += ["%s: %s" % (name, canonical_string(others[name])) for name in unequal]
+    return "\n".join(lines) + "\n", EXIT_UNEQUAL
 
 
-def _cmd_is_cave(args, stdin, out):
+def _is_cave(args, stdin):
     doc = _load_document(_read_source(args.file, stdin))
     if "points" not in doc:
         raise ParseError('is-cave expects a raw {"points": [...]} document')
     points = _parse_point_list(doc["points"])
-    order = algorithms.LexOrder(args.order) if args.order else None
-    report = is_cave(points, order)
-    _emit({
-        "is_cave": report.ok,
-        "failed_condition": report.failed_condition,
-        "witness": _jsonable(report.witness),
-        "order": list(report.order),
-    }, out)
-    return EXIT_OK if report.ok else EXIT_UNEQUAL
+    report = is_cave(points, algorithms.LexOrder(args.order) if args.order else None)
+    return ({"is_cave": report.ok, "failed_condition": report.failed_condition, "witness": report.witness,
+             "order": list(report.order)}, EXIT_OK if report.ok else EXIT_UNEQUAL)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_jsonable(v) for v in items]
-    return value
+def _config(args) -> genverify.GeneratorConfig:
+    return genverify.GeneratorConfig(**{f.name: getattr(args, f.name) for f in fields(genverify.GeneratorConfig)})
 
 
-def _cmd_verify(args, out):
+def _verify(args, stdin):
     report = genverify.verify_campaign(_config(args), args.count)
-    _emit(report.to_document(), out)
-    return EXIT_OK if report.passed else EXIT_UNEQUAL
+    return report.to_document(), EXIT_OK if report.passed else EXIT_UNEQUAL
+
+
+_COMMANDS = {
+    "validate": _on_instance(lambda P, args: {"valid": True, **genverify.instance_descriptor(P)}),
+    "points": _on_instance(lambda P, args: serialize_instance(P)),
+    "independence": _on_instance(lambda P, args: {"points": [list(q) for q in sorted(independence_points(P).points)]}),
+    "cave": _on_instance(lambda P, args: polynomial_document(algorithms.cave_polynomial(P))),
+    "stal": _on_instance(_stal_document),
+    "box": _on_instance(lambda P, args: polynomial_document(algorithms.box_polynomial(P))),
+    "mobius": _on_instance(_mobius_document),
+    "snapper": _on_instance(_snapper_output),
+    "equal": _equal,
+    "truncate": _on_instance(lambda P, args: serialize_instance(truncate(P, args.at))),
+    "is-cave": _is_cave,
+    "random": lambda args, stdin: (serialize_instance(genverify.random_polymatroid(_config(args))), EXIT_OK),
+    "verify": _verify,
+}
 
 
 def run_command(argv, stdin=None, stdout=None, stderr=None) -> int:
@@ -431,20 +417,12 @@ def run_command(argv, stdin=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        if args.command == "is-cave":
-            return _cmd_is_cave(args, stdin, stdout)
-        if args.command == "random":
-            _emit(serialize_instance(genverify.random_polymatroid(_config(args))), stdout)
-            return EXIT_OK
-        if args.command == "verify":
-            return _cmd_verify(args, stdout)
-        P = parse_instance(_read_source(args.file, stdin))
-        if args.command == "snapper":
-            return _cmd_snapper(P, args, stdout)
-        if args.command == "equal":
-            return _cmd_equal(P, args, stdout)
-        _emit(_DOCUMENTS[args.command](P, args), stdout)
-        return EXIT_OK
+        output, status = _COMMANDS[args.command](args, stdin)
+        if isinstance(output, str):
+            stdout.write(output)
+        else:
+            _emit(output, stdout)
+        return status
     except InternalInvariantFailure as exc:
         stderr.write("internal error: %s\n" % exc)
         return EXIT_INTERNAL

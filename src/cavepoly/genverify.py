@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from operator import sub
 
 from .algorithms import (
@@ -481,13 +481,7 @@ class CampaignReport:
             "failed": sum(1 for r in self.reports if not r.passed),
             "all_passed": self.passed,
             "checks": list(self.checks),
-            "config": {
-                "seed": self.config.seed,
-                "p": self.config.p,
-                "max_rank": self.config.max_rank,
-                "max_cage_entry": self.config.max_cage_entry,
-                "strategy": self.config.strategy,
-            },
+            "config": asdict(self.config),
             "failures": [
                 {
                     "seed": f.seed,

@@ -352,6 +352,17 @@ def test_equal_command_golden():
     assert status == 0 and out.strip() == "EQUAL"
 
 
+@pytest.mark.parametrize("route, name", [("box_polynomial", "box"), ("mobius_polynomial", "mobius")])
+def test_equal_command_names_the_routes_that_differ(monkeypatch, route, name):
+    from cavepoly import algorithms
+    from cavepoly.polyalg import MultiPoly
+
+    correct = getattr(algorithms, route)
+    monkeypatch.setattr(algorithms, route, lambda P: correct(P) + MultiPoly.constant(P.p, 1))
+    cave = "t2^3 + t1^2*t2 + t1*t2^2 - t2^2 - t1*t2"
+    assert run(["equal"], stdin=RUNNING_DOC) == (1, "UNEQUAL\ncave: %s\n%s: %s + 1\n" % (cave, name, cave), "")
+
+
 def test_truncate_command():
     status, out, _ = run(["truncate", "--at", "1,1"], stdin=RUNNING_DOC)
     assert status == 0 and json.loads(out) == {"points": [[1, 2], [2, 1]]}
@@ -377,6 +388,15 @@ IS_CAVE_CASES = json.loads((GOLDEN / "is_cave_cases.json").read_text())
 def test_is_cave_command_matches_golden_cases(case):
     # CI pipes two of these documents into the installed console script and
     # compares its exit status and stdout with the recorded ones.
+    assert run(case["argv"], stdin=case["stdin"]) == (case["status"], case["stdout"], "")
+
+
+RUNNING_EXAMPLE_CASES = json.loads((GOLDEN / "running_example_commands.json").read_text())
+
+
+@pytest.mark.parametrize("case", RUNNING_EXAMPLE_CASES, ids=[" ".join(c["argv"]) for c in RUNNING_EXAMPLE_CASES])
+def test_running_example_commands_match_golden_cases(case):
+    # CI replays every case through the installed console script.
     assert run(case["argv"], stdin=case["stdin"]) == (case["status"], case["stdout"], "")
 
 
@@ -454,6 +474,8 @@ def test_file_input(tmp_path):
     path.write_text(RUNNING_DOC)
     status, out, _ = run(["equal", str(path)])
     assert status == 0 and out.strip() == "EQUAL"
+    missing = "/nonexistent/instance.json"
+    assert run(["cave", missing]) == (2, "", "error: [Errno 2] No such file or directory: %r\n" % missing)
 
 
 def test_one_parser_serves_every_invocation_of_a_process():
@@ -470,6 +492,34 @@ def test_one_parser_serves_every_invocation_of_a_process():
         assert run(argv, stdin) == result, argv
     assert [status for status, _, _ in reused] == [0, 0, 0, 0, 2, 2, 0, 0]
     assert reused[0][1] != reused[1][1] and reused[2][1] != reused[3][1]
+
+
+INSTANCE_DEFAULTS = {"file": None}
+GENERATOR_DEFAULTS = {"seed": 0, "p": 3, "strategy": "submodular-rejection"}
+
+
+PARSED_DEFAULTS = [
+    (["validate"], INSTANCE_DEFAULTS),
+    (["points"], INSTANCE_DEFAULTS),
+    (["independence"], INSTANCE_DEFAULTS),
+    (["cave"], INSTANCE_DEFAULTS),
+    (["stal"], {**INSTANCE_DEFAULTS, "order": None}),
+    (["box"], INSTANCE_DEFAULTS),
+    (["mobius"], {**INSTANCE_DEFAULTS, "table": False}),
+    (["snapper"], {**INSTANCE_DEFAULTS, "expand": False, "eval_at": None}),
+    (["equal"], INSTANCE_DEFAULTS),
+    (["truncate", "--at", "1,1"], {**INSTANCE_DEFAULTS, "at": (1, 1)}),
+    (["is-cave"], {**INSTANCE_DEFAULTS, "order": None}),
+    (["random"], {**GENERATOR_DEFAULTS, "max_rank": 5, "max_cage_entry": 4}),
+    (["verify"], {"count": 25, **GENERATOR_DEFAULTS, "max_rank": 4, "max_cage_entry": 3}),
+]
+
+
+@pytest.mark.parametrize("argv, parsed", PARSED_DEFAULTS, ids=[argv[0] for argv, _ in PARSED_DEFAULTS])
+def test_parsed_defaults_of_every_subcommand(argv, parsed):
+    from cavepoly import cli
+
+    assert vars(cli._build_parser().parse_args(argv)) == {"command": argv[0], **parsed}
 
 
 def test_output_is_byte_identical_across_runs():
