@@ -23,22 +23,22 @@ skips coordinate p); permuted orders are exercised through the stalactite
 route, whose polynomial is order-invariant.
 
 Each route's result is held in the polymatroid's memo store; the routes
-share only its exchange index and independence region.  ``neighbors``,
-``stalactite`` and ``stalactite_decomposition`` read the index's neighbour
-masks and build ``Stalactite`` cubes for callers that want them; every
-stalactite's members come from ``core.cube``.  The cave route uses
-neither: it tries its own moves against the base points' lattice codes.
+share only its ``lattice_code``, exchange index and independence region.
+``neighbors``, ``stalactite`` and ``stalactite_decomposition`` read the
+index's neighbour masks and build ``Stalactite`` cubes for callers that want
+them; the stalactite route counts the index's coded cube members.  The cave
+route uses neither: it tries its own moves against the base points' codes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import gt, sub
 from types import MappingProxyType
 
-from .core import LatticeCode, LexOrder, Polymatroid, _bits, as_point, cube, exchange_index, memo, resolve_order
+from .core import LexOrder, Polymatroid, _bits, as_point, exchange_index, lattice_code, memo, resolve_order
 from .errors import DimensionMismatch, InternalInvariantFailure, NotABasePoint, NotComparable
 from .geometry import independence_points
 from .polyalg import BinomialBasisPoly, MultiPoly, axiswise, binomial_map
@@ -105,20 +105,18 @@ def neighbors(P: Polymatroid, u) -> frozenset:
 
 
 def _hanging_cube(apex, directions) -> Stalactite:
-    """The stalactite below ``apex`` along the 0-based ``directions``."""
-    return Stalactite(apex, frozenset(ell + 1 for ell in directions), frozenset(cube(apex, directions)))
+    """The stalactite below ``apex`` along the direction mask ``directions``."""
+    axes = [(c, c - 1) if directions >> ell & 1 else (c,) for ell, c in enumerate(apex)]
+    return Stalactite(apex, frozenset(ell + 1 for ell in _bits(directions)), frozenset(product(*axes)))
 
 
 def stalactite(u, V, P: Polymatroid) -> Stalactite:
     """St(u; V): directions are the l with some neighbor u - e_l + e_j in V,
-    one AND each of u's neighbour masks in P's ``exchange_index`` against
-    the mask of V."""
+    the last of P's ``exchange_index`` stalactites visiting V, then u."""
     index = exchange_index(P)
     k = _position(P, index, u)
-    placed = 0
-    for w in V:
-        placed |= 1 << _position(P, index, w)
-    return _hanging_cube(index.ordered[k], index.directions(k, placed))
+    *_, (_, directions) = index.stalactites([_position(P, index, w) for w in V] + [k])
+    return _hanging_cube(index.ordered[k], directions)
 
 
 def stalactite_decomposition(P: Polymatroid, order: LexOrder | None = None) -> tuple:
@@ -159,7 +157,7 @@ def _stalactite_polynomial(P: Polymatroid, order: LexOrder) -> MultiPoly:
 def cave_polynomial(P: Polymatroid) -> MultiPoly:
     """Expand the indicator-product formula over the base points.
 
-    Exponents are codes of the ``LatticeCode`` with spans cage_i + 2 and
+    Exponents are codes of ``lattice_code(P)``, spans cage_i + 2 and
     strides s_i.  Each base point u starts as {code(u): 1}.  For each i < p
     with a neighbour u - e_i + e_j, j > i, in P (the route's own move test,
     code(u) - s_i + s_j among the base points' codes: the margin keeps
@@ -171,7 +169,7 @@ def cave_polynomial(P: Polymatroid) -> MultiPoly:
     p - i - 1 moves.  The sum is decoded into one ``MultiPoly``: O(|B| p^2)
     lookups plus O(p) per term.
     """
-    lattice = LatticeCode([c + 2 for c in P.cage])
+    lattice = lattice_code(P)
     strides = lattice.strides
     rises = [[s - down for s in strides[i + 1:]] for i, down in enumerate(strides[:-1])]
     ordered = sorted(P.points)
@@ -257,12 +255,11 @@ def mobius_table(P: Polymatroid) -> MobiusTable:
     region, which is down-closed), and partial[n][k] = partial[n][k - 1] +
     partial[n + e_k][k] with partial[n][-1] = mu(n): O(|I| p) in total
     (a trimmed zeta transform over the product of chains).  ``partial`` is
-    keyed by the codes of the ``LatticeCode`` with spans cage_i + 2, so
-    n + e_k is the lookup code(n) + stride_k, which the margin keeps from
-    carrying.
+    keyed by the codes of ``lattice_code(P)``, spans cage_i + 2, so n + e_k
+    is the lookup code(n) + stride_k, which the margin keeps from carrying.
     """
     outside = (0,) * P.p
-    lattice = LatticeCode([c + 2 for c in P.cage])
+    lattice = lattice_code(P)
     strides = list(enumerate(lattice.strides))
     partial = {}
     values = {}

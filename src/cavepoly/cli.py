@@ -17,8 +17,8 @@ as it is, and the status is the exit status.  Instance commands read their
 instance from a file argument or stdin; diagnostics go to stderr, and no
 command keeps state.  Exit status: 0 on
 success/equality, 1 on mathematical inequality or a cave-check false, 2 on
-input or usage errors, 3 on an internal error (a library bug, reported as
-one ``internal error: ...`` line on stderr).
+input or usage errors, 3 on an internal error (a library bug, any exception
+but those, reported as one ``internal error: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def _load_document(text):
             raise ParseError("input is not UTF-8: %s" % exc)
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ParseError("invalid JSON: %s" % exc)
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
@@ -111,7 +111,7 @@ def _parse_point_list(raw):
 def _parse_subset_key(key, p):
     try:
         subset = json.loads(key)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         raise ParseError("bad subset key %r, expected e.g. \"[1,2]\"" % key)
     if not isinstance(subset, list) or not all(type(i) is int for i in subset):
         raise ParseError("bad subset key %r, expected a list of indices" % key)
@@ -429,6 +429,9 @@ def run_command(argv, stdin=None, stdout=None, stderr=None) -> int:
     except (CavepolyError, ValueError, OSError) as exc:
         stderr.write("error: %s\n" % exc)
         return EXIT_INPUT
+    except Exception as exc:  # any other escape is a library fault, never a verdict
+        stderr.write("internal error: %r\n" % (exc,))
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -13,13 +13,13 @@ round-trip exactly.  Subsets are encoded internally as p-bit masks, with
 bit ``i-1`` standing for element ``i``; the dense 2^p table caps ``p`` at 16.
 
 ``LatticeCode`` is the one mixed-radix integer code of lattice points, in
-which a step +- e_i is an addition; the exchange index, the changes of
-basis in ``polyalg``, the Mobius table and the cave route key their points
-by it.  ``ExchangeIndex`` answers the exchange questions for a point list
-and for its bitmask subsets; ``is_m_convex`` and
-``is_generalized_polymatroid`` are its whole-set case.  ``cube``
-builds the members of every stalactite, whose apexes are visited in a
-``LexOrder``, as one product of per-coordinate axes.
+which a step +- e_i is an addition.  ``lattice_code(P)`` is the one code of
+a polymatroid's points: P's exchange index, its stalactite counts (and so
+the lex-order and truncation-lemma checks), the Mobius table and the cave
+route key their points by it; ``polyalg`` has codes of its own.
+``ExchangeIndex`` answers the exchange questions for a point list and its
+bitmask subsets (``is_m_convex``, ``is_generalized_polymatroid``: the whole
+set), and counts the stalactites of its points, visited in a ``LexOrder``.
 
 A ``Polymatroid``'s derived data (rank table, exchange index, independence
 region, each route's result) lives in the instance's own memo store (see
@@ -37,8 +37,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
-from itertools import accumulate, chain, compress, count, product, repeat
-from operator import floordiv, gt, itemgetter, lt, mod, mul, or_, sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, floordiv, gt, itemgetter, lt, mod, mul, neg, or_, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -297,16 +297,6 @@ def threshold_masks(values) -> dict:
     return out
 
 
-def cube(apex, directions):
-    """The points apex - e_J, J a subset of the 0-based ``directions``: one
-    ``itertools.product`` of the axes (apex_i,), or (apex_i, apex_i - 1)
-    along a direction.  The member set of every stalactite."""
-    axes = [(c,) for c in apex]
-    for ell in directions:
-        axes[ell] += (axes[ell][0] - 1,)
-    return product(*axes)
-
-
 def _bits(mask) -> list:
     """Positions of the set bits of a nonnegative ``mask``, ascending: one
     ``str.find`` per set bit over the reversed binary string."""
@@ -363,23 +353,28 @@ class ExchangeIndex:
     each point's neighbour masks are built once in O(p^2) lookups, and
     each direction is then one AND against the points visited before it.
 
-    Every part is built on first use: the lattice codes, which turn
-    neighbour lookups into integer additions, the per-coordinate and degree
-    threshold masks, the neighbour masks, and the up-table of the
-    generalized-polymatroid conditions.
+    Every part is built on first use: the lattice codes (of a ``lattice``
+    given or the default one), which turn neighbour lookups into integer
+    additions, the threshold masks, the neighbour masks, the cube offsets
+    and the up-table of the generalized-polymatroid conditions.
     """
 
-    def __init__(self, ordered):
+    def __init__(self, ordered, lattice=None):
         self.ordered = ordered
         self.p = len(ordered[0])
         self.full = (1 << len(ordered)) - 1
         self._exchange = [None] * len(ordered)
         self._gp = [None] * len(ordered)
+        self._units, self._cubes = [1 << ell for ell in range(self.p)], {}
+        if lattice is not None:
+            self.lattice = lattice
 
     @cached_property
     def lattice(self) -> LatticeCode:
-        """The code of each coordinate's range widened by one on both sides,
-        which keeps the codes of all q +- e_i distinct."""
+        """``lattice_code(P)`` if given, for P's points and region; else, for
+        any set (``is_cave``'s may hold negative entries), each coordinate's
+        range widened by one on both sides.  Either keeps the codes of all
+        q +- e_i looked up distinct; its spans are >= max - min + 1."""
         return LatticeCode([max(col) - min(col) + 3 for col in zip(*self.ordered)])
 
     @cached_property
@@ -533,12 +528,6 @@ class ExchangeIndex:
         every i; None if there is none."""
         return self._first_witness(self.full if mask is None else mask, self._gp_failures)
 
-    def directions(self, k, placed) -> list:
-        """The directions of the stalactite St(u; V), u = ordered[k] and V
-        the points under the mask ``placed``: the 0-based coordinates l for
-        which some neighbour u - e_l + e_j lies in V, one AND each."""
-        return [ell for ell, mask in enumerate(self.neighbours[k]) if mask & placed]
-
     def in_order(self, order, mask=None) -> list:
         """The positions of the points under ``mask`` (all by default) in
         ascending ``order``, a ``LexOrder``: a stalactite visiting sequence."""
@@ -546,25 +535,51 @@ class ExchangeIndex:
         return sorted(range(len(keys)) if mask is None else _bits(mask), key=keys.__getitem__)
 
     def stalactites(self, visit):
-        """(k, directions) for each position k of ``visit`` in turn: the
-        ``directions`` of the apex ``ordered[k]`` against the points
-        visited before it."""
-        placed = 0
+        """(k, D) for each position k of ``visit`` in turn: the direction mask
+        D of the stalactite with apex u = ordered[k] against the points V
+        visited before it, bit l set when some u - e_l + e_j lies in V, one
+        AND of each of u's neighbour masks."""
+        placed, units, neighbours = 0, self._units, self.neighbours
         for k in visit:
-            yield k, self.directions(k, placed)
+            yield k, sum(compress(units, map(placed.__and__, neighbours[k])))
             placed |= 1 << k
 
-    def stalactite_terms(self, visit) -> dict:
+    def stalactite_codes(self, visit) -> dict:
         """Signed stalactite counts of the points at the positions ``visit``,
-        decomposed greedily in that sequence: each point n of the
-        stalactites' union maps to (-1)^(d - |n|) times the number of
-        stalactites containing it, d the apexes' degree.  The sign depends
-        on n alone, so the cubes are counted first and signed once."""
-        ordered = self.ordered
-        cubes = (cube(ordered[k], directions) for k, directions in self.stalactites(visit))
-        counts = Counter(chain.from_iterable(cubes))
-        degree = sum(ordered[visit[0]])
-        return {n: -c if (degree - sum(n)) % 2 else c for n, c in counts.items()}
+        decomposed greedily in that sequence, keyed by code: each member n of
+        the union maps to (-1)^(d - |n|) times the number of stalactites
+        containing it, d the apexes' degree.  The cube at u along the mask D
+        is code(u) plus the offsets -code(e_J), J within D, one (even |J|, odd
+        |J|) pair of lists per D built on first use (all 3^p are too many at
+        p = 16).  As |J| = |u| - |n|, the sign (-1)^|J| is n's own: each
+        parity is counted by one ``Counter``.  Members lie in [min, max] over
+        the points, where codes are distinct, so counts by code are counts by
+        point.  Cost: O(p) per apex, one addition per member."""
+        even, odd, codes, cubes = [], [], self.codes, self._cubes
+        for k, directions in self.stalactites(visit):
+            pair = cubes.get(directions)
+            if pair is None:
+                pair = [0], []
+                for step in map(self.lattice.strides.__getitem__, _bits(directions)):
+                    pair = pair[0] + [c - step for c in pair[1]], pair[1] + [c - step for c in pair[0]]
+                cubes[directions] = pair
+            even.append(map(codes[k].__add__, pair[0]))
+            odd.append(map(codes[k].__add__, pair[1]))
+        terms = dict(Counter(chain.from_iterable(even)))
+        odd = Counter(chain.from_iterable(odd))
+        terms.update(zip(odd, map(neg, odd.values())))
+        return terms
+
+    def stalactite_terms(self, visit) -> dict:
+        """``stalactite_codes(visit)`` keyed by the points: one decode in the
+        box of ``lattice`` from the least coordinates ``low``, which holds
+        every member, as a member's entry u_l - 1 is its neighbour's."""
+        terms = self.stalactite_codes(visit)
+        low = [min(col) for col in zip(*self.ordered)]
+        if not any(low):
+            return dict(zip(self.lattice.decode(terms), terms.values()))
+        points = self.lattice.decode(list(map(sub, terms, repeat(sum(map(mul, low, self.lattice.strides))))))
+        return dict(zip((tuple(map(add, q, low)) for q in points), terms.values()))
 
 
 def not_m_convex(witness) -> NotMConvex:
@@ -694,10 +709,18 @@ def memo(fn):
 
 
 @memo
+def lattice_code(P: Polymatroid) -> LatticeCode:
+    """The one code of P's lattice points, spans cage_i + 2: its box [0,
+    cage + 1] holds the region, its stalactite members and every q + e_i,
+    and a q - e_i off the box has digit i at cage_i + 1, which no point has."""
+    return LatticeCode([c + 2 for c in P.cage])
+
+
+@memo
 def exchange_index(P: Polymatroid) -> ExchangeIndex:
-    """The ``ExchangeIndex`` of the sorted base points, shared by the
-    stalactites of every lex order and of every truncation of ``P``."""
-    return ExchangeIndex(sorted(P.points))
+    """The ``ExchangeIndex`` of the sorted base points under ``lattice_code(P)``,
+    shared by the stalactites of every lex order and truncation of ``P``."""
+    return ExchangeIndex(sorted(P.points), lattice_code(P))
 
 
 @memo

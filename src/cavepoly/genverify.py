@@ -47,6 +47,7 @@ from .core import (
     _bits,
     _subset_sums,
     exchange_index,
+    lattice_code,
     not_m_convex,
     points_from_rank,
     rank_from_points,
@@ -204,7 +205,9 @@ def _check_four_way(P):
 
 
 def _check_lex_order_invariance(P):
-    base = stalactite_polynomial(P)
+    terms = stalactite_polynomial(P).terms
+    base = dict(zip(lattice_code(P).encode(terms), terms.values()))
+    index = exchange_index(P)
     p = P.p
     if p <= 4:
         perms = itertools.permutations(range(1, p + 1))
@@ -216,7 +219,7 @@ def _check_lex_order_invariance(P):
             rng.shuffle(perm)
             perms.append(tuple(perm))
     for perm in perms:
-        if stalactite_polynomial(P, LexOrder(tuple(perm))) != base:
+        if index.stalactite_codes(index.in_order(LexOrder(tuple(perm)))) != base:
             return False, "stalactite polynomial differs under order %s" % (perm,)
     return True, None
 
@@ -279,11 +282,12 @@ def _check_truncation_lemmas(P):
     (nonempty, or n is not in the region; M-convex, or the library is at
     fault) and decomposed into stalactites on its own, visiting only its
     kept bases, in O(p) mask operations per kept base, with no
-    per-truncation set-up."""
-    stal_p = stalactite_polynomial(P).terms
+    per-truncation set-up; coefficients are compared by ``lattice_code(P)``."""
+    terms = stalactite_polynomial(P).terms
+    stal_p = dict(zip(lattice_code(P).encode(terms), terms.values()))
     bases = exchange_index(P)
     region = sorted(independence_points(P).points)
-    index = ExchangeIndex(region)  # its threshold masks give the region above n
+    index = ExchangeIndex(region, lattice_code(P))  # its threshold masks give the region above n
     truncations = {}
     for n in region:
         kept = bases.truncation(n)
@@ -294,12 +298,14 @@ def _check_truncation_lemmas(P):
             if witness:
                 raise InternalInvariantFailure(
                     "truncation at %s is not a polymatroid: %s" % (n, not_m_convex(witness)))
-            truncations[kept] = bases.stalactite_terms(_bits(kept))
-        stal_sub = truncations[kept]
-        for m in map(region.__getitem__, _bits(index.truncation(n))):
-            if stal_sub.get(m, 0) != stal_p.get(m, 0):
-                return False, "truncation at %s: coefficient at %s is %d, expected %d" % (
-                    n, m, stal_sub.get(m, 0), stal_p.get(m, 0))
+            truncations[kept] = bases.stalactite_codes(_bits(kept))
+        above = _bits(index.truncation(n))
+        got, expected = (list(map(counts.get, map(index.codes.__getitem__, above), itertools.repeat(0)))
+                         for counts in (truncations[kept], stal_p))
+        if got != expected:
+            t = next(t for t in range(len(got)) if got[t] != expected[t])
+            return False, "truncation at %s: coefficient at %s is %d, expected %d" % (
+                n, region[above[t]], got[t], expected[t])
     return True, None
 
 

@@ -7,16 +7,18 @@ of basis one coordinate at a time, local submodularity, base points
 enumerated inside the projection bounds, subset-sum tables, truncation
 lemmas over the parent region, one sparse Mobius pass over the region, the
 exchange index's neighbour masks for ``neighbors`` and ``stalactite``,
-integer lattice codes in the changes of basis, the Mobius table and the
-cave route, a ``str.find`` loop for set bits, halving bound tables in the
-base-point walk, sliced axiom checks, one flat key per term for the
-canonical order, local axiom checks on the lattice path); the differential tests
-require both to return identical results and identical failure witnesses.
+integer lattice codes in the changes of basis, the Mobius table, the cave
+route and the stalactite counts, a ``str.find`` loop for set bits, halving
+bound tables in the base-point walk, sliced axiom checks, one flat key per
+term for the canonical order, local axiom checks on the lattice path); the
+differential tests require both to return identical results and identical
+failure witnesses.
 """
 
 import itertools
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 
@@ -24,6 +26,7 @@ from cavepoly.algorithms import (
     LexOrder,
     MobiusTable,
     Stalactite,
+    _hanging_cube,
     mobius_interval,
     stalactite_counts,
     stalactite_polynomial,
@@ -223,6 +226,16 @@ def stalactite_polynomial_prefix(P, order=None) -> MultiPoly:
         for m in st.members:
             terms[m] = terms.get(m, 0) + (-1 if (P.rank - sum(m)) % 2 else 1)
     return MultiPoly(P.p, terms)
+
+
+def stalactite_terms_counter(index, visit) -> dict:
+    """``ExchangeIndex.stalactite_terms`` counted as tuples: one ``Counter``
+    over the members of every stalactite, signed by the first apex's degree."""
+    ordered = index.ordered
+    cubes = (_hanging_cube(ordered[k], directions).members for k, directions in index.stalactites(visit))
+    counts = Counter(itertools.chain.from_iterable(cubes))
+    degree = sum(ordered[visit[0]])
+    return {n: -c if (degree - sum(n)) % 2 else c for n, c in counts.items()}
 
 
 def cave_condition_3_box_walk(pts, is_generalized):

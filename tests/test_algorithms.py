@@ -155,13 +155,13 @@ def test_counts(running):
 
 def test_counts_decompose_once_per_order_and_return_a_new_dict(monkeypatch):
     calls = []
-    terms = core.ExchangeIndex.stalactite_terms
+    codes = core.ExchangeIndex.stalactite_codes
 
     def counted(index, visit):
         calls.append(tuple(index.ordered[k] for k in visit))
-        return terms(index, visit)
+        return codes(index, visit)
 
-    monkeypatch.setattr(core.ExchangeIndex, "stalactite_terms", counted)
+    monkeypatch.setattr(core.ExchangeIndex, "stalactite_codes", counted)
     P = Polymatroid([(0, 3), (1, 2), (2, 1)])
     reverse = LexOrder((2, 1))
     counts = stalactite_counts(P)

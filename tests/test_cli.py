@@ -469,6 +469,36 @@ def test_internal_error_has_its_own_exit_status(monkeypatch):
     assert exc.value.code == cli.EXIT_INTERNAL
 
 
+@pytest.mark.parametrize("depth", [900, 1000])
+def test_deeply_nested_document_is_an_input_error(depth):
+    nested = "[" * depth + "]" * depth
+    rank = '{"rank": {"p": 1, "cage": [1], "values": {"[]": 0, "[1]": 1, %s: 1}}}' % json.dumps(nested)
+    for doc in ('{"points": %s}' % nested, rank):
+        status, out, err = run(["validate"], stdin=doc)
+        assert (status, out) == (2, ""), doc[:40]
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+    status, out, err = run(["validate"], stdin='{"points": %s}' % ("[" * 1000 + "]" * 1000))
+    assert (status, out) == (2, "") and err.startswith("error: invalid JSON: maximum recursion depth exceeded")
+
+
+def test_any_exception_escaping_a_handler_is_an_internal_error(monkeypatch):
+    from cavepoly import algorithms, cli
+
+    for exc in (KeyError("no\nsuch key"), RecursionError("deep"), ZeroDivisionError()):
+        def broken(P, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(algorithms, "cave_polynomial", broken)
+        assert run(["cave"], stdin=RUNNING_DOC) == (cli.EXIT_INTERNAL, "", "internal error: %r\n" % (exc,))
+    for exc in (KeyboardInterrupt(), SystemExit(5)):
+        def interrupted(P, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(algorithms, "cave_polynomial", interrupted)
+        with pytest.raises(type(exc)):
+            run(["cave"], stdin=RUNNING_DOC)
+
+
 def test_file_input(tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(RUNNING_DOC)

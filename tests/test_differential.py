@@ -85,6 +85,7 @@ from oracles import (
     stalactite_decomposition_prefix,
     stalactite_polynomial_prefix,
     stalactite_scan,
+    stalactite_terms_counter,
     submodular_violations_all_pairs,
     truncation_lemmas_check_scan,
 )
@@ -246,7 +247,7 @@ def test_cave_polynomial_refuses_an_inverse_of_a_zero_entry(monkeypatch):
     # at i = 1 reads code(u) - s_1 + s_2 = code(u): a false neighbour whose
     # t_1^{-1} would drop the zero first entry.
     assert cave_polynomial(Polymatroid([(0, 1, 0)])).terms == {(0, 1, 0): 1}
-    monkeypatch.setattr(algorithms, "LatticeCode", lambda spans: core.LatticeCode([s - 1 for s in spans]))
+    monkeypatch.setattr(algorithms, "lattice_code", lambda P: core.LatticeCode([c + 1 for c in P.cage]))
     with pytest.raises(InternalInvariantFailure, match=r"t_1\^-1 applied to \(0, 1, 0\), whose entry 1 is 0"):
         cave_polynomial(Polymatroid([(0, 1, 0)]))
 
@@ -790,7 +791,7 @@ def test_truncation_lemma_check_matches_scan(monkeypatch):
     for P in GENERATED:
         assert CHECKS["truncation-lemmas"](P) == truncation_lemmas_check_scan(P) == (True, None)
 
-    stalactite_terms = core.ExchangeIndex.stalactite_terms
+    stalactite_codes = core.ExchangeIndex.stalactite_codes
 
     def raised(where):  # coefficients off by one in the two-point truncations
         def faulty(P, *order):  # in the oracle's stalactite polynomial
@@ -802,25 +803,25 @@ def test_truncation_lemma_check_matches_scan(monkeypatch):
                 terms[m] = terms.get(m, 0) + 1
             return MultiPoly(P.p, terms)
 
-        def faulty_terms(index, visit):  # in the index's terms of a truncation
+        def faulty_codes(index, visit):  # in the index's coded terms of a truncation
             visit = list(visit)
-            terms = stalactite_terms(index, visit)
+            terms = stalactite_codes(index, visit)
             if len(visit) != 2 or len(index.ordered) == 2:  # a two-point set's own terms
                 return terms
             terms = dict(terms)
-            for m in where(Polymatroid(index.ordered[k] for k in visit)):
-                terms[m] = terms.get(m, 0) + 1
+            for code in index.lattice.encode(where(Polymatroid(index.ordered[k] for k in visit))):
+                terms[code] = terms.get(code, 0) + 1
             return terms
-        return faulty, faulty_terms
+        return faulty, faulty_codes
 
-    at_top, at_top_terms = raised(lambda P: [max(P.points)])
-    everywhere, everywhere_terms = raised(lambda P: independence_points(P).points)
+    at_top, at_top_codes = raised(lambda P: [max(P.points)])
+    everywhere, everywhere_codes = raised(lambda P: independence_points(P).points)
     caught = 0
     for P in GENERATED:
         if len(P.points) <= 2:
             continue
         with monkeypatch.context() as patch:
-            patch.setattr(core.ExchangeIndex, "stalactite_terms", at_top_terms)
+            patch.setattr(core.ExchangeIndex, "stalactite_codes", at_top_codes)
             result = CHECKS["truncation-lemmas"](P)
             assert result == truncation_lemmas_check_scan(P, at_top)
             failures = [(r.name, r.detail) for r in verify_instance(P).failures()]
@@ -828,7 +829,7 @@ def test_truncation_lemma_check_matches_scan(monkeypatch):
         with monkeypatch.context() as patch:
             # Many coefficients differ: same n as the oracle, and the first m
             # in sorted order, which is n itself.
-            patch.setattr(core.ExchangeIndex, "stalactite_terms", everywhere_terms)
+            patch.setattr(core.ExchangeIndex, "stalactite_codes", everywhere_codes)
             ok, detail = CHECKS["truncation-lemmas"](P)
             expected = truncation_lemmas_check_scan(P, everywhere)
             assert ok == expected[0] == result[0]
@@ -889,6 +890,44 @@ def test_exchange_index_truncation_terms_match_stalactite_polynomial():
                     assert expected == stalactite_polynomial_prefix(sub, order).terms
                 truncations += 1
     assert truncations > 1000
+
+
+def test_coded_stalactite_terms_match_tuple_counter():
+    # P's index under every lex order and on every threshold truncation.
+    cases = 0
+    for P in GENERATED:
+        if P.p > 4:
+            continue
+        index = core.exchange_index(P)
+        for perm in itertools.permutations(range(1, P.p + 1)):
+            for mask in threshold_truncations(index):
+                visit = index.in_order(LexOrder(perm), mask)
+                assert index.stalactite_terms(visit) == stalactite_terms_counter(index, visit), (P, perm, mask)
+                cases += 1
+    assert cases > 5000
+    # Free-standing indexes, whose codes decode only from the points' least
+    # coordinates: the order-sorted base points of the truncation test above,
+    # and cave-predicate inputs with negative entries, their tops visited in
+    # identity order.
+    naive = 0
+    sets = [(sorted(P.points, key=LexOrder(perm).key), None) for P in GENERATED[:40] if P.p <= 4
+            for perm in itertools.permutations(range(1, P.p + 1))]
+    sets += [(sorted(pts), "tops") for pts, _ in itertools.islice(cave_predicate_inputs(29), 3000)
+             if min(map(min, pts)) < 0 and is_m_convex(geometry.top_elements(pts))[0]]
+    for points, tops in sets:
+        index = core.ExchangeIndex(points)
+        masks = threshold_truncations(index)
+        if tops:
+            top = max(map(sum, points))
+            masks = [sum(1 << k for k, q in enumerate(points) if sum(q) == top)]
+        for mask in masks:
+            visit = index.in_order(LexOrder.identity(index.p), mask)
+            expected = stalactite_terms_counter(index, visit)
+            codes = index.stalactite_codes(visit)
+            assert index.stalactite_terms(visit) == expected, (points, mask)
+            naive += dict(zip(index.lattice.decode(list(codes)), codes.values())) != expected
+    assert sum(1 for _, tops in sets if tops) > 50
+    assert naive > 100, naive
 
 
 def test_truncation_lemma_check_asserts_every_truncation(monkeypatch):

@@ -1,0 +1,119 @@
+"""Planted faults that make the lex-order, cave-support and cave-predicate
+checks, and ``is_cave``'s condition 2 and 3 reports, return False.
+
+Each fault is monkeypatched into a function that the routes and the checks
+it guards share, so it reaches a check however the check is built.  The outcomes (every failing check with its detail string, per
+instance, and one small campaign per fault with its shrunk witness) are
+compared with ``golden/planted_faults.json``.  Run this file as a script to
+write that file again:
+
+    PYTHONPATH=src python tests/test_planted_faults.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from cavepoly import core, genverify
+from cavepoly.genverify import GeneratorConfig, random_polymatroid, verify_campaign, verify_instance
+from cavepoly.geometry import independence_points, is_cave
+
+GOLDEN = Path(__file__).with_name("golden") / "planted_faults.json"
+
+INSTANCES = [GeneratorConfig(seed=seed, p=p, max_rank=6, max_cage_entry=4, strategy=strategy)
+             for p, seed, strategy in ((2, 3, "uniform-family"), (3, 5, "lattice-path"),
+                                       (3, 6, "submodular-rejection"), (4, 0, "uniform-family"),
+                                       (4, 5, "submodular-rejection"), (4, 6, "lattice-path"),
+                                       (5, 0, "uniform-family"), (5, 5, "lattice-path"))]
+CAMPAIGN = GeneratorConfig(seed=5, p=3, max_rank=6, max_cage_entry=4, strategy="uniform-family")
+
+
+def _drop_last_apex(in_order):
+    """Visiting sequences of two or more apexes under non-identity orders
+    lose their last apex, and so its stalactite."""
+    def faulty(index, order, mask=None):
+        visit = in_order(index, order, mask)
+        return visit if list(order.permutation) == sorted(order.permutation) else visit[:-1] or visit
+    return faulty
+
+
+def _stray_member(counts):
+    """The stalactite union gains the smallest region point outside it."""
+    def faulty(P, order=None):
+        out = counts(P, order)
+        outside = sorted(independence_points(P).points - out.keys())
+        if outside:
+            out[outside[0]] = 1
+        return out
+    return faulty
+
+
+def _lost_member(counts):
+    """The stalactite union loses its smallest point below the top degree."""
+    def faulty(P, order=None):
+        out = counts(P, order)
+        below = [n for n in out if sum(n) < P.rank]
+        if below:
+            del out[min(below)]
+        return out
+    return faulty
+
+
+def _small_gp_failure(gp_failure):
+    """Every subset of two or three points fails the generalized-polymatroid
+    conditions at its first two points."""
+    def faulty(index, mask=None):
+        if mask is not None and bin(mask).count("1") in (2, 3):
+            u, v = map(index.ordered.__getitem__, core._bits(mask)[:2])
+            return u, v, 1
+        return gp_failure(index, mask)
+    return faulty
+
+
+FAULTS = {
+    "drop-last-apex": (core.ExchangeIndex, "in_order", _drop_last_apex, "lex-order-invariance"),
+    "stray-member": (genverify, "stalactite_counts", _stray_member, "cave-predicate"),
+    "lost-member": (genverify, "stalactite_counts", _lost_member, "cave-support"),
+    "small-gp-failure": (core.ExchangeIndex, "gp_failure", _small_gp_failure, "cave-predicate"),
+}
+
+
+def fault_outcomes(fault, patch) -> dict:
+    """Under ``fault``: the failing checks of each fresh instance, as
+    (name, detail) lists, and the document of a small campaign over the
+    check the fault is aimed at."""
+    owner, name, plant, check = FAULTS[fault]
+    patch.setattr(owner, name, plant(getattr(owner, name)))
+    failures = [[[r.name, r.detail] for r in verify_instance(random_polymatroid(cfg)).failures()]
+                for cfg in INSTANCES]
+    return {"failures": failures, "campaign": verify_campaign(CAMPAIGN, 3, checks=(check,)).to_document()}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_planted_fault_outcomes_match_recorded(fault, monkeypatch):
+    recorded = json.loads(GOLDEN.read_text())[fault]
+    assert json.loads(json.dumps(fault_outcomes(fault, monkeypatch))) == recorded
+    aimed = FAULTS[fault][3]
+    assert any(name == aimed for failures in recorded["failures"] for name, _ in failures)
+    assert recorded["campaign"]["failures"], fault
+
+
+def test_is_cave_reports_conditions_2_and_3_under_planted_faults(monkeypatch):
+    union = {(0, 3), (1, 2), (2, 1), (0, 2), (1, 1)}  # the running example's cave
+    assert is_cave(union)
+    missing = is_cave(union - {(0, 2)})
+    extra = is_cave(union | {(0, 0)})
+    assert (missing.failed_condition, missing.witness) == (2, {"missing": ((0, 2),), "extra": ()})
+    assert (extra.failed_condition, extra.witness) == (2, {"missing": (), "extra": ((0, 0),)})
+    monkeypatch.setattr(core.ExchangeIndex, "gp_failure", _small_gp_failure(core.ExchangeIndex.gp_failure))
+    report = is_cave(union)
+    assert (report.failed_condition, report.witness) == (3, {"at": (0, 2), "witness": ((0, 2), (0, 3), 1)})
+
+
+if __name__ == "__main__":
+    document = {}
+    for fault in FAULTS:
+        with pytest.MonkeyPatch.context() as patch:
+            document[fault] = fault_outcomes(fault, patch)
+    GOLDEN.write_text(json.dumps(document, indent=1) + "\n")
