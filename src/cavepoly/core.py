@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, floordiv, gt, itemgetter, lt, mod, mul, neg, or_, sub
+from operator import floordiv, gt, itemgetter, lt, mod, mul, neg, or_, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -365,17 +365,17 @@ class ExchangeIndex:
         self.full = (1 << len(ordered)) - 1
         self._exchange = [None] * len(ordered)
         self._gp = [None] * len(ordered)
-        self._units, self._cubes = [1 << ell for ell in range(self.p)], {}
+        self._units, self._cubes = [1 << ell for ell in range(self.p)], {0: ([0], [])}
         if lattice is not None:
             self.lattice = lattice
 
     @cached_property
     def lattice(self) -> LatticeCode:
-        """``lattice_code(P)`` if given, for P's points and region; else, for
-        any set (``is_cave``'s may hold negative entries), each coordinate's
-        range widened by one on both sides.  Either keeps the codes of all
-        q +- e_i looked up distinct; its spans are >= max - min + 1."""
-        return LatticeCode([max(col) - min(col) + 3 for col in zip(*self.ordered)])
+        """``lattice_code(P)`` if given; else, for any set (``is_cave``'s may
+        hold negative entries), the box from min(min, 0) - 1 to max + 1.
+        Either keeps the codes of all q +- e_i looked up distinct, and either
+        box holds [0, max], where ``decode`` inverts the codes."""
+        return LatticeCode([max(col) - min(*col, 0) + 3 for col in zip(*self.ordered)])
 
     @cached_property
     def codes(self) -> list:
@@ -549,20 +549,14 @@ class ExchangeIndex:
         decomposed greedily in that sequence, keyed by code: each member n of
         the union maps to (-1)^(d - |n|) times the number of stalactites
         containing it, d the apexes' degree.  The cube at u along the mask D
-        is code(u) plus the offsets -code(e_J), J within D, one (even |J|, odd
-        |J|) pair of lists per D built on first use (all 3^p are too many at
-        p = 16).  As |J| = |u| - |n|, the sign (-1)^|J| is n's own: each
-        parity is counted by one ``Counter``.  Members lie in [min, max] over
-        the points, where codes are distinct, so counts by code are counts by
-        point.  Cost: O(p) per apex, one addition per member."""
-        even, odd, codes, cubes = [], [], self.codes, self._cubes
+        is code(u) plus the offsets -code(e_J), J within D; as |J| = |u| -
+        |n|, each parity of |J| is counted by one ``Counter`` and signed once.
+        A member's entry u_l - 1 is a neighbour's, so members lie in [min,
+        max], where codes are distinct: counts by code are counts by point.
+        Cost: O(p) per apex, one addition per member, ``_cube`` once per D."""
+        even, odd, codes = [], [], self.codes
         for k, directions in self.stalactites(visit):
-            pair = cubes.get(directions)
-            if pair is None:
-                pair = [0], []
-                for step in map(self.lattice.strides.__getitem__, _bits(directions)):
-                    pair = pair[0] + [c - step for c in pair[1]], pair[1] + [c - step for c in pair[0]]
-                cubes[directions] = pair
+            pair = self._cube(directions)
             even.append(map(codes[k].__add__, pair[0]))
             odd.append(map(codes[k].__add__, pair[1]))
         terms = dict(Counter(chain.from_iterable(even)))
@@ -570,16 +564,22 @@ class ExchangeIndex:
         terms.update(zip(odd, map(neg, odd.values())))
         return terms
 
+    def _cube(self, directions):
+        """The (even |J|, odd |J|) lists of offsets -code(e_J), J within the mask
+        ``directions``, built on first use from the mask without its top bit."""
+        pair = self._cubes.get(directions)
+        if pair is None:
+            top = directions.bit_length() - 1
+            even, odd = self._cube(directions ^ 1 << top)
+            step = self.lattice.strides[top]
+            pair = self._cubes[directions] = even + [c - step for c in odd], odd + [c - step for c in even]
+        return pair
+
     def stalactite_terms(self, visit) -> dict:
-        """``stalactite_codes(visit)`` keyed by the points: one decode in the
-        box of ``lattice`` from the least coordinates ``low``, which holds
-        every member, as a member's entry u_l - 1 is its neighbour's."""
+        """``stalactite_codes(visit)`` keyed by the points, for nonnegative
+        points: one decode, their members lying in [0, max]."""
         terms = self.stalactite_codes(visit)
-        low = [min(col) for col in zip(*self.ordered)]
-        if not any(low):
-            return dict(zip(self.lattice.decode(terms), terms.values()))
-        points = self.lattice.decode(list(map(sub, terms, repeat(sum(map(mul, low, self.lattice.strides))))))
-        return dict(zip((tuple(map(add, q, low)) for q in points), terms.values()))
+        return dict(zip(self.lattice.decode(terms), terms.values()))
 
 
 def not_m_convex(witness) -> NotMConvex:

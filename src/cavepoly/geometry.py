@@ -214,8 +214,9 @@ def is_cave(C, order=None) -> CaveReport:
     nonnegative_set(map(index.ordered.__getitem__, _bits(tops)))  # the error a Polymatroid of the tops raises
 
     visit = index.in_order(resolve_order(order, index.p), tops)
-    if index.stalactite_codes(visit).keys() != index.position.keys():
-        union = set(index.stalactite_terms(visit))
+    union = index.stalactite_codes(visit)
+    if union.keys() != index.position.keys():
+        union = set(index.lattice.decode(union))
         missing = tuple(sorted(union - pts))
         extra = tuple(sorted(pts - union))
         return CaveReport(False, 2, {"missing": missing, "extra": extra}, order.permutation)

@@ -469,7 +469,7 @@ def test_internal_error_has_its_own_exit_status(monkeypatch):
     assert exc.value.code == cli.EXIT_INTERNAL
 
 
-@pytest.mark.parametrize("depth", [900, 1000])
+@pytest.mark.parametrize("depth", [900, 1000, 100000])  # json's decoder gives up within 100000 on every version
 def test_deeply_nested_document_is_an_input_error(depth):
     nested = "[" * depth + "]" * depth
     rank = '{"rank": {"p": 1, "cage": [1], "values": {"[]": 0, "[1]": 1, %s: 1}}}' % json.dumps(nested)
@@ -477,8 +477,6 @@ def test_deeply_nested_document_is_an_input_error(depth):
         status, out, err = run(["validate"], stdin=doc)
         assert (status, out) == (2, ""), doc[:40]
         assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
-    status, out, err = run(["validate"], stdin='{"points": %s}' % ("[" * 1000 + "]" * 1000))
-    assert (status, out) == (2, "") and err.startswith("error: invalid JSON: maximum recursion depth exceeded")
 
 
 def test_any_exception_escaping_a_handler_is_an_internal_error(monkeypatch):

@@ -905,15 +905,20 @@ def test_coded_stalactite_terms_match_tuple_counter():
                 assert index.stalactite_terms(visit) == stalactite_terms_counter(index, visit), (P, perm, mask)
                 cases += 1
     assert cases > 5000
-    # Free-standing indexes, whose codes decode only from the points' least
-    # coordinates: the order-sorted base points of the truncation test above,
-    # and cave-predicate inputs with negative entries, their tops visited in
-    # identity order.
+    # Free-standing indexes under the default code: the order-sorted base
+    # points of the truncation test above, the base points moved by 3 along
+    # every axis, and cave-predicate inputs with negative entries whose tops
+    # ``is_cave`` decomposes (M-convex and nonnegative), visited in identity
+    # order.  A code whose box spans only the points' own range fails to
+    # decode the members of more than 100 of them; the default box also
+    # holds the origin.
     naive = 0
     sets = [(sorted(P.points, key=LexOrder(perm).key), None) for P in GENERATED[:40] if P.p <= 4
             for perm in itertools.permutations(range(1, P.p + 1))]
+    sets += [(sorted(tuple(x + 3 for x in q) for q in P.points), None) for P in GENERATED[:40] if P.p <= 4]
     sets += [(sorted(pts), "tops") for pts, _ in itertools.islice(cave_predicate_inputs(29), 3000)
-             if min(map(min, pts)) < 0 and is_m_convex(geometry.top_elements(pts))[0]]
+             if min(map(min, pts)) < 0 and is_m_convex(geometry.top_elements(pts))[0]
+             and min(map(min, geometry.top_elements(pts))) >= 0]
     for points, tops in sets:
         index = core.ExchangeIndex(points)
         masks = threshold_truncations(index)
@@ -923,9 +928,9 @@ def test_coded_stalactite_terms_match_tuple_counter():
         for mask in masks:
             visit = index.in_order(LexOrder.identity(index.p), mask)
             expected = stalactite_terms_counter(index, visit)
-            codes = index.stalactite_codes(visit)
             assert index.stalactite_terms(visit) == expected, (points, mask)
-            naive += dict(zip(index.lattice.decode(list(codes)), codes.values())) != expected
+            narrow = core.LatticeCode([max(col) - min(col) + 3 for col in zip(*points)])
+            naive += narrow.decode(narrow.encode(expected)) != list(expected)
     assert sum(1 for _, tops in sets if tops) > 50
     assert naive > 100, naive
 
