@@ -235,12 +235,12 @@ def mobius_interval(m, n) -> int:
         m, n = as_point(m), as_point(n)
         if len(m) != len(n):
             raise DimensionMismatch("interval endpoints differ in length")
-    diff = tuple(map(sub, n, m))
-    if diff and min(diff) < 0:
+    steps = {*map(sub, n, m)}
+    if steps <= {0, 1}:
+        return (-1) ** (sum(n) - sum(m))
+    if min(steps) < 0:  # a negative step is refused before a step > 1 gives 0
         raise NotComparable("%s is not componentwise <= %s" % (m, n))
-    if diff and max(diff) > 1:
-        return 0
-    return -1 if sum(diff) % 2 else 1
+    return 0
 
 
 @memo

@@ -14,16 +14,17 @@ bit ``i-1`` standing for element ``i``; the dense 2^p table caps ``p`` at 16.
 
 ``LatticeCode`` is the one mixed-radix integer code of lattice points, in
 which a step +- e_i is an addition.  ``lattice_code(P)`` is the one code of
-a polymatroid's points: P's exchange index, its stalactite counts (and so
-the lex-order and truncation-lemma checks), the Mobius table and the cave
-route key their points by it; ``polyalg`` has codes of its own.
+a polymatroid's points: P's exchange index and region index, its
+stalactite counts (and so the lex-order and truncation-lemma checks), the
+Mobius table and the cave route key their points by it; ``polyalg`` has
+codes of its own.
 ``ExchangeIndex`` answers the exchange questions for a point list and its
 bitmask subsets (``is_m_convex``, ``is_generalized_polymatroid``: the whole
 set), and counts the stalactites of its points, visited in a ``LexOrder``.
 
 A ``Polymatroid``'s derived data (rank table, exchange index, independence
-region, each route's result) lives in the instance's own memo store (see
-``memo``) and is freed with it.
+region and its ``geometry.region_index``, each route's result) lives in the
+instance's own memo store (see ``memo``) and is freed with it.
 
 All arithmetic is exact (Python integers).  Every value is immutable after
 construction, except that a memo store and an ``ExchangeIndex`` fill their

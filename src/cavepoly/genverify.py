@@ -25,7 +25,6 @@ import itertools
 import random
 import time
 from dataclasses import asdict, dataclass, replace
-from operator import sub
 
 from .algorithms import (
     LexOrder,
@@ -41,7 +40,6 @@ from .algorithms import (
 )
 from .core import (
     MAX_GROUND_SET,
-    ExchangeIndex,
     Polymatroid,
     RankFunction,
     _bits,
@@ -61,7 +59,7 @@ from .errors import (
     NotInIndependence,
     UnknownFamily,
 )
-from .geometry import independence_points, is_cave
+from .geometry import independence_points, is_cave, region_index
 from .polyalg import expand_binomial
 
 STRATEGIES = ("submodular-rejection", "uniform-family", "lattice-path")
@@ -228,32 +226,37 @@ def _check_mobius_interval_closed_form(P):
     """The raw recurrence mu(m, a) = -sum of mu(m, b) over m <= b < a against
     ``mobius_interval``, for every comparable pair of independence points.
 
-    The a >= m come from the threshold masks of one ``ExchangeIndex`` over
-    the region in (degree, lex) order.  The region is down-closed, so the b
-    of the sum are the box [m, a] without a, all processed before a, and
-    the value depends only on d = a - m: it is memoised by the code
-    difference code(a) - code(m) and, on a miss, summed over the codes of
-    [0, d], which earlier pairs of the same m have filled.  Per m, the list
-    of ``mobius_interval`` values, one call per pair, meets the recurrence's."""
-    region = sorted(independence_points(P).points, key=lambda n: (sum(n), n))
-    index = ExchangeIndex(region)
-    codes, strides = index.codes, index.lattice.strides
-    raw = {}
-    for m, code in zip(region, codes):
-        above = _bits(index.truncation(m))
-        keys = list(map(sub, map(codes.__getitem__, above), itertools.repeat(code)))
-        recurrence = list(map(raw.get, keys))
-        for t, key in enumerate(keys):
-            if recurrence[t] is None:
-                d = map(sub, region[above[t]], m)
-                box = itertools.product(*(range(0, (c + 1) * s, s) for c, s in zip(d, strides)))
-                recurrence[t] = raw[key] = -sum(raw[b] for b in map(sum, box) if b != key) if key else 1
-        points = list(map(region.__getitem__, above))
-        closed = list(map(mobius_interval, itertools.repeat(m), points))
+    mu(m, a) depends only on d = a - m, which lies in the down-closed
+    region, so one pass over ``region_index(P)`` in lex order fills
+    raw[code(d)] for every d by per-coordinate partial sums: R_k(d) sums
+    mu(b) over the b <= d that agree with d beyond coordinate k, so
+    mu(d) = -sum_k R_k(d - e_k) for d != 0, mu(0) = 1, and R_k(d) =
+    R_{k-1}(d) + R_k(d - e_k) with R_{-1}(d) = mu(d); d - e_k is the lookup
+    code(d) - stride_k, which misses when d_k = 0 (digit k borrows to
+    cage_k + 1).  That is O(|I| p).  Then the pairs, one
+    ``mobius_interval`` call each: the m <= a are the box [0, a], which the
+    region holds, so for each a the closed form over ``product`` of the box
+    must meet raw at the codes of a - m, the same box in reverse.  A mismatch
+    is reported at its first m, then a, in (degree, lex) order."""
+    index = region_index(P)
+    strides = index.lattice.strides
+    raw, partial, outside = {}, {}, (0,) * P.p
+    for code in index.codes:
+        below = [partial.get(code - s, outside)[k] for k, s in enumerate(strides)]
+        raw[code] = mu = -sum(below) if code else 1
+        partial[code] = tuple(itertools.accumulate(below, initial=mu))[1:]
+    failures = []
+    for a in index.ordered:
+        box = [range(c + 1) for c in a]
+        closed = list(map(mobius_interval, itertools.product(*box), itertools.repeat(a)))
+        differences = itertools.product(*[range(c * s, -1, -s) for c, s in zip(a, strides)])  # code(a - m)
+        recurrence = list(map(raw.__getitem__, map(sum, differences)))
         if closed != recurrence:
-            t = next(t for t, (c, r) in enumerate(zip(closed, recurrence)) if c != r)
-            return False, "interval [%s, %s]: closed form %d, recurrence %d" % (
-                m, points[t], closed[t], recurrence[t])
+            failures.append(min((sum(m), m, sum(a), a, c, r)
+                                for m, c, r in zip(itertools.product(*box), closed, recurrence) if c != r))
+    if failures:
+        _, m, _, a, c, r = min(failures)
+        return False, "interval [%s, %s]: closed form %d, recurrence %d" % (m, a, c, r)
     return True, None
 
 
@@ -265,7 +268,7 @@ def _check_counts_equal_mobius(P):
     if stray:
         return False, "stalactite count outside independence region at %s" % (min(stray),)
     rank = P.rank
-    for n in sorted(region):
+    for n in region_index(P).ordered:
         signed = counts.get(n, 0) * (-1 if (rank - sum(n)) % 2 else 1)
         if signed != table[n]:
             return False, "at %s: signed count %d, mobius %d" % (n, signed, table[n])
@@ -286,8 +289,8 @@ def _check_truncation_lemmas(P):
     terms = stalactite_polynomial(P).terms
     stal_p = dict(zip(lattice_code(P).encode(terms), terms.values()))
     bases = exchange_index(P)
-    region = sorted(independence_points(P).points)
-    index = ExchangeIndex(region, lattice_code(P))  # its threshold masks give the region above n
+    index = region_index(P)  # its threshold masks give the region above n
+    region = index.ordered
     truncations = {}
     for n in region:
         kept = bases.truncation(n)

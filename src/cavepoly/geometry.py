@@ -2,9 +2,10 @@
 
 Covers the integer points of the independence polytope, truncations, top
 elements, and the three-condition cave predicate, on plain coordinate
-tuples.  The cave predicate reads all three conditions from one
-``ExchangeIndex`` over the point set, its tops and its truncations being
-bitmasks over it.
+tuples.  ``region_index(P)`` is the region's ``ExchangeIndex`` under
+``lattice_code(P)``, held in P's memo store beside ``exchange_index(P)``.
+The cave predicate reads all three conditions from one ``ExchangeIndex``
+over the point set, its tops and its truncations being bitmasks over it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .core import (
     Polymatroid,
     _bits,
     as_point,
+    lattice_code,
     memo,
     nonnegative_set,
     point_set,
@@ -84,6 +86,14 @@ def _down_closure(P: Polymatroid) -> frozenset:
         level = {n[:i] + (c - 1,) + n[i + 1:] for n in level for i, c in enumerate(n) if c}
         members |= level
     return frozenset(members)
+
+
+@memo
+def region_index(P: Polymatroid) -> ExchangeIndex:
+    """The ``ExchangeIndex`` of the sorted independence points under
+    ``lattice_code(P)``.  The region lies in [0, cage], so its codes are
+    distinct and code(a) - code(m) = code(a - m)."""
+    return ExchangeIndex(sorted(independence_points(P).points), lattice_code(P))
 
 
 def in_independence(P: Polymatroid, n) -> bool:

@@ -32,8 +32,10 @@ from cavepoly.algorithms import (
     stalactite_polynomial,
 )
 from cavepoly.core import (
+    ExchangeIndex,
     Polymatroid,
     RankFunction,
+    _bits,
     as_point,
     mask_to_subset,
     point_set,
@@ -317,6 +319,33 @@ def mobius_interval_check_scan(P, closed_form=mobius_interval):
             if closed_form(m, a) != val:
                 return False, "interval [%s, %s]: closed form %d, recurrence %d" % (
                     m, a, closed_form(m, a), val)
+    return True, None
+
+
+def mobius_interval_check_boxsum(P, closed_form=mobius_interval):
+    """The interval-Mobius check that walked boxes: the raw recurrence keyed
+    by code difference, each missing value summed over the codes of the box
+    [0, a - m], with the pairs a >= m read from one ``ExchangeIndex`` over
+    the region in (degree, lex) order under its default code."""
+    region = sorted(independence_points(P).points, key=lambda n: (sum(n), n))
+    index = ExchangeIndex(region)
+    codes, strides = index.codes, index.lattice.strides
+    raw = {}
+    for m, code in zip(region, codes):
+        above = _bits(index.truncation(m))
+        keys = list(map(operator.sub, map(codes.__getitem__, above), itertools.repeat(code)))
+        recurrence = list(map(raw.get, keys))
+        for t, key in enumerate(keys):
+            if recurrence[t] is None:
+                d = map(operator.sub, region[above[t]], m)
+                box = itertools.product(*(range(0, (c + 1) * s, s) for c, s in zip(d, strides)))
+                recurrence[t] = raw[key] = -sum(raw[b] for b in map(sum, box) if b != key) if key else 1
+        points = list(map(region.__getitem__, above))
+        closed = list(map(closed_form, itertools.repeat(m), points))
+        if closed != recurrence:
+            t = next(t for t, (c, r) in enumerate(zip(closed, recurrence)) if c != r)
+            return False, "interval [%s, %s]: closed form %d, recurrence %d" % (
+                m, points[t], closed[t], recurrence[t])
     return True, None
 
 

@@ -8,8 +8,10 @@ base-point enumeration the same point set or the same error, also on rank
 tables that are not polymatroid rank functions.
 """
 
+import enum
 import itertools
 import json
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -73,6 +75,7 @@ from oracles import (
     is_generalized_polymatroid_pairwise,
     is_cave_via_tops_polymatroid,
     is_m_convex_pairwise,
+    mobius_interval_check_boxsum,
     mobius_interval_check_scan,
     mobius_interval_normalized,
     mobius_table_box_sweep,
@@ -314,7 +317,13 @@ def test_mobius_interval_matches_normalized_form():
         ((0.0, 1), (1, 1)), ((0, 1), (1, 1.5)),  # float entries
         ((), ()), ((), (1,)), ((1,), (1, 2)),  # empty and length mismatch
         ((2, 0), (1, 2)), ((0, 5), (1, 2)), ((-1, 0), (0, 1)), ((3,), (5,)),
+        ((0, 0), (2, -1)), ((0, 0), (-1, 2)), ((1, 3), (0, 5)),  # a negative step and a step > 1
+        ((0, 0, 0, 0, 0), (1, 1, 1, 0, 0)), ((1, 0, 2, 0, 3), (1, 1, 2, 1, 3)),  # unit intervals, p = 5
     ]
+    level = enum.IntEnum("Level", "ONE TWO THREE")  # an int subclass
+    pairs += [((level.ONE, 0), (level.TWO, 1)), ((0, level.ONE), (1, level.THREE)), ((level.TWO,), (level.ONE,))]
+    vector = type("Vector", (tuple,), {})
+    pairs += [(vector((0, 1)), (1, 1)), ((0, 1), vector((1, 3))), (vector((2, 0)), vector((1, 2)))]
     outcomes = set()
     for m, n in pairs:
         result = _outcome(algorithms.mobius_interval, m, n)
@@ -378,7 +387,8 @@ def test_is_cave_matches_tops_polymatroid_oracle():
 def test_mobius_interval_check_matches_scan(monkeypatch):
     instances = GENERATED[:40]
     for P in instances:
-        assert CHECKS["mobius-interval-closed-form"](P) == mobius_interval_check_scan(P) == (True, None)
+        assert (CHECKS["mobius-interval-closed-form"](P) == mobius_interval_check_boxsum(P)
+                == mobius_interval_check_scan(P) == (True, None))
 
     def off_by_one(m, n):  # a fault in the closed form for intervals of length 2
         true = algorithms.mobius_interval(m, n)
@@ -394,9 +404,39 @@ def test_mobius_interval_check_matches_scan(monkeypatch):
         caught = 0
         for P in instances:
             result = CHECKS["mobius-interval-closed-form"](P)
-            assert result == mobius_interval_check_scan(P, fault)
+            assert result == mobius_interval_check_boxsum(P, fault) == mobius_interval_check_scan(P, fault)
             caught += not result[0]
         assert caught > least, fault
+
+
+def test_pair_bound_checks_share_one_region_index(monkeypatch):
+    P = Polymatroid(GENERATED[4].points)  # a fresh instance: an empty memo store
+    region = sorted(independence_points(P).points)
+    assert len(region) > len(P.points) > 20
+    built, calls = [], []
+    init = core.ExchangeIndex.__init__
+
+    def recording(index, ordered, lattice=None):
+        built.append(sorted(ordered))
+        init(index, ordered, lattice)
+
+    def counting(m, n):
+        calls.append((m, n))
+        return algorithms.mobius_interval(m, n)
+
+    def no_route(P):
+        raise AssertionError("the recurrence read the Mobius route")
+
+    monkeypatch.setattr(core.ExchangeIndex, "__init__", recording)
+    monkeypatch.setattr(genverify, "mobius_interval", counting)
+    with monkeypatch.context() as patch:
+        for module in (algorithms, genverify):
+            patch.setattr(module, "mobius_table", no_route)
+        assert verify_instance(P, checks=["mobius-interval-closed-form"]).passed
+    assert verify_instance(P, checks=["counts-equal-mobius", "truncation-lemmas"]).passed
+    assert built.count(region) == 1
+    pairs = sum(all(map(operator.ge, a, m)) for m in region for a in region)
+    assert len(calls) == len(set(calls)) == pairs
 
 
 def _campaign_documents():
@@ -448,7 +488,7 @@ def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
     def no_index(ordered):
         raise AssertionError("the oracle run reached the exchange index")
 
-    for module in (core, geometry, genverify):
+    for module in (core, geometry):  # genverify reads its indexes through these two
         monkeypatch.setattr(module, "ExchangeIndex", no_index)
     assert _campaign_documents() == fast
     assert cave_calls
@@ -967,8 +1007,8 @@ def test_truncation_lemma_check_asserts_every_truncation(monkeypatch):
     assert raised > 10
     P = GENERATED[0]
     outside = tuple(c + 1 for c in P.cage)  # a region point with no base above it
-    monkeypatch.setattr(genverify, "independence_points",
-                        lambda P: IndependenceSet(P.p, independence_points(P).points | {outside}, P))
+    monkeypatch.setattr(genverify, "region_index", lambda P: core.ExchangeIndex(
+        sorted(independence_points(P).points | {outside}), core.lattice_code(P)))  # the region the check reads
     with pytest.raises(NotInIndependence) as exc:
         CHECKS["truncation-lemmas"](P)
     assert str(exc.value) == "%s is not in the independence region" % (outside,)

@@ -1,9 +1,11 @@
 """Instance generation, the verification engine, and counterexample shrinking."""
 
 import gc
+import importlib.util
 import json
 import types
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +190,16 @@ def test_verified_instance_is_freed_when_dropped_without_the_collector():
         gc.garbage.clear()
         if was_enabled:
             gc.enable()
+
+
+def test_ladder_checks_tool_measures_its_smallest_row():
+    path = Path(__file__).resolve().parent.parent / "tools" / "ladder_checks.py"
+    spec = importlib.util.spec_from_file_location("ladder_checks", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.ROWS[0] == (8, (4,) * 4)
+    row = tool.measure(*tool.ROWS[0])
+    assert row["passed"]
+    assert list(row["checks_s"]) == list(CHECKS)
+    assert row["independence_points"] == 355 and row["base_points"] == 85
+    assert 0 < max(row["checks_s"].values()) <= row["total_s"]
