@@ -179,7 +179,7 @@ def parse_instance(text) -> Polymatroid:
 
 def serialize_instance(P: Polymatroid) -> dict:
     """Point-form instance document; parses back to an equal polymatroid."""
-    return {"points": [list(q) for q in sorted(P.points)]}
+    return {"points": [list(q) for q in P]}
 
 
 def rank_document(P: Polymatroid) -> dict:

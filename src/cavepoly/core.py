@@ -24,7 +24,8 @@ set), and counts the stalactites of its points, visited in a ``LexOrder``.
 
 A ``Polymatroid``'s derived data (rank table, exchange index, independence
 region and its ``geometry.region_index``, each route's result) lives in the
-instance's own memo store (see ``memo``) and is freed with it.
+instance's own memo store (see ``memo``) and is freed with it; the
+constructor's exchange check fills the exchange index that the rest read.
 
 All arithmetic is exact (Python integers).  Every value is immutable after
 construction, except that a memo store and an ``ExchangeIndex`` fill their
@@ -357,7 +358,9 @@ class ExchangeIndex:
     Every part is built on first use: the lattice codes (of a ``lattice``
     given or the default one), which turn neighbour lookups into integer
     additions, the threshold masks, the neighbour masks, the cube offsets
-    and the up-table of the generalized-polymatroid conditions.
+    and the up-table of the generalized-polymatroid conditions.  A point
+    keeps one int per kind, the union of its failure masks, as every
+    polymatroid holds its index for life: its constructor checks exchange.
     """
 
     def __init__(self, ordered, lattice=None):
@@ -452,60 +455,57 @@ class ExchangeIndex:
         return mask
 
     def _exchange_failures(self, k):
-        """``(union, failing, 0)`` of the exchange property at u = ordered[k]:
-        v fails at coordinate i when v_i < u_i and v_j <= u_j for every j
-        with u - e_i + e_j in the set."""
-        if self._exchange[k] is None:
-            u, code = self.ordered[k], self.codes[k]
-            masks, position = self.masks, self.position
-            failing = []
-            for i, moves in enumerate(self.moves):
-                bad = masks[i][u[i]][0]
-                if bad:
-                    for j, move in moves:
-                        if code + move in position:
-                            bad &= ~masks[j][u[j]][1]
-                failing.append(bad)
-            self._exchange[k] = reduce(or_, failing, 0), failing, 0
-        return self._exchange[k]
-
-    def _gp_failures(self, k):
-        """``(union, failing, rest)`` of the generalized-polymatroid conditions
-        at u = ordered[k]: v fails at coordinate i when v_i < u_i and no
-        exchange of condition (1) holds, and after every i when it has lower
-        degree and no exchange of condition (2) holds."""
-        if self._gp[k] is None:
-            u, code = self.ordered[k], self.codes[k]
-            masks, position, up = self.masks, self.position, self.up
-            lower = self.degree_masks[sum(u)][0]
-            drops = [code - s in position for s in self.lattice.strides]
-            failing = []
-            for i, moves in enumerate(self.moves):
-                rescued = lower & up[i][i] if drops[i] else 0
+        """``(failing, 0)`` of the exchange property at u = ordered[k]: v
+        fails at coordinate i when v_i < u_i and v_j <= u_j for every j with
+        u - e_i + e_j in the set."""
+        u, code = self.ordered[k], self.codes[k]
+        masks, position = self.masks, self.position
+        failing = []
+        for i, moves in enumerate(self.moves):
+            bad = masks[i][u[i]][0]
+            if bad:
                 for j, move in moves:
                     if code + move in position:
-                        rescued |= masks[j][u[j]][1] & up[i][j]
-                failing.append(masks[i][u[i]][0] & ~rescued)
-            rescued = 0
-            for j in range(self.p):
-                if drops[j]:
-                    rescued |= masks[j][u[j]][0] & up[j][j]
-            rest = lower & ~rescued
-            self._gp[k] = reduce(or_, failing, rest), failing, rest
-        return self._gp[k]
+                        bad &= ~masks[j][u[j]][1]
+            failing.append(bad)
+        return failing, 0
 
-    def _first_witness(self, mask, failures):
+    def _gp_failures(self, k):
+        """``(failing, rest)`` of the generalized-polymatroid conditions at
+        u = ordered[k]: v fails at coordinate i when v_i < u_i and no
+        exchange of condition (1) holds, and after every i when it has lower
+        degree and no exchange of condition (2) holds."""
+        u, code = self.ordered[k], self.codes[k]
+        masks, position, up = self.masks, self.position, self.up
+        lower = self.degree_masks[sum(u)][0]
+        drops = [code - s in position for s in self.lattice.strides]
+        failing = []
+        for i, moves in enumerate(self.moves):
+            rescued = lower & up[i][i] if drops[i] else 0
+            for j, move in moves:
+                if code + move in position:
+                    rescued |= masks[j][u[j]][1] & up[i][j]
+            failing.append(masks[i][u[i]][0] & ~rescued)
+        rescued = 0
+        for j in range(self.p):
+            if drops[j]:
+                rescued |= masks[j][u[j]][0] & up[j][j]
+        return failing, lower & ~rescued
+
+    def _first_witness(self, mask, failures, unions):
         """The first (u, v, i) in (u, v, i) loop order over the points under
-        ``mask``, or None.  ``failures(k)`` is (union, failing, rest) for
-        u = ordered[k]: ``failing[i]`` masks the v failing at 0-based
-        coordinate i, ``rest`` those failing after every i (i = None)."""
+        ``mask``, or None.  ``failures(k)`` is (failing, rest) for u =
+        ordered[k]: ``failing[i]`` masks the v failing at 0-based coordinate
+        i, ``rest`` those failing after every i (i = None).  ``unions[k]``
+        caches their union; the lists are built again for the u reported."""
         ordered = self.ordered
         for k in range(len(ordered)) if mask == self.full else _bits(mask):
-            union, failing, rest = failures(k)
-            union &= mask
+            if unions[k] is None:
+                unions[k] = reduce(or_, *failures(k))
+            union = unions[k] & mask
             if union:
                 low = union & -union
-                i = next((i + 1 for i, bad in enumerate(failing) if bad & low), None)
+                i = next((i + 1 for i, bad in enumerate(failures(k)[0]) if bad & low), None)
                 return ordered[k], ordered[low.bit_length() - 1], i
         return None
 
@@ -520,14 +520,14 @@ class ExchangeIndex:
         other = mask & (below | above)
         if other:
             return self.ordered[first], self.ordered[(other & -other).bit_length() - 1], None
-        return self._first_witness(mask, self._exchange_failures)
+        return self._first_witness(mask, self._exchange_failures, self._exchange)
 
     def gp_failure(self, mask=None):
         """The first (u, v, i) in list order at which the points under
         ``mask`` (all by default) fail the generalized-polymatroid
         conditions, a condition (2) failure reported with i = None after
         every i; None if there is none."""
-        return self._first_witness(self.full if mask is None else mask, self._gp_failures)
+        return self._first_witness(self.full if mask is None else mask, self._gp_failures, self._gp)
 
     def in_order(self, order, mask=None) -> list:
         """The positions of the points under ``mask`` (all by default) in
@@ -641,22 +641,23 @@ class Polymatroid:
     """A finite homogeneous M-convex set of lattice points in N^p.
 
     The constructor validates all invariants: nonempty, equal lengths,
-    nonnegative coordinates, homogeneous, M-convex.  Instances are
-    immutable, hashable, and compare by point set; equality and hashing
-    ignore the memo store.
+    nonnegative coordinates, homogeneous, M-convex, the last two checked on
+    P's ``exchange_index``, which keeps what the check filled.  Instances
+    are immutable, hashable, and compare by point set; equality and hashing
+    ignore the memo store.  Iteration reads the index's sorted points.
     """
 
     __slots__ = ("p", "points", "rank", "_memo", "__weakref__")
 
     def __init__(self, points):
         pts = nonnegative_set(points)
-        ok, witness = is_m_convex(pts)
-        if not ok:
-            raise not_m_convex(witness)
         object.__setattr__(self, "p", len(next(iter(pts))))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "rank", sum(next(iter(pts))))
         object.__setattr__(self, "_memo", {})
+        witness = exchange_index(self).m_convex_failure()
+        if witness is not None:
+            raise not_m_convex(witness)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polymatroid is immutable")
@@ -678,13 +679,13 @@ class Polymatroid:
         return len(self.points)
 
     def __iter__(self):
-        return iter(sorted(self.points))
+        return iter(exchange_index(self).ordered)
 
     def __contains__(self, q):
         return tuple(q) in self.points
 
     def __repr__(self):
-        return "Polymatroid(%s)" % (sorted(self.points),)
+        return "Polymatroid(%s)" % (list(self),)
 
 
 def _subset_sums(weights) -> list:

@@ -522,7 +522,6 @@ def verify_campaign(cfg: GeneratorConfig, count: int, checks=None) -> CampaignRe
         for bad in report.failures():
             fn = CHECKS[bad.name]
             small = shrink_instance(P, lambda Q: not fn(Q)[0])
-            failures.append(CampaignFailure(
-                icfg.seed, bad.name, bad.detail, tuple(sorted(P.points)), tuple(sorted(small.points))))
+            failures.append(CampaignFailure(icfg.seed, bad.name, bad.detail, tuple(P), tuple(small)))
     failures.sort(key=lambda f: (f.seed, f.check))
     return CampaignReport(cfg, count, names, tuple(reports), tuple(failures), time.perf_counter() - start)

@@ -555,6 +555,73 @@ def test_output_is_byte_identical_across_runs():
         assert run(cmd, stdin=RUNNING_DOC) == run(cmd, stdin=RUNNING_DOC)
 
 
+# ------------------------------------------------------ exit-status property
+
+SMALLEST_ARGV = [["validate"], ["points"], ["independence"], ["cave"], ["stal"], ["box"], ["mobius"],
+                 ["snapper"], ["equal"], ["truncate", "--at", "0,0"], ["is-cave"],
+                 ["random", "--p", "1", "--max-rank", "1", "--max-cage-entry", "1"],
+                 ["verify", "--p", "1", "--count", "1", "--max-rank", "1", "--max-cage-entry", "1"]]
+VERDICT_COMMANDS = {"equal", "is-cave", "verify"}
+SMALL_INSTANCES = instance_mix(12, seed=700, max_rank=3, max_cage_entry=3)
+VALID_DOCUMENTS = [serialize_instance(P) for P in SMALL_INSTANCES] + [rank_document(P) for P in SMALL_INSTANCES[:6]]
+DOCUMENT_KEYS = st.sampled_from(["points", "rank", "p", "cage", "values", "[]", "[1]", "[2]", "[1,2]", "[2,1]", "x"])
+SMALL_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-1, 3), st.sampled_from([0.5, 1.0, -0.0]),
+                          st.text(max_size=4), DOCUMENT_KEYS)
+SMALL_TREES = st.recursive(SMALL_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.dictionaries(DOCUMENT_KEYS, children, max_size=4)), max_leaves=12)
+
+
+@st.composite
+def near_valid_documents(draw):
+    """A valid document with one part dropped, added or replaced."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCUMENTS))))
+    if "points" in doc:
+        points = doc["points"]
+        k = draw(st.integers(0, len(points) - 1))
+        edit = draw(st.sampled_from(["drop", "add", "entry"]))
+        if edit == "drop":
+            del points[k]
+        elif edit == "add":
+            points.append(draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3)))
+        else:
+            points[k][draw(st.integers(0, len(points[k]) - 1))] = draw(SMALL_TREES)
+    else:
+        rank = doc["rank"]
+        part = draw(st.sampled_from(["p", "cage", "values", "value", "missing"]))
+        key = draw(st.sampled_from(sorted(rank["values"])))
+        if part == "missing":
+            del rank["values"][key]
+        elif part == "value":
+            rank["values"][key] = draw(SMALL_TREES)
+        else:
+            rank[part] = draw(SMALL_TREES)
+    return json.dumps(doc)
+
+
+DOCUMENTS = st.one_of(
+    st.sampled_from(VALID_DOCUMENTS).map(json.dumps),
+    near_valid_documents(),
+    st.builds(lambda form, tree: json.dumps({form: tree}), st.sampled_from(["points", "rank"]), SMALL_TREES),
+    SMALL_TREES.map(json.dumps),
+    st.builds(lambda doc, cut: json.dumps(doc)[:cut], st.sampled_from(VALID_DOCUMENTS), st.integers(0, 30)),
+    st.text(max_size=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(DOCUMENTS)
+@example('{"points": %s}' % ("[" * 1000 + "]" * 1000))
+@example('{"points": %s}' % ("[" * 100000 + "]" * 100000))
+def test_every_command_exits_with_a_status_its_output_explains(document):
+    for argv in SMALLEST_ARGV:
+        status, out, err = run(argv, stdin=document)
+        assert status in (0, 1, 2, 3), argv
+        assert status != 1 or argv[0] in VERDICT_COMMANDS, (argv, out)
+        if status in (2, 3):
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        else:
+            assert err == "", (argv, err)
+
+
 # ---------------------------------------------------------------- JSON writer
 
 def emitted(doc):

@@ -147,9 +147,63 @@ def test_not_m_convex_witness_matches_pairwise():
             continue
         with pytest.raises(NotMConvex) as exc:
             Polymatroid(pts)
-        assert exc.value.witness == witness
+        assert (exc.value.witness, str(exc.value)) == (witness, str(core.not_m_convex(witness)))
         raised += 1
     assert raised > 100
+
+
+@pytest.mark.parametrize("points", [[(2, 0), (0, 2)], [(1, 0), (0, 2)], [(0, 2, 1), (2, 0, 1), (1, 1, 0)]])
+def test_constructor_refuses_as_is_m_convex_reports(points):
+    ok, witness = is_m_convex(points)
+    with pytest.raises(NotMConvex) as exc:
+        Polymatroid(points)
+    assert not ok and exc.value.witness == witness and str(exc.value) == str(core.not_m_convex(witness))
+
+
+def recorded_indexes(monkeypatch) -> list:
+    """Every ``ExchangeIndex`` built from here on, in order."""
+    built = []
+    init = core.ExchangeIndex.__init__
+
+    def recording(index, ordered, lattice=None):
+        built.append(index)
+        init(index, ordered, lattice)
+
+    monkeypatch.setattr(core.ExchangeIndex, "__init__", recording)
+    return built
+
+
+def test_polymatroid_builds_the_one_exchange_index_it_keeps(monkeypatch):
+    def banned(points):
+        raise AssertionError("the constructor called is_m_convex")
+
+    built = recorded_indexes(monkeypatch)
+    monkeypatch.setattr(core, "is_m_convex", banned)
+    for points in [GENERATED[4].points, LADDER[1].points] + [P.points for P in GENERATED[:30]]:
+        built.clear()
+        P = Polymatroid(points)
+        assert len(built) == 1
+        index = core.exchange_index(P)
+        assert index is built[0] and len(built) == 1
+        assert index.ordered == sorted(points) and list(P) == index.ordered
+        assert all(type(union) is int for union in index._exchange), sorted(points)
+
+
+def test_failure_caches_hold_one_int_per_filled_point():
+    for pts in random_sets(4, 400):
+        index = core.ExchangeIndex(sorted(pts))
+        whole = index.m_convex_failure(), index.gp_failure()
+        index.m_convex_failure(index.truncation(index.ordered[-1]))
+        for cache, witness in zip((index._exchange, index._gp), whole):
+            assert {type(union) for union in cache} <= ({int} if witness is None else {int, type(None)}), sorted(pts)
+
+
+def test_verify_instance_builds_three_exchange_indexes(monkeypatch):
+    built = recorded_indexes(monkeypatch)
+    P = Polymatroid(GENERATED[4].points)  # a fresh instance: an empty memo store
+    assert verify_instance(P).passed
+    region = sorted(independence_points(P).points)
+    assert [index.ordered for index in built] == [sorted(P.points), region, sorted(cave_set(P))]
 
 
 def test_is_generalized_polymatroid_matches_pairwise_with_witness():
@@ -480,7 +534,15 @@ def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
     for module in (algorithms, genverify):
         monkeypatch.setattr(module, "cave_polynomial", cave_oracle)
     monkeypatch.setitem(CHECKS, "truncation-lemmas", truncation_lemmas_check_scan)
-    monkeypatch.setattr(core, "is_m_convex", is_m_convex_pairwise)
+
+    class PairwiseIndex:  # the constructor's exchange check and P's iteration, without an index
+        def __init__(self, P):
+            self.ordered = sorted(P.points)
+
+        def m_convex_failure(self):
+            return is_m_convex_pairwise(self.ordered)[1]
+
+    monkeypatch.setattr(core, "exchange_index", PairwiseIndex)
     monkeypatch.setattr(core, "is_generalized_polymatroid", is_generalized_polymatroid_pairwise)
     for module in (geometry, genverify):
         monkeypatch.setattr(module, "is_cave", is_cave_via_tops_polymatroid)
@@ -977,15 +1039,19 @@ def test_coded_stalactite_terms_match_tuple_counter():
 
 def test_truncation_lemma_check_asserts_every_truncation(monkeypatch):
     def reported(points):  # a fault that reports every two-point set not M-convex
-        pts = sorted(points)
-        return (False, (pts[0], pts[1], 1)) if len(pts) == 2 else is_m_convex(pts)
+        return points[0], points[1], 1
 
     m_convex_failure = core.ExchangeIndex.m_convex_failure
 
-    def faulty(index, mask=None):  # the same fault in the check's kernel
+    def faulty(index, mask=None):  # the fault in the check's kernel, over a mask
         if mask is None or bin(mask).count("1") != 2:
             return m_convex_failure(index, mask)
-        return reported(materialized(index, mask))[1]
+        return reported(materialized(index, mask))
+
+    def planted(index, mask=None):  # the same fault in the constructor's whole-set check
+        if mask is not None or len(index.ordered) != 2:
+            return m_convex_failure(index, mask)
+        return reported(index.ordered)
 
     def outcome(check, P):
         try:
@@ -1001,7 +1067,7 @@ def test_truncation_lemma_check_asserts_every_truncation(monkeypatch):
             patch.setattr(core.ExchangeIndex, "m_convex_failure", faulty)
             result = outcome(CHECKS["truncation-lemmas"], P)
         with monkeypatch.context() as patch:
-            patch.setattr(core, "is_m_convex", reported)
+            patch.setattr(core.ExchangeIndex, "m_convex_failure", planted)
             assert result == outcome(truncation_lemmas_check_scan, P)
         raised += isinstance(result, str)
     assert raised > 10

@@ -1,5 +1,6 @@
-"""Planted faults that make the lex-order, cave-support and cave-predicate
-checks, and ``is_cave``'s condition 2 and 3 reports, return False.
+"""Planted faults that make the lex-order, cave-support, cave-predicate,
+four-way, coefficient-sum and cancellation-free checks, and ``is_cave``'s
+condition 2 and 3 reports, return False.
 
 Each fault is monkeypatched into a function that the routes and the checks
 it guards share, so it reaches a check however the check is built.  The outcomes (every failing check with its detail string, per
@@ -18,6 +19,7 @@ import pytest
 from cavepoly import core, genverify
 from cavepoly.genverify import GeneratorConfig, random_polymatroid, verify_campaign, verify_instance
 from cavepoly.geometry import independence_points, is_cave
+from cavepoly.polyalg import MultiPoly
 
 GOLDEN = Path(__file__).with_name("golden") / "planted_faults.json"
 
@@ -71,11 +73,22 @@ def _small_gp_failure(gp_failure):
     return faulty
 
 
+def _flipped_cave_term(cave_polynomial):
+    """The cave polynomial's coefficient at its smallest exponent changes sign."""
+    def faulty(P):
+        terms = dict(cave_polynomial(P).terms)
+        low = min(terms)
+        terms[low] = -terms[low]
+        return MultiPoly(P.p, terms)
+    return faulty
+
+
 FAULTS = {
     "drop-last-apex": (core.ExchangeIndex, "in_order", _drop_last_apex, "lex-order-invariance"),
     "stray-member": (genverify, "stalactite_counts", _stray_member, "cave-predicate"),
     "lost-member": (genverify, "stalactite_counts", _lost_member, "cave-support"),
     "small-gp-failure": (core.ExchangeIndex, "gp_failure", _small_gp_failure, "cave-predicate"),
+    "flipped-cave-term": (genverify, "cave_polynomial", _flipped_cave_term, "cancellation-free"),
 }
 
 
@@ -97,6 +110,12 @@ def test_planted_fault_outcomes_match_recorded(fault, monkeypatch):
     aimed = FAULTS[fault][3]
     assert any(name == aimed for failures in recorded["failures"] for name, _ in failures)
     assert recorded["campaign"]["failures"], fault
+
+
+def test_flipped_cave_term_fails_every_check_that_reads_the_cave_polynomial_whole():
+    recorded = json.loads(GOLDEN.read_text())["flipped-cave-term"]["failures"]
+    for failures in recorded:
+        assert {"four-way-equality", "coefficient-sum", "cancellation-free"} <= {name for name, _ in failures}
 
 
 def test_is_cave_reports_conditions_2_and_3_under_planted_faults(monkeypatch):
