@@ -283,9 +283,17 @@ def _int_vector(text):
         raise argparse.ArgumentTypeError("expected comma-separated integers, got %r" % text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ``ParseError``, so that ``run_command``
+    reports it on the stderr it was given; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cavepoly",
         description="Exact polymatroid invariants: cave, stalactite, box and Mobius polynomials.",
     )
@@ -413,10 +421,10 @@ def run_command(argv, stdin=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code else EXIT_OK
-    try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:  # --help has printed its text; usage errors raise ParseError
+            return EXIT_OK
         output, status = _COMMANDS[args.command](args, stdin)
         if isinstance(output, str):
             stdout.write(output)

@@ -1,12 +1,12 @@
 """Exact sparse polynomial arithmetic in the monomial and binomial bases.
 
 Three representations on one base, ``_SparsePoly``, all with exact
-coefficients and dict-of-terms storage keyed by exponent/index tuples of
-fixed length p.  The base normalizes the terms and gives equality, hashing,
-truth, evaluation and ``repr``; each representation adds its coefficient
-check and its per-coordinate factor.  ``terms`` is a read-only
-``MappingProxyType`` view, so a result held in a polymatroid's memo store
-and handed to every caller cannot be changed by one caller under another:
+coefficients keyed by exponent/index tuples of fixed length p.  The base
+normalizes the terms and gives equality, hashing, truth, evaluation and
+``repr``; each representation adds its coefficient check and its
+per-coordinate factor.  ``terms`` is a read-only ``MappingProxyType`` view,
+so a result held in a polymatroid's memo store and handed to every caller
+cannot be changed by one caller under another:
 
 * ``MultiPoly``        -- integer coefficients on monomials t^n.  Exponents
   may be negative; ``assert_ordinary`` refuses them in a finished result.
@@ -14,8 +14,9 @@ and handed to every caller cannot be changed by one caller under another:
   expressions ``prod_i C(t_i + n_i + shift, n_i)``.  ``shift=0`` is the
   basis of the Snapper polynomial, ``shift=-1`` the shifted basis of the
   independence-sum formula.
-* ``RationalPoly``     -- Fraction coefficients on monomials; the common
-  expanded form in which the two binomial bases can be compared exactly.
+* ``RationalPoly``     -- rational coefficients on monomials, held as
+  integer numerators over one reduced denominator; the common expanded
+  form in which the two binomial bases are compared exactly.
 
 ``expand_binomial`` and the box route in ``algorithms`` are per-coordinate
 changes of basis of an integer combination indexed by lattice points,
@@ -65,8 +66,8 @@ class _SparsePoly:
     """Immutable sparse combination of length-p keys.  A representation
     supplies ``_coefficient`` (check and convert one term's coefficient),
     ``_normal`` (the coefficient type it stores) and ``_factor`` (the value
-    at t_i of key entry k != 0), and ``_fields`` when equality compares
-    more than p and the terms.
+    at t_i of key entry k != 0), and ``_fields`` when equality reads more
+    than p and the terms: scalars first, the stored mapping last.
 
     The per-term loop of ``__init__`` defines the terms.  Input that it
     would keep as it is passes the bulk check ``_is_normal`` instead, and
@@ -115,7 +116,7 @@ class _SparsePoly:
         return coeff
 
     def _fields(self) -> tuple:
-        return (self.p,)
+        return (self.p, self.terms)
 
     def _coerce(self, other):
         return other if isinstance(other, type(self)) else None
@@ -124,13 +125,14 @@ class _SparsePoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._fields() == other._fields() and self.terms == other.terms
+        return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash((*self._fields(), frozenset(self.terms.items())))
+        *scalars, stored = self._fields()
+        return hash((*scalars, frozenset(stored.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._fields()[-1])
 
     def evaluate(self, t):
         """Exact value at an integer vector."""
@@ -217,7 +219,7 @@ class MultiPoly(_SparsePoly):
     __rmul__ = __mul__
 
     def has_negative_exponent(self) -> bool:
-        return any(x < 0 for e in self.terms for x in e)
+        return min(chain.from_iterable(self.terms), default=0) < 0
 
     def assert_ordinary(self) -> "MultiPoly":
         """Fail if a transient negative exponent survived into a result."""
@@ -257,20 +259,62 @@ class BinomialBasisPoly(_SparsePoly):
         return binom_int(ti + ni + self.shift, ni)
 
     def _fields(self) -> tuple:
-        return (self.p, self.shift)
+        return (self.p, self.shift, self.terms)
 
 
 class RationalPoly(_SparsePoly):
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse multivariate polynomial with exact rational coefficients.
 
-    __slots__ = ()
+    Stored as integer ``numerators`` keyed by exponent tuple over one positive
+    ``denominator``, reduced so that gcd(denominator, every numerator) = 1:
+    the denominator is the lcm of the coefficients' own, 1 for the zero
+    polynomial, so the form is unique and equality and hashing read
+    (p, denominator, numerators) alone.  ``terms`` is the read-only view of
+    Fraction coefficients, built on first read and kept.  The constructor
+    takes anything ``Fraction`` takes as a coefficient; ``_reduced`` takes
+    the integers themselves.
+    """
+
+    __slots__ = ("denominator", "numerators")
     _normal = Fraction
+
+    def __init__(self, p: int, terms=None):
+        super().__init__(p, terms)
+        denominator = math.lcm(*(c.denominator for c in self.terms.values()))
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "numerators", MappingProxyType(
+            {e: c.numerator * (denominator // c.denominator) for e, c in self.terms.items()}))
+
+    @classmethod
+    def _reduced(cls, p: int, numerators: dict, denominator: int) -> "RationalPoly":
+        """sum numerators[e]/denominator t^e, from nonzero ints keyed by exact
+        length-p tuples and a positive int, reduced by one gcd pass."""
+        g = math.gcd(denominator, *numerators.values())
+        if g != 1:
+            numerators = {e: v // g for e, v in numerators.items()}
+        q = object.__new__(cls)
+        object.__setattr__(q, "p", p)
+        object.__setattr__(q, "denominator", denominator // g)
+        object.__setattr__(q, "numerators", MappingProxyType(numerators))
+        return q
+
+    def __getattr__(self, name):
+        # Called only for a name that normal lookup misses: a missing name, or
+        # the ``terms`` slot before its first read, which builds and keeps the view.
+        if name != "terms":
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        view = MappingProxyType({e: Fraction(v, self.denominator) for e, v in self.numerators.items()})
+        object.__setattr__(self, "terms", view)
+        return view
 
     def _coefficient(self, exps, coeff):
         return Fraction(coeff)
 
     def _factor(self, ti, e):
         return Fraction(ti) ** e
+
+    def _fields(self) -> tuple:
+        return (self.p, self.denominator, self.numerators)
 
 
 def binomial_map(q: MultiPoly) -> BinomialBasisPoly:
@@ -336,10 +380,11 @@ def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:
 
     Coordinate i is scaled by N_i!, N_i its largest index, so index n maps
     to the integer row ``_rising_coeffs(n, shift) * N_i!/n!`` of degrees
-    0..n.  The change runs in integers through ``axiswise``, and one
-    Fraction is built per final monomial.
+    0..n.  The change runs in integers through ``axiswise``, and its
+    integers over prod N_i! are the result's numerators and denominator
+    once reduced by one gcd pass; no Fraction is built.
     """
-    tops = [max((n[i] for n in b.terms), default=0) for i in range(b.p)]
+    tops = list(map(max, zip(*b.terms))) if b.terms else [0] * b.p
     rows = []
     for top in tops:
         scale = math.factorial(top)
@@ -347,7 +392,7 @@ def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:
                            for d, c in enumerate(_rising_coeffs(n, b.shift)) if c)
                      for n in range(top + 1)])
     denom = math.prod(math.factorial(top) for top in tops)
-    return RationalPoly(b.p, {e: Fraction(v, denom) for e, v in axiswise(b.terms, rows).items()})
+    return RationalPoly._reduced(b.p, axiswise(b.terms, rows), denom)
 
 
 def _coeff_str(c) -> tuple:

@@ -550,6 +550,16 @@ def test_parsed_defaults_of_every_subcommand(argv, parsed):
     assert vars(cli._build_parser().parse_args(argv)) == {"command": argv[0], **parsed}
 
 
+def test_usage_errors_are_one_line_on_the_given_stderr(capsys):
+    assert run(["truncate"], stdin=RUNNING_DOC) == (2, "", "error: the following arguments are required: --at\n")
+    assert run(["cave", "--unknown"], stdin=RUNNING_DOC) == (2, "", "error: unrecognized arguments: --unknown\n")
+    assert run(["truncate", "--at", "x"], stdin=RUNNING_DOC) == (
+        2, "", "error: argument --at: expected comma-separated integers, got 'x'\n")
+    assert capsys.readouterr() == ("", "")
+    assert run(["truncate", "--help"]) == (0, "", "")
+    assert capsys.readouterr().out.startswith("usage: cavepoly truncate")
+
+
 def test_output_is_byte_identical_across_runs():
     for cmd in (["cave"], ["mobius", "--table"], ["snapper", "--expand"]):
         assert run(cmd, stdin=RUNNING_DOC) == run(cmd, stdin=RUNNING_DOC)
@@ -562,6 +572,7 @@ SMALLEST_ARGV = [["validate"], ["points"], ["independence"], ["cave"], ["stal"],
                  ["random", "--p", "1", "--max-rank", "1", "--max-cage-entry", "1"],
                  ["verify", "--p", "1", "--count", "1", "--max-rank", "1", "--max-cage-entry", "1"]]
 VERDICT_COMMANDS = {"equal", "is-cave", "verify"}
+INVALID_ARGV = [["truncate"], ["cave", "--unknown"], ["truncate", "--at", "x"]]
 SMALL_INSTANCES = instance_mix(12, seed=700, max_rank=3, max_cage_entry=3)
 VALID_DOCUMENTS = [serialize_instance(P) for P in SMALL_INSTANCES] + [rank_document(P) for P in SMALL_INSTANCES[:6]]
 DOCUMENT_KEYS = st.sampled_from(["points", "rank", "p", "cage", "values", "[]", "[1]", "[2]", "[1,2]", "[2,1]", "x"])
@@ -612,9 +623,10 @@ DOCUMENTS = st.one_of(
 @example('{"points": %s}' % ("[" * 1000 + "]" * 1000))
 @example('{"points": %s}' % ("[" * 100000 + "]" * 100000))
 def test_every_command_exits_with_a_status_its_output_explains(document):
-    for argv in SMALLEST_ARGV:
+    for argv in SMALLEST_ARGV + INVALID_ARGV:
         status, out, err = run(argv, stdin=document)
         assert status in (0, 1, 2, 3), argv
+        assert status == 2 or argv not in INVALID_ARGV, (argv, err)
         assert status != 1 or argv[0] in VERDICT_COMMANDS, (argv, out)
         if status in (2, 3):
             assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (argv, err)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from cavepoly import (
+    AxiomViolation,
     GenerationExhausted,
     GeneratorConfig,
     MultiPoly,
@@ -164,6 +165,27 @@ def test_campaign_failure_carries_seed_and_shrunk_witness(monkeypatch):
 def test_shrink_instance_directly(running):
     small = shrink_instance(running, lambda Q: Q.rank >= 1)
     assert small.points == {(1,)}
+
+
+def test_shrinker_skips_a_lowered_cage_entry_that_breaks_submodularity(monkeypatch):
+    # Capping rk at 0 on coordinate 3 leaves min(rk, capped sums) not submodular.
+    P = Polymatroid([(0, 2, 1), (1, 1, 1), (2, 0, 1)])
+    refused = []
+
+    def validate(p, values, cage):
+        try:
+            return validate_rank_function(p, values, cage)
+        except AxiomViolation as exc:
+            refused.append((list(cage), exc.violations))
+            raise
+
+    monkeypatch.setattr(genverify, "validate_rank_function", validate)
+    assert [sorted(Q.points) for Q in _shrink_candidates(P)] == [
+        [(2, 1)], [(2, 1)], [(0, 2), (1, 1), (2, 0)],  # each coordinate dropped
+        [(0, 2, 1), (1, 1, 1)], [(1, 1, 1), (2, 0, 1)],  # cage entries 1 and 2 lowered; entry 3 skipped
+        [(0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)],  # rank truncated to 2
+    ]
+    assert refused == [([2, 2, 0], [("submodular", ((1, 2), (1, 3))), ("submodular", ((1, 2), (2, 3)))])]
 
 
 def test_verified_instance_is_freed_when_dropped_without_the_collector():

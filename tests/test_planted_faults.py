@@ -1,6 +1,6 @@
 """Planted faults that make the lex-order, cave-support, cave-predicate,
-four-way, coefficient-sum and cancellation-free checks, and ``is_cave``'s
-condition 2 and 3 reports, return False.
+four-way, coefficient-sum, cancellation-free and Snapper-routes checks, and
+``is_cave``'s condition 2 and 3 reports, return False.
 
 Each fault is monkeypatched into a function that the routes and the checks
 it guards share, so it reaches a check however the check is built.  The outcomes (every failing check with its detail string, per
@@ -19,7 +19,7 @@ import pytest
 from cavepoly import core, genverify
 from cavepoly.genverify import GeneratorConfig, random_polymatroid, verify_campaign, verify_instance
 from cavepoly.geometry import independence_points, is_cave
-from cavepoly.polyalg import MultiPoly
+from cavepoly.polyalg import MultiPoly, RationalPoly
 
 GOLDEN = Path(__file__).with_name("golden") / "planted_faults.json"
 
@@ -83,12 +83,22 @@ def _flipped_cave_term(cave_polynomial):
     return faulty
 
 
+def _halved_independence_sum(expand_binomial):
+    """The expansion of the independence sum (the shift -1 basis) has every
+    coefficient halved; the cave route's expansion is left as it is."""
+    def faulty(b):
+        q = expand_binomial(b)
+        return q if b.shift != -1 else RationalPoly(q.p, {e: c / 2 for e, c in q.terms.items()})
+    return faulty
+
+
 FAULTS = {
     "drop-last-apex": (core.ExchangeIndex, "in_order", _drop_last_apex, "lex-order-invariance"),
     "stray-member": (genverify, "stalactite_counts", _stray_member, "cave-predicate"),
     "lost-member": (genverify, "stalactite_counts", _lost_member, "cave-support"),
     "small-gp-failure": (core.ExchangeIndex, "gp_failure", _small_gp_failure, "cave-predicate"),
     "flipped-cave-term": (genverify, "cave_polynomial", _flipped_cave_term, "cancellation-free"),
+    "halved-independence-sum-expansion": (genverify, "expand_binomial", _halved_independence_sum, "snapper-routes"),
 }
 
 
@@ -116,6 +126,11 @@ def test_flipped_cave_term_fails_every_check_that_reads_the_cave_polynomial_whol
     recorded = json.loads(GOLDEN.read_text())["flipped-cave-term"]["failures"]
     for failures in recorded:
         assert {"four-way-equality", "coefficient-sum", "cancellation-free"} <= {name for name, _ in failures}
+
+
+def test_halved_independence_sum_fails_the_snapper_routes_check_alone():
+    recorded = json.loads(GOLDEN.read_text())["halved-independence-sum-expansion"]["failures"]
+    assert recorded == [[["snapper-routes", "the two Snapper expansions differ"]]] * len(INSTANCES)
 
 
 def test_is_cave_reports_conditions_2_and_3_under_planted_faults(monkeypatch):

@@ -186,6 +186,7 @@ def test_expand_shifted_basis():
     # C(t+n-1, n): for n=2 that is (t)(t+1)/2
     b = BinomialBasisPoly(1, {(2,): 1}, shift=-1)
     assert expand_binomial(b) == RationalPoly(1, {(2,): Fraction(1, 2), (1,): Fraction(1, 2)})
+    assert b == BinomialBasisPoly(1, {(2,): 1}, shift=-1) != BinomialBasisPoly(1, {(2,): 1})
 
 
 def test_expansion_agrees_with_direct_evaluation():
@@ -199,6 +200,79 @@ def test_expansion_agrees_with_direct_evaluation():
         direct = b.evaluate(t)
         assert expanded.evaluate(t) == direct
         assert isinstance(direct, int)
+
+
+# ------------------------------------------------ rational form (one denominator)
+
+def test_constructor_and_expansion_build_the_same_reduced_form():
+    cases = [
+        # (t^2 + 3t + 2)/2: the constant's numerator shares the factor 2 with the denominator.
+        (BinomialBasisPoly(1, {(2,): 1}), {(2,): Fraction(1, 2), (1,): Fraction(3, 2), (0,): 1}, 2,
+         {(2,): 1, (1,): 3, (0,): 2}),
+        # 2*C(t+2,2) = t^2 + 3t + 2: every numerator shares the factor 2, so the denominator reduces to 1.
+        (BinomialBasisPoly(1, {(2,): 2}), {(2,): 1, (1,): "3", (0,): 2.0}, 1, {(2,): 1, (1,): 3, (0,): 2}),
+        # C(t1+2,2) + C(t2+3,3): denominators 2 and 6 mix, and prod N_i! = 12 reduces to 6.
+        (BinomialBasisPoly(2, {(2, 0): 1, (0, 3): 1}),
+         {(2, 0): Fraction(1, 2), (1, 0): Fraction(3, 2), (0, 3): Fraction(1, 6), (0, 2): 1,
+          (0, 1): Fraction(11, 6), (0, 0): 2}, 6,
+         {(2, 0): 3, (1, 0): 9, (0, 3): 1, (0, 2): 6, (0, 1): 11, (0, 0): 12}),
+        # C(t+n-1, n) for n = 2 in the shifted basis: (t^2 + t)/2.
+        (BinomialBasisPoly(1, {(2,): 1}, shift=-1), {(2,): "1/2", (1,): Fraction(2, 4)}, 2, {(2,): 1, (1,): 1}),
+        (BinomialBasisPoly(3, {}), {(1, 0, 0): Fraction(0), (0, 0, 0): "0/5"}, 1, {}),
+    ]
+    for b, terms, denominator, numerators in cases:
+        expanded, built = expand_binomial(b), RationalPoly(b.p, terms)
+        for q in (expanded, built):
+            assert (q.denominator, dict(q.numerators)) == (denominator, numerators), b
+        assert expanded == built and hash(expanded) == hash(built), b
+        assert expanded.terms == built.terms == {e: Fraction(v, denominator) for e, v in numerators.items()}
+        assert bool(expanded) == bool(numerators)
+        with pytest.raises(TypeError):
+            expanded.numerators[(0,) * b.p] = 1
+
+
+def test_same_numerators_over_another_denominator_differ():
+    whole, half = RationalPoly(1, {(1,): 1, (0,): 3}), RationalPoly(1, {(1,): Fraction(1, 2), (0,): Fraction(3, 2)})
+    assert dict(whole.numerators) == dict(half.numerators) and (whole.denominator, half.denominator) == (1, 2)
+    assert whole != half and half == RationalPoly(1, {(1,): 0.5, (0,): 1.5})
+
+
+class CountingFraction(Fraction):
+    """A Fraction that counts its constructions."""
+
+    built = 0
+
+    def __new__(cls, *args, **kwargs):
+        CountingFraction.built += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+def test_comparing_two_expansions_builds_no_fraction(monkeypatch):
+    from cavepoly import algorithms, core, genverify, polyalg
+
+    r, m = 8, [4] * 4  # a ladder row, rk(S) = min(r, sum of m over S)
+    P = core.points_from_rank(core.validate_rank_function(len(m), genverify._uniform_values(len(m), r, m), m))
+    via_cave, via_sum = algorithms.snapper_from_cave(P), algorithms.snapper_eur_larson(P)
+    monkeypatch.setattr(polyalg, "Fraction", CountingFraction)
+    CountingFraction.built = 0
+    left, right = expand_binomial(via_cave), expand_binomial(via_sum)
+    assert left == right and left.denominator > 1
+    assert CountingFraction.built == 0
+    assert len(left.terms) == CountingFraction.built == len(left.numerators) > 100
+
+
+def test_polynomial_document_of_an_expansion_reads_one_terms_view(monkeypatch):
+    from cavepoly.cli import polynomial_document
+
+    q = expand_binomial(BinomialBasisPoly(2, {(2, 0): 1, (0, 3): 1}))
+    reads = []
+    build = RationalPoly.__getattr__
+    monkeypatch.setattr(RationalPoly, "__getattr__", lambda self, name: reads.append(name) or build(self, name))
+    doc = polynomial_document(q)
+    assert reads == ["terms"]
+    assert q.terms is q.terms and reads == ["terms"]
+    assert doc["terms"][0] == {"exponents": [0, 3], "coefficient": "1/6"}
+    assert doc["canonical"] == canonical_string(q) == "1/6*t2^3 + t2^2 + 1/2*t1^2 + 11/6*t2 + 3/2*t1 + 2"
 
 
 # ------------------------------------------------------------------ evaluation
@@ -287,3 +361,5 @@ def test_polynomials_are_immutable():
     for poly in (q, b, RationalPoly(2, {(1, 0): 1})):
         assert raised(setattr, poly, "p", 3) == (AttributeError, "%s is immutable" % type(poly).__name__)
         assert raised(setattr, poly, "extra", 3) == (AttributeError, "%s is immutable" % type(poly).__name__)
+        assert raised(getattr, poly, "extra") == (
+            AttributeError, "'%s' object has no attribute 'extra'" % type(poly).__name__)
