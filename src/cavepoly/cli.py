@@ -24,6 +24,7 @@ but those, reported as one ``internal error: ...`` line on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -422,9 +423,10 @@ def run_command(argv, stdin=None, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     try:
         try:
-            args = _build_parser().parse_args(argv)
-        except SystemExit:  # --help has printed its text; usage errors raise ParseError
-            return EXIT_OK
+            with contextlib.redirect_stdout(stdout):  # --help prints to sys.stdout
+                args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # usage errors raise ParseError instead
+            return EXIT_INPUT if exc.code else EXIT_OK
         output, status = _COMMANDS[args.command](args, stdin)
         if isinstance(output, str):
             stdout.write(output)

@@ -225,3 +225,26 @@ def test_ladder_checks_tool_measures_its_smallest_row():
     assert list(row["checks_s"]) == list(CHECKS)
     assert row["independence_points"] == 355 and row["base_points"] == 85
     assert 0 < max(row["checks_s"].values()) <= row["total_s"]
+
+
+def test_untested_lines_tool_reports_the_lines_its_counts_never_saw():
+    path = Path(__file__).resolve().parent.parent / "tools" / "untested_lines.py"
+    spec = importlib.util.spec_from_file_location("untested_lines", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    errors = tool.SRC / "cavepoly" / "errors.py"
+    lines = tool.executable_lines(errors)
+    # the module docstring, a class statement and its docstring, a method body; no blank line
+    assert {1, 4, 5, 24} <= lines and not {2, 3, 6} & lines
+    unrun = max(lines)
+    # every line but one under another spelling of the path, and a line of a file outside src/
+    counts = {(str(tool.SRC / "cavepoly" / ".." / "cavepoly" / "errors.py"), line): 1 for line in lines - {unrun}}
+    counts[(__file__, 1)] = 1
+    report = tool.untested_lines(counts)
+    assert set(report) == {module.relative_to(tool.SRC).as_posix() for module in tool.SRC.rglob("*.py")}
+    assert report["cavepoly/errors.py"] == [unrun]
+    assert report["cavepoly/polyalg.py"] == sorted(tool.executable_lines(tool.SRC / "cavepoly" / "polyalg.py"))
+    ignore = tool.OutsideSrc()
+    assert not ignore.names(str(errors), "errors")
+    assert ignore.names(__file__, "test_genverify")
+    assert ignore.names(str(tool.SRC) + "-copy/cavepoly/errors.py", "errors")

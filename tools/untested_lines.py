@@ -1,16 +1,15 @@
 """The ``src/`` lines that tier-1 never runs, as JSON per module.
 
-    python3 tools/untested_lines.py --out untested_lines.json [PYTEST_ARGS...]
+    python3 tools/untested_lines.py --out untested_lines.json
 
-Runs tier-1 (``pytest -q`` from the root of this checkout, or the given
-pytest arguments) in this process under the stdlib ``trace`` module, with
-the library imported from this checkout's ``src/``, and writes one entry
-per module: ``{"cavepoly/polyalg.py": [lines never run], ...}``.  A line is
-executable when it starts a line in the module's compiled code (the
-module's, a class body's or a function's).  Only frames of files under
-``src/`` are traced, but tracing the library still makes tier-1 several
-times slower (minutes, not seconds), so this is not a CI step.  The exit
-status is pytest's.
+Runs tier-1 (``pytest -q`` from the root of this checkout) in this
+process under the stdlib ``trace`` module, with the library imported from
+this checkout's ``src/``, and writes one entry per module:
+``{"cavepoly/polyalg.py": [lines never run], ...}``.  A line is executable
+when it starts a line in the module's compiled code (the module's, a class
+body's or a function's).  Only frames of files under ``src/`` are traced,
+but tracing the library still makes tier-1 several times slower (minutes,
+not seconds), so this is not a CI step.  The exit status is pytest's.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ def untested_lines(counts) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
-    args, pytest_args = parser.parse_known_args(argv)
+    args = parser.parse_args(argv)
 
     import pytest
 
@@ -72,7 +71,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(SRC))
     tracer = trace.Trace(count=1, trace=0)
     tracer.ignore = OutsideSrc()
-    status = tracer.runfunc(pytest.main, pytest_args or ["-q", "-p", "no:cacheprovider"])
+    status = tracer.runfunc(pytest.main, ["-q", "-p", "no:cacheprovider"])
     out.write_text(json.dumps(untested_lines(tracer.results().counts), indent=1) + "\n")
     return int(status)
 
