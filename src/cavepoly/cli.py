@@ -9,8 +9,8 @@ Instance documents carry exactly one of:
 Polynomial documents list terms in the canonical order together with the
 canonical string; the term list is authoritative, the string advisory.
 Every document is written byte for byte as ``json.dump(doc, indent=2)``
-writes it, then a newline, but in one pass of string joins (``_emit``):
-with ``indent``, ``json`` falls back to its pure-Python encoder.
+writes it, then a newline, but as string parts joined in bounded chunks
+(``_emit``): with ``indent``, ``json`` falls back to its pure-Python encoder.
 Each command is one ``_COMMANDS`` handler ``(args, stdin) -> (output,
 status)``: the output is a document, written as above, or a text, written
 as it is, and the status is the exit status.  Instance commands read their
@@ -30,6 +30,7 @@ import json
 import sys
 from dataclasses import fields
 from itertools import chain
+from types import MappingProxyType
 
 from . import algorithms, genverify
 from .core import (
@@ -121,12 +122,16 @@ def _parse_subset_key(key, p):
     return subset
 
 
-def _subset_spellings(p) -> dict:
-    """Each subset of 1..p as a bit mask, keyed by its compact spelling "[1,2]"."""
+@functools.lru_cache(maxsize=MAX_GROUND_SET)
+def _subset_spellings(p) -> MappingProxyType:
+    """Each subset of 1..p as a bit mask, keyed by its compact spelling
+    "[1,2]", in mask order, read-only: one string per subset, O(p 2^p)
+    characters, built once per p.  p <= ``MAX_GROUND_SET``, so the cache
+    holds at most 16 tables."""
     inner = [""]
     for i in range(1, p + 1):
         inner += ["%s,%d" % (t, i) if t else str(i) for t in inner]
-    return {"[%s]" % t: mask for mask, t in enumerate(inner)}
+    return MappingProxyType({"[%s]" % t: mask for mask, t in enumerate(inner)})
 
 
 def parse_instance(text) -> Polymatroid:
@@ -159,18 +164,23 @@ def parse_instance(text) -> Polymatroid:
     raw_values = rank_doc["values"]
     if not isinstance(raw_values, dict):
         raise ParseError('"values" must map subset keys to integers')
-    spellings, values = _subset_spellings(p), [None] * (1 << p)
-    for key, val in raw_values.items():
-        mask = spellings.get(key)
-        if mask is None:
-            mask = subset_to_mask(_parse_subset_key(key, p), p)
-        if values[mask] is not None:
-            raise ParseError("subset key %r repeats a subset named by an earlier key" % key)
-        if type(val) is not int:
-            raise ParseError("rank of %s is not an integer" % key)
-        values[mask] = val
-    if None in values:
-        raise ParseError("rank map missing subsets, e.g. %s" % (mask_to_subset(values.index(None)),))
+    spellings = _subset_spellings(p)
+    # Every subset once, compactly spelled: read in mask order.  Otherwise
+    # key by key, which names the first offending key or value.
+    values = list(map(raw_values.get, spellings)) if raw_values.keys() == spellings.keys() else [None]
+    if not {*map(type, values)} <= {int}:
+        values = [None] * (1 << p)
+        for key, val in raw_values.items():
+            mask = spellings.get(key)
+            if mask is None:
+                mask = subset_to_mask(_parse_subset_key(key, p), p)
+            if values[mask] is not None:
+                raise ParseError("subset key %r repeats a subset named by an earlier key" % key)
+            if type(val) is not int:
+                raise ParseError("rank of %s is not an integer" % key)
+            values[mask] = val
+        if None in values:
+            raise ParseError("rank map missing subsets, e.g. %s" % (mask_to_subset(values.index(None)),))
     try:
         rk = validate_rank_function(p, values, cage)
     except (ValueError, DimensionMismatch) as exc:
@@ -262,11 +272,18 @@ def _json_parts(value, parts, newline):
         parts.append(json.dumps(value))
 
 
+_EMIT_CHUNK = 4096
+
+
 def _emit(doc, out):
+    """Write ``doc`` as ``json.dump(doc, indent=2)`` does, then a newline:
+    its parts joined and written in chunks of at most ``_EMIT_CHUNK``, so a
+    large document's text is never held whole beside its parts."""
     parts = []
     _json_parts(doc, parts, "\n")
     parts.append("\n")
-    out.write("".join(parts))
+    for start in range(0, len(parts), _EMIT_CHUNK):
+        out.write("".join(parts[start:start + _EMIT_CHUNK]))
 
 
 def _read_source(path, stdin):

@@ -230,11 +230,22 @@ def validate_rank_function(p: int, values, cage) -> RankFunction:
     together with witnessing subsets, in (axiom, mask, i, j) order.
 
     Monotonicity on covering pairs (I, I + {i}) and local submodularity
-    (each equivalent to its all-pairs form) are read off slices: for each
-    bit i the table splits into the masks without and with i, and the
-    marginal of i splits again on each j > i.  That is O(p^2 2^p)
-    comparisons, one ``any(map(...))`` per pair of slices; witnesses are
-    collected only from a failing pair.
+    (each equivalent to its all-pairs form) are checked on one packed
+    integer (guard bits: Lamport, CACM 18(8), 1975).  Entry m less the
+    table's minimum fills slot m of ``width`` bytes, with spread < 2^(8
+    width - 3), so twice the spread stays below each slot's top bit, its
+    guard H.  For bit i, (the table shifted down 2^i slots | H) less
+    the table, each cut to the slots without i, holds H + rk(m + i) - rk(m)
+    at those m and H elsewhere: a clear guard is a monotonicity failure.
+    Less H - spread per slot, the gains of i lie in [0, 2 spread] (spread
+    elsewhere), and for each j > i the same guarded subtraction, cut to the
+    slots without j, compares gain(m) with gain(m + j).  Each slot's result
+    lies in [0, 2H), so no borrow crosses a slot, and a failing guard's
+    slot index is its mask.  Cost: O(p^2) big-integer operations on 2^p
+    width bytes, p + 2 slot masks built per call, witnesses read only from
+    a failing guard mask.  Spreads of 2^61 or more take
+    ``_sliced_axiom_failures``: wider slots cost more than they save, and
+    their memory grows with the widest entry, not with the table.
     """
     if not isinstance(p, int) or p < 1:
         raise ValueError("p must be a positive integer, got %r" % (p,))
@@ -244,12 +255,59 @@ def validate_rank_function(p: int, values, cage) -> RankFunction:
     if len(cage) != p:
         raise DimensionMismatch("cage has length %d, expected %d" % (len(cage), p))
     dense = _normalize_values(p, values)
-    for mask, v in enumerate(dense):
-        if not isinstance(v, int):
-            raise ValueError("rank of %s is %r, not an integer" % (mask_to_subset(mask), v))
+    if not {*map(type, dense)} <= {int}:
+        for mask, v in enumerate(dense):
+            if not isinstance(v, int):
+                raise ValueError("rank of %s is %r, not an integer" % (mask_to_subset(mask), v))
 
     violations = [("empty", ((),))] if dense[0] != 0 else []
     violations += [("cage", ((i + 1,),)) for i in range(p) if dense[1 << i] > cage[i]]
+    for axiom, m, i, j in sorted(_local_axiom_failures(p, dense)):
+        pair = (m, m | 1 << i) if axiom == "monotone" else (m | 1 << i, m | 1 << j)
+        violations.append((axiom, tuple(map(mask_to_subset, pair))))
+    if violations:
+        raise AxiomViolation(violations)
+    return RankFunction(p, dense, cage)
+
+
+def _local_axiom_failures(p, dense) -> list:
+    """("monotone", m, i, 0) for each covering pair with rk(m) > rk(m + i),
+    and ("submodular", m, i, j), i < j, for each local square with
+    gain_i(m + j) > gain_i(m): the packed check of ``validate_rank_function``."""
+    low = min(dense)
+    spread = max(dense) - low
+    if spread.bit_length() > 61:
+        return _sliced_axiom_failures(p, dense)
+    width = (spread.bit_length() + 10) // 8
+    bits, size = width << 3, len(dense)
+    shifted = map(sub, dense, repeat(low)) if low else dense
+    if width == 1:
+        table = int.from_bytes(bytes(shifted), "little")
+    else:
+        table = int.from_bytes(b"".join(map(int.to_bytes, shifted, repeat(width), repeat("little"))), "little")
+    guards = int.from_bytes((1 << bits - 1).to_bytes(width, "little") * size, "little")
+    recentre = int.from_bytes(((1 << bits - 1) - spread).to_bytes(width, "little") * size, "little")
+    full = b"\xff" * width
+    lacking = [int.from_bytes((full * (1 << i) + bytes(width << i)) * (size >> i + 1), "little") for i in range(p)]
+    found = []
+    for i, slots in enumerate(lacking):
+        gain = (table >> (bits << i) & slots | guards) - (table & slots)
+        bad = guards & ~gain
+        if bad:
+            found += [("monotone", k // bits, i, 0) for k in _bits(bad)]
+        gain -= recentre
+        for j in range(i + 1, p):
+            bad = guards & ~((gain & lacking[j] | guards) - (gain >> (bits << j) & lacking[j]))
+            if bad:
+                found += [("submodular", k // bits, i, j) for k in _bits(bad)]
+    return found
+
+
+def _sliced_axiom_failures(p, dense) -> list:
+    """``_local_axiom_failures``'s list, read off slices: for each bit i the
+    table splits into the masks without and with i, and the marginal of i
+    splits again on each j > i.  That is O(p^2 2^p) comparisons, one
+    ``any(map(...))`` per pair of slices, whatever the entries' size."""
     found = []
     for i in range(p):
         without, with_i = _split(dense, i)
@@ -261,12 +319,7 @@ def validate_rank_function(p: int, values, cage) -> RankFunction:
             if any(map(lt, before, after)):
                 found += [("submodular", _unsplit(_unsplit(t, j - 1), i), i, j)
                           for t in compress(count(), map(lt, before, after))]
-    for axiom, m, i, j in sorted(found):
-        pair = (m, m | 1 << i) if axiom == "monotone" else (m | 1 << i, m | 1 << j)
-        violations.append((axiom, tuple(map(mask_to_subset, pair))))
-    if violations:
-        raise AxiomViolation(violations)
-    return RankFunction(p, dense, cage)
+    return found
 
 
 def _split(seq, bit):
@@ -765,9 +818,11 @@ def _extensions(prefix, upper, lower, rest, out):
     rk(E) - rk(E - (m | r)) - x(m) over the subsets m of the fixed ones.  So
     the next coordinate lies in [max(0, lower[1]), upper[1]], and fixing it
     to c halves both tables: min(upper[0::2], upper[1::2] - c) and
-    max(lower[0::2], lower[1::2] - c).  The last coordinate is ``rest``, the
-    rank less the prefix's degree, and is only bound-checked.  With N_j
-    nodes at depth j the walk costs O(sum of N_j 2^(p - j)); on a
+    max(lower[0::2], lower[1::2] - c), each slice taken once per node and
+    each child's table one list comprehension over their ``zip``, exact
+    integer comparisons with no call per entry.  The last coordinate is
+    ``rest``, the rank less the prefix's degree, and is only bound-checked.
+    With N_j nodes at depth j the walk costs O(sum of N_j 2^(p - j)); on a
     polymatroid no prefix dead-ends.  At ``rest`` 0 only all zeros can
     extend, so one O(2^free) test ends the walk: down the zero path each
     depth checks lower[r] <= 0 <= upper[r] for the r whose top is the
@@ -783,7 +838,7 @@ def _extensions(prefix, upper, lower, rest, out):
         if lo <= rest <= hi:
             out.append(prefix + (rest,))
         return
-    (upper_without, upper_with), (lower_without, lower_with) = _split(upper, 0), _split(lower, 0)
+    upper_without, upper_with, lower_without, lower_with = upper[0::2], upper[1::2], lower[0::2], lower[1::2]
     for c in range(lo, hi + 1):
-        _extensions(prefix + (c,), list(map(min, upper_without, map(sub, upper_with, repeat(c)))),
-                    list(map(max, lower_without, map(sub, lower_with, repeat(c)))), rest - c, out)
+        _extensions(prefix + (c,), [a if a < b - c else b - c for a, b in zip(upper_without, upper_with)],
+                    [a if a > b - c else b - c for a, b in zip(lower_without, lower_with)], rest - c, out)

@@ -9,8 +9,9 @@ lemmas over the parent region, one sparse Mobius pass over the region, the
 exchange index's neighbour masks for ``neighbors`` and ``stalactite``,
 integer lattice codes in the changes of basis, the Mobius table, the cave
 route and the stalactite counts, a ``str.find`` loop for set bits, halving
-bound tables in the base-point walk, sliced axiom checks, one flat key per
-term for the canonical order, local axiom checks on the lattice path); the
+bound tables in the base-point walk, built by list comprehensions, sliced
+and packed guard-bit axiom checks, one flat key per term for the canonical
+order, local axiom checks on the lattice path); the
 differential tests require both to return identical results and identical
 failure witnesses.
 """
@@ -631,6 +632,31 @@ def rank_axiom_violations_loops(p, dense, cage) -> list:
                 if dense[mi] + dense[mj] < dense[mi | mj] + dense[mask]:
                     violations.append(("submodular", (mask_to_subset(mi), mask_to_subset(mj))))
     return violations
+
+
+def base_points_map_walk(rk) -> list:
+    """The halving-bounds walk of ``core._extensions`` with each child's
+    tables built by ``map(min, ...)`` and ``map(max, ...)`` over the even
+    and odd halves: the members it would hand ``Polymatroid``, in order."""
+    members = []
+
+    def extend(prefix, upper, lower, rest):
+        if not rest:
+            if max(lower) <= 0 <= min(upper):
+                members.append(prefix + (0,) * (len(upper).bit_length() - 1))
+            return
+        lo, hi = max(0, lower[1]), upper[1]
+        if len(upper) == 2:
+            if lo <= rest <= hi:
+                members.append(prefix + (rest,))
+            return
+        upper_without, upper_with, lower_without, lower_with = upper[0::2], upper[1::2], lower[0::2], lower[1::2]
+        for c in range(lo, hi + 1):
+            extend(prefix + (c,), list(map(min, upper_without, map(operator.sub, upper_with, itertools.repeat(c)))),
+                   list(map(max, lower_without, map(operator.sub, lower_with, itertools.repeat(c)))), rest - c)
+
+    extend((), rk.values, [rk.rank - v for v in reversed(rk.values)], rk.rank)
+    return members
 
 
 def canonical_key(exps):

@@ -175,6 +175,34 @@ def test_rank_document_refuses_json_booleans(rank, message):
     assert run(["validate"], stdin=doc.replace("true", "1"))[0] == 0
 
 
+SPELLED_VALUES = {"[]": 0, "[1]": 2, "[2]": 1, "[3]": 2, "[1,2]": 3, "[1,3]": 3, "[2,3]": 3, "[1,2,3]": 3}
+
+
+def spelled_rank_doc(values):
+    return json.dumps({"rank": {"p": 3, "cage": [2, 1, 2], "values": values}})
+
+
+def test_rank_document_spellings_read_the_same_table():
+    """Compact keys (read in mask order), keys with spaces and shuffled keys
+    (read key by key) give one polymatroid; a subset spelled twice and a
+    non-integer value give the one error line recorded before the compact
+    keys were read in mask order."""
+    spaced = {key.replace(",", ", "): v for key, v in SPELLED_VALUES.items()}
+    shuffled = dict(reversed(SPELLED_VALUES.items()))
+    P = parse_instance(spelled_rank_doc(SPELLED_VALUES))
+    assert len(P) == 5 and parse_instance(spelled_rank_doc(spaced)) == parse_instance(spelled_rank_doc(shuffled)) == P
+    refused = [
+        ({**SPELLED_VALUES, "[1, 3]": 3}, "subset key '[1, 3]' repeats a subset named by an earlier key"),
+        ({"[1, 3]": 3, **SPELLED_VALUES}, "subset key '[1,3]' repeats a subset named by an earlier key"),
+        ({**SPELLED_VALUES, "[2]": True}, "rank of [2] is not an integer"),
+        ({**SPELLED_VALUES, "[1,3]": 1.5}, "rank of [1,3] is not an integer"),
+        ({**SPELLED_VALUES, "[1]": 1.5, "[2,3]": True}, "rank of [1] is not an integer"),
+        ({**spaced, "[1, 3]": True}, "rank of [1, 3] is not an integer"),
+    ]
+    for values, message in refused:
+        assert run(["validate"], stdin=spelled_rank_doc(values)) == (2, "", "error: %s\n" % message), values
+
+
 def test_rank_document_refuses_p_beyond_the_ground_set_bound(monkeypatch):
     from cavepoly import cli
 
@@ -657,6 +685,27 @@ for _ in range(100):
 @example({True: 1, None: [-1, 0, 1], 2.5: (), float("nan"): float("-inf"), 10 ** 40: "\u00e9"})
 def test_emit_writes_what_json_dump_writes(tree):
     assert emitted(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+class CountingWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_emit_writes_a_large_document_in_chunks():
+    """A document of more than 4096 parts is written in several joined
+    chunks, byte for byte as ``json.dump`` writes it; a small one at once."""
+    for doc, chunked in (({"points": [[0, 3], [1, 2]]}, False),
+                         ({"table": [{"point": [k], "value": -k} for k in range(3000)]}, True)):
+        out = CountingWrites()
+        _emit(doc, out)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+        assert (out.writes > 1) == chunked, out.writes
 
 
 UNSERIALIZABLE = st.sampled_from([{1, 2}, frozenset(), b"bytes", Fraction(1, 3)])

@@ -63,6 +63,7 @@ from cavepoly.genverify import CHECKS
 from conftest import instance_mix
 from oracles import (
     axiswise_slices,
+    base_points_map_walk,
     base_points_subset_sums,
     bits_scan,
     cave_condition_3_box_walk,
@@ -881,6 +882,69 @@ def test_sliced_axiom_check_matches_covering_pair_loops():
         assert reported == rank_axiom_violations_loops(p, values, cage), (p, values, cage)
         kinds.update({axiom for axiom, _ in reported} or {"valid"})
     assert set(kinds) == {"valid", "empty", "cage", "monotone", "submodular"}, kinds
+
+
+def wide_slot_rank_tables(seed, count):
+    """(p, values, cage) for p <= 10 whose spreads need every slot width of
+    the packed axiom check, 1 to 8 bytes, or more (scale 10^30): uniform
+    tables scaled by 1, 1000, 10^15, 10^30 or a power of two below 2^58
+    with a few entries nudged by up to the scale, and random tables with
+    negative entries, whose gains reach the spread; some with values[0] !=
+    0 or a cage entry cut."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice((1, 2, 3, 4, 5, 6, 6, 7, 8, 10))
+        scale = rng.choice((1, 1000, 10 ** 15, 10 ** 30, 2 ** rng.randrange(58)))
+        if rng.random() < 0.7:
+            r, m = rng.randint(0, 8), [rng.randint(0, 4) for _ in range(p)]
+            values = [min(r, sum(m[i] for i in range(p) if mask >> i & 1)) * scale for mask in range(1 << p)]
+            for _ in range(rng.randint(0, 3)):
+                values[rng.randrange(1 << p)] += rng.randint(-scale, scale)
+        else:
+            values = [0] + [rng.randint(-2 * scale, 6 * scale) for _ in range(1, 1 << p)]
+        if rng.random() < 0.15:
+            values[0] = rng.randint(-scale, scale)
+        yield p, values, [values[1 << i] - rng.choice((0, 0, 0, 1)) for i in range(p)]
+
+
+def test_packed_axiom_check_matches_loops_and_slices_on_wide_slots():
+    """The packed check (the sliced one beyond 8-byte slots) agrees with the
+    sliced check and, through ``validate_rank_function``, with the
+    covering-pair loops."""
+    widths, kinds = Counter(), Counter()
+    for p, values, cage in wide_slot_rank_tables(16, 250):
+        try:
+            validate_rank_function(p, values, cage)
+            reported = []
+        except AxiomViolation as exc:
+            reported = exc.violations
+        assert reported == rank_axiom_violations_loops(p, values, cage), (p, values, cage)
+        found = core._local_axiom_failures(p, values)
+        assert sorted(found) == sorted(core._sliced_axiom_failures(p, values)), (p, values)
+        widths[min((max(values) - min(values)).bit_length() + 10 >> 3, 9)] += 1
+        kinds.update({axiom for axiom, _ in reported} or {"valid"})
+    assert set(widths) == set(range(1, 10)), widths
+    assert set(kinds) == {"valid", "empty", "cage", "monotone", "submodular"}, kinds
+
+
+def test_comprehension_walk_matches_map_walk(monkeypatch):
+    """The walk's list comprehensions hand ``Polymatroid`` the members of
+    the ``map``-form walk, in the same order."""
+    handed, polymatroid = [], core.Polymatroid
+
+    def recorded(members):
+        handed.append(members)
+        return polymatroid(members)
+
+    monkeypatch.setattr(core, "Polymatroid", recorded)
+    ladder = [core.rank_from_points(P) for P in LADDER[:4]]
+    tables = [RankFunction(p, values, [values[1 << i] for i in range(p)])
+              for p, values in list(random_rank_tables(17, 600)) + EDGE_RANK_TABLES]
+    for rk in tables + list(wide_low_rank_tables()) + ladder:
+        handed.clear()
+        _points_or_error(core.points_from_rank, rk)
+        expected = base_points_map_walk(rk)
+        assert handed == ([expected] if expected else []), rk
 
 
 def test_rank_from_points_matches_subset_loop():
