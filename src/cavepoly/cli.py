@@ -30,7 +30,6 @@ import json
 import sys
 from dataclasses import fields
 from itertools import chain
-from types import MappingProxyType
 
 from . import algorithms, genverify
 from .core import (
@@ -122,16 +121,40 @@ def _parse_subset_key(key, p):
     return subset
 
 
-@functools.lru_cache(maxsize=MAX_GROUND_SET)
-def _subset_spellings(p) -> MappingProxyType:
-    """Each subset of 1..p as a bit mask, keyed by its compact spelling
-    "[1,2]", in mask order, read-only: one string per subset, O(p 2^p)
-    characters, built once per p.  p <= ``MAX_GROUND_SET``, so the cache
-    holds at most 16 tables."""
-    inner = [""]
+def _subset_spellings(p) -> list:
+    """The compact spelling "[1,2]" of each subset of 1..p, in mask order:
+    the spellings without i, then each of them with ",i" appended, so entry
+    m spells mask m.  One string concatenation per subset, O(p 2^p)
+    characters, built per call."""
+    spellings = ["["]
     for i in range(1, p + 1):
-        inner += ["%s,%d" % (t, i) if t else str(i) for t in inner]
-    return MappingProxyType({"[%s]" % t: mask for mask, t in enumerate(inner)})
+        tail = ",%d" % i
+        spellings += ["[%d" % i] + [t + tail for t in spellings[1:]]
+    return [t + "]" for t in spellings]
+
+
+def _read_rank_values(raw_values, p) -> list:
+    """The ranks of a "values" object in mask order.  An object of 2^p
+    compactly spelled keys with integer ranks is read in one pass: every
+    spelling is found, so its keys are exactly the 2^p subsets.  Any other
+    object is read key by key, which names the first offending key or value."""
+    spellings = _subset_spellings(p)
+    values = list(map(raw_values.get, spellings))
+    if len(raw_values) == len(spellings) and {*map(type, values)} <= {int}:
+        return values
+    masks, values = dict(zip(spellings, range(1 << p))), [None] * (1 << p)
+    for key, val in raw_values.items():
+        mask = masks.get(key)
+        if mask is None:
+            mask = subset_to_mask(_parse_subset_key(key, p), p)
+        if values[mask] is not None:
+            raise ParseError("subset key %r repeats a subset named by an earlier key" % key)
+        if type(val) is not int:
+            raise ParseError("rank of %s is not an integer" % key)
+        values[mask] = val
+    if None in values:
+        raise ParseError("rank map missing subsets, e.g. %s" % (mask_to_subset(values.index(None)),))
+    return values
 
 
 def parse_instance(text) -> Polymatroid:
@@ -164,23 +187,7 @@ def parse_instance(text) -> Polymatroid:
     raw_values = rank_doc["values"]
     if not isinstance(raw_values, dict):
         raise ParseError('"values" must map subset keys to integers')
-    spellings = _subset_spellings(p)
-    # Every subset once, compactly spelled: read in mask order.  Otherwise
-    # key by key, which names the first offending key or value.
-    values = list(map(raw_values.get, spellings)) if raw_values.keys() == spellings.keys() else [None]
-    if not {*map(type, values)} <= {int}:
-        values = [None] * (1 << p)
-        for key, val in raw_values.items():
-            mask = spellings.get(key)
-            if mask is None:
-                mask = subset_to_mask(_parse_subset_key(key, p), p)
-            if values[mask] is not None:
-                raise ParseError("subset key %r repeats a subset named by an earlier key" % key)
-            if type(val) is not int:
-                raise ParseError("rank of %s is not an integer" % key)
-            values[mask] = val
-        if None in values:
-            raise ParseError("rank map missing subsets, e.g. %s" % (mask_to_subset(values.index(None)),))
+    values = _read_rank_values(raw_values, p)
     try:
         rk = validate_rank_function(p, values, cage)
     except (ValueError, DimensionMismatch) as exc:
