@@ -189,8 +189,11 @@ def test_rank_document_spellings_read_the_same_table():
     keys were read in mask order."""
     spaced = {key.replace(",", ", "): v for key, v in SPELLED_VALUES.items()}
     shuffled = dict(reversed(SPELLED_VALUES.items()))
+    # 2^p keys, one spelled with a space: the one-pass read misses it.
+    respelled = {("[1, 3]" if key == "[1,3]" else key): v for key, v in SPELLED_VALUES.items()}
     P = parse_instance(spelled_rank_doc(SPELLED_VALUES))
     assert len(P) == 5 and parse_instance(spelled_rank_doc(spaced)) == parse_instance(spelled_rank_doc(shuffled)) == P
+    assert parse_instance(spelled_rank_doc(respelled)) == P
     refused = [
         ({**SPELLED_VALUES, "[1, 3]": 3}, "subset key '[1, 3]' repeats a subset named by an earlier key"),
         ({"[1, 3]": 3, **SPELLED_VALUES}, "subset key '[1,3]' repeats a subset named by an earlier key"),
@@ -198,6 +201,8 @@ def test_rank_document_spellings_read_the_same_table():
         ({**SPELLED_VALUES, "[1,3]": 1.5}, "rank of [1,3] is not an integer"),
         ({**SPELLED_VALUES, "[1]": 1.5, "[2,3]": True}, "rank of [1] is not an integer"),
         ({**spaced, "[1, 3]": True}, "rank of [1, 3] is not an integer"),
+        ({("[4]" if key == "[1,3]" else key): v for key, v in SPELLED_VALUES.items()},
+         "subset key '[4]' is not a sorted set of indices in 1..3"),
     ]
     for values, message in refused:
         assert run(["validate"], stdin=spelled_rank_doc(values)) == (2, "", "error: %s\n" % message), values
