@@ -1,11 +1,6 @@
-"""Exact computation of polymatroid invariants.
-
-The cave polynomial of a polymatroid is computed by four independent
-algorithms (cave formula, stalactite construction, box expansion, Mobius
-recurrence), together with the Snapper polynomial in the binomial basis,
-and the equivalence of all routes is verified differentially on arbitrary
-and randomly generated instances.
-"""
+"""Exact polymatroid invariants: the cave polynomial by four independent
+routes (``algorithms``), checked against each other and the paper's
+identities (``genverify``), and the Snapper polynomial (``polyalg``)."""
 
 from .algorithms import (
     MobiusTable,

@@ -1,33 +1,18 @@
-"""The four equivalent polynomial invariants of a polymatroid.
+"""The four routes to the cave polynomial, and the Snapper polynomial.
 
-Four independent computations of one polynomial:
+* ``cave_polynomial``: the indicator-product formula over the base points;
+* ``stalactite_polynomial``: signed stalactite counts, for any lex order;
+* ``box_polynomial``: box products over the independence points;
+* ``mobius_polynomial``: the Mobius values of ``mobius_table``
+  (``mobius_interval`` is the closed form on intervals).
 
-* ``cave_polynomial``       -- expands the indicator-product formula
-  sum_n 1_P(n) * prod_{i<p} (1 - [n has a neighbor n-e_i+e_j, j>i] t_i^{-1}) t^n
-  over the base points, in dicts keyed by lattice codes;
-* ``stalactite_polynomial`` -- counts, per lattice point, the stalactites
-  containing it in the greedy lex-ordered decomposition, with sign
-  (-1)^(rank-|n|);
-* ``box_polynomial``        -- sums prod_i (t_i^{n_i} - t_i^{n_i-1}) over the
-  independence points (factor 1 where n_i = 0), one coordinate at a time;
-* ``mobius_polynomial``     -- Mobius values of the independence lattice with
-  a maximum adjoined, via the three-case recurrence.
-
-They agree exactly on every polymatroid; the genverify module tests that
-differentially.  The Snapper polynomial is reached two ways as well: by
-reinterpreting the cave polynomial in the binomial basis, and as the
-shifted-binomial sum over the independence points.
-
-The cave formula is tied to the identity coordinate order (its product
-skips coordinate p); permuted orders are exercised through the stalactite
-route, whose polynomial is order-invariant.
-
-Each route's result is held in the polymatroid's memo store; the routes
-share only its ``lattice_code``, exchange index and independence region.
-``neighbors``, ``stalactite`` and ``stalactite_decomposition`` read the
-index's neighbour masks and build ``Stalactite`` cubes for callers that want
-them; the stalactite route counts the index's coded cube members.  The cave
-route uses neither: it tries its own moves against the base points' codes.
+They agree exactly on every polymatroid, which ``genverify`` checks.  Each
+route's result is held in P's memo store, and the routes share only
+``lattice_code(P)``, the exchange index and the independence region.
+``snapper_from_cave`` and ``snapper_eur_larson`` reach the Snapper
+polynomial from the cave polynomial and from the independence points.
+``neighbors``, ``stalactite`` and ``stalactite_decomposition`` build
+``Stalactite`` cubes from the exchange index for callers that want them.
 """
 
 from __future__ import annotations
@@ -40,7 +25,7 @@ from types import MappingProxyType
 
 from .core import LexOrder, Polymatroid, _bits, as_point, exchange_index, lattice_code, memo, resolve_order
 from .errors import DimensionMismatch, InternalInvariantFailure, NotABasePoint, NotComparable
-from .geometry import independence_points
+from .geometry import independence_points, region_index
 from .polyalg import BinomialBasisPoly, MultiPoly, axiswise, binomial_map
 
 
@@ -55,10 +40,8 @@ class Stalactite:
 
 class MobiusTable:
     """Mobius values on the independence points; anything else maps to 0.
-
-    A table is held in its polymatroid's memo store and handed to every
-    caller, so ``values`` is a read-only ``MappingProxyType`` view.
-    """
+    ``values`` is a read-only view: one table in a polymatroid's memo store
+    is handed to every caller."""
 
     __slots__ = ("p", "rank", "values")
 
@@ -122,10 +105,6 @@ def stalactite(u, V, P: Polymatroid) -> Stalactite:
 def stalactite_decomposition(P: Polymatroid, order: LexOrder | None = None) -> tuple:
     """Greedy stalactites of the base points in ascending ``order``: the i-th
     stalactite is St(a_i; {a_1, ..., a_{i-1}}).  Their union is the cave set.
-
-    Each apex finds its directions by one AND of each of its neighbour
-    masks in P's ``exchange_index`` against the apexes before it: O(|B| p)
-    mask operations, plus the stalactites' own size.
     """
     index = exchange_index(P)
     visit = index.in_order(resolve_order(order, P.p))
@@ -140,10 +119,8 @@ def stalactite_counts(P: Polymatroid, order: LexOrder | None = None) -> dict:
 
 
 def stalactite_polynomial(P: Polymatroid, order: LexOrder | None = None) -> MultiPoly:
-    """Signed generating function of the stalactite counts.
-
-    Individual stalactites depend on the order; this polynomial does not.
-    """
+    """Signed generating function of the stalactite counts.  Individual
+    stalactites depend on the order; this polynomial does not."""
     return _stalactite_polynomial(P, resolve_order(order, P.p))
 
 
@@ -155,19 +132,19 @@ def _stalactite_polynomial(P: Polymatroid, order: LexOrder) -> MultiPoly:
 
 @memo
 def cave_polynomial(P: Polymatroid) -> MultiPoly:
-    """Expand the indicator-product formula over the base points.
+    """Expand the indicator-product formula over the base points,
+    sum_n 1_P(n) prod_{i<p} (1 - [n - e_i + e_j in P, some j > i] t_i^{-1}) t^n.
+    The product skips coordinate p, so the formula is tied to the identity
+    order; ``stalactite_polynomial`` covers the others.
 
-    Exponents are codes of ``lattice_code(P)``, spans cage_i + 2 and
-    strides s_i.  Each base point u starts as {code(u): 1}.  For each i < p
-    with a neighbour u - e_i + e_j, j > i, in P (the route's own move test,
-    code(u) - s_i + s_j among the base points' codes: the margin keeps
-    u_j + 1 from carrying, and u_i = 0 leaves digit i at cage_i + 1, so no
-    move aliases), the factor 1 - t_i^{-1} adds each code's negative at
-    e - s_i.  Every such e has e_i = u_i >= 1 (else
-    ``InternalInvariantFailure``), so no code leaves the box.  Each (u, i)
-    is one probe of the base codes, ``isdisjoint`` over the codes of its
-    p - i - 1 moves.  The sum is decoded into one ``MultiPoly``: O(|B| p^2)
-    lookups plus O(p) per term.
+    Exponents are codes of ``lattice_code(P)``, spans cage_i + 2, strides
+    s_i; the route reads no exchange index.  Each base point u starts as
+    {code(u): 1}.  For each i < p with a neighbour u - e_i + e_j, j > i, in
+    P (code(u) - s_i + s_j among the base codes: the margin keeps u_j + 1
+    from carrying, and u_i = 0 leaves digit i at cage_i + 1, so no move
+    aliases), the factor 1 - t_i^{-1} adds each code's negative at e - s_i.
+    Every such e has e_i = u_i >= 1 (else ``InternalInvariantFailure``),
+    so no code leaves the box.  O(|B| p^2) lookups plus O(p) per term.
     """
     lattice = lattice_code(P)
     strides = lattice.strides
@@ -191,11 +168,8 @@ def cave_polynomial(P: Polymatroid) -> MultiPoly:
 
 
 def box_summands(P: Polymatroid) -> dict:
-    """The expanded product for each independence point, keyed by the point.
-
-    The factor for coordinate i is t_i^{n_i} - t_i^{n_i - 1} when n_i >= 1
-    and 1 when n_i = 0.  Exposed so the summation can be traced.
-    """
+    """The expanded box product of each independence point, keyed by the
+    point: ``box_polynomial``'s summands, exposed so the sum can be traced."""
     p = P.p
     out = {}
     for n in sorted(independence_points(P).points):
@@ -213,13 +187,9 @@ def box_summands(P: Polymatroid) -> dict:
 
 @memo
 def box_polynomial(P: Polymatroid) -> MultiPoly:
-    """Sum of the box products over the independence points.
-
-    One change of basis of {n: 1 for n in I(P)}: index n_i becomes
-    t_i^{n_i} - t_i^{n_i - 1} (1 for n_i = 0), applied one coordinate at a
-    time by ``axiswise`` in O(p |I|) steps.  ``box_summands`` is the
-    per-point form.
-    """
+    """Sum of the box products over the independence points: one change of
+    basis of {n: 1 for n in I(P)}, index n_i becoming t_i^{n_i} - t_i^{n_i - 1}
+    (1 for n_i = 0), one coordinate at a time by ``axiswise``, O(p |I|)."""
     region = independence_points(P).points
     top = max(max(n) for n in region)
     row = [((0, 1),)] + [((n, 1), (n - 1, -1)) for n in range(1, top + 1)]
@@ -248,23 +218,21 @@ def mobius_table(P: Polymatroid) -> MobiusTable:
     """Mobius values on all independence points by the three-case recurrence:
     1 on base points, 1 - sum over strictly larger points inside, 0 outside.
 
-    One pass over the region in decreasing degree.  ``partial[n][k]`` sums
-    mu(m) over the m >= n that agree with n beyond coordinate k.  Each
-    m > n is counted once, at n + e_k for the last coordinate k on which it
-    exceeds n, so mu(n) = 1 - sum_k partial[n + e_k][k] (0 outside the
-    region, which is down-closed), and partial[n][k] = partial[n][k - 1] +
-    partial[n + e_k][k] with partial[n][-1] = mu(n): O(|I| p) in total
-    (a trimmed zeta transform over the product of chains).  ``partial`` is
-    keyed by the codes of ``lattice_code(P)``, spans cage_i + 2, so n + e_k
-    is the lookup code(n) + stride_k, which the margin keeps from carrying.
+    One pass over ``region_index(P)`` in reverse lex order, which visits
+    n + e_k before n.  ``partial[n][k]`` sums mu(m) over the m >= n that
+    agree with n beyond coordinate k.  Each m > n is counted once, at
+    n + e_k for the last coordinate k on which it exceeds n, so mu(n) = 1 -
+    sum_k partial[n + e_k][k] (0 outside the region, which is down-closed),
+    and partial[n][k] = partial[n][k - 1] + partial[n + e_k][k] with
+    partial[n][-1] = mu(n): O(|I| p) in total (a trimmed zeta transform
+    over the product of chains).  ``partial`` is keyed by the region's
+    codes, so n + e_k is the lookup code(n) + stride_k, which the margin of
+    ``lattice_code(P)`` keeps from carrying.
     """
-    outside = (0,) * P.p
-    lattice = lattice_code(P)
-    strides = list(enumerate(lattice.strides))
-    partial = {}
-    values = {}
-    order = sorted(independence_points(P).points, key=sum, reverse=True)
-    for n, code in zip(order, lattice.encode(order)):
+    index = region_index(P)
+    strides = list(enumerate(index.lattice.strides))
+    partial, values, outside = {}, {}, (0,) * P.p
+    for n, code in zip(reversed(index.ordered), reversed(index.codes)):
         above = [partial.get(code + s, outside)[k] for k, s in strides]
         values[n] = mu = 1 - sum(above)
         partial[code] = tuple(accumulate(above, initial=mu))[1:]

@@ -8,17 +8,13 @@ Instance documents carry exactly one of:
 
 Polynomial documents list terms in the canonical order together with the
 canonical string; the term list is authoritative, the string advisory.
-Every document is written byte for byte as ``json.dump(doc, indent=2)``
-writes it, then a newline, but as string parts joined in bounded chunks
-(``_emit``): with ``indent``, ``json`` falls back to its pure-Python encoder.
-Each command is one ``_COMMANDS`` handler ``(args, stdin) -> (output,
-status)``: the output is a document, written as above, or a text, written
-as it is, and the status is the exit status.  Instance commands read their
-instance from a file argument or stdin; diagnostics go to stderr, and no
-command keeps state.  Exit status: 0 on
-success/equality, 1 on mathematical inequality or a cave-check false, 2 on
-input or usage errors, 3 on an internal error (a library bug, any exception
-but those, reported as one ``internal error: ...`` line on stderr).
+``_COMMANDS`` maps each command to a handler ``(args, stdin) -> (output,
+status)``, the output a document (written by ``_emit``) or a text.  Exit
+status: 0 on success/equality, 1 on mathematical inequality or a
+cave-check false, 2 on input or usage errors, 3 on an internal error (a
+library bug, any exception but those, reported as one ``internal error:
+...`` line on stderr).  Instance commands read a file argument or stdin;
+diagnostics go to stderr, and no command keeps state.
 """
 
 from __future__ import annotations
@@ -201,11 +197,11 @@ def serialize_instance(P: Polymatroid) -> dict:
 
 
 def rank_document(P: Polymatroid) -> dict:
+    """Rank-form instance document, subsets by size, then lex, spelled compactly."""
     rk = rank_from_points(P)
-    values = {}
-    for subset, value in sorted(rk.as_subset_map().items(), key=lambda kv: (len(kv[0]), kv[0])):
-        values[json.dumps(list(subset), separators=(",", ":"))] = value
-    return {"rank": {"p": rk.p, "cage": list(rk.cage), "values": values}}
+    spellings = _subset_spellings(rk.p)
+    masks = sorted(range(1 << rk.p), key=lambda m: (m.bit_count(), mask_to_subset(m)))
+    return {"rank": {"p": rk.p, "cage": list(rk.cage), "values": {spellings[m]: rk.values[m] for m in masks}}}
 
 
 def polynomial_document(q, **extra) -> dict:
@@ -283,8 +279,9 @@ _EMIT_CHUNK = 4096
 
 
 def _emit(doc, out):
-    """Write ``doc`` as ``json.dump(doc, indent=2)`` does, then a newline:
-    its parts joined and written in chunks of at most ``_EMIT_CHUNK``, so a
+    """Write ``doc`` as ``json.dump(doc, indent=2)`` does, then a newline,
+    whose ``indent`` would make ``json`` use its pure-Python encoder: the
+    parts joined and written in chunks of at most ``_EMIT_CHUNK``, so a
     large document's text is never held whole beside its parts."""
     parts = []
     _json_parts(doc, parts, "\n")

@@ -1,36 +1,23 @@
-"""Polymatroid representations and axiom checking.
+"""Polymatroid representations, axiom checking and the exchange index.
 
-A polymatroid on ground set {1, ..., p} is handled in two equivalent forms:
+A polymatroid on {1, ..., p} (p <= 16, for the dense 2^p rank table) has
+two forms, which ``points_from_rank`` and ``rank_from_points`` convert
+exactly:
 
-* a rank function: a normalized, monotone, submodular map from subsets of
-  {1, ..., p} to nonnegative integers, bounded on singletons by a cage
-  vector (``RankFunction``);
-* a point set: a finite homogeneous M-convex set of lattice points in N^p
-  (``Polymatroid``).
+* ``RankFunction``: a normalized, monotone, submodular map from subsets to
+  nonnegative integers, bounded on singletons by a cage vector, held as a
+  table indexed by bit mask (bit i - 1 for element i) and checked by
+  ``validate_rank_function``;
+* ``Polymatroid``: a finite homogeneous M-convex set of points in N^p.
 
-``points_from_rank`` and ``rank_from_points`` convert between the two and
-round-trip exactly.  Subsets are encoded internally as p-bit masks, with
-bit ``i-1`` standing for element ``i``; the dense 2^p table caps ``p`` at 16.
-
-``LatticeCode`` is the one mixed-radix integer code of lattice points, in
-which a step +- e_i is an addition.  ``lattice_code(P)`` is the one code of
-a polymatroid's points: P's exchange index and region index, its
-stalactite counts (and so the lex-order and truncation-lemma checks), the
-Mobius table and the cave route key their points by it; ``polyalg`` has
-codes of its own.
-``ExchangeIndex`` answers the exchange questions for a point list and its
-bitmask subsets (``is_m_convex``, ``is_generalized_polymatroid``: the whole
-set), and counts the stalactites of its points, visited in a ``LexOrder``.
-
-A ``Polymatroid``'s derived data (rank table, exchange index, independence
-region and its ``geometry.region_index``, each route's result) lives in the
-instance's own memo store (see ``memo``) and is freed with it; the
-constructor's exchange check fills the exchange index that the rest read.
-
-All arithmetic is exact (Python integers).  Every value is immutable after
-construction, except that a memo store and an ``ExchangeIndex`` fill their
-parts on first use; each fill always computes the same value, so everything
-here is safe for concurrent use.
+``LatticeCode`` codes lattice points as integers; ``lattice_code(P)`` is the
+one code of P's points.  ``ExchangeIndex`` answers the exchange questions
+(``is_m_convex``, ``is_generalized_polymatroid``) and counts stalactites for
+a point list and its bitmask subsets; ``exchange_index(P)`` is P's, filled
+by its constructor's check.  ``memo`` holds P's derived data in P's own
+store, freed with P.  Arithmetic is exact.  Values are immutable, except
+that memo stores and indexes fill parts on first use, each fill computing
+the same value, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -97,12 +84,9 @@ def nonnegative_set(points) -> frozenset:
 @dataclass(frozen=True)
 class LexOrder:
     """Coordinate-priority lexicographic order on lattice points.
-
     ``permutation`` lists 1-based coordinates from highest to lowest
     priority; points compare by the first differing prioritized coordinate,
-    smaller value meaning smaller point.  The identity permutation is the
-    standard lex order, under which (0,3) < (1,2) < (2,1).
-    """
+    smaller value first.  The identity is the standard lex order."""
 
     permutation: tuple
     key: Callable = field(init=False, repr=False, compare=False)
@@ -153,12 +137,9 @@ def subset_to_mask(subset: Iterable[int], p: int) -> int:
 
 
 class RankFunction:
-    """A validated polymatroid rank function on subsets of {1..p}.
-
-    ``values[mask]`` is the rank of the subset encoded by ``mask``.  Build
-    instances through ``validate_rank_function`` or ``rank_from_points``;
-    the constructor itself does not re-check the axioms.
-    """
+    """A validated polymatroid rank function: ``values[mask]`` is the rank
+    of the subset ``mask``.  Build one by ``validate_rank_function`` or
+    ``rank_from_points``; the constructor does not check the axioms."""
 
     __slots__ = ("p", "values", "cage")
 
@@ -175,15 +156,8 @@ class RankFunction:
     def rank(self) -> int:
         return self.values[-1]
 
-    def of_mask(self, mask: int) -> int:
-        return self.values[mask]
-
     def of(self, subset: Iterable[int]) -> int:
         return self.values[subset_to_mask(subset, self.p)]
-
-    def as_subset_map(self) -> dict:
-        """Rank values keyed by sorted tuples of 1-based indices."""
-        return {mask_to_subset(m): v for m, v in enumerate(self.values)}
 
     def __eq__(self, other):
         # Equality is agreement on every subset; the cage is metadata and two
@@ -223,30 +197,10 @@ def _normalize_values(p: int, values) -> list:
 
 def validate_rank_function(p: int, values, cage) -> RankFunction:
     """Check the four polymatroid axioms and return a ``RankFunction``.
-
     ``values`` maps every subset of {1..p} to a nonnegative integer (as a
     mapping keyed by index iterables, or a sequence indexed by bit mask).
     On failure raises ``AxiomViolation`` carrying *every* violated axiom
-    together with witnessing subsets, in (axiom, mask, i, j) order.
-
-    Monotonicity on covering pairs (I, I + {i}) and local submodularity
-    (each equivalent to its all-pairs form) are checked on one packed
-    integer (guard bits: Lamport, CACM 18(8), 1975).  Entry m less the
-    table's minimum fills slot m of ``width`` bytes, with spread < 2^(8
-    width - 3), so twice the spread stays below each slot's top bit, its
-    guard H.  For bit i, (the table shifted down 2^i slots | H) less
-    the table, each cut to the slots without i, holds H + rk(m + i) - rk(m)
-    at those m and H elsewhere: a clear guard is a monotonicity failure.
-    Less H - spread per slot, the gains of i lie in [0, 2 spread] (spread
-    elsewhere), and for each j > i the same guarded subtraction, cut to the
-    slots without j, compares gain(m) with gain(m + j).  Each slot's result
-    lies in [0, 2H), so no borrow crosses a slot, and a failing guard's
-    slot index is its mask.  Cost: O(p^2) big-integer operations on 2^p
-    width bytes, p + 2 slot masks built per call, witnesses read only from
-    a failing guard mask.  Spreads of 2^61 or more take
-    ``_sliced_axiom_failures``: wider slots cost more than they save, and
-    their memory grows with the widest entry, not with the table.
-    """
+    with witnessing subsets, in (axiom, mask, i, j) order."""
     if not isinstance(p, int) or p < 1:
         raise ValueError("p must be a positive integer, got %r" % (p,))
     if p > MAX_GROUND_SET:
@@ -273,7 +227,23 @@ def validate_rank_function(p: int, values, cage) -> RankFunction:
 def _local_axiom_failures(p, dense) -> list:
     """("monotone", m, i, 0) for each covering pair with rk(m) > rk(m + i),
     and ("submodular", m, i, j), i < j, for each local square with
-    gain_i(m + j) > gain_i(m): the packed check of ``validate_rank_function``."""
+    gain_i(m + j) > gain_i(m); each local form is equivalent to its
+    all-pairs form.
+
+    Checked on one packed integer (guard bits: Lamport, CACM 18(8), 1975).
+    Entry m less the table's minimum fills slot m of ``width`` bytes, with
+    spread < 2^(8 width - 3), so twice the spread stays below each slot's
+    top bit, its guard H.  For bit i, (the table shifted down 2^i slots |
+    H) less the table, each cut to the slots without i, holds H + rk(m + i)
+    - rk(m) at those m and H elsewhere: a clear guard is a monotonicity
+    failure.  Less H - spread per slot, the gains of i lie in [0, 2 spread]
+    (spread elsewhere), and for each j > i the same guarded subtraction,
+    cut to the slots without j, compares gain(m) with gain(m + j).  Each
+    slot's result lies in [0, 2H), so no borrow crosses a slot, and a
+    failing guard's slot index is its mask.  Cost: O(p^2) big-integer
+    operations on 2^p width bytes.  Spreads of 2^61 or more take
+    ``_sliced_axiom_failures``: wider slots cost more than they save, and
+    their memory grows with the widest entry, not with the table."""
     low = min(dense)
     spread = max(dense) - low
     if spread.bit_length() > 61:
@@ -388,32 +358,22 @@ class LatticeCode:
 
 
 class ExchangeIndex:
-    """One index over a list of equal-length points, answering exchange
-    questions for the set and for two kinds of subset of it.
+    """Exchange questions for a list of equal-length points and for its
+    subsets, given as bitmasks (bit k for ``ordered[k]``), each answered as
+    the materialized subset answers it, witness included.
 
-    A subset is a bitmask over the list, bit k standing for ``ordered[k]``;
-    every answer is the one the materialized subset gives in the same
-    order, witness included.  A threshold truncation {q >= b}, built by
-    ``truncation(b)``, serves every question: each neighbour an exchange
-    consults for u and v in it (u - e_i + e_j when v_i < u_i, v + e_i - e_j
-    when v_j > u_j, u - e_i, v + e_i) is itself >= b, so it lies in the
-    truncation exactly when it lies in the whole set.  The top-degree level
-    of ``degree_masks`` serves the M-convex and stalactite questions: each
-    u - e_i + e_j they consult has u's degree, so it lies in the level
-    exactly when it lies in the whole set.  Masks of other subsets are not
-    supported.  So each point's failure masks over the whole set are built
-    once, in O(p^2) lookups and mask operations, and a subset costs O(p)
-    mask operations per kept point, with no set-up of its own.  Stalactites
-    visit the points in any sequence (a lex order, a subset's points):
-    each point's neighbour masks are built once in O(p^2) lookups, and
-    each direction is then one AND against the points visited before it.
-
-    Every part is built on first use: the lattice codes (of a ``lattice``
-    given or the default one), which turn neighbour lookups into integer
-    additions, the threshold masks, the neighbour masks, the cube offsets
-    and the up-table of the generalized-polymatroid conditions.  A point
-    keeps one int per kind, the union of its failure masks, as every
-    polymatroid holds its index for life: its constructor checks exchange.
+    Two kinds of subset restrict exactly; no other is supported.  A
+    threshold truncation {q >= b} (``truncation``): each neighbour an
+    exchange consults for u and v in it (u - e_i + e_j when v_i < u_i,
+    v + e_i - e_j when v_j > u_j, u - e_i, v + e_i) is itself >= b, so it
+    lies in the truncation exactly when it lies in the whole set.  The
+    top-degree level of ``degree_masks``, for the M-convex and stalactite
+    questions: each u - e_i + e_j keeps u's degree.  So each point's
+    failure masks over the whole set are built once, in O(p^2) lookups, and
+    a subset costs O(p) mask operations per kept point.  A point keeps only
+    the union of its failure masks, as a polymatroid holds its index for
+    life.  Every part is built on first use; the lattice codes turn
+    neighbour lookups into integer additions.
     """
 
     def __init__(self, ordered, lattice=None):
@@ -645,35 +605,26 @@ def not_m_convex(witness) -> NotMConvex:
 
 
 def is_m_convex(points):
-    """Check homogeneity plus the exchange property.
-
-    Returns ``(True, None)`` or ``(False, witness)`` with witness
-    ``(u, v, i)``: 1-based coordinate ``i`` has ``u_i > v_i`` but no ``j``
-    with ``u_j < v_j`` puts ``u - e_i + e_j`` in the set.  A homogeneity
-    failure is reported as ``(u, v, None)``.  The witness is the first
-    failure in sorted (u, v, i) order.
-
-    The whole-set case of ``ExchangeIndex.m_convex_failure``.
-    """
+    """Check homogeneity plus the exchange property: ``(True, None)``, or
+    ``(False, (u, v, i))`` for the first failure in sorted (u, v, i) order
+    (``ExchangeIndex.m_convex_failure``): 1-based coordinate ``i`` has
+    ``u_i > v_i`` but no ``j`` with ``u_j < v_j`` puts ``u - e_i + e_j`` in
+    the set, or i is None and ``u``, ``v`` differ in degree."""
     witness = ExchangeIndex(sorted(point_set(points))).m_convex_failure()
     return witness is None, witness
 
 
 def is_generalized_polymatroid(points):
     """Check the two exchange conditions for (possibly nonhomogeneous) sets.
-
     Condition (1): whenever ``u_i > v_i``, either some ``j`` with
     ``u_j < v_j`` has both ``u - e_i + e_j`` and ``v + e_i - e_j`` in the
     set, or ``|u| > |v|`` with both ``u - e_i`` and ``v + e_i`` in the set.
     Condition (2): whenever ``|u| > |v|``, some ``j`` with ``u_j > v_j``
     has both ``u - e_j`` and ``v + e_j`` in the set.
 
-    Returns ``(True, None)`` or ``(False, (u, v, i))`` for a condition (1)
-    failure at coordinate ``i`` (1-based), ``(False, (u, v, None))`` for a
-    condition (2) failure of the degree comparison.  The witness is the
-    first failure in sorted (u, v, i) order, condition (2) after every i.
-
-    The whole-set case of ``ExchangeIndex.gp_failure``.
+    ``(True, None)``, or ``(False, (u, v, i))`` for the first failure in
+    sorted (u, v, i) order (``ExchangeIndex.gp_failure``), 1-based i for
+    condition (1) and i = None, after every i, for condition (2).
     """
     witness = ExchangeIndex(sorted(point_set(points))).gp_failure()
     return witness is None, witness
@@ -681,24 +632,19 @@ def is_generalized_polymatroid(points):
 
 def homogenize(points) -> frozenset:
     """Pad each point with a slack coordinate N - |n|, N the maximum degree.
-
-    The result is homogeneous of degree N and one coordinate longer; a set
-    is a generalized polymatroid exactly when its homogenization is M-convex.
-    """
+    A set is a generalized polymatroid exactly when the result is M-convex."""
     pts = point_set(points)
     top = max(sum(q) for q in pts)
     return frozenset(q + (top - sum(q),) for q in pts)
 
 
 class Polymatroid:
-    """A finite homogeneous M-convex set of lattice points in N^p.
-
-    The constructor validates all invariants: nonempty, equal lengths,
-    nonnegative coordinates, homogeneous, M-convex, the last two checked on
-    P's ``exchange_index``, which keeps what the check filled.  Instances
-    are immutable, hashable, and compare by point set; equality and hashing
-    ignore the memo store.  Iteration reads the index's sorted points.
-    """
+    """A finite homogeneous M-convex set of lattice points in N^p.  The
+    constructor validates all invariants: nonempty, equal lengths,
+    nonnegative, then homogeneous and M-convex on P's ``exchange_index``,
+    which keeps what the check filled.  Instances are immutable, hashable,
+    and compare by point set, ignoring the memo store.  Iteration reads the
+    index's sorted points."""
 
     __slots__ = ("p", "points", "rank", "_memo", "__weakref__")
 
@@ -780,12 +726,9 @@ def exchange_index(P: Polymatroid) -> ExchangeIndex:
 
 @memo
 def rank_from_points(P: Polymatroid) -> RankFunction:
-    """Rank function of a polymatroid: rk(I) = max over points of the I-sum.
-
-    The table is the columnwise maximum of the points' subset-sum tables,
-    O(|B| 2^p); the cage is the singleton ranks.  Inverse of
-    ``points_from_rank``.
-    """
+    """Rank function of a polymatroid, rk(I) = max over points of the I-sum:
+    the columnwise maximum of the points' subset-sum tables, O(|B| 2^p),
+    with the singleton ranks as the cage."""
     if P.p > MAX_GROUND_SET:
         raise DimensionMismatch("rank tables beyond %d coordinates are not supported" % MAX_GROUND_SET)
     values = [0] * (1 << P.p)
@@ -796,12 +739,8 @@ def rank_from_points(P: Polymatroid) -> RankFunction:
 
 def points_from_rank(rk: RankFunction) -> Polymatroid:
     """All lattice points with every subset-sum within rank and full-sum equal
-    to the rank of the ground set (the top-degree lattice points).
-
-    Grown one coordinate at a time inside the projection bounds
-    rk(E) - rk(E - S) <= x(S) <= rk(S), S within the coordinates fixed so far
-    (Fujishige), which all those points meet; see ``_extensions``.
-    """
+    to the rank of the ground set (the top-degree lattice points), grown by
+    ``_extensions``."""
     members = []
     _extensions((), rk.values, list(map(sub, repeat(rk.rank), reversed(rk.values))), rk.rank, members)
     if not members:
@@ -811,16 +750,16 @@ def points_from_rank(rk: RankFunction) -> Polymatroid:
 
 def _extensions(prefix, upper, lower, rest, out):
     """Append to ``out``, in lex order, the top-degree points extending
-    ``prefix`` within the projection bounds rk(E) - rk(E - S) <= x(S) <= rk(S).
+    ``prefix`` within the projection bounds rk(E) - rk(E - S) <= x(S) <= rk(S),
+    S within the fixed coordinates (Fujishige), which all those points meet.
 
     ``upper[r]`` and ``lower[r]``, r a subset of the free coordinates with
     bit 0 the next one, are the least rk(m | r) - x(m) and the greatest
     rk(E) - rk(E - (m | r)) - x(m) over the subsets m of the fixed ones.  So
     the next coordinate lies in [max(0, lower[1]), upper[1]], and fixing it
     to c halves both tables: min(upper[0::2], upper[1::2] - c) and
-    max(lower[0::2], lower[1::2] - c), each slice taken once per node and
-    each child's table one list comprehension over their ``zip``, exact
-    integer comparisons with no call per entry.  The last coordinate is
+    max(lower[0::2], lower[1::2] - c), one comprehension each, with no call
+    per entry.  The last coordinate is
     ``rest``, the rank less the prefix's degree, and is only bound-checked.
     With N_j nodes at depth j the walk costs O(sum of N_j 2^(p - j)); on a
     polymatroid no prefix dead-ends.  At ``rest`` 0 only all zeros can

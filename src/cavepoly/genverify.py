@@ -1,20 +1,15 @@
 """Random polymatroid generation and the differential verification engine.
 
-Instances come from three strategies: ``uniform-family`` draws a rank cap r
-and a cage m and takes rk(I) = min(r, sum of m over I); ``submodular-rejection``
-caps by a few random modular functions, which leaves a monotone nonnegative
-candidate, and keeps it only if all four axioms validate;  ``lattice-path``
-random-walks downward from a uniform family, decrementing single subset
-ranks and keeping each step only while the axioms still hold.  Generation
-is deterministic per seed.
+``STRATEGIES`` names the generators, each deterministic per seed:
+``submodular-rejection`` caps by a few random modular functions, which
+leaves a monotone nonnegative candidate, and keeps it only if all four
+axioms validate; ``uniform-family`` draws a rank cap r and a cage m and
+takes rk(I) = min(r, sum of m over I); ``lattice-path`` lowers single
+subset ranks of a uniform family while the axioms still hold.
 
-``verify_instance`` runs the theorem suite against one instance: the
-four-way polynomial equality, lex-order invariance of the stalactite route,
-the closed interval-Mobius form against the raw recurrence, stalactite
-counts against Mobius values, the truncation lemmas, the coefficient-sum
-identity, cancellation-freeness, the two Snapper routes, and the cave
-predicate on the stalactite union.  Failures are data (reports), never
-exceptions.  ``verify_campaign`` aggregates over many seeds and shrinks any
+``verify_instance`` runs the theorem checks of ``CHECKS`` against one
+instance; failures are data (reports), never exceptions.
+``verify_campaign`` runs them over consecutive seeds and shrinks each
 counterexample by dropping coordinates, then lowering cage entries, then
 truncating the rank, revalidating at each step.
 """
@@ -61,8 +56,6 @@ from .errors import (
 )
 from .geometry import independence_points, is_cave, region_index
 from .polyalg import expand_binomial
-
-STRATEGIES = ("submodular-rejection", "uniform-family", "lattice-path")
 
 _MAX_ATTEMPTS = 10_000
 
@@ -145,16 +138,17 @@ def _draw_lattice_path(cfg: GeneratorConfig, rng) -> RankFunction:
     return validate_rank_function(p, values, [values[1 << i] for i in range(p)])
 
 
+_DRAWS = {"submodular-rejection": _draw_submodular, "uniform-family": _draw_uniform,
+          "lattice-path": _draw_lattice_path}
+STRATEGIES = tuple(_DRAWS)
+
+
 def random_polymatroid(cfg: GeneratorConfig) -> Polymatroid:
     """A valid random polymatroid, deterministic per config."""
     rng = random.Random(cfg.seed)
+    draw = _DRAWS[cfg.strategy]
     for _ in range(_MAX_ATTEMPTS):
-        if cfg.strategy == "uniform-family":
-            rk = _draw_uniform(cfg, rng)
-        elif cfg.strategy == "lattice-path":
-            rk = _draw_lattice_path(cfg, rng)
-        else:
-            rk = _draw_submodular(cfg, rng)
+        rk = draw(cfg, rng)
         if rk is not None:
             return points_from_rank(rk)
     raise GenerationExhausted("no valid instance after %d attempts for %s" % (_MAX_ATTEMPTS, cfg))
@@ -227,17 +221,14 @@ def _check_mobius_interval_closed_form(P):
     ``mobius_interval``, for every comparable pair of independence points.
 
     mu(m, a) depends only on d = a - m, which lies in the down-closed
-    region, so one pass over ``region_index(P)`` in lex order fills
-    raw[code(d)] for every d by per-coordinate partial sums: R_k(d) sums
-    mu(b) over the b <= d that agree with d beyond coordinate k, so
-    mu(d) = -sum_k R_k(d - e_k) for d != 0, mu(0) = 1, and R_k(d) =
-    R_{k-1}(d) + R_k(d - e_k) with R_{-1}(d) = mu(d); d - e_k is the lookup
-    code(d) - stride_k, which misses when d_k = 0 (digit k borrows to
-    cage_k + 1).  That is O(|I| p).  Then the pairs, one
-    ``mobius_interval`` call each: the m <= a are the box [0, a], which the
-    region holds, so for each a the closed form over ``product`` of the box
-    must meet raw at the codes of a - m, the same box in reverse.  A mismatch
-    is reported at its first m, then a, in (degree, lex) order."""
+    region, so one lex-order pass over ``region_index(P)`` fills raw[code(d)]
+    by ``mobius_table``'s partial sums mirrored downward: R_k(d) sums mu(b)
+    over the b <= d that agree with d beyond coordinate k, mu(d) = -sum_k
+    R_k(d - e_k) for d != 0 and mu(0) = 1, in O(|I| p); the lookup d - e_k
+    misses when d_k = 0 (digit k borrows to cage_k + 1).  Then the pairs,
+    one ``mobius_interval`` call each: the m <= a are the box [0, a], whose
+    codes of a - m are the same box in reverse.  A mismatch is reported at
+    its first m, then a, in (degree, lex) order."""
     index = region_index(P)
     strides = index.lattice.strides
     raw, partial, outside = {}, {}, (0,) * P.p
@@ -278,14 +269,10 @@ def _check_counts_equal_mobius(P):
 def _check_truncation_lemmas(P):
     """The stalactite polynomial of the truncation at each n in I(P) against
     P's at every m >= n in I(P), the truncation's region above n (a base
-    above m >= n is itself >= n).
-
-    P's ``exchange_index`` over the sorted bases serves every truncation:
-    each distinct set of kept bases is asserted to be a polymatroid
-    (nonempty, or n is not in the region; M-convex, or the library is at
-    fault) and decomposed into stalactites on its own, visiting only its
-    kept bases, in O(p) mask operations per kept base, with no
-    per-truncation set-up; coefficients are compared by ``lattice_code(P)``."""
+    above m >= n is itself >= n).  Each distinct set of kept bases, a mask
+    of P's ``exchange_index``, is asserted to be a polymatroid (nonempty, or
+    n is not in the region; M-convex, or the library is at fault) and
+    decomposed on its own; coefficients compare by ``lattice_code(P)``."""
     terms = stalactite_polynomial(P).terms
     stal_p = dict(zip(lattice_code(P).encode(terms), terms.values()))
     bases = exchange_index(P)

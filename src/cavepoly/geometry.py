@@ -1,11 +1,10 @@
-"""Lattice-point machinery around a polymatroid.
+"""Lattice-point machinery around a polymatroid, on plain coordinate tuples.
 
-Covers the integer points of the independence polytope, truncations, top
-elements, and the three-condition cave predicate, on plain coordinate
-tuples.  ``region_index(P)`` is the region's ``ExchangeIndex`` under
-``lattice_code(P)``, held in P's memo store beside ``exchange_index(P)``.
-The cave predicate reads all three conditions from one ``ExchangeIndex``
-over the point set, its tops and its truncations being bitmasks over it.
+``independence_points`` gives I(P) ∩ N^p, and ``region_index(P)`` is its
+``ExchangeIndex`` under ``lattice_code(P)``, held beside
+``exchange_index(P)``.  ``truncate``, ``truncation_set`` and ``top_elements``
+cut point sets.  ``is_cave`` reads the three cave conditions from one
+``ExchangeIndex`` over a set, its tops and truncations being bitmasks.
 """
 
 from __future__ import annotations
@@ -35,10 +34,8 @@ from .errors import (
 
 @dataclass(frozen=True, eq=True)
 class IndependenceSet:
-    """Integer points of the independence polytope of ``source``.
-
-    Downward closed, contains the origin and every point of the source.
-    """
+    """Integer points of the independence polytope of ``source``: downward
+    closed, holding the origin and every point of the source."""
 
     p: int
     points: frozenset
@@ -55,11 +52,8 @@ class IndependenceSet:
 
 
 def indicator(P: Polymatroid, n) -> int:
-    """1 if ``n`` is a base point of ``P`` else 0.
-
-    Accepts arbitrary signed integer vectors of length p: shifted arguments
-    like ``n - e_i + e_j`` may leave N^p, and such vectors score 0.
-    """
+    """1 if ``n`` is a base point of ``P`` else 0, for any integer vector of
+    length p: a shifted ``n - e_i + e_j`` may leave N^p, and scores 0."""
     n = as_point(n)
     if len(n) != P.p:
         raise DimensionMismatch("point has length %d, expected %d" % (len(n), P.p))
@@ -67,14 +61,11 @@ def indicator(P: Polymatroid, n) -> int:
 
 
 def independence_points(P: Polymatroid) -> IndependenceSet:
-    """All n in N^p with every subset-sum within rank: I(P) ∩ N^p.
-
-    Every integral independent vector lies under an integral base, so the
-    region is the down-closure of the base points.  It is walked one degree
-    at a time by the steps n - e_i, in O(|I| p) set operations, once per
-    instance: the memo store holds the points, not this ``IndependenceSet``,
-    which refers back to ``P``.
-    """
+    """All n in N^p with every subset-sum within rank: I(P) ∩ N^p.  Every
+    integral independent vector lies under an integral base, so the region
+    is the down-closure of the base points, walked one degree at a time by
+    the steps n - e_i, O(|I| p), once per instance: the memo store holds the
+    points, not this ``IndependenceSet``, which refers back to ``P``."""
     return IndependenceSet(P.p, _down_closure(P), P)
 
 
@@ -110,10 +101,7 @@ def in_independence(P: Polymatroid, n) -> bool:
 
 def truncate(P: Polymatroid, n) -> Polymatroid:
     """The sub-polymatroid of base points componentwise >= n, for n in I(P).
-
-    The result is always M-convex; the constructor re-asserts this and a
-    failure is converted to ``InternalInvariantFailure``.
-    """
+    It is always M-convex: a constructor failure is an internal fault."""
     n = as_point(n)
     if not in_independence(P, n):
         raise NotInIndependence("%s is not in the independence region" % (n,))
@@ -144,11 +132,9 @@ def truncation_set(A, b) -> frozenset:
 @dataclass(frozen=True)
 class CaveReport:
     """Outcome of the cave predicate; truthiness is the verdict.
-
     ``failed_condition`` is 1 (tops not M-convex), 2 (not the stalactite
     union for the given order) or 3 (some truncation is not a generalized
-    polymatroid), with a matching ``witness``; both are None on success.
-    """
+    polymatroid), with a matching ``witness``; both are None on success."""
 
     ok: bool
     failed_condition: int | None
@@ -178,14 +164,9 @@ def _truncation_failure(index):
     """Condition (3) of the cave predicate: ``{"at": b, "witness": w}`` for
     the first nonzero b of the bounding box, in ``itertools.product`` order,
     whose truncation is not a generalized polymatroid; None if there is none.
-
-    ``index`` is the set's ``ExchangeIndex`` and serves every truncation: a
-    truncation is the AND of per-coordinate "q_i >= b_i" masks, built one
-    coordinate at a time.  Masks only shrink as b grows, so the walk leaves a
-    coordinate's range at the first b_i that keeps fewer than two points, and
-    each distinct truncation is checked once, in O(p) mask operations per
-    kept point against the index's per-point failure masks.
-    """
+    A truncation is the AND of the set's ``index`` masks "q_i >= b_i", which
+    only shrink as b grows, so ``_box_walk`` may leave a coordinate's range
+    early; each distinct truncation is checked once."""
     above = [[index.at_least(i, value) for value in range(bound + 1)]
              for i, bound in enumerate(map(max, zip(*index.ordered)))]
     checked = {}
@@ -207,11 +188,9 @@ def is_cave(C, order=None) -> CaveReport:
     default); (3) every nonempty truncation at nonzero b is a generalized
     polymatroid.  Which lex order condition (2) uses is a parameter: the
     verdict is per-order and recorded in the report.  Past (1), negative
-    tops and an order of another length are refused.
-
-    One ``ExchangeIndex`` over the set answers all three, the tops being
-    its top-degree level: (1) and (2) cost O(p^2) mask operations per top
-    plus the union's size, and (3) is ``_truncation_failure``.
+    tops and an order of another length are refused.  The tops are the
+    index's top-degree level: (1) and (2) cost O(p^2) mask operations per
+    top plus the union's size, and (3) is ``_truncation_failure``.
     """
     pts = point_set(C)
     index = ExchangeIndex(sorted(pts))

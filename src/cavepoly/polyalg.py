@@ -1,32 +1,22 @@
-"""Exact sparse polynomial arithmetic in the monomial and binomial bases.
+"""Exact sparse polynomials in the monomial and binomial bases.
 
-Three representations on one base, ``_SparsePoly``, all with exact
-coefficients keyed by exponent/index tuples of fixed length p.  The base
-normalizes the terms and gives equality, hashing, truth, evaluation and
-``repr``; each representation adds its coefficient check and its
-per-coordinate factor.  ``terms`` is a read-only ``MappingProxyType`` view,
-so a result held in a polymatroid's memo store and handed to every caller
-cannot be changed by one caller under another:
+Three representations share the base ``_SparsePoly``: exact coefficients
+keyed by length-p tuples, and ``terms`` a read-only view, so a result held
+in a memo store cannot be changed by one caller under another.
 
-* ``MultiPoly``        -- integer coefficients on monomials t^n.  Exponents
-  may be negative; ``assert_ordinary`` refuses them in a finished result.
-* ``BinomialBasisPoly`` -- integer coefficients on products of binomial
-  expressions ``prod_i C(t_i + n_i + shift, n_i)``.  ``shift=0`` is the
-  basis of the Snapper polynomial, ``shift=-1`` the shifted basis of the
-  independence-sum formula.
-* ``RationalPoly``     -- rational coefficients on monomials, held as
-  integer numerators over one reduced denominator; the common expanded
-  form in which the two binomial bases are compared exactly.
+* ``MultiPoly``: integer coefficients on monomials t^n; exponents may be
+  negative until ``assert_ordinary`` refuses them in a finished result.
+* ``BinomialBasisPoly``: integer coefficients on prod_i C(t_i + n_i +
+  shift, n_i); shift 0 is the Snapper basis, -1 the independence-sum one.
+* ``RationalPoly``: integer numerators over one reduced denominator, the
+  form in which the two binomial bases compare exactly.
 
-``expand_binomial`` and the box route in ``algorithms`` are per-coordinate
-changes of basis of an integer combination indexed by lattice points,
-both through ``axiswise``.
-
-Canonical printing orders terms by total degree descending, ties broken by
-descending comparison of the sparse (variable, exponent) pair sequence, so
-for example ``t2^3 + t1^2*t2 + t1*t2^2 - t2^2 - t1*t2``.  ``canonical_order``
-sorts by one flat key: the degree's negative, then each entry's rank, 0
-first and a larger nonzero entry before a smaller one.
+``binomial_map`` reads monomials in the binomial basis, and
+``expand_binomial`` expands binomial products into monomials through
+``axiswise``, the per-coordinate change of basis of the box route too.  ``canonical_string`` prints
+terms in ``canonical_order``: total degree descending, ties broken by
+descending comparison of the sparse (variable, exponent) pair sequence,
+e.g. ``t2^3 + t1^2*t2 + t1*t2^2 - t2^2 - t1*t2``.
 """
 
 from __future__ import annotations
@@ -54,8 +44,9 @@ def binom_int(x: int, k: int) -> int:
 
 
 def canonical_order(terms) -> list:
-    """The keys of ``terms`` in the canonical term order, sorted once by a
-    tuple of ints per key, built a coordinate at a time (module docstring)."""
+    """The keys of ``terms`` in the canonical term order, sorted once by one
+    flat key each: the degree's negative, then each entry's rank, 0 first
+    and a larger nonzero entry before a smaller one."""
     keys = list(terms)
     rank = dict(zip([0, *sorted({*chain.from_iterable(keys)} - {0}, reverse=True)], count()))
     flat = list(zip(map(neg, map(sum, keys)), *[map(rank.__getitem__, column) for column in zip(*keys)]))
@@ -193,18 +184,6 @@ class MultiPoly(_SparsePoly):
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return MultiPoly(self.p, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -229,12 +208,9 @@ class MultiPoly(_SparsePoly):
 
 
 class BinomialBasisPoly(_SparsePoly):
-    """Integer combination of products of binomial expressions.
-
-    A term ``n -> c`` stands for ``c * prod_i C(t_i + n_i + shift, n_i)``;
-    ``evaluate`` takes the binomials via falling factorials, so negative
-    arguments are fine.
-    """
+    """Integer combination of products of binomial expressions: a term
+    ``n -> c`` stands for ``c * prod_i C(t_i + n_i + shift, n_i)``, which
+    ``evaluate`` takes by falling factorials, so negative t are fine."""
 
     __slots__ = ("shift",)
     _vector = "index"
@@ -263,9 +239,8 @@ class BinomialBasisPoly(_SparsePoly):
 
 
 class RationalPoly(_SparsePoly):
-    """Sparse multivariate polynomial with exact rational coefficients.
-
-    Stored as integer ``numerators`` keyed by exponent tuple over one positive
+    """Sparse multivariate polynomial with exact rational coefficients, held
+    as integer ``numerators`` keyed by exponent tuple over one positive
     ``denominator``, reduced so that gcd(denominator, every numerator) = 1:
     the denominator is the lcm of the coefficients' own, 1 for the zero
     polynomial, so the form is unique and equality and hashing read
@@ -318,10 +293,8 @@ class RationalPoly(_SparsePoly):
 
 
 def binomial_map(q: MultiPoly) -> BinomialBasisPoly:
-    """Reinterpret each monomial t^n as the binomial product prod C(t_i+n_i, n_i).
-
-    Coefficients carry over term by term; requires nonnegative exponents.
-    """
+    """Reinterpret each monomial t^n as the binomial product prod C(t_i+n_i, n_i),
+    coefficients term by term; exponents must be nonnegative."""
     if q.has_negative_exponent():
         raise NegativeExponent("binomial map requires nonnegative exponents")
     return BinomialBasisPoly(q.p, dict(q.terms), shift=0)
@@ -376,14 +349,12 @@ def axiswise(terms, rows) -> dict:
 
 def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:
     """Expand every binomial factor exactly and distribute, e.g.
-    C(t+2,2) -> (t^2 + 3t + 2)/2.
-
-    Coordinate i is scaled by N_i!, N_i its largest index, so index n maps
-    to the integer row ``_rising_coeffs(n, shift) * N_i!/n!`` of degrees
-    0..n.  The change runs in integers through ``axiswise``, and its
-    integers over prod N_i! are the result's numerators and denominator
-    once reduced by one gcd pass; no Fraction is built.
-    """
+    C(t+2,2) -> (t^2 + 3t + 2)/2.  Coordinate i is scaled by N_i!, N_i its
+    largest index, so index n maps to the integer row
+    ``_rising_coeffs(n, shift) * N_i!/n!`` of degrees 0..n.  The change runs
+    in integers through ``axiswise``, and its integers over prod N_i! are
+    the result's numerators and denominator once reduced by one gcd pass;
+    no Fraction is built."""
     tops = list(map(max, zip(*b.terms))) if b.terms else [0] * b.p
     rows = []
     for top in tops:

@@ -63,7 +63,7 @@ def independence_points_box_filter(P) -> frozenset:
     p = P.p
     index_sets = [[i for i in range(p) if mask >> i & 1] for mask in range(1 << p)]
     members = []
-    for n in itertools.product(*(range(rk.of_mask(1 << i) + 1) for i in range(p))):
+    for n in itertools.product(*(range(rk.values[1 << i] + 1) for i in range(p))):
         if all(sum(n[i] for i in index_sets[mask]) <= rk.values[mask] for mask in range(1, 1 << p)):
             members.append(n)
     return frozenset(members)
@@ -441,7 +441,7 @@ def points_from_rank_box_filter(rk):
     p = rk.p
     members = []
     index_sets = [[i for i in range(p) if mask >> i & 1] for mask in range(1 << p)]
-    for n in itertools.product(*(range(rk.of_mask(1 << i) + 1) for i in range(p))):
+    for n in itertools.product(*(range(rk.values[1 << i] + 1) for i in range(p))):
         if sum(n) != rk.rank:
             continue
         if all(sum(n[i] for i in index_sets[mask]) <= rk.values[mask] for mask in range(1 << p)):

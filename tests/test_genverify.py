@@ -30,6 +30,12 @@ from cavepoly import genverify
 from cavepoly.genverify import CHECKS, _shrink_candidates
 
 
+def test_strategies_are_pinned_in_order():
+    # The benchmark's campaign stream and ``conftest.instance_mix`` pick a
+    # strategy by position, so a reorder would change every generated stream.
+    assert genverify.STRATEGIES == ("submodular-rejection", "uniform-family", "lattice-path")
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(seed=0, p=0)
@@ -214,11 +220,17 @@ def test_verified_instance_is_freed_when_dropped_without_the_collector():
             gc.enable()
 
 
-def test_ladder_checks_tool_measures_its_smallest_row():
-    path = Path(__file__).resolve().parent.parent / "tools" / "ladder_checks.py"
-    spec = importlib.util.spec_from_file_location("ladder_checks", path)
+def load_tool(name):
+    """The module ``tools/<name>.py``, loaded from this checkout."""
+    path = Path(__file__).resolve().parent.parent / "tools" / ("%s.py" % name)
+    spec = importlib.util.spec_from_file_location(name, path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_ladder_checks_tool_measures_its_smallest_row():
+    tool = load_tool("ladder_checks")
     assert tool.ROWS[0] == (8, (4,) * 4)
     row = tool.measure(*tool.ROWS[0])
     assert row["passed"]
@@ -228,10 +240,7 @@ def test_ladder_checks_tool_measures_its_smallest_row():
 
 
 def test_untested_lines_tool_reports_the_lines_its_counts_never_saw():
-    path = Path(__file__).resolve().parent.parent / "tools" / "untested_lines.py"
-    spec = importlib.util.spec_from_file_location("untested_lines", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool("untested_lines")
     errors = tool.SRC / "cavepoly" / "errors.py"
     lines = tool.executable_lines(errors)
     # the module docstring, a class statement and its docstring, a method body; no blank line
@@ -248,3 +257,31 @@ def test_untested_lines_tool_reports_the_lines_its_counts_never_saw():
     assert not ignore.names(str(errors), "errors")
     assert ignore.names(__file__, "test_genverify")
     assert ignore.names(str(tool.SRC) + "-copy/cavepoly/errors.py", "errors")
+
+
+def test_src_lines_tool_splits_a_module_by_kind(tmp_path, capsys):
+    tool = load_tool("src_lines")
+    module = tmp_path / "pkg" / "mod.py"
+    module.parent.mkdir()
+    module.write_text('"""Module\n\ndocstring."""\n\n# a comment\nx = 1  # code\n\n\n'
+                      'def f():\n    """One line."""\n    s = """not a\n    docstring"""\n    return s\n')
+    counts = {"total": 13, "docstring": 4, "blank": 3, "comment": 1, "code": 5}
+    assert tool.count_lines(module.read_text()) == counts
+    assert tool.main([str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"modules": {"pkg/mod.py": counts}, "total": counts}
+
+
+def test_bench_pairs_gives_every_run_a_fresh_empty_pycache_prefix(tmp_path, monkeypatch):
+    tool = load_tool("bench_pairs")
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cache, cache.is_dir() and not any(cache.iterdir()), cwd))
+        return types.SimpleNamespace(returncode=0, stdout='{"correct": true}\n', stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    for side in ("parent", "change"):
+        assert tool.run(tmp_path / side, "ladder", 1, 24) == {"correct": True}
+    assert [(fresh, cwd) for _, fresh, cwd in seen] == [(True, tmp_path / "parent"), (True, tmp_path / "change")]
+    assert seen[0][0] != seen[1][0] and not any(cache.exists() for cache, _, _ in seen)

@@ -1,6 +1,7 @@
 """Planted faults that make the lex-order, cave-support, cave-predicate,
-four-way, coefficient-sum, cancellation-free and Snapper-routes checks, and
-``is_cave``'s condition 2 and 3 reports, return False.
+four-way, coefficient-sum, cancellation-free, counts-equal-Mobius and
+Snapper-routes checks, and ``is_cave``'s condition 2 and 3 reports, return
+False, and one that makes a check raise on the shrinker's candidates.
 
 Each fault is monkeypatched into a function that the routes and the checks
 it guards share, so it reaches a check however the check is built.  The outcomes (every failing check with its detail string, per
@@ -16,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from cavepoly import core, genverify
+from cavepoly import core, genverify, polyalg
+from cavepoly.algorithms import MobiusTable
+from cavepoly.errors import CavepolyError
 from cavepoly.genverify import GeneratorConfig, random_polymatroid, verify_campaign, verify_instance
 from cavepoly.geometry import independence_points, is_cave
 from cavepoly.polyalg import MultiPoly, RationalPoly
@@ -92,6 +95,39 @@ def _halved_independence_sum(expand_binomial):
     return faulty
 
 
+def _stray_count(counts):
+    """The stalactite counts gain the point one past the cage, which lies
+    outside the independence region."""
+    def faulty(P, order=None):
+        out = counts(P, order)
+        out[tuple(c + 1 for c in P.cage)] = 1
+        return out
+    return faulty
+
+
+def _constant_binomial_term(init):
+    """Every binomial-basis polynomial gains 1 at the zero index.  Both
+    Snapper routes gain the same constant, so their expansions still agree
+    and each reads 2 at the zero vector."""
+    def faulty(self, p, terms=None, shift=0):
+        terms, zero = dict(terms or {}), (0,) * p
+        terms[zero] = terms.get(zero, 0) + 1
+        init(self, p, terms, shift)
+    return faulty
+
+
+def _mobius_fails_then_raises(mobius_table):
+    """From p = 2 up the Mobius value at the origin is one too large; at
+    p = 1, which only a shrink candidate has here, the table raises."""
+    def faulty(P):
+        if P.p < 2:
+            raise CavepolyError("planted fault at p = 1")
+        table = mobius_table(P)
+        origin = (0,) * P.p
+        return MobiusTable(table.p, table.rank, {**table.values, origin: table[origin] + 1})
+    return faulty
+
+
 FAULTS = {
     "drop-last-apex": (core.ExchangeIndex, "in_order", _drop_last_apex, "lex-order-invariance"),
     "stray-member": (genverify, "stalactite_counts", _stray_member, "cave-predicate"),
@@ -99,6 +135,9 @@ FAULTS = {
     "small-gp-failure": (core.ExchangeIndex, "gp_failure", _small_gp_failure, "cave-predicate"),
     "flipped-cave-term": (genverify, "cave_polynomial", _flipped_cave_term, "cancellation-free"),
     "halved-independence-sum-expansion": (genverify, "expand_binomial", _halved_independence_sum, "snapper-routes"),
+    "stray-count": (genverify, "stalactite_counts", _stray_count, "counts-equal-mobius"),
+    "constant-binomial-term": (polyalg.BinomialBasisPoly, "__init__", _constant_binomial_term, "snapper-routes"),
+    "mobius-fails-then-raises": (genverify, "mobius_table", _mobius_fails_then_raises, "counts-equal-mobius"),
 }
 
 
@@ -131,6 +170,16 @@ def test_flipped_cave_term_fails_every_check_that_reads_the_cave_polynomial_whol
 def test_halved_independence_sum_fails_the_snapper_routes_check_alone():
     recorded = json.loads(GOLDEN.read_text())["halved-independence-sum-expansion"]["failures"]
     assert recorded == [[["snapper-routes", "the two Snapper expansions differ"]]] * len(INSTANCES)
+
+
+def test_stray_count_zero_snapper_and_raising_candidates_take_their_own_verdict_paths():
+    recorded = json.loads(GOLDEN.read_text())
+    for failures in recorded["stray-count"]["failures"]:
+        assert failures[0][1].startswith("stalactite count outside independence region at ")
+    assert recorded["constant-binomial-term"]["failures"] == [
+        [["snapper-routes", "Snapper at the zero vector is 2 / 2, expected 1"]]] * len(INSTANCES)
+    # Every p = 1 candidate raised, so each witness stops at p = 2.
+    assert {len(f["shrunk_points"][0]) for f in recorded["mobius-fails-then-raises"]["campaign"]["failures"]} == {2}
 
 
 def test_is_cave_reports_conditions_2_and_3_under_planted_faults(monkeypatch):

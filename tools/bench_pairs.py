@@ -7,7 +7,10 @@ PARENT_DIR and CHANGE_DIR are checkouts (each with its own ``perfbench/`` and
 ``src/``).  For every workload and seed the script runs
 ``perfbench/run.py --trace 0`` once in each checkout, alternating which side
 runs first from one seed to the next, for the ``run_seconds`` that the change
-checkout's BENCHMARK.json fixes.  Each run's result line goes to stderr.
+checkout's BENCHMARK.json fixes.  Each run gets a fresh empty
+``PYTHONPYCACHEPREFIX``, which perfbench's worker processes inherit, so both
+sides compile from source and no ``__pycache__`` is written into either
+checkout.  Each run's result line goes to stderr.
 The output maps ``"<workload>/<metric>"`` to the parent's and the change's
 median over the seeds, with the metric's unit.  Each entry also holds both
 sides' runs in seed order (``parent_runs``, ``change_runs``), the spread of
@@ -21,9 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -31,7 +36,9 @@ def run(checkout: Path, workload: str, seed: int, seconds) -> dict:
     """One ``--trace 0`` run in ``checkout``; its result line, parsed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError("%s in %s exited with status %d: %s" % (workload, checkout, proc.returncode,
