@@ -26,7 +26,7 @@ from types import MappingProxyType
 from .core import LexOrder, Polymatroid, _bits, as_point, exchange_index, lattice_code, memo, resolve_order
 from .errors import DimensionMismatch, InternalInvariantFailure, NotABasePoint, NotComparable
 from .geometry import independence_points, region_index
-from .polyalg import BinomialBasisPoly, MultiPoly, axiswise, binomial_map
+from .polyalg import BinomialBasisPoly, MultiPoly, axiswise_codes, binomial_map
 
 
 @dataclass(frozen=True)
@@ -168,32 +168,24 @@ def cave_polynomial(P: Polymatroid) -> MultiPoly:
 
 
 def box_summands(P: Polymatroid) -> dict:
-    """The expanded box product of each independence point, keyed by the
-    point: ``box_polynomial``'s summands, exposed so the sum can be traced."""
-    p = P.p
-    out = {}
-    for n in sorted(independence_points(P).points):
-        term = MultiPoly.constant(p, 1)
-        for i, ni in enumerate(n):
-            if ni >= 1:
-                hi = [0] * p
-                hi[i] = ni
-                lo = [0] * p
-                lo[i] = ni - 1
-                term = term * MultiPoly(p, {tuple(hi): 1, tuple(lo): -1})
-        out[n] = term
-    return out
+    """The expanded box product of each independence point n, keyed by n in
+    lex order: ``box_polynomial``'s summands, exposed so the sum can be
+    traced.  prod over n_i >= 1 of (t_i^{n_i} - t_i^{n_i - 1}) has the
+    term (-1)^|J| t^(n - e_J) for each J within the support of n."""
+    return {n: MultiPoly(P.p, {q: (-1) ** (sum(n) - sum(q)) for q in product(*[(c, c - 1) if c else (0,) for c in n])})
+            for n in independence_points(P)}
 
 
 @memo
 def box_polynomial(P: Polymatroid) -> MultiPoly:
     """Sum of the box products over the independence points: one change of
-    basis of {n: 1 for n in I(P)}, index n_i becoming t_i^{n_i} - t_i^{n_i - 1}
-    (1 for n_i = 0), one coordinate at a time by ``axiswise``, O(p |I|)."""
-    region = independence_points(P).points
-    top = max(max(n) for n in region)
-    row = [((0, 1),)] + [((n, 1), (n - 1, -1)) for n in range(1, top + 1)]
-    return MultiPoly(P.p, axiswise({n: 1 for n in region}, [row] * P.p))
+    basis of {code(n): 1 for n in I(P)}, codes of ``region_index(P)``, index
+    n_i becoming t_i^{n_i} - t_i^{n_i - 1} (1 for n_i = 0), by
+    ``axiswise_codes`` on ``lattice_code(P)``, O(p |I|)."""
+    lattice = lattice_code(P)
+    row = [((0, 1),)] + [((n, 1), (n - 1, -1)) for n in range(1, max(lattice.spans))]
+    terms = axiswise_codes(dict.fromkeys(region_index(P).codes, 1), lattice, [row[:span] for span in lattice.spans])
+    return MultiPoly(P.p, dict(zip(lattice.decode(terms), terms.values())))
 
 
 def mobius_interval(m, n) -> int:
@@ -256,5 +248,4 @@ def snapper_eur_larson(P: Polymatroid) -> BinomialBasisPoly:
     """Snapper polynomial as the shifted-binomial sum over the independence
     points: sum_n prod_i C(t_i + n_i - 1, n_i).  Expanded to rational form
     it agrees exactly with ``snapper_from_cave``."""
-    region = independence_points(P)
-    return BinomialBasisPoly(P.p, {n: 1 for n in region.points}, shift=-1)
+    return BinomialBasisPoly(P.p, dict.fromkeys(independence_points(P), 1), shift=-1)

@@ -423,7 +423,7 @@ def _verify(args, stdin):
 _COMMANDS = {
     "validate": _on_instance(lambda P, args: {"valid": True, **genverify.instance_descriptor(P)}),
     "points": _on_instance(lambda P, args: serialize_instance(P)),
-    "independence": _on_instance(lambda P, args: {"points": [list(q) for q in sorted(independence_points(P).points)]}),
+    "independence": _on_instance(lambda P, args: {"points": [list(q) for q in independence_points(P)]}),
     "cave": _on_instance(lambda P, args: polynomial_document(algorithms.cave_polynomial(P))),
     "stal": _on_instance(_stal_document),
     "box": _on_instance(lambda P, args: polynomial_document(algorithms.box_polynomial(P))),

@@ -380,8 +380,6 @@ class ExchangeIndex:
         self.ordered = ordered
         self.p = len(ordered[0])
         self.full = (1 << len(ordered)) - 1
-        self._exchange = [None] * len(ordered)
-        self._gp = [None] * len(ordered)
         self._units, self._cubes = [1 << ell for ell in range(self.p)], {0: ([0], [])}
         if lattice is not None:
             self.lattice = lattice
@@ -397,6 +395,14 @@ class ExchangeIndex:
     @cached_property
     def codes(self) -> list:
         return self.lattice.encode(self.ordered)
+
+    @cached_property
+    def _exchange(self) -> list:
+        """Per point, the union of its exchange failure masks once found;
+        ``_gp`` likewise for the generalized-polymatroid conditions."""
+        return [None] * len(self.ordered)
+
+    _gp = cached_property(_exchange.func)
 
     @cached_property
     def position(self) -> dict:

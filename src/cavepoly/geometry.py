@@ -1,15 +1,18 @@
 """Lattice-point machinery around a polymatroid, on plain coordinate tuples.
 
-``independence_points`` gives I(P) ∩ N^p, and ``region_index(P)`` is its
-``ExchangeIndex`` under ``lattice_code(P)``, held beside
-``exchange_index(P)``.  ``truncate``, ``truncation_set`` and ``top_elements``
-cut point sets.  ``is_cave`` reads the three cave conditions from one
-``ExchangeIndex`` over a set, its tops and truncations being bitmasks.
+``_region`` walks I(P) ∩ N^p once per instance, in lex order with its
+``lattice_code(P)`` codes; ``independence_points`` reads it as a set, and
+``region_index(P)`` is its ``ExchangeIndex``, held beside
+``exchange_index(P)``.  ``truncate``, ``truncation_set`` and
+``top_elements`` cut point sets.  ``is_cave`` reads the three cave
+conditions from one ``ExchangeIndex`` over a set, its tops and truncations
+being bitmasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .core import (
     ExchangeIndex,
@@ -17,6 +20,7 @@ from .core import (
     Polymatroid,
     _bits,
     as_point,
+    exchange_index,
     lattice_code,
     memo,
     nonnegative_set,
@@ -32,23 +36,42 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, eq=True)
 class IndependenceSet:
     """Integer points of the independence polytope of ``source``: downward
-    closed, holding the origin and every point of the source."""
+    closed, holding the origin and every point of the source.  ``points``
+    is a frozenset, when not given the source's memoised one, built on
+    first read; iteration and ``len`` read ``_region``'s lex-ordered walk.
+    Immutable; equal when p, points and source are."""
 
-    p: int
-    points: frozenset
-    source: Polymatroid
+    __slots__ = ("p", "source", "_points")
+
+    def __init__(self, p: int, points, source: Polymatroid):
+        for name, value in (("p", p), ("_points", points), ("source", source)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IndependenceSet is immutable")
+
+    @property
+    def points(self) -> frozenset:
+        return _down_closure(self.source) if self._points is None else self._points
+
+    def __eq__(self, other):
+        if not isinstance(other, IndependenceSet):
+            return NotImplemented
+        return (self.p, self.points, self.source) == (other.p, other.points, other.source)
+
+    def __hash__(self):
+        return hash((self.p, self.points))
 
     def __contains__(self, n):
         return tuple(n) in self.points
 
     def __iter__(self):
-        return iter(sorted(self.points))
+        return iter(_region(self.source)[0] if self._points is None else sorted(self._points))
 
     def __len__(self):
-        return len(self.points)
+        return len(_region(self.source)[0] if self._points is None else self._points)
 
 
 def indicator(P: Polymatroid, n) -> int:
@@ -61,30 +84,82 @@ def indicator(P: Polymatroid, n) -> int:
 
 
 def independence_points(P: Polymatroid) -> IndependenceSet:
-    """All n in N^p with every subset-sum within rank: I(P) ∩ N^p.  Every
-    integral independent vector lies under an integral base, so the region
-    is the down-closure of the base points, walked one degree at a time by
-    the steps n - e_i, O(|I| p), once per instance: the memo store holds the
-    points, not this ``IndependenceSet``, which refers back to ``P``."""
-    return IndependenceSet(P.p, _down_closure(P), P)
+    """All n in N^p with every subset-sum within rank: I(P) ∩ N^p, walked
+    here by ``_region``; its set of points is built on first read.  The
+    memo store holds the points, not this ``IndependenceSet``, which refers
+    back to ``P``."""
+    _region(P)
+    return IndependenceSet(P.p, None, P)
 
 
 @memo
 def _down_closure(P: Polymatroid) -> frozenset:
-    level = P.points
-    members = set(level)
-    while level:
-        level = {n[:i] + (c - 1,) + n[i + 1:] for n in level for i, c in enumerate(n) if c}
-        members |= level
-    return frozenset(members)
+    return frozenset(_region(P)[0])
+
+
+@memo
+def _region(P: Polymatroid) -> tuple:
+    """(points, codes): I(P) ∩ N^p in lex order, and their codes under
+    ``lattice_code(P)``, by one walk over the sorted base points.
+
+    Every integral independent vector lies under an integral base, so n is
+    in I(P) exactly when some base point dominates it.  The walk fixes
+    coordinates 1..p in turn, keeping the mask of the bases >= its prefix
+    (one AND with ``exchange_index(P)``'s threshold mask "u_i >= c" per
+    step), and extends the prefix by c = 0, 1, ... while that mask stays
+    nonempty: a prefix with a kept base u extends by zeros to a point under
+    u, and a region point's dominating base is kept along its prefixes.  So
+    the walk visits exactly the prefixes of region points, in lex order.
+    When one base u is kept, the points below the prefix are the box [0,
+    u] on the coordinates left, one ``itertools.product``, whose codes
+    expand u's nonzero entries only.  The mask table has sum of (cage_i +
+    2) <= p (|I| + 1) entries; the walk costs one node per distinct prefix
+    plus O(1) per point."""
+    bases, lattice = exchange_index(P), lattice_code(P)
+    above = [[bases.at_least(i, c) for c in range(span)] for i, span in enumerate(lattice.spans)]
+    points, codes = [], []
+    _lex_walk(above, bases.ordered, lattice.strides, (), 0, bases.full, points, codes)
+    return points, codes
+
+
+def _lex_walk(above, bases, strides, prefix, code, mask, points, codes):
+    """Append ``_region``'s points extending ``prefix`` (code ``code``), the
+    ``bases`` >= it under ``mask``; the last coordinate's range at once."""
+    i = len(prefix)
+    if not mask & (mask - 1):  # one base u: the box [0, u] below the prefix
+        u = bases[mask.bit_length() - 1][i:]
+        points += product(*zip(prefix), *[range(x + 1) for x in u])
+        block = [code]
+        for x, s in zip(u, strides[i:]):
+            if x:
+                block = [c + t for c in block for t in range(0, (x + 1) * s, s)]
+        codes += block
+        return
+    s = strides[i]
+    if i == len(above) - 1:
+        top = 0
+        while mask & above[i][top]:
+            top += 1
+        points += product(*zip(prefix), range(top))
+        codes += range(code, code + top * s, s)
+        return
+    for c, sel in enumerate(above[i]):
+        sub = mask & sel
+        if not sub:
+            break
+        _lex_walk(above, bases, strides, prefix + (c,), code + c * s, sub, points, codes)
 
 
 @memo
 def region_index(P: Polymatroid) -> ExchangeIndex:
-    """The ``ExchangeIndex`` of the sorted independence points under
-    ``lattice_code(P)``.  The region lies in [0, cage], so its codes are
-    distinct and code(a) - code(m) = code(a - m)."""
-    return ExchangeIndex(sorted(independence_points(P).points), lattice_code(P))
+    """The ``ExchangeIndex`` of ``_region(P)``'s lex-ordered points under
+    ``lattice_code(P)``, holding the walk's codes as its own: no sort and
+    no encode.  The region lies in [0, cage], so its codes are distinct and
+    code(a) - code(m) = code(a - m)."""
+    points, codes = _region(P)
+    index = ExchangeIndex(points, lattice_code(P))
+    index.codes = codes
+    return index
 
 
 def in_independence(P: Polymatroid, n) -> bool:

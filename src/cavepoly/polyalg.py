@@ -13,10 +13,11 @@ in a memo store cannot be changed by one caller under another.
 
 ``binomial_map`` reads monomials in the binomial basis, and
 ``expand_binomial`` expands binomial products into monomials through
-``axiswise``, the per-coordinate change of basis of the box route too.  ``canonical_string`` prints
-terms in ``canonical_order``: total degree descending, ties broken by
-descending comparison of the sparse (variable, exponent) pair sequence,
-e.g. ``t2^3 + t1^2*t2 + t1*t2^2 - t2^2 - t1*t2``.
+``axiswise``, the per-coordinate change of basis, whose code-level core
+``axiswise_codes`` the box route feeds with the region's codes.
+``canonical_string`` prints terms in ``canonical_order``: total degree
+descending, ties broken by descending comparison of the sparse (variable,
+exponent) pair sequence, e.g. ``t2^3 + t1^2*t2 + t1*t2^2 - t2^2 - t1*t2``.
 """
 
 from __future__ import annotations
@@ -322,9 +323,8 @@ def axiswise(terms, rows) -> dict:
     coefficients; ``rows[i][n]`` is the combination of (index, coefficient)
     pairs that index n on coordinate i becomes.  Another key length, or an
     index outside [0, len(rows[i])) in a key or a row, raises ``ValueError``.
-    Keys are encoded once by the ``LatticeCode`` of those spans and decoded
-    once; n -> d on coordinate i adds (d - n) * strides[i].  Each coordinate
-    is one pass, O(p * terms * row length) additions, then drops zeros.
+    Keys are encoded once by the ``LatticeCode`` of those spans, changed by
+    ``axiswise_codes`` and decoded once.
     """
     lattice = LatticeCode(map(len, rows))
     if not set(map(len, terms)) <= {len(rows)}:
@@ -334,7 +334,16 @@ def axiswise(terms, rows) -> dict:
         bad = {*column, *map(itemgetter(0), chain.from_iterable(row))}.difference(range(span))
         if bad:
             raise ValueError("index %d on coordinate %d is outside [0, %d)" % (min(bad), i + 1, span))
-    codes = dict(zip(lattice.encode(terms), terms.values()))
+    codes = axiswise_codes(dict(zip(lattice.encode(terms), terms.values())), lattice, rows)
+    return dict(zip(lattice.decode(codes), codes.values()))
+
+
+def axiswise_codes(codes, lattice, rows) -> dict:
+    """``axiswise`` on codes: ``codes`` maps codes of ``lattice``'s box to
+    integer coefficients, and ``rows[i]`` has one entry per digit of
+    coordinate i, whose indices stay in [0, spans[i]); nothing is checked.
+    n -> d on coordinate i adds (d - n) * strides[i].  Each coordinate is
+    one pass, O(p * terms * row length) additions, then drops zeros."""
     for span, stride, row in zip(lattice.spans, lattice.strides, rows):
         offsets = [[((d - n) * stride, c) for d, c in entries] for n, entries in enumerate(row)]
         out = {}
@@ -344,7 +353,7 @@ def axiswise(terms, rows) -> dict:
                 k = code + move
                 out[k] = get(k, 0) + v * c
         codes = {k: v for k, v in out.items() if v}
-    return dict(zip(lattice.decode(codes), codes.values()))
+    return codes
 
 
 def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:

@@ -1,8 +1,9 @@
 """Brute-force reference implementations kept as test oracles.
 
 These are the library's original enumerators, exchange checks and
-expansions.  The library now uses output-sensitive versions (down-closure
-walk, bit-parallel exchange masks, indexed stalactite directions, changes
+expansions.  The library now uses output-sensitive versions (one lex-order
+walk of the independence region over the base points' threshold masks,
+bit-parallel exchange masks, indexed stalactite directions, changes
 of basis one coordinate at a time, local submodularity, base points
 enumerated inside the projection bounds, subset-sum tables, truncation
 lemmas over the parent region, one sparse Mobius pass over the region, the
@@ -66,6 +67,18 @@ def independence_points_box_filter(P) -> frozenset:
     for n in itertools.product(*(range(rk.values[1 << i] + 1) for i in range(p))):
         if all(sum(n[i] for i in index_sets[mask]) <= rk.values[mask] for mask in range(1, 1 << p)):
             members.append(n)
+    return frozenset(members)
+
+
+def independence_points_down_closure(P) -> frozenset:
+    """The down-closure of the base points, one degree at a time: each level
+    lowers one nonzero coordinate of each point of the level above, so a
+    point is made once per nonzero coordinate of each point above it."""
+    level = P.points
+    members = set(level)
+    while level:
+        level = {n[:i] + (c - 1,) + n[i + 1:] for n in level for i, c in enumerate(n) if c}
+        members |= level
     return frozenset(members)
 
 

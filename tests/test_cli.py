@@ -286,6 +286,8 @@ def ladder_rank_document(r=8, m=(4,) * 4):
 @pytest.mark.parametrize("argv, golden", [
     (["cave"], "cave_ladder_row.json"),
     (["snapper", "--expand"], "snapper_expand_ladder_row.json"),
+    (["independence"], "independence_ladder_row.json"),
+    (["box"], "box_ladder_row.json"),
 ])
 def test_ladder_row_documents_match_golden(argv, golden):
     # CI pipes the same document into the installed console script and

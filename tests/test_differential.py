@@ -73,6 +73,7 @@ from oracles import (
     expand_binomial_per_term,
     in_independence_subset_sums,
     independence_points_box_filter,
+    independence_points_down_closure,
     is_generalized_polymatroid_pairwise,
     is_cave_via_tops_polymatroid,
     is_m_convex_pairwise,
@@ -124,6 +125,23 @@ def random_sets(seed, count):
 def test_independence_points_match_box_filter():
     for P in GENERATED:
         assert independence_points(P).points == independence_points_box_filter(P)
+
+
+def test_region_walk_matches_both_region_oracles_and_the_lattice_code():
+    ladder = [named_family("uniform", r=r, m=m)
+              for r, m in ((8, (4,) * 4), (10, (4,) * 5), (9, (3,) * 6), (8, (2,) * 7), (12, (4,) * 6))]
+    cases = [*instance_mix(60, seed=2_200, ps=(1, 2, 3, 4, 5, 6), max_rank=6, max_cage_entry=3),
+             named_family("rank-zero", p=1), named_family("rank-zero", p=4),
+             named_family("free", m=(3,)), named_family("free", m=(2, 0, 3, 1)),  # one base: a box at depth 0
+             named_family("running-example"), *ladder]
+    wide = named_family("uniform", r=2, m=(2,) * 12)  # CI's p = 12 rank document: closure oracle only
+    for P in cases + [wide]:
+        points, codes = geometry._region(P)
+        assert points == sorted(independence_points_down_closure(P)), P
+        if P is not wide:
+            assert set(points) == independence_points_box_filter(P), P
+        assert codes == core.lattice_code(P).encode(points), P
+        assert list(independence_points(P)) == points and geometry.region_index(P).codes is codes
 
 
 def test_is_m_convex_matches_pairwise_with_witness():
@@ -205,6 +223,14 @@ def test_verify_instance_builds_three_exchange_indexes(monkeypatch):
     assert verify_instance(P).passed
     region = sorted(independence_points(P).points)
     assert [index.ordered for index in built] == [sorted(P.points), region, sorted(cave_set(P))]
+
+
+def test_failure_caches_are_built_only_where_a_check_reads_them():
+    P = Polymatroid(GENERATED[4].points)  # a fresh instance: an empty memo store
+    assert verify_instance(P).passed
+    region, bases = vars(geometry.region_index(P)), vars(core.exchange_index(P))
+    assert not {"_exchange", "_gp"} & region.keys() and "_gp" not in bases
+    assert {type(union) for union in bases.get("_exchange", ())} <= {int, type(None)}
 
 
 def test_is_generalized_polymatroid_matches_pairwise_with_witness():

@@ -6,6 +6,7 @@ from cavepoly import core
 from cavepoly import (
     DimensionMismatch,
     EmptyInput,
+    IndependenceSet,
     NotInIndependence,
     Polymatroid,
     independence_points,
@@ -38,6 +39,19 @@ def test_independence_points_running(running):
     region = independence_points(running)
     assert region.points == RUNNING_INDEPENDENCE
     assert region.source == running
+
+
+def test_independence_set_reads_the_walk_and_builds_its_set_on_first_read():
+    P = Polymatroid([(0, 3), (1, 2), (2, 1)])  # a fresh instance: an empty memo store
+    region = independence_points(P)
+    assert len(region) == 9 and list(region) == sorted(RUNNING_INDEPENDENCE)
+    assert not any(isinstance(value, frozenset) for value in P._memo.values())
+    assert region.points == RUNNING_INDEPENDENCE and region.points is independence_points(P).points
+    given = IndependenceSet(2, frozenset({(1, 0), (0, 0)}), P)  # a hand-built set reads its own points
+    assert list(given) == [(0, 0), (1, 0)] and len(given) == 2 and (1, 0) in given
+    assert region == IndependenceSet(2, frozenset(RUNNING_INDEPENDENCE), P) != given
+    with pytest.raises(AttributeError):
+        region.p = 3
 
 
 def test_independence_points_small_cases():
