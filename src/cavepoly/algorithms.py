@@ -188,12 +188,21 @@ def box_polynomial(P: Polymatroid) -> MultiPoly:
     return MultiPoly(P.p, dict(zip(lattice.decode(terms), terms.values())))
 
 
+_exact_upper = [()]  # the last upper endpoint seen to be a tuple of ints
+
+
 def mobius_interval(m, n) -> int:
     """Closed-form Mobius value of the interval [m, n] in the componentwise
-    order: (-1)^j when n - m is a 0/1 vector with j ones, else 0."""
-    if not (type(m) is tuple and type(n) is tuple and len(m) == len(n)
-            and {*map(type, m), *map(type, n)} <= {int}):
-        # Equal-length int tuples, the common case, are already normal.
+    order: (-1)^j when n - m is a 0/1 vector with j ones, else 0.
+
+    Equal-length tuples of ints, the common case, are already normal; any
+    other pair is normalised, m first.  A caller walking a box passes one
+    upper endpoint many times, so the last one found exact is held (an
+    immutable tuple, kept alive by the slot, so identity is exactness) and
+    only m's types are scanned again."""
+    if n is not _exact_upper[0] and type(n) is tuple and {*map(type, n)} <= {int}:
+        _exact_upper[0] = n
+    if not (type(m) is tuple and n is _exact_upper[0] and len(m) == len(n) and {*map(type, m)} <= {int}):
         m, n = as_point(m), as_point(n)
         if len(m) != len(n):
             raise DimensionMismatch("interval endpoints differ in length")

@@ -455,6 +455,13 @@ class ExchangeIndex:
                         up[i][j] |= 1 << k
         return up
 
+    @cached_property
+    def above(self) -> list:
+        """above[i][c]: ``at_least(i, c)`` for c over the lattice's span of
+        coordinate i, so a truncation at b inside the span is one AND of
+        ``map(getitem, above, b)``."""
+        return [[self.at_least(i, c) for c in range(span)] for i, span in enumerate(self.lattice.spans)]
+
     def at_least(self, i, c) -> int:
         """Mask of the points whose 0-based coordinate ``i`` is >= ``c``."""
         masks = self.masks[i]
@@ -566,16 +573,23 @@ class ExchangeIndex:
 
     def stalactite_codes(self, visit) -> dict:
         """Signed stalactite counts of the points at the positions ``visit``,
-        decomposed greedily in that sequence, keyed by code: each member n of
-        the union maps to (-1)^(d - |n|) times the number of stalactites
-        containing it, d the apexes' degree.  The cube at u along the mask D
-        is code(u) plus the offsets -code(e_J), J within D; as |J| = |u| -
-        |n|, each parity of |J| is counted by one ``Counter`` and signed once.
-        A member's entry u_l - 1 is a neighbour's, so members lie in [min,
-        max], where codes are distinct: counts by code are counts by point.
-        Cost: O(p) per apex, one addition per member, ``_cube`` once per D."""
+        decomposed greedily in that sequence: ``cube_codes`` of
+        ``stalactites(visit)``.  A member's entry u_l - 1 is a neighbour's,
+        so members lie in [min, max], where codes are distinct: counts by
+        code are counts by point.  Cost: O(p) per apex plus ``cube_codes``."""
+        return self.cube_codes(self.stalactites(visit))
+
+    def cube_codes(self, stalactites) -> dict:
+        """The signed counts of the cubes (k, D) of ``stalactites``, keyed by
+        code: each member n of their union maps to (-1)^(d - |n|) times the
+        number of cubes containing it, d the apexes' degree.  The cube at u =
+        ordered[k] along the mask D is code(u) plus the offsets -code(e_J), J
+        within D; as |J| = |u| - |n|, each parity of |J| is counted by one
+        ``Counter`` and signed once.  The counts are a sum over the cubes, so
+        they do not depend on the cubes' sequence.  Cost: one addition per
+        member, ``_cube`` once per D."""
         even, odd, codes = [], [], self.codes
-        for k, directions in self.stalactites(visit):
+        for k, directions in stalactites:
             pair = self._cube(directions)
             even.append(map(codes[k].__add__, pair[0]))
             odd.append(map(codes[k].__add__, pair[1]))

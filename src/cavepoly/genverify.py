@@ -20,6 +20,8 @@ import itertools
 import random
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache, reduce
+from operator import and_, getitem
 
 from .algorithms import (
     LexOrder,
@@ -54,7 +56,7 @@ from .errors import (
     NotInIndependence,
     UnknownFamily,
 )
-from .geometry import independence_points, is_cave, region_index
+from .geometry import is_cave, region_index
 from .polyalg import expand_binomial
 
 _MAX_ATTEMPTS = 10_000
@@ -196,11 +198,11 @@ def _check_four_way(P):
     return True, None
 
 
-def _check_lex_order_invariance(P):
-    terms = stalactite_polynomial(P).terms
-    base = dict(zip(lattice_code(P).encode(terms), terms.values()))
-    index = exchange_index(P)
-    p = P.p
+@lru_cache(maxsize=MAX_GROUND_SET)
+def _lex_orders(p) -> tuple:
+    """The ``LexOrder``s the lex-order check tries on p coordinates: all p!
+    for p <= 4, else the identity, its reverse and eight shuffles seeded by
+    p."""
     if p <= 4:
         perms = itertools.permutations(range(1, p + 1))
     else:
@@ -210,9 +212,34 @@ def _check_lex_order_invariance(P):
             perm = list(range(1, p + 1))
             rng.shuffle(perm)
             perms.append(tuple(perm))
-    for perm in perms:
-        if index.stalactite_codes(index.in_order(LexOrder(tuple(perm)))) != base:
-            return False, "stalactite polynomial differs under order %s" % (perm,)
+    return tuple(map(LexOrder, perms))
+
+
+def _check_lex_order_invariance(P):
+    """P's stalactite polynomial under each of ``_lex_orders(P.p)`` against
+    the identity order's, by code; the first order that differs is reported.
+
+    ``in_order`` runs for every order.  An order's polynomial is a function
+    of its visiting sequence, through ``stalactites``, and so of the set of
+    that sequence's (k, D) pairs, as ``cube_codes`` sums over the cubes in
+    any sequence.  So the directions are found once per distinct visit and
+    the cubes expanded once per distinct sorted (k, D) tuple, and each
+    order takes its decomposition's verdict, kept as a boolean."""
+    terms = stalactite_polynomial(P).terms
+    base = dict(zip(lattice_code(P).encode(terms), terms.values()))
+    index = exchange_index(P)
+    by_visit, by_decomposition = {}, {}
+    for order in _lex_orders(P.p):
+        visit = tuple(index.in_order(order))
+        same = by_visit.get(visit)
+        if same is None:
+            decomposition = tuple(sorted(index.stalactites(visit)))
+            same = by_decomposition.get(decomposition)
+            if same is None:
+                same = by_decomposition[decomposition] = index.cube_codes(decomposition) == base
+            by_visit[visit] = same
+        if not same:
+            return False, "stalactite polynomial differs under order %s" % (order.permutation,)
     return True, None
 
 
@@ -254,12 +281,12 @@ def _check_mobius_interval_closed_form(P):
 def _check_counts_equal_mobius(P):
     counts = stalactite_counts(P)
     table = mobius_table(P)
-    region = independence_points(P).points
-    stray = set(counts) - region
+    region = region_index(P).ordered
+    stray = set(counts).difference(region)
     if stray:
         return False, "stalactite count outside independence region at %s" % (min(stray),)
     rank = P.rank
-    for n in region_index(P).ordered:
+    for n in region:
         signed = counts.get(n, 0) * (-1 if (rank - sum(n)) % 2 else 1)
         if signed != table[n]:
             return False, "at %s: signed count %d, mobius %d" % (n, signed, table[n])
@@ -277,10 +304,10 @@ def _check_truncation_lemmas(P):
     stal_p = dict(zip(lattice_code(P).encode(terms), terms.values()))
     bases = exchange_index(P)
     index = region_index(P)  # its threshold masks give the region above n
-    region = index.ordered
+    region, base_rows, region_rows = index.ordered, bases.above, index.above
     truncations = {}
     for n in region:
-        kept = bases.truncation(n)
+        kept = reduce(and_, map(getitem, base_rows, n))
         if kept not in truncations:
             if not kept:
                 raise NotInIndependence("%s is not in the independence region" % (n,))
@@ -289,7 +316,7 @@ def _check_truncation_lemmas(P):
                 raise InternalInvariantFailure(
                     "truncation at %s is not a polymatroid: %s" % (n, not_m_convex(witness)))
             truncations[kept] = bases.stalactite_codes(_bits(kept))
-        above = _bits(index.truncation(n))
+        above = _bits(reduce(and_, map(getitem, region_rows, n)))
         got, expected = (list(map(counts.get, map(index.codes.__getitem__, above), itertools.repeat(0)))
                          for counts in (truncations[kept], stal_p))
         if got != expected:

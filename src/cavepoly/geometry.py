@@ -105,7 +105,7 @@ def _region(P: Polymatroid) -> tuple:
     Every integral independent vector lies under an integral base, so n is
     in I(P) exactly when some base point dominates it.  The walk fixes
     coordinates 1..p in turn, keeping the mask of the bases >= its prefix
-    (one AND with ``exchange_index(P)``'s threshold mask "u_i >= c" per
+    (one AND with the mask "u_i >= c" of ``exchange_index(P).above`` per
     step), and extends the prefix by c = 0, 1, ... while that mask stays
     nonempty: a prefix with a kept base u extends by zeros to a point under
     u, and a region point's dominating base is kept along its prefixes.  So
@@ -115,10 +115,9 @@ def _region(P: Polymatroid) -> tuple:
     expand u's nonzero entries only.  The mask table has sum of (cage_i +
     2) <= p (|I| + 1) entries; the walk costs one node per distinct prefix
     plus O(1) per point."""
-    bases, lattice = exchange_index(P), lattice_code(P)
-    above = [[bases.at_least(i, c) for c in range(span)] for i, span in enumerate(lattice.spans)]
+    bases = exchange_index(P)
     points, codes = [], []
-    _lex_walk(above, bases.ordered, lattice.strides, (), 0, bases.full, points, codes)
+    _lex_walk(bases.above, bases.ordered, lattice_code(P).strides, (), 0, bases.full, points, codes)
     return points, codes
 
 
@@ -239,13 +238,12 @@ def _truncation_failure(index):
     """Condition (3) of the cave predicate: ``{"at": b, "witness": w}`` for
     the first nonzero b of the bounding box, in ``itertools.product`` order,
     whose truncation is not a generalized polymatroid; None if there is none.
-    A truncation is the AND of the set's ``index`` masks "q_i >= b_i", which
-    only shrink as b grows, so ``_box_walk`` may leave a coordinate's range
-    early; each distinct truncation is checked once."""
-    above = [[index.at_least(i, value) for value in range(bound + 1)]
-             for i, bound in enumerate(map(max, zip(*index.ordered)))]
+    A truncation is the AND of the masks "q_i >= b_i" of ``index.above``,
+    which only shrink as b grows and are empty past the box, so
+    ``_box_walk`` may leave a coordinate's range early; each distinct
+    truncation is checked once."""
     checked = {}
-    for b, mask in _box_walk(above, (), -1):
+    for b, mask in _box_walk(index.above, (), -1):
         if not any(b):
             continue
         if mask not in checked:

@@ -12,7 +12,8 @@ integer lattice codes in the changes of basis, the Mobius table, the cave
 route and the stalactite counts, a ``str.find`` loop for set bits, halving
 bound tables in the base-point walk, built by list comprehensions, sliced
 and packed guard-bit axiom checks, one flat key per term for the canonical
-order, local axiom checks on the lattice path); the
+order, local axiom checks on the lattice path, one cube expansion per
+distinct decomposition in the lex-order check); the
 differential tests require both to return identical results and identical
 failure witnesses.
 """
@@ -20,6 +21,7 @@ failure witnesses.
 import itertools
 import math
 import operator
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -39,6 +41,8 @@ from cavepoly.core import (
     RankFunction,
     _bits,
     as_point,
+    exchange_index,
+    lattice_code,
     mask_to_subset,
     point_set,
     rank_from_points,
@@ -473,6 +477,34 @@ def rank_from_points_subset_loop(P):
         idx = [i for i in range(p) if mask >> i & 1]
         values[mask] = max(sum(q[i] for i in idx) for q in pts)
     return RankFunction(p, values, tuple(values[1 << i] for i in range(p)))
+
+
+def lex_order_perms(p) -> list:
+    """The permutations the lex-order check tries on p coordinates: all p!
+    for p <= 4, else the identity, its reverse and eight shuffles seeded by
+    p."""
+    if p <= 4:
+        return list(itertools.permutations(range(1, p + 1)))
+    rng = random.Random(0x5EED ^ p)
+    perms = [tuple(range(1, p + 1)), tuple(range(p, 0, -1))]
+    for _ in range(8):
+        perm = list(range(1, p + 1))
+        rng.shuffle(perm)
+        perms.append(tuple(perm))
+    return perms
+
+
+def lex_order_check_per_order(P):
+    """The lex-order check that builds each order and decomposes and expands
+    the base points under it on their own, comparing by code with the
+    identity order's stalactite polynomial."""
+    terms = stalactite_polynomial(P).terms
+    base = dict(zip(lattice_code(P).encode(terms), terms.values()))
+    index = exchange_index(P)
+    for perm in lex_order_perms(P.p):
+        if index.stalactite_codes(index.in_order(LexOrder(perm))) != base:
+            return False, "stalactite polynomial differs under order %s" % (perm,)
+    return True, None
 
 
 def truncation_lemmas_check_scan(P, stalactite=stalactite_polynomial):

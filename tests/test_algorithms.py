@@ -276,6 +276,47 @@ def test_mobius_interval_closed_form():
         mobius_interval((1,), (1, 2))
 
 
+class _Int(int):
+    """An int subclass: accepted as an entry, but not an exact int."""
+
+
+# (m, n, value or (exception type, message)), as mobius_interval answered
+# before it held its last exact upper endpoint.
+INTERVAL_REFUSALS = [
+    ((0, 0), (1.0, 1), (ValueError, "lattice point coordinates must be integers, got 1.0")),  # float
+    ((0.0, 0), (1, 1), (ValueError, "lattice point coordinates must be integers, got 0.0")),
+    ((0, 0.5), (1, "x"), (ValueError, "lattice point coordinates must be integers, got 0.5")),
+    ((0, False), (1, True), 1),  # bool
+    ((0, 0), (True, 2), 0),
+    ((0, _Int(0)), (1, 1), 1),  # int subclass
+    ((0, 0), (_Int(1), _Int(1)), 1),
+    (("a", 0), (1, 1), (ValueError, "lattice point coordinates must be integers, got 'a'")),  # str
+    ((0, 0), "ab", (ValueError, "lattice point coordinates must be integers, got 'a'")),
+    ((0, 0), 5, (TypeError, "'int' object is not iterable")),
+    ([0, 1], (1, 1), -1),  # list
+    ((0, 1), [1, 2], 1),
+    ((0, 1), (1, 1, 1), (DimensionMismatch, "interval endpoints differ in length")),  # length mismatch
+    ((0, 1, 0), [1, 1], (DimensionMismatch, "interval endpoints differ in length")),
+    ((2, 0), (0, 3), (NotComparable, "(2, 0) is not componentwise <= (0, 3)")),  # a negative step before a step > 1
+    ((0, 0), (3, 1), 0),
+]
+
+
+def test_mobius_interval_refusals_match_the_recorded_table():
+    for m, n, expected in INTERVAL_REFUSALS:
+        previous = [(0,)]
+        if type(n) is tuple and {*map(type, n)} <= {int}:
+            previous.append(n)  # then n is the upper endpoint held as exact
+        for q in previous:
+            assert mobius_interval(q, q) == 1
+            if isinstance(expected, int):
+                assert mobius_interval(m, n) == expected, (m, n)
+            else:
+                with pytest.raises(expected[0]) as exc:
+                    mobius_interval(m, n)
+                assert type(exc.value) is expected[0] and str(exc.value) == expected[1], (m, n)
+
+
 def test_mobius_table_golden(running):
     table = mobius_table(running)
     assert dict(table.items()) == GOLDEN_MOBIUS

@@ -77,6 +77,8 @@ from oracles import (
     is_generalized_polymatroid_pairwise,
     is_cave_via_tops_polymatroid,
     is_m_convex_pairwise,
+    lex_order_check_per_order,
+    lex_order_perms,
     mobius_interval_check_boxsum,
     mobius_interval_check_scan,
     mobius_interval_normalized,
@@ -94,6 +96,7 @@ from oracles import (
     submodular_violations_all_pairs,
     truncation_lemmas_check_scan,
 )
+from test_planted_faults import _drop_last_apex, _flipped_direction
 
 GENERATED = instance_mix(120, seed=8_000, ps=(1, 2, 3, 4, 5), max_rank=6, max_cage_entry=4)
 # Instances whose regions stay small enough for the quadratic oracles.
@@ -184,9 +187,9 @@ def recorded_indexes(monkeypatch) -> list:
     built = []
     init = core.ExchangeIndex.__init__
 
-    def recording(index, ordered, lattice=None):
+    def recording(index, *args, **kwargs):
         built.append(index)
-        init(index, ordered, lattice)
+        init(index, *args, **kwargs)
 
     monkeypatch.setattr(core.ExchangeIndex, "__init__", recording)
     return built
@@ -231,6 +234,16 @@ def test_failure_caches_are_built_only_where_a_check_reads_them():
     region, bases = vars(geometry.region_index(P)), vars(core.exchange_index(P))
     assert not {"_exchange", "_gp"} & region.keys() and "_gp" not in bases
     assert {type(union) for union in bases.get("_exchange", ())} <= {int, type(None)}
+
+
+def test_verify_instance_leaves_no_region_set_in_the_memo_store():
+    down_closure = geometry._down_closure.__wrapped__
+    for points in (GENERATED[4].points, LADDER[1].points):
+        P = Polymatroid(points)  # a fresh instance: an empty memo store
+        assert verify_instance(P).passed
+        assert not any(fn is down_closure for fn, _ in P._memo)
+        assert independence_points(P).points  # a reader of the set still builds it
+        assert any(fn is down_closure for fn, _ in P._memo)
 
 
 def test_is_generalized_polymatroid_matches_pairwise_with_witness():
@@ -389,6 +402,55 @@ def test_stalactite_polynomial_matches_prefix_scan_under_every_order():
     assert orders > 500
 
 
+LEX_FAULTS = {"drop-last-apex": ("in_order", _drop_last_apex), "flipped-direction": ("stalactites", _flipped_direction)}
+WIDER_P5 = instance_mix(9, seed=9_000, ps=(5,), max_rank=8, max_cage_entry=3)
+
+
+@pytest.mark.parametrize("fault", [None, *LEX_FAULTS])
+def test_lex_order_check_matches_per_order_oracle(fault, monkeypatch):
+    if fault is not None:
+        name, plant = LEX_FAULTS[fault]
+        monkeypatch.setattr(core.ExchangeIndex, name, plant(getattr(core.ExchangeIndex, name)))
+    failed = 0
+    for P in GENERATED + WIDER_P5:
+        # Fresh instances: each side builds its identity-order polynomial under the fault.
+        result = CHECKS["lex-order-invariance"](Polymatroid(P.points))
+        assert result == lex_order_check_per_order(Polymatroid(P.points)), sorted(P.points)
+        failed += not result[0]
+    assert failed > 10 if fault else failed == 0
+
+
+def test_lex_order_check_expands_once_per_distinct_decomposition(monkeypatch):
+    expand, in_order = core.ExchangeIndex.cube_codes, core.ExchangeIndex.in_order
+    expanded, orders = [], []
+
+    def counting_expand(index, stalactites):
+        stalactites = tuple(stalactites)
+        expanded.append(stalactites)
+        return expand(index, stalactites)
+
+    def counting_in_order(index, order, mask=None):
+        orders.append(order.permutation)
+        return in_order(index, order, mask)
+
+    shared = 0
+    for P in GENERATED + WIDER_P5:
+        index = core.exchange_index(P)
+        stalactite_polynomial(P)  # the identity order's, expanded before counting
+        decompositions = {tuple(sorted(index.stalactites(index.in_order(LexOrder(perm)))))
+                          for perm in lex_order_perms(P.p)}
+        expanded.clear()
+        orders.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(core.ExchangeIndex, "cube_codes", counting_expand)
+            patch.setattr(core.ExchangeIndex, "in_order", counting_in_order)
+            assert CHECKS["lex-order-invariance"](P) == (True, None)
+        assert orders == lex_order_perms(P.p)
+        assert len(expanded) == len(set(expanded)) and set(expanded) == decompositions
+        shared += len(decompositions) < len(orders)
+    assert shared > 20
+
+
 def test_mobius_interval_matches_normalized_form():
     region = sorted(independence_points(GENERATED[7]).points)
     pairs = [(m, n) for m in region for n in region]
@@ -497,9 +559,9 @@ def test_pair_bound_checks_share_one_region_index(monkeypatch):
     built, calls = [], []
     init = core.ExchangeIndex.__init__
 
-    def recording(index, ordered, lattice=None):
-        built.append(sorted(ordered))
-        init(index, ordered, lattice)
+    def recording(index, *args, **kwargs):
+        init(index, *args, **kwargs)
+        built.append(sorted(index.ordered))
 
     def counting(m, n):
         calls.append((m, n))
@@ -546,7 +608,7 @@ def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
     def region_oracle(P):
         return IndependenceSet(P.p, independence_points_box_filter(P), P)
 
-    for module in (geometry, algorithms, genverify):
+    for module in (geometry, algorithms):
         monkeypatch.setattr(module, "independence_points", region_oracle)
     monkeypatch.setattr(genverify, "points_from_rank", points_from_rank_box_filter)
     monkeypatch.setattr(genverify, "rank_from_points", rank_from_points_subset_loop)

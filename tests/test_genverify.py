@@ -239,6 +239,23 @@ def test_ladder_checks_tool_measures_its_smallest_row():
     assert 0 < max(row["checks_s"].values()) <= row["total_s"]
 
 
+def test_ladder_checks_tool_measures_a_campaign_mix(tmp_path, capsys, monkeypatch):
+    tool = load_tool("ladder_checks")
+    configs = tool.campaign_configs(4)
+    assert [cfg.strategy for cfg in configs] == [*genverify.STRATEGIES, genverify.STRATEGIES[0]]
+    assert [cfg.seed for cfg in configs] == [1000, 1000, 1000, 1001] and {cfg.p for cfg in configs} == {4}
+    out = tmp_path / "campaign.json"
+    assert tool.main(["--campaign", "3", "--out", str(out)]) == 0
+    campaign = json.loads(out.read_text())["campaign"]
+    assert campaign["instances"] == 3 and campaign["passed"]
+    assert list(campaign["checks_s"]) == list(CHECKS)
+    assert 0 < max(campaign["checks_s"].values()) <= campaign["total_s"]
+    monkeypatch.setitem(CHECKS, "coefficient-sum", lambda P: (False, "planted"))
+    capsys.readouterr()
+    assert tool.main(["--campaign", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["campaign"]["passed"] is False
+
+
 def test_untested_lines_tool_reports_the_lines_its_counts_never_saw():
     tool = load_tool("untested_lines")
     errors = tool.SRC / "cavepoly" / "errors.py"

@@ -43,6 +43,19 @@ def _drop_last_apex(in_order):
     return faulty
 
 
+def _flipped_direction(stalactites):
+    """The visiting sequence of the reverse of the identity order has its
+    last apex's lowest direction bit flipped.  Not in ``FAULTS``: it serves
+    the lex-order check's differential test."""
+    def faulty(index, visit):
+        pairs = list(stalactites(index, visit))
+        if len(pairs) > 1 and list(visit) == index.in_order(core.LexOrder(tuple(range(index.p, 0, -1)))):
+            k, directions = pairs[-1]
+            pairs[-1] = k, directions ^ 1
+        return iter(pairs)
+    return faulty
+
+
 def _stray_member(counts):
     """The stalactite union gains the smallest region point outside it."""
     def faulty(P, order=None):

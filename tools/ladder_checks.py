@@ -1,6 +1,8 @@
-"""Per-check seconds of ``verify_instance`` on the scale ladder, as JSON.
+"""Per-check seconds of ``verify_instance`` on the scale ladder or on a
+campaign mix, as JSON.
 
     python3 tools/ladder_checks.py --out ladder_checks.json
+    python3 tools/ladder_checks.py --campaign 60
 
 The ladder is five uniform polymatroids rk(S) = min(r, sum of m over S),
 the rows (r; m) of the ROADMAP's measurement table, up to (12; [4]x6) with
@@ -8,8 +10,16 @@ the rows (r; m) of the ROADMAP's measurement table, up to (12; [4]x6) with
 so no memoised result carries over, and runs all ten checks on it; a
 check's figure is the best of its ``elapsed`` over the repeats, and
 ``total_s`` the best sum.  Building the row (rank table, base points) is
-not timed.  The library is imported from this checkout's ``src/``.  One
-line per row and repeat goes to stderr; the exit status is 1 when any
+not timed.  One line per row and repeat goes to stderr.
+
+``--campaign N`` measures N generated instances instead of the ladder:
+p = 4, max_rank 6, max_cage_entry 4, instance i drawn by strategy i mod 3
+from seed 1000 + i // 3.  Each of three repeats generates them
+afresh; a check's figure is the best over the repeats of its seconds
+summed over the N instances, and ``total_s`` the best sum of all checks.
+
+The document goes to ``--out``, or to stdout without it.  The library is
+imported from this checkout's ``src/``; the exit status is 1 when any
 check failed.
 """
 
@@ -23,35 +33,74 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cavepoly import independence_points, named_family, verify_instance  # noqa: E402
+from cavepoly import GeneratorConfig, independence_points, named_family, random_polymatroid, verify_instance  # noqa: E402
+from cavepoly.genverify import STRATEGIES  # noqa: E402
 
 ROWS = ((8, (4,) * 4), (10, (4,) * 5), (9, (3,) * 6), (8, (2,) * 7), (12, (4,) * 6))
 REPEATS = 3
+CAMPAIGN_SEED = 1000
+
+
+def best_of(builds, label) -> dict:
+    """Verify the polymatroids of each of ``REPEATS`` calls of ``builds`` and
+    take the best per-check sums and the best total over the repeats."""
+    best, totals, passed = {}, [], True
+    for _ in range(REPEATS):
+        sums = {}
+        for P in builds():
+            report = verify_instance(P)
+            passed = passed and report.passed
+            for result in report.results:
+                sums[result.name] = sums.get(result.name, 0.0) + result.elapsed
+        for name, seconds in sums.items():
+            best[name] = min(best.get(name, seconds), seconds)
+        totals.append(sum(sums.values()))
+        print("%s: %.3f s" % (label, totals[-1]), file=sys.stderr)
+    return {"passed": passed, "total_s": min(totals), "checks_s": best}
 
 
 def measure(r, m) -> dict:
     """Sizes, verdict and best per-check seconds of the row (r; m)."""
-    best, totals, passed = {}, [], True
-    for _ in range(REPEATS):
-        P = named_family("uniform", r=r, m=m)
-        report = verify_instance(P)
-        passed = passed and report.passed
-        for result in report.results:
-            best[result.name] = min(best.get(result.name, result.elapsed), result.elapsed)
-        totals.append(sum(result.elapsed for result in report.results))
-        print("%d; %s: %.3f s" % (r, list(m), totals[-1]), file=sys.stderr)
-    return {"base_points": len(P.points), "independence_points": len(independence_points(P)),
-            "passed": passed, "total_s": min(totals), "checks_s": best}
+    P = named_family("uniform", r=r, m=m)
+    row = {"base_points": len(P.points), "independence_points": len(independence_points(P))}
+    row.update(best_of(lambda: [named_family("uniform", r=r, m=m)], "%d; %s" % (r, list(m))))
+    return row
+
+
+def campaign_configs(count) -> list:
+    """The generator configs of a campaign mix of ``count`` instances."""
+    return [GeneratorConfig(seed=CAMPAIGN_SEED + i // len(STRATEGIES), p=4, max_rank=6, max_cage_entry=4,
+                            strategy=STRATEGIES[i % len(STRATEGIES)]) for i in range(count)]
+
+
+def measure_campaign(count) -> dict:
+    """Verdict and best per-check seconds, summed over a campaign mix."""
+    configs = campaign_configs(count)
+    row = {"instances": count}
+    row.update(best_of(lambda: map(random_polymatroid, configs), "campaign of %d" % count))
+    return row
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--campaign", type=int, metavar="N", help="measure N campaign-mix instances, not the ladder")
     args = parser.parse_args(argv)
-    rows = {"%d; %s" % (r, list(m)): measure(r, m) for r, m in ROWS}
-    document = {"python": platform.python_version(), "repeats": REPEATS, "rows": rows}
-    args.out.write_text(json.dumps(document, indent=2) + "\n")
-    return 0 if all(row["passed"] for row in rows.values()) else 1
+    if args.campaign is not None and args.campaign < 1:
+        parser.error("--campaign needs N >= 1")
+    document = {"python": platform.python_version(), "repeats": REPEATS}
+    if args.campaign is None:
+        document["rows"] = {"%d; %s" % (r, list(m)): measure(r, m) for r, m in ROWS}
+        rows = document["rows"].values()
+    else:
+        document["campaign"] = measure_campaign(args.campaign)
+        rows = [document["campaign"]]
+    text = json.dumps(document, indent=2) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        args.out.write_text(text)
+    return 0 if all(row["passed"] for row in rows) else 1
 
 
 if __name__ == "__main__":
