@@ -22,7 +22,6 @@ the same value, so concurrent use is safe.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
@@ -363,17 +362,17 @@ class ExchangeIndex:
     the materialized subset answers it, witness included.
 
     Two kinds of subset restrict exactly; no other is supported.  A
-    threshold truncation {q >= b} (``truncation``): each neighbour an
-    exchange consults for u and v in it (u - e_i + e_j when v_i < u_i,
-    v + e_i - e_j when v_j > u_j, u - e_i, v + e_i) is itself >= b, so it
-    lies in the truncation exactly when it lies in the whole set.  The
-    top-degree level of ``degree_masks``, for the M-convex and stalactite
-    questions: each u - e_i + e_j keeps u's degree.  So each point's
-    failure masks over the whole set are built once, in O(p^2) lookups, and
-    a subset costs O(p) mask operations per kept point.  A point keeps only
-    the union of its failure masks, as a polymatroid holds its index for
-    life.  Every part is built on first use; the lattice codes turn
-    neighbour lookups into integer additions.
+    threshold truncation {q >= b}, an AND of ``above`` or ``masks``: each
+    neighbour an exchange consults for u and v in it (u - e_i + e_j when
+    v_i < u_i, v + e_i - e_j when v_j > u_j, u - e_i, v + e_i) is itself
+    >= b, so it lies in the truncation exactly when it lies in the whole
+    set.  The top-degree level of ``degree_masks``, for the M-convex and
+    stalactite questions: each u - e_i + e_j keeps u's degree.  So each
+    point's failure masks over the whole set are built once, in O(p^2)
+    lookups, and a subset costs O(p) mask operations per kept point.  A
+    point keeps only the union of its failure masks, as a polymatroid holds
+    its index for life.  Every part is built on first use; the lattice
+    codes turn neighbour lookups into integer additions.
     """
 
     def __init__(self, ordered, lattice=None):
@@ -457,28 +456,20 @@ class ExchangeIndex:
 
     @cached_property
     def above(self) -> list:
-        """above[i][c]: ``at_least(i, c)`` for c over the lattice's span of
-        coordinate i, so a truncation at b inside the span is one AND of
-        ``map(getitem, above, b)``."""
-        return [[self.at_least(i, c) for c in range(span)] for i, span in enumerate(self.lattice.spans)]
-
-    def at_least(self, i, c) -> int:
-        """Mask of the points whose 0-based coordinate ``i`` is >= ``c``."""
-        masks = self.masks[i]
-        if c not in masks:
-            values = sorted(masks)
-            k = bisect_left(values, c)
-            if k == len(values):
-                return 0
-            c = values[k]
-        return self.full & ~masks[c][0]
-
-    def truncation(self, b) -> int:
-        """Mask of the points >= ``b`` componentwise."""
-        mask = self.full
-        for i, c in enumerate(b):
-            mask &= self.at_least(i, c)
-        return mask
+        """above[i][c]: the mask of the points with q_i >= c, for c over the
+        lattice's span of coordinate i, filled down from the top (a value no
+        point has takes the next one's mask), so a truncation at b inside
+        the span is one AND.  A row is as long as the span: walks that are
+        O(region) already read it, per-point questions the sparse ``masks``."""
+        full, rows = self.full, []
+        for masks, span in zip(self.masks, self.lattice.spans):
+            row, mask = [0] * span, 0
+            for c in reversed(range(span)):
+                if c in masks:
+                    mask = full & ~masks[c][0]
+                row[c] = mask
+            rows.append(row)
+        return rows
 
     def _exchange_failures(self, k):
         """``(failing, 0)`` of the exchange property at u = ordered[k]: v
@@ -661,16 +652,19 @@ def homogenize(points) -> frozenset:
 class Polymatroid:
     """A finite homogeneous M-convex set of lattice points in N^p.  The
     constructor validates all invariants: nonempty, equal lengths,
-    nonnegative, then homogeneous and M-convex on P's ``exchange_index``,
-    which keeps what the check filled.  Instances are immutable, hashable,
-    and compare by point set, ignoring the memo store.  Iteration reads the
-    index's sorted points."""
+    nonnegative, p >= 1, then homogeneous and M-convex on P's
+    ``exchange_index``, which keeps what the check filled.  Instances are
+    immutable, hashable, and compare by point set, ignoring the memo store.
+    Iteration reads the index's sorted points."""
 
     __slots__ = ("p", "points", "rank", "_memo", "__weakref__")
 
     def __init__(self, points):
         pts = nonnegative_set(points)
-        object.__setattr__(self, "p", len(next(iter(pts))))
+        p = len(next(iter(pts)))
+        if not p:
+            raise DimensionMismatch("points have length 0, expected at least 1")
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "rank", sum(next(iter(pts))))
         object.__setattr__(self, "_memo", {})

@@ -1,9 +1,9 @@
 """Lattice-point machinery around a polymatroid, on plain coordinate tuples.
 
-``_region`` walks I(P) ∩ N^p once per instance, in lex order with its
-``lattice_code(P)`` codes; ``independence_points`` reads it as a set, and
-``region_index(P)`` is its ``ExchangeIndex``, held beside
-``exchange_index(P)``.  ``truncate``, ``truncation_set`` and
+``region_index(P)`` walks I(P) ∩ N^p once per instance, in lex order
+with its ``lattice_code(P)`` codes, into an ``ExchangeIndex`` held beside
+``exchange_index(P)``; ``independence_points`` reads it as a set.
+``truncate``, ``truncation_set`` and
 ``top_elements`` cut point sets.  ``is_cave`` reads the three cave
 conditions from one ``ExchangeIndex`` over a set, its tops and truncations
 being bitmasks.
@@ -40,7 +40,7 @@ class IndependenceSet:
     """Integer points of the independence polytope of ``source``: downward
     closed, holding the origin and every point of the source.  ``points``
     is a frozenset, when not given the source's memoised one, built on
-    first read; iteration and ``len`` read ``_region``'s lex-ordered walk.
+    first read; iteration and ``len`` read ``region_index``'s lex order.
     Immutable; equal when p, points and source are."""
 
     __slots__ = ("p", "source", "_points")
@@ -68,10 +68,10 @@ class IndependenceSet:
         return tuple(n) in self.points
 
     def __iter__(self):
-        return iter(_region(self.source)[0] if self._points is None else sorted(self._points))
+        return iter(region_index(self.source).ordered if self._points is None else sorted(self._points))
 
     def __len__(self):
-        return len(_region(self.source)[0] if self._points is None else self._points)
+        return len(region_index(self.source).ordered if self._points is None else self._points)
 
 
 def indicator(P: Polymatroid, n) -> int:
@@ -85,22 +85,24 @@ def indicator(P: Polymatroid, n) -> int:
 
 def independence_points(P: Polymatroid) -> IndependenceSet:
     """All n in N^p with every subset-sum within rank: I(P) ∩ N^p, walked
-    here by ``_region``; its set of points is built on first read.  The
-    memo store holds the points, not this ``IndependenceSet``, which refers
-    back to ``P``."""
-    _region(P)
+    here by ``region_index``; its set of points is built on first read.
+    The memo store holds the points, not this ``IndependenceSet``, which
+    refers back to ``P``."""
+    region_index(P)
     return IndependenceSet(P.p, None, P)
 
 
 @memo
 def _down_closure(P: Polymatroid) -> frozenset:
-    return frozenset(_region(P)[0])
+    return frozenset(region_index(P).ordered)
 
 
 @memo
-def _region(P: Polymatroid) -> tuple:
-    """(points, codes): I(P) ∩ N^p in lex order, and their codes under
-    ``lattice_code(P)``, by one walk over the sorted base points.
+def region_index(P: Polymatroid) -> ExchangeIndex:
+    """The ``ExchangeIndex`` of I(P) ∩ N^p in lex order under
+    ``lattice_code(P)``, holding the codes of the walk that lists the points
+    as its own: no sort and no encode.  The region lies in [0, cage], so
+    its codes are distinct and code(a) - code(m) = code(a - m).
 
     Every integral independent vector lies under an integral base, so n is
     in I(P) exactly when some base point dominates it.  The walk fixes
@@ -115,14 +117,16 @@ def _region(P: Polymatroid) -> tuple:
     expand u's nonzero entries only.  The mask table has sum of (cage_i +
     2) <= p (|I| + 1) entries; the walk costs one node per distinct prefix
     plus O(1) per point."""
-    bases = exchange_index(P)
+    bases, lattice = exchange_index(P), lattice_code(P)
     points, codes = [], []
-    _lex_walk(bases.above, bases.ordered, lattice_code(P).strides, (), 0, bases.full, points, codes)
-    return points, codes
+    _lex_walk(bases.above, bases.ordered, lattice.strides, (), 0, bases.full, points, codes)
+    index = ExchangeIndex(points, lattice)
+    index.codes = codes
+    return index
 
 
 def _lex_walk(above, bases, strides, prefix, code, mask, points, codes):
-    """Append ``_region``'s points extending ``prefix`` (code ``code``), the
+    """Append the region's points extending ``prefix`` (code ``code``), the
     ``bases`` >= it under ``mask``; the last coordinate's range at once."""
     i = len(prefix)
     if not mask & (mask - 1):  # one base u: the box [0, u] below the prefix
@@ -147,18 +151,6 @@ def _lex_walk(above, bases, strides, prefix, code, mask, points, codes):
         if not sub:
             break
         _lex_walk(above, bases, strides, prefix + (c,), code + c * s, sub, points, codes)
-
-
-@memo
-def region_index(P: Polymatroid) -> ExchangeIndex:
-    """The ``ExchangeIndex`` of ``_region(P)``'s lex-ordered points under
-    ``lattice_code(P)``, holding the walk's codes as its own: no sort and
-    no encode.  The region lies in [0, cage], so its codes are distinct and
-    code(a) - code(m) = code(a - m)."""
-    points, codes = _region(P)
-    index = ExchangeIndex(points, lattice_code(P))
-    index.codes = codes
-    return index
 
 
 def in_independence(P: Polymatroid, n) -> bool:
@@ -219,31 +211,41 @@ class CaveReport:
         return self.ok
 
 
-def _box_walk(above, prefix, mask):
+def _box_walk(rows, prefix, mask):
     """(b, mask & the points >= b) for each b extending ``prefix`` in
-    ``itertools.product`` order, ``above[i][v]`` masking the points with
-    q_i >= v; a coordinate's range is left at the first value that keeps
-    fewer than two points."""
-    if len(prefix) == len(above):
+    ``itertools.product`` order, b_i over the keys c of ``rows[i]``, each
+    mapping to the mask of the points with q_i >= c; a coordinate's range is
+    left at the first value that keeps fewer than two points."""
+    if len(prefix) == len(rows):
         yield prefix, mask
         return
-    for value, sel in enumerate(above[len(prefix)]):
+    for value, sel in rows[len(prefix)].items():
         sub = mask & sel
         if not sub & (sub - 1):  # fewer than two points
             break
-        yield from _box_walk(above, prefix + (value,), sub)
+        yield from _box_walk(rows, prefix + (value,), sub)
 
 
 def _truncation_failure(index):
     """Condition (3) of the cave predicate: ``{"at": b, "witness": w}`` for
-    the first nonzero b of the bounding box, in ``itertools.product`` order,
-    whose truncation is not a generalized polymatroid; None if there is none.
-    A truncation is the AND of the masks "q_i >= b_i" of ``index.above``,
-    which only shrink as b grows and are empty past the box, so
-    ``_box_walk`` may leave a coordinate's range early; each distinct
-    truncation is checked once."""
+    the first nonzero b >= 0, in ``itertools.product`` order, whose
+    truncation is not a generalized polymatroid; None if there is none.  A
+    truncation is the AND of the masks "q_i >= b_i", which only shrink as b
+    grows, so ``_box_walk`` may leave a coordinate's range early.  Such a
+    mask is constant from c = 0 or x + 1, x a value of coordinate i, to the
+    next, and product order reaches b with each b_i at its run's start
+    first, or e_j if that is 0: so c is 0, 1 or some x + 1, and each
+    distinct truncation is checked once."""
+    rows = []
+    for masks in index.masks:
+        runs = {0: index.full, 1: index.full}
+        for x, (_, higher) in masks.items():  # ascending, so the last x below c sets c
+            for c in (0, 1, x + 1):
+                if x < c and c >= 0:
+                    runs[c] = higher
+        rows.append(runs)
     checked = {}
-    for b, mask in _box_walk(index.above, (), -1):
+    for b, mask in _box_walk(rows, (), -1):
         if not any(b):
             continue
         if mask not in checked:

@@ -13,8 +13,8 @@ in a memo store cannot be changed by one caller under another.
 
 ``binomial_map`` reads monomials in the binomial basis, and
 ``expand_binomial`` expands binomial products into monomials through
-``axiswise``, the per-coordinate change of basis, whose code-level core
-``axiswise_codes`` the box route feeds with the region's codes.
+``axiswise_codes``, the per-coordinate change of basis on lattice codes,
+which the box route feeds with the region's codes.
 ``canonical_string`` prints terms in ``canonical_order``: total degree
 descending, ties broken by descending comparison of the sparse (variable,
 exponent) pair sequence, e.g. ``t2^3 + t1^2*t2 + t1*t2^2 - t2^2 - t1*t2``.
@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count
-from operator import itemgetter, neg
+from operator import neg
 from types import MappingProxyType
 
 from .core import LatticeCode
@@ -316,34 +316,14 @@ def _rising_coeffs(n: int, shift: int) -> tuple:
     return tuple(coeffs)
 
 
-def axiswise(terms, rows) -> dict:
-    """Change basis one coordinate at a time.
-
-    ``terms`` maps index tuples of length p = len(rows) to integer
-    coefficients; ``rows[i][n]`` is the combination of (index, coefficient)
-    pairs that index n on coordinate i becomes.  Another key length, or an
-    index outside [0, len(rows[i])) in a key or a row, raises ``ValueError``.
-    Keys are encoded once by the ``LatticeCode`` of those spans, changed by
-    ``axiswise_codes`` and decoded once.
-    """
-    lattice = LatticeCode(map(len, rows))
-    if not set(map(len, terms)) <= {len(rows)}:
-        raise ValueError("every key must have %d entries" % len(rows))
-    columns = zip(*terms) if terms else [()] * len(rows)
-    for i, (span, column, row) in enumerate(zip(lattice.spans, columns, rows)):
-        bad = {*column, *map(itemgetter(0), chain.from_iterable(row))}.difference(range(span))
-        if bad:
-            raise ValueError("index %d on coordinate %d is outside [0, %d)" % (min(bad), i + 1, span))
-    codes = axiswise_codes(dict(zip(lattice.encode(terms), terms.values())), lattice, rows)
-    return dict(zip(lattice.decode(codes), codes.values()))
-
-
 def axiswise_codes(codes, lattice, rows) -> dict:
-    """``axiswise`` on codes: ``codes`` maps codes of ``lattice``'s box to
-    integer coefficients, and ``rows[i]`` has one entry per digit of
-    coordinate i, whose indices stay in [0, spans[i]); nothing is checked.
-    n -> d on coordinate i adds (d - n) * strides[i].  Each coordinate is
-    one pass, O(p * terms * row length) additions, then drops zeros."""
+    """Change basis one coordinate at a time, on codes: ``codes`` maps codes
+    of ``lattice``'s box to integer coefficients, and ``rows[i][n]`` is the
+    combination of (index, coefficient) pairs that digit n of coordinate i
+    becomes, one entry per digit, whose indices stay in [0, spans[i]);
+    nothing is checked.  n -> d on coordinate i adds (d - n) * strides[i].
+    Each coordinate is one pass, O(p * terms * row length) additions, then
+    drops zeros."""
     for span, stride, row in zip(lattice.spans, lattice.strides, rows):
         offsets = [[((d - n) * stride, c) for d, c in entries] for n, entries in enumerate(row)]
         out = {}
@@ -361,9 +341,9 @@ def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:
     C(t+2,2) -> (t^2 + 3t + 2)/2.  Coordinate i is scaled by N_i!, N_i its
     largest index, so index n maps to the integer row
     ``_rising_coeffs(n, shift) * N_i!/n!`` of degrees 0..n.  The change runs
-    in integers through ``axiswise``, and its integers over prod N_i! are
-    the result's numerators and denominator once reduced by one gcd pass;
-    no Fraction is built."""
+    in integers through ``axiswise_codes`` on the codes of the box [0, N],
+    and its integers over prod N_i! are the result's numerators and
+    denominator once reduced by one gcd pass; no Fraction is built."""
     tops = list(map(max, zip(*b.terms))) if b.terms else [0] * b.p
     rows = []
     for top in tops:
@@ -372,7 +352,9 @@ def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:
                            for d, c in enumerate(_rising_coeffs(n, b.shift)) if c)
                      for n in range(top + 1)])
     denom = math.prod(math.factorial(top) for top in tops)
-    return RationalPoly._reduced(b.p, axiswise(b.terms, rows), denom)
+    lattice = LatticeCode([top + 1 for top in tops])
+    codes = axiswise_codes(dict(zip(lattice.encode(b.terms), b.terms.values())), lattice, rows)
+    return RationalPoly._reduced(b.p, dict(zip(lattice.decode(codes), codes.values())), denom)
 
 
 def _coeff_str(c) -> tuple:

@@ -1,5 +1,12 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cavepoly
 from cavepoly import GeneratorConfig, Polymatroid, random_polymatroid
 from cavepoly.genverify import STRATEGIES
 
@@ -24,3 +31,17 @@ def instance_mix(count, seed=0, ps=(1, 2, 3), max_rank=4, max_cage_entry=3):
         )
         out.append(random_polymatroid(cfg))
     return out
+
+
+def run_bounded(code, args=(), stdin=""):
+    """(status, stdout, stderr) of ``python -c code *args`` in a child
+    process that imports this checkout's cavepoly, under a 10 s timeout and
+    a 2 GB address-space limit (``RLIMIT_AS``): a step that allocates or
+    loops by the size of an entry fails within seconds."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cavepoly.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code, *args], input=stdin, capture_output=True, text=True,
+                          timeout=10, preexec_fn=limit, env=env)
+    return proc.returncode, proc.stdout, proc.stderr

@@ -13,7 +13,8 @@ route and the stalactite counts, a ``str.find`` loop for set bits, halving
 bound tables in the base-point walk, built by list comprehensions, sliced
 and packed guard-bit axiom checks, one flat key per term for the canonical
 order, local axiom checks on the lattice path, one cube expansion per
-distinct decomposition in the lex-order check); the
+distinct decomposition in the lex-order check, the cave predicate's
+truncations at the first value of each run of equal masks); the
 differential tests require both to return identical results and identical
 failure witnesses.
 """
@@ -258,6 +259,48 @@ def stalactite_terms_counter(index, visit) -> dict:
     return {n: -c if (degree - sum(n)) % 2 else c for n, c in counts.items()}
 
 
+def truncation_mask(index, b) -> int:
+    """The mask of the points of ``index`` that are >= ``b``: the AND of
+    ``index.above[i][b_i]``, and for a b_i below 0, where ``above`` has no
+    entry, of the points with q_i >= b_i, found by a scan."""
+    mask = index.full
+    for i, c in enumerate(b):
+        if c < 0:
+            mask &= sum(1 << k for k, q in enumerate(index.ordered) if q[i] >= c)
+        else:
+            mask &= index.above[i][c]
+    return mask
+
+
+def truncation_failure_dense(index):
+    """The cave predicate's condition 3 by the dense box walk: every b of
+    [0, span) under ``index.above`` in ``itertools.product`` order, each
+    coordinate's range left at the first value that keeps fewer than two
+    points; ``index.gp_failure`` once per distinct truncation.  Returns
+    None or ``{"at": b, "witness": w}`` for the first nonzero b that fails."""
+    above = index.above
+
+    def walk(prefix, mask):
+        if len(prefix) == len(above):
+            yield prefix, mask
+            return
+        for value, sel in enumerate(above[len(prefix)]):
+            sub = mask & sel
+            if not sub & (sub - 1):
+                break
+            yield from walk(prefix + (value,), sub)
+
+    checked = {}
+    for b, mask in walk((), -1):
+        if not any(b):
+            continue
+        if mask not in checked:
+            checked[mask] = index.gp_failure(mask)
+        if checked[mask]:
+            return {"at": b, "witness": checked[mask]}
+    return None
+
+
 def cave_condition_3_box_walk(pts, is_generalized):
     """The seed's cave-predicate condition 3: walk the whole bounding box and
     filter the set at every b.  Returns None or ``{"at": b, "witness": w}``."""
@@ -350,7 +393,7 @@ def mobius_interval_check_boxsum(P, closed_form=mobius_interval):
     codes, strides = index.codes, index.lattice.strides
     raw = {}
     for m, code in zip(region, codes):
-        above = _bits(index.truncation(m))
+        above = _bits(truncation_mask(index, m))
         keys = list(map(operator.sub, map(codes.__getitem__, above), itertools.repeat(code)))
         recurrence = list(map(raw.get, keys))
         for t, key in enumerate(keys):

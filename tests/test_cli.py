@@ -19,7 +19,7 @@ from cavepoly.cli import (
     run_command,
     serialize_instance,
 )
-from conftest import instance_mix
+from conftest import instance_mix, run_bounded
 
 RUNNING_DOC = '{"points": [[0,3],[1,2],[2,1]]}'
 GOLDEN = Path(__file__).with_name("golden")
@@ -478,6 +478,43 @@ def test_generator_commands_refuse_p_beyond_the_ground_set_bound(monkeypatch):
     monkeypatch.setattr(genverify, "_subset_sums", no_table)
     for argv in (["random", "--p", "40"], ["verify", "--p", "17", "--count", "1"]):
         assert run(argv) == (2, "", "error: p must be <= 16\n"), argv
+
+
+@pytest.mark.parametrize("command", ["validate", "points", "cave", "stal", "box", "mobius", "snapper", "equal"])
+def test_points_of_length_zero_are_refused_in_one_line(command):
+    message = "error: points have length 0, expected at least 1\n"
+    assert run([command], stdin='{"points": [[]]}') == (2, "", message)
+
+
+HUGE = 2**70
+HUGE_TERMS = [{"exponents": [0, HUGE], "coefficient": 1}, {"exponents": [1, HUGE - 1], "coefficient": 1},
+              {"exponents": [0, HUGE - 1], "coefficient": -1}]
+HUGE_MONOMIALS = "t2^%d + t1*t2^%d - t2^%d" % (HUGE, HUGE - 1, HUGE - 1)
+
+
+# Each answer takes O(points) operations on the sparse threshold masks,
+# however large the entries; a table with one entry per value would not fit.
+@pytest.mark.parametrize("command, expected", [
+    ("validate", {"valid": True, "p": 2, "rank": HUGE, "base_points": 2, "cage": [1, HUGE]}),
+    ("points", {"points": [[0, HUGE], [1, HUGE - 1]]}),
+    ("cave", {"basis": "monomial", "p": 2, "terms": HUGE_TERMS, "canonical": HUGE_MONOMIALS}),
+    ("stal", {"basis": "monomial", "p": 2, "order": [1, 2], "terms": HUGE_TERMS, "canonical": HUGE_MONOMIALS}),
+    ("snapper", {"basis": "binomial", "p": 2, "shift": 0, "terms": HUGE_TERMS, "canonical":
+                 "C(t2+%d,%d) + C(t1+1,1)*C(t2+%d,%d) - C(t2+%d,%d)" % ((HUGE,) * 2 + (HUGE - 1,) * 4)}),
+])
+def test_huge_entries_run_in_bounded_time_and_memory(command, expected):
+    doc = '{"points": [[0, %d], [1, %d]]}' % (HUGE, HUGE - 1)
+    status, out, err = run_bounded("from cavepoly.cli import main; main()", [command], stdin=doc)
+    assert (status, err) == (0, "") and list(json.loads(out).items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("points", [[[HUGE, 0], [HUGE - 1, 1], [HUGE - 1, 0]], [[HUGE]], [[100_000_000]]])
+def test_is_cave_on_huge_entries_runs_in_bounded_time_and_memory(points):
+    status, out, err = run_bounded("from cavepoly.cli import main; main()", ["is-cave"],
+                                   stdin=json.dumps({"points": points}))
+    order = list(range(1, len(points[0]) + 1))
+    assert (status, err) == (0, "")
+    assert json.loads(out) == {"is_cave": True, "failed_condition": None, "witness": None, "order": order}
 
 
 def test_exit_statuses_on_bad_input():

@@ -23,8 +23,8 @@ from cavepoly import (
     validate_rank_function,
 )
 from cavepoly.core import LatticeCode, nonnegative_set, point_set
-from cavepoly.geometry import is_cave
-from conftest import instance_mix
+from cavepoly.geometry import CaveReport, is_cave
+from conftest import instance_mix, run_bounded
 
 RUNNING_VALUES = {(): 0, (1,): 2, (2,): 3, (1, 2): 3}
 
@@ -256,6 +256,23 @@ def test_polymatroid_rejects_bad_inputs():
     with pytest.raises(NotMConvex) as exc:
         Polymatroid([(2, 0), (0, 2)])
     assert exc.value.witness is not None
+
+
+# Each question costs O(points) on the sparse threshold masks, however large
+# the entries; a table with one entry per value would not fit in memory.
+@pytest.mark.parametrize("question", ["is_m_convex", "is_generalized_polymatroid"])
+def test_exchange_questions_on_huge_entries_run_in_bounded_time_and_memory(question):
+    code = "import cavepoly; N = 2**70; print(repr(cavepoly.%s({(0, N), (N, 0)})))" % question
+    N = 2**70
+    assert run_bounded(code) == (0, "%r\n" % ((False, ((0, N), (N, 0), 2)),), "")
+
+
+def test_polymatroid_refuses_points_of_length_zero():
+    for points in ([()], {()}):
+        with pytest.raises(DimensionMismatch, match=r"^points have length 0, expected at least 1$"):
+            Polymatroid(points)
+    # The cave predicate takes raw sets: the empty point is a cave there.
+    assert is_cave({()}) == CaveReport(True, None, None, ())
 
 
 def test_the_smallest_negative_point_is_named():

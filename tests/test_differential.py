@@ -94,7 +94,9 @@ from oracles import (
     stalactite_scan,
     stalactite_terms_counter,
     submodular_violations_all_pairs,
+    truncation_failure_dense,
     truncation_lemmas_check_scan,
+    truncation_mask,
 )
 from test_planted_faults import _drop_last_apex, _flipped_direction
 
@@ -139,12 +141,13 @@ def test_region_walk_matches_both_region_oracles_and_the_lattice_code():
              named_family("running-example"), *ladder]
     wide = named_family("uniform", r=2, m=(2,) * 12)  # CI's p = 12 rank document: closure oracle only
     for P in cases + [wide]:
-        points, codes = geometry._region(P)
+        index = geometry.region_index(P)
+        points, codes = index.ordered, index.codes
         assert points == sorted(independence_points_down_closure(P)), P
         if P is not wide:
             assert set(points) == independence_points_box_filter(P), P
-        assert codes == core.lattice_code(P).encode(points), P
-        assert list(independence_points(P)) == points and geometry.region_index(P).codes is codes
+        assert codes == core.lattice_code(P).encode(points) and index.lattice is core.lattice_code(P), P
+        assert list(independence_points(P)) == points and len(independence_points(P)) == len(points)
 
 
 def test_is_m_convex_matches_pairwise_with_witness():
@@ -215,7 +218,7 @@ def test_failure_caches_hold_one_int_per_filled_point():
     for pts in random_sets(4, 400):
         index = core.ExchangeIndex(sorted(pts))
         whole = index.m_convex_failure(), index.gp_failure()
-        index.m_convex_failure(index.truncation(index.ordered[-1]))
+        index.m_convex_failure(truncation_mask(index, index.ordered[-1]))
         for cache, witness in zip((index._exchange, index._gp), whole):
             assert {type(union) for union in cache} <= ({int} if witness is None else {int, type(None)}), sorted(pts)
 
@@ -350,7 +353,7 @@ def test_cave_polynomial_refuses_an_inverse_of_a_zero_entry(monkeypatch):
 
 
 def random_axiswise_inputs(seed, count):
-    """(terms, rows) for ``axiswise``: p = 1..4, row lengths 1..6, up to
+    """(terms, rows) for ``axiswise_codes``: p = 1..4, row lengths 1..6, up to
     three (index, coefficient) pairs per row entry, all indices in range,
     and up to twelve keys with coefficients of both signs up to 10^30,
     zeros included."""
@@ -375,7 +378,9 @@ def test_axiswise_matches_tuple_slicing_oracle():
         inputs.append(({n: 1 for n in region}, [row] * P.p))
     nonzero = 0
     for terms, rows in inputs:
-        result = polyalg.axiswise(terms, rows)
+        lattice = core.LatticeCode(map(len, rows))
+        codes = polyalg.axiswise_codes(dict(zip(lattice.encode(terms), terms.values())), lattice, rows)
+        result = dict(zip(lattice.decode(codes), codes.values()))
         assert list(result.items()) == list(axiswise_slices(terms, rows).items()), (terms, rows)
         nonzero += bool(result)
     assert 800 < nonzero < len(inputs) - 100
@@ -475,6 +480,42 @@ def test_mobius_interval_matches_normalized_form():
     assert outcomes == {1, -1, 0, ValueError, DimensionMismatch, NotComparable}
 
 
+def spread_value_sets(seed, count):
+    """Random point sets whose coordinates take a few values each, spread
+    over [-2, 14], so that the truncation masks stay equal over long runs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pools = [rng.sample(range(-2, 15), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        yield {tuple(map(rng.choice, pools)) for _ in range(rng.randint(2, 10))}
+
+
+def test_cave_condition_3_visits_the_first_failing_b_of_the_dense_walk(monkeypatch):
+    # A predicate failing on about a third of the truncations, drawn per
+    # set and mask, makes the first failing b, not the verdict, the answer.
+    salt = 0
+    monkeypatch.setattr(core.ExchangeIndex, "gp_failure", lambda index, mask=None: (
+        ("drawn", mask) if random.Random(salt * 1_000_003 + mask).random() < 0.3 else None))
+    outcomes = Counter()
+    for salt, pts in enumerate([*random_sets(6, 1500), *spread_value_sets(7, 3000)]):
+        index = core.ExchangeIndex(sorted(pts))
+        failure = geometry._truncation_failure(index)
+        assert failure == truncation_failure_dense(index), sorted(pts)
+        outcomes["none" if failure is None else "beyond 1" if max(failure["at"]) > 1 else "within 1"] += 1
+    assert len(outcomes) == 3 and min(outcomes.values()) > 300, outcomes
+
+
+def test_is_cave_reads_no_dense_row_on_huge_entries(monkeypatch):
+    def banned(index):
+        raise AssertionError("is_cave read a dense row of ExchangeIndex.above")
+
+    monkeypatch.setattr(core.ExchangeIndex, "above", property(banned))
+    N = 2**70
+    for pts in ({(N, 0), (N - 1, 1), (N - 1, 0)}, {(N,)}):
+        assert geometry.is_cave(pts) == geometry.CaveReport(True, None, None, tuple(range(1, len(min(pts)) + 1)))
+    with pytest.raises(AssertionError, match="dense row"):
+        independence_points(Polymatroid([(0, 1), (1, 0)]))
+
+
 def test_cave_condition_3_matches_box_walk():
     failures = 0
     for pts in random_sets(4, 2500):
@@ -554,7 +595,7 @@ def test_mobius_interval_check_matches_scan(monkeypatch):
 
 def test_pair_bound_checks_share_one_region_index(monkeypatch):
     P = Polymatroid(GENERATED[4].points)  # a fresh instance: an empty memo store
-    region = sorted(independence_points(P).points)
+    region = sorted(independence_points_down_closure(P))
     assert len(region) > len(P.points) > 20
     built, calls = [], []
     init = core.ExchangeIndex.__init__
@@ -1098,7 +1139,7 @@ def threshold_truncations(index):
     """The distinct nonempty masks {q >= b}, b in the bounding box of the
     indexed points."""
     box = itertools.product(*(range(min(col), max(col) + 1) for col in zip(*index.ordered)))
-    return sorted({index.truncation(b) for b in box} - {0})
+    return sorted({truncation_mask(index, b) for b in box} - {0})
 
 
 def materialized(index, mask):
@@ -1114,9 +1155,10 @@ def test_exchange_index_truncations_match_materialized_sets():
     verdicts = set()
     for pts in sets:
         index = core.ExchangeIndex(sorted(pts))
-        for i, col in enumerate(zip(*index.ordered)):
-            for c in range(min(col) - 1, max(col) + 2):
-                assert index.at_least(i, c) == sum(1 << k for k, x in enumerate(col) if x >= c)
+        for i, (col, span) in enumerate(zip(zip(*index.ordered), index.lattice.spans)):
+            assert span > max(col) and index.above[i][-1] == 0
+            for c in range(span):
+                assert index.above[i][c] == sum(1 << k for k, x in enumerate(col) if x >= c)
         for mask in threshold_truncations(index):
             subset = materialized(index, mask)
             exchange, gp = index.m_convex_failure(mask), index.gp_failure(mask)

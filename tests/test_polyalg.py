@@ -17,7 +17,7 @@ from cavepoly import (
     canonical_string,
     expand_binomial,
 )
-from cavepoly.polyalg import axiswise, binom_int, canonical_order
+from cavepoly.polyalg import binom_int, canonical_order
 from oracles import canonical_key
 
 
@@ -144,23 +144,6 @@ def test_binomial_map_rejects_negative_exponent():
     # The index is checked before the coefficient.
     assert raised(BinomialBasisPoly, 2, {(0, -1): 0.5}) == (
         NegativeExponent, "binomial basis indices must be nonnegative: (0, -1)")
-
-
-def test_axiswise_refuses_indices_outside_each_row():
-    rows = [[((0, 1),), ((1, 1), (0, -1))]] * 2  # the box route's rows up to index 1
-    assert axiswise({(1, 1): 3}, rows) == {(1, 1): 3, (1, 0): -3, (0, 1): -3, (0, 0): 3}
-    with pytest.raises(ValueError, match=r"^index -1 on coordinate 1 is outside \[0, 2\)$"):
-        axiswise({(-1, 0): 1}, rows)  # a slice-indexed row would read row[-1]
-    bad = [
-        ({(0, 2): 1}, rows),
-        ({(0,): 1}, rows),
-        ({(0, 0, 0): 1}, rows),
-        ({(1, 1): 1}, [rows[0], [((0, 1),), ((2, 1),)]]),
-        ({}, [rows[0], [((-1, 1),), ((1, 1),)]]),
-    ]
-    for terms, bad_rows in bad:
-        with pytest.raises(ValueError):
-            axiswise(terms, bad_rows)
 
 
 def test_expand_linear_binomial():
