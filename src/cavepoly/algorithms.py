@@ -182,9 +182,9 @@ def box_polynomial(P: Polymatroid) -> MultiPoly:
     basis of {code(n): 1 for n in I(P)}, codes of ``region_index(P)``, index
     n_i becoming t_i^{n_i} - t_i^{n_i - 1} (1 for n_i = 0), by
     ``axiswise_codes`` on ``lattice_code(P)``, O(p |I|)."""
-    lattice = lattice_code(P)
+    region, lattice = dict.fromkeys(region_index(P).codes, 1), lattice_code(P)
     row = [((0, 1),)] + [((n, 1), (n - 1, -1)) for n in range(1, max(lattice.spans))]
-    terms = axiswise_codes(dict.fromkeys(region_index(P).codes, 1), lattice, [row[:span] for span in lattice.spans])
+    terms = axiswise_codes(region, lattice, [row[:span] for span in lattice.spans])
     return MultiPoly(P.p, dict(zip(lattice.decode(terms), terms.values())))
 
 

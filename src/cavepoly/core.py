@@ -22,6 +22,7 @@ the same value, so concurrent use is safe.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
@@ -460,9 +461,12 @@ class ExchangeIndex:
         lattice's span of coordinate i, filled down from the top (a value no
         point has takes the next one's mask), so a truncation at b inside
         the span is one AND.  A row is as long as the span: walks that are
-        O(region) already read it, per-point questions the sparse ``masks``."""
+        O(region) already read it, per-point questions the sparse ``masks``;
+        a span beyond ``sys.maxsize`` is refused with a ``ValueError``."""
         full, rows = self.full, []
-        for masks, span in zip(self.masks, self.lattice.spans):
+        for i, (masks, span) in enumerate(zip(self.masks, self.lattice.spans), 1):
+            if span > sys.maxsize:
+                raise ValueError("coordinate %d spans %d lattice values, more than a list can hold" % (i, span))
             row, mask = [0] * span, 0
             for c in reversed(range(span)):
                 if c in masks:

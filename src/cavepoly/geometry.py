@@ -5,8 +5,8 @@ with its ``lattice_code(P)`` codes, into an ``ExchangeIndex`` held beside
 ``exchange_index(P)``; ``independence_points`` reads it as a set.
 ``truncate``, ``truncation_set`` and
 ``top_elements`` cut point sets.  ``is_cave`` reads the three cave
-conditions from one ``ExchangeIndex`` over a set, its tops and truncations
-being bitmasks.
+conditions from one ``ExchangeIndex`` over a set, its tops and its p unit
+truncations (``_truncation_failure``) being bitmasks.
 """
 
 from __future__ import annotations
@@ -211,47 +211,29 @@ class CaveReport:
         return self.ok
 
 
-def _box_walk(rows, prefix, mask):
-    """(b, mask & the points >= b) for each b extending ``prefix`` in
-    ``itertools.product`` order, b_i over the keys c of ``rows[i]``, each
-    mapping to the mask of the points with q_i >= c; a coordinate's range is
-    left at the first value that keeps fewer than two points."""
-    if len(prefix) == len(rows):
-        yield prefix, mask
-        return
-    for value, sel in rows[len(prefix)].items():
-        sub = mask & sel
-        if not sub & (sub - 1):  # fewer than two points
-            break
-        yield from _box_walk(rows, prefix + (value,), sub)
-
-
 def _truncation_failure(index):
     """Condition (3) of the cave predicate: ``{"at": b, "witness": w}`` for
     the first nonzero b >= 0, in ``itertools.product`` order, whose
-    truncation is not a generalized polymatroid; None if there is none.  A
-    truncation is the AND of the masks "q_i >= b_i", which only shrink as b
-    grows, so ``_box_walk`` may leave a coordinate's range early.  Such a
-    mask is constant from c = 0 or x + 1, x a value of coordinate i, to the
-    next, and product order reaches b with each b_i at its run's start
-    first, or e_j if that is 0: so c is 0, 1 or some x + 1, and each
-    distinct truncation is checked once."""
-    rows = []
-    for masks in index.masks:
-        runs = {0: index.full, 1: index.full}
-        for x, (_, higher) in masks.items():  # ascending, so the last x below c sets c
-            for c in (0, 1, x + 1):
-                if x < c and c >= 0:
-                    runs[c] = higher
-        rows.append(runs)
-    checked = {}
-    for b, mask in _box_walk(rows, (), -1):
-        if not any(b):
-            continue
-        if mask not in checked:
-            checked[mask] = index.gp_failure(mask)
-        if checked[mask]:
-            return {"at": b, "witness": checked[mask]}
+    truncation {q >= b} is not a generalized polymatroid; None if there is
+    none.  Only the unit truncations {q >= e_j} of two or more points are
+    asked, j = p down to 1 (product order).  A pair failing in {q >= b}
+    fails in every threshold truncation that holds both points (the
+    restriction argument of ``ExchangeIndex``).  With j the last nonzero
+    coordinate of b, {q >= e_j} contains {q >= b} and comes no later in
+    product order, so the first failing b is some e_j, with the same mask
+    and witness."""
+    def at_least(i, c):  # the points not below the least value x >= c of coordinate i
+        return next((index.full & ~below for x, (below, _) in index.masks[i].items() if x >= c), 0)
+
+    nonnegative = index.full
+    for i in range(index.p):
+        nonnegative &= at_least(i, 0)
+    for j in reversed(range(index.p)):
+        mask = nonnegative & at_least(j, 1)
+        if mask & (mask - 1):
+            witness = index.gp_failure(mask)
+            if witness:
+                return {"at": tuple(int(i == j) for i in range(index.p)), "witness": witness}
     return None
 
 
@@ -265,7 +247,8 @@ def is_cave(C, order=None) -> CaveReport:
     verdict is per-order and recorded in the report.  Past (1), negative
     tops and an order of another length are refused.  The tops are the
     index's top-degree level: (1) and (2) cost O(p^2) mask operations per
-    top plus the union's size, and (3) is ``_truncation_failure``.
+    top plus the union's size, and (3) at most p generalized-polymatroid
+    questions (``_truncation_failure``).
     """
     pts = point_set(C)
     index = ExchangeIndex(sorted(pts))

@@ -508,6 +508,15 @@ def test_huge_entries_run_in_bounded_time_and_memory(command, expected):
     assert (status, err) == (0, "") and list(json.loads(out).items()) == list(expected.items())
 
 
+# The region of that document cannot be listed: the commands that walk it
+# refuse the span at once, before any row as long as the span is built.
+@pytest.mark.parametrize("command", ["independence", "mobius", "box", "equal"])
+def test_region_walks_refuse_a_huge_span_in_one_line(command):
+    doc = '{"points": [[0, %d], [1, %d]]}' % (HUGE, HUGE - 1)
+    message = "error: coordinate 2 spans %d lattice values, more than a list can hold\n" % (HUGE + 2)
+    assert run([command], stdin=doc) == (2, "", message)
+
+
 @pytest.mark.parametrize("points", [[[HUGE, 0], [HUGE - 1, 1], [HUGE - 1, 0]], [[HUGE]], [[100_000_000]]])
 def test_is_cave_on_huge_entries_runs_in_bounded_time_and_memory(points):
     status, out, err = run_bounded("from cavepoly.cli import main; main()", ["is-cave"],

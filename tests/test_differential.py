@@ -489,19 +489,67 @@ def spread_value_sets(seed, count):
         yield {tuple(map(rng.choice, pools)) for _ in range(rng.randint(2, 10))}
 
 
+def condition_3_sets():
+    return [*random_sets(6, 1500), *spread_value_sets(7, 3000)]
+
+
 def test_cave_condition_3_visits_the_first_failing_b_of_the_dense_walk(monkeypatch):
-    # A predicate failing on about a third of the truncations, drawn per
-    # set and mask, makes the first failing b, not the verdict, the answer.
-    salt = 0
-    monkeypatch.setattr(core.ExchangeIndex, "gp_failure", lambda index, mask=None: (
-        ("drawn", mask) if random.Random(salt * 1_000_003 + mask).random() < 0.3 else None))
+    # A monotone predicate, as the real one is: per set, a random relation
+    # on pairs of positions, a mask failing at its first related pair.  The
+    # first failing b is then always a unit vector.
+    related = set()
+    monkeypatch.setattr(core.ExchangeIndex, "gp_failure", lambda index, mask=None: next(
+        (pair for pair in itertools.combinations(core._bits(mask), 2) if pair in related), None))
     outcomes = Counter()
-    for salt, pts in enumerate([*random_sets(6, 1500), *spread_value_sets(7, 3000)]):
+    for seed, pts in enumerate(condition_3_sets()):
+        rng = random.Random(seed)
+        related.clear()
+        related.update(pair for pair in itertools.combinations(range(len(pts)), 2) if rng.random() < 0.15)
         index = core.ExchangeIndex(sorted(pts))
         failure = geometry._truncation_failure(index)
         assert failure == truncation_failure_dense(index), sorted(pts)
-        outcomes["none" if failure is None else "beyond 1" if max(failure["at"]) > 1 else "within 1"] += 1
-    assert len(outcomes) == 3 and min(outcomes.values()) > 300, outcomes
+        if failure is not None:
+            assert sorted(failure["at"]) == [0] * (index.p - 1) + [1], (sorted(pts), failure)
+        outcomes[failure is None] += 1
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_cave_condition_3_matches_the_dense_walk():
+    failures = 0
+    for pts in condition_3_sets():
+        expected = truncation_failure_dense(core.ExchangeIndex(sorted(pts)))
+        assert geometry._truncation_failure(core.ExchangeIndex(sorted(pts))) == expected, sorted(pts)
+        failures += expected is not None
+    assert failures > 1000, failures
+
+
+def test_cave_condition_3_failures_reach_the_unit_truncation_of_the_last_nonzero_coordinate():
+    # The premise of ``_truncation_failure``, over every b of each box.
+    failing = 0
+    for pts in random_sets(6, 3000):
+        index = core.ExchangeIndex(sorted(pts))
+        for b in itertools.product(*(range(max(0, *col) + 1) for col in zip(*pts))):
+            if any(b) and index.gp_failure(truncation_mask(index, b)):
+                j = max(i for i, c in enumerate(b) if c)
+                unit = tuple(int(i == j) for i in range(index.p))
+                assert index.gp_failure(truncation_mask(index, unit)), (sorted(pts), b)
+                failing += 1
+    assert failing > 20_000, failing
+
+
+def test_cave_condition_3_asks_at_most_p_questions(monkeypatch):
+    gp_failure, masks = core.ExchangeIndex.gp_failure, []
+    monkeypatch.setattr(core.ExchangeIndex, "gp_failure", lambda index, mask=None: (
+        masks.append(mask), gp_failure(index, mask))[1])
+    unions = [set().union(*(st.members for st in stalactite_decomposition(P))) for P in GENERATED]
+    asked = Counter()
+    for pts in [*condition_3_sets(), *unions]:
+        masks.clear()
+        index = core.ExchangeIndex(sorted(pts))
+        geometry._truncation_failure(index)
+        assert len(masks) <= index.p, sorted(pts)
+        asked[len(masks) == index.p] += 1
+    assert min(asked.values()) > 100, asked
 
 
 def test_is_cave_reads_no_dense_row_on_huge_entries(monkeypatch):

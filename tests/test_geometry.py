@@ -17,7 +17,7 @@ from cavepoly import (
     truncate,
     truncation_set,
 )
-from cavepoly.algorithms import LexOrder, stalactite_decomposition
+from cavepoly.algorithms import LexOrder, box_polynomial, mobius_table, stalactite_decomposition
 from conftest import instance_mix
 from oracles import independence_points_box_filter
 
@@ -33,6 +33,14 @@ def test_indicator_membership(running):
     assert indicator(running, (-1, 4)) == 0  # shifted arguments may leave N^p
     with pytest.raises(DimensionMismatch):
         indicator(running, (0, 3, 0))
+
+
+def test_region_walks_refuse_a_span_beyond_sys_maxsize():
+    N = 2**70
+    P = Polymatroid([(0, N), (1, N - 1)])
+    for walk in (independence_points, mobius_table, box_polynomial):
+        with pytest.raises(ValueError, match="^coordinate 2 spans %d lattice values" % (N + 2)):
+            walk(P)
 
 
 def test_independence_points_running(running):

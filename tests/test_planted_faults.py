@@ -78,13 +78,19 @@ def _lost_member(counts):
     return faulty
 
 
-def _small_gp_failure(gp_failure):
-    """Every subset of two or three points fails the generalized-polymatroid
-    conditions at its first two points."""
+def _adjacent_pair_gp_failure(gp_failure):
+    """Every subset fails the generalized-polymatroid conditions at its
+    first two points u, v (list order) with v - u = e_i - e_j, reported as
+    (u, v, j).  Like a real failing pair, such a pair fails every larger
+    subset that holds it."""
     def faulty(index, mask=None):
-        if mask is not None and bin(mask).count("1") in (2, 3):
-            u, v = map(index.ordered.__getitem__, core._bits(mask)[:2])
-            return u, v, 1
+        if mask is not None:
+            points = [index.ordered[k] for k in core._bits(mask)]
+            for k, u in enumerate(points):
+                for v in points[k + 1:]:
+                    steps = [b - a for a, b in zip(u, v)]
+                    if sum(steps) == 0 and sum(map(abs, steps)) == 2:
+                        return u, v, steps.index(-1) + 1
         return gp_failure(index, mask)
     return faulty
 
@@ -145,7 +151,7 @@ FAULTS = {
     "drop-last-apex": (core.ExchangeIndex, "in_order", _drop_last_apex, "lex-order-invariance"),
     "stray-member": (genverify, "stalactite_counts", _stray_member, "cave-predicate"),
     "lost-member": (genverify, "stalactite_counts", _lost_member, "cave-support"),
-    "small-gp-failure": (core.ExchangeIndex, "gp_failure", _small_gp_failure, "cave-predicate"),
+    "adjacent-pair-gp-failure": (core.ExchangeIndex, "gp_failure", _adjacent_pair_gp_failure, "cave-predicate"),
     "flipped-cave-term": (genverify, "cave_polynomial", _flipped_cave_term, "cancellation-free"),
     "halved-independence-sum-expansion": (genverify, "expand_binomial", _halved_independence_sum, "snapper-routes"),
     "stray-count": (genverify, "stalactite_counts", _stray_count, "counts-equal-mobius"),
@@ -202,9 +208,9 @@ def test_is_cave_reports_conditions_2_and_3_under_planted_faults(monkeypatch):
     extra = is_cave(union | {(0, 0)})
     assert (missing.failed_condition, missing.witness) == (2, {"missing": ((0, 2),), "extra": ()})
     assert (extra.failed_condition, extra.witness) == (2, {"missing": (), "extra": ((0, 0),)})
-    monkeypatch.setattr(core.ExchangeIndex, "gp_failure", _small_gp_failure(core.ExchangeIndex.gp_failure))
+    monkeypatch.setattr(core.ExchangeIndex, "gp_failure", _adjacent_pair_gp_failure(core.ExchangeIndex.gp_failure))
     report = is_cave(union)
-    assert (report.failed_condition, report.witness) == (3, {"at": (0, 2), "witness": ((0, 2), (0, 3), 1)})
+    assert (report.failed_condition, report.witness) == (3, {"at": (0, 1), "witness": ((0, 2), (1, 1), 2)})
 
 
 if __name__ == "__main__":
