@@ -137,12 +137,11 @@ def cave_polynomial(P: Polymatroid) -> MultiPoly:
     The product skips coordinate p, so the formula is tied to the identity
     order; ``stalactite_polynomial`` covers the others.
 
-    Exponents are codes of ``lattice_code(P)``, spans cage_i + 2, strides
-    s_i; the route reads no exchange index.  Each base point u starts as
-    {code(u): 1}.  For each i < p with a neighbour u - e_i + e_j, j > i, in
-    P (code(u) - s_i + s_j among the base codes: the margin keeps u_j + 1
-    from carrying, and u_i = 0 leaves digit i at cage_i + 1, so no move
-    aliases), the factor 1 - t_i^{-1} adds each code's negative at e - s_i.
+    Exponents are codes of ``lattice_code(P)``, strides s_i, whose margin
+    keeps each move from aliasing; the route reads no exchange index.  Each
+    base point u starts as {code(u): 1}.  For each i < p with a neighbour
+    u - e_i + e_j, j > i, in P (code(u) - s_i + s_j among the base codes),
+    the factor 1 - t_i^{-1} adds each code's negative at e - s_i.
     Every such e has e_i = u_i >= 1 (else ``InternalInvariantFailure``),
     so no code leaves the box.  O(|B| p^2) lookups plus O(p) per term.
     """
@@ -227,8 +226,7 @@ def mobius_table(P: Polymatroid) -> MobiusTable:
     and partial[n][k] = partial[n][k - 1] + partial[n + e_k][k] with
     partial[n][-1] = mu(n): O(|I| p) in total (a trimmed zeta transform
     over the product of chains).  ``partial`` is keyed by the region's
-    codes, so n + e_k is the lookup code(n) + stride_k, which the margin of
-    ``lattice_code(P)`` keeps from carrying.
+    codes, n + e_k at code(n) + stride_k (``lattice_code``).
     """
     index = region_index(P)
     strides = list(enumerate(index.lattice.strides))

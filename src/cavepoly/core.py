@@ -637,10 +637,7 @@ def is_generalized_polymatroid(points):
     Condition (2): whenever ``|u| > |v|``, some ``j`` with ``u_j > v_j``
     has both ``u - e_j`` and ``v + e_j`` in the set.
 
-    ``(True, None)``, or ``(False, (u, v, i))`` for the first failure in
-    sorted (u, v, i) order (``ExchangeIndex.gp_failure``), 1-based i for
-    condition (1) and i = None, after every i, for condition (2).
-    """
+    ``(True, None)`` or ``(False, w)``, w from ``ExchangeIndex.gp_failure``."""
     witness = ExchangeIndex(sorted(point_set(points))).gp_failure()
     return witness is None, witness
 

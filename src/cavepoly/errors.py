@@ -16,8 +16,7 @@ class EmptyInput(CavepolyError):
 class NotMConvex(CavepolyError):
     """A point set failed homogeneity or the exchange property.
 
-    ``witness`` is ``(u, v, i)`` for an exchange failure (no valid j exists)
-    and ``(u, v, None)`` when the set is not homogeneous.
+    ``witness`` is the ``(u, v, i)`` of ``is_m_convex``.
     """
 
     def __init__(self, message, witness=None):

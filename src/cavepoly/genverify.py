@@ -7,8 +7,10 @@ axioms validate; ``uniform-family`` draws a rank cap r and a cage m and
 takes rk(I) = min(r, sum of m over I); ``lattice-path`` lowers single
 subset ranks of a uniform family while the axioms still hold.
 
-``verify_instance`` runs the theorem checks of ``CHECKS`` against one
-instance; failures are data (reports), never exceptions.
+``verify_instance`` builds the memoised inputs that ``INPUTS`` declares
+for the chosen ``CHECKS`` in one stage (``inputs_elapsed``), then runs
+the checks, each ``elapsed`` timing one alone; failures are data
+(reports), never exceptions.  A new check declares its inputs in ``INPUTS``.
 ``verify_campaign`` runs them over consecutive seeds and shrinks each
 counterexample by dropping coordinates, then lowering cage entries, then
 truncating the rank, revalidating at each step.
@@ -218,13 +220,8 @@ def _lex_orders(p) -> tuple:
 def _check_lex_order_invariance(P):
     """P's stalactite polynomial under each of ``_lex_orders(P.p)`` against
     the identity order's, by code; the first order that differs is reported.
-
-    ``in_order`` runs for every order.  An order's polynomial is a function
-    of its visiting sequence, through ``stalactites``, and so of the set of
-    that sequence's (k, D) pairs, as ``cube_codes`` sums over the cubes in
-    any sequence.  So the directions are found once per distinct visit and
-    the cubes expanded once per distinct sorted (k, D) tuple, and each
-    order takes its decomposition's verdict, kept as a boolean."""
+    Directions are found once per distinct visit, and cubes expanded once
+    per distinct sorted (k, D) tuple, as ``cube_codes`` ignores sequence."""
     terms = stalactite_polynomial(P).terms
     base = dict(zip(lattice_code(P).encode(terms), terms.values()))
     index = exchange_index(P)
@@ -246,16 +243,11 @@ def _check_lex_order_invariance(P):
 def _check_mobius_interval_closed_form(P):
     """The raw recurrence mu(m, a) = -sum of mu(m, b) over m <= b < a against
     ``mobius_interval``, for every comparable pair of independence points.
-
-    mu(m, a) depends only on d = a - m, which lies in the down-closed
-    region, so one lex-order pass over ``region_index(P)`` fills raw[code(d)]
-    by ``mobius_table``'s partial sums mirrored downward: R_k(d) sums mu(b)
-    over the b <= d that agree with d beyond coordinate k, mu(d) = -sum_k
-    R_k(d - e_k) for d != 0 and mu(0) = 1, in O(|I| p); the lookup d - e_k
-    misses when d_k = 0 (digit k borrows to cage_k + 1).  Then the pairs,
-    one ``mobius_interval`` call each: the m <= a are the box [0, a], whose
-    codes of a - m are the same box in reverse.  A mismatch is reported at
-    its first m, then a, in (degree, lex) order."""
+    mu(m, a) is mu(d), d = a - m in the down-closed region, which
+    ``mobius_table``'s partial sums mirrored downward fill in one lex-order
+    pass, O(|I| p).  The m <= a are the box [0, a], whose codes of a - m are
+    the same box in reverse.  A mismatch is reported at its first m, then
+    a, in (degree, lex) order."""
     index = region_index(P)
     strides = index.lattice.strides
     raw, partial, outside = {}, {}, (0,) * P.p
@@ -297,9 +289,8 @@ def _check_truncation_lemmas(P):
     """The stalactite polynomial of the truncation at each n in I(P) against
     P's at every m >= n in I(P), the truncation's region above n (a base
     above m >= n is itself >= n).  Each distinct set of kept bases, a mask
-    of P's ``exchange_index``, is asserted to be a polymatroid (nonempty, or
-    n is not in the region; M-convex, or the library is at fault) and
-    decomposed on its own; coefficients compare by ``lattice_code(P)``."""
+    of P's ``exchange_index``, is asserted to be a polymatroid as in
+    ``truncate``, then decomposed; coefficients compare by code."""
     terms = stalactite_polynomial(P).terms
     stal_p = dict(zip(lattice_code(P).encode(terms), terms.values()))
     bases = exchange_index(P)
@@ -385,6 +376,20 @@ CHECKS = {
     "cave-predicate": _check_cave_predicate,
 }
 
+# The memoised builders each check's body reads; a name not here has none.
+INPUTS = {
+    "four-way-equality": (cave_polynomial, stalactite_polynomial, box_polynomial, mobius_polynomial),
+    "lex-order-invariance": (stalactite_polynomial, lattice_code, exchange_index),
+    "mobius-interval-closed-form": (region_index,),
+    "counts-equal-mobius": (stalactite_polynomial, mobius_table, region_index),
+    "truncation-lemmas": (stalactite_polynomial, lattice_code, exchange_index, region_index),
+    "coefficient-sum": (cave_polynomial,),
+    "cancellation-free": (cave_polynomial,),
+    "snapper-routes": (cave_polynomial, region_index),
+    "cave-support": (cave_polynomial, stalactite_polynomial),
+    "cave-predicate": (stalactite_polynomial,),
+}
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -396,10 +401,12 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    """Per-instance outcomes; ``elapsed`` fields never enter serialized output."""
+    """Per-instance outcomes; ``inputs_elapsed`` times the inputs stage.  No
+    elapsed figure enters serialized output."""
 
     descriptor: dict
     results: tuple
+    inputs_elapsed: float
 
     @property
     def passed(self) -> bool:
@@ -416,15 +423,20 @@ def instance_descriptor(P: Polymatroid, **extra) -> dict:
 
 
 def verify_instance(P: Polymatroid, checks=None, descriptor=None) -> VerificationReport:
-    """Run the theorem checks (all by default) against one instance."""
+    """Build the chosen checks' (all by default) ``INPUTS`` once each, in
+    first-seen order, then run the checks against one instance."""
     names = list(CHECKS) if checks is None else list(checks)
+    start = time.perf_counter()
+    for build in dict.fromkeys(build for name in names for build in INPUTS.get(name, ())):
+        build(P)
+    inputs_elapsed = time.perf_counter() - start
     results = []
     for name in names:
         fn = CHECKS[name]
         start = time.perf_counter()
         passed, detail = fn(P)
         results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
-    return VerificationReport(descriptor or instance_descriptor(P), tuple(results))
+    return VerificationReport(descriptor or instance_descriptor(P), tuple(results), inputs_elapsed)
 
 
 def _delete_coordinate(rk: RankFunction, drop: int) -> RankFunction:

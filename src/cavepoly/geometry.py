@@ -3,10 +3,9 @@
 ``region_index(P)`` walks I(P) ∩ N^p once per instance, in lex order
 with its ``lattice_code(P)`` codes, into an ``ExchangeIndex`` held beside
 ``exchange_index(P)``; ``independence_points`` reads it as a set.
-``truncate``, ``truncation_set`` and
-``top_elements`` cut point sets.  ``is_cave`` reads the three cave
-conditions from one ``ExchangeIndex`` over a set, its tops and its p unit
-truncations (``_truncation_failure``) being bitmasks.
+``truncate``, ``truncation_set`` and ``top_elements`` cut point sets.
+``is_cave`` reads the three cave conditions from one ``ExchangeIndex``
+over a set, its tops and its p unit truncations being bitmasks.
 """
 
 from __future__ import annotations
@@ -84,10 +83,8 @@ def indicator(P: Polymatroid, n) -> int:
 
 
 def independence_points(P: Polymatroid) -> IndependenceSet:
-    """All n in N^p with every subset-sum within rank: I(P) ∩ N^p, walked
-    here by ``region_index``; its set of points is built on first read.
-    The memo store holds the points, not this ``IndependenceSet``, which
-    refers back to ``P``."""
+    """I(P) ∩ N^p, an ``IndependenceSet`` over ``region_index(P)``; the memo
+    store holds the points, not this set, which refers back to ``P``."""
     region_index(P)
     return IndependenceSet(P.p, None, P)
 
@@ -111,12 +108,10 @@ def region_index(P: Polymatroid) -> ExchangeIndex:
     step), and extends the prefix by c = 0, 1, ... while that mask stays
     nonempty: a prefix with a kept base u extends by zeros to a point under
     u, and a region point's dominating base is kept along its prefixes.  So
-    the walk visits exactly the prefixes of region points, in lex order.
-    When one base u is kept, the points below the prefix are the box [0,
-    u] on the coordinates left, one ``itertools.product``, whose codes
-    expand u's nonzero entries only.  The mask table has sum of (cage_i +
-    2) <= p (|I| + 1) entries; the walk costs one node per distinct prefix
-    plus O(1) per point."""
+    the walk visits exactly the prefixes of region points, in lex order,
+    ending at a prefix with one kept base (``_lex_walk``).  The mask table
+    has sum of (cage_i + 2) <= p (|I| + 1) entries; the walk costs one node
+    per distinct prefix plus O(1) per point."""
     bases, lattice = exchange_index(P), lattice_code(P)
     points, codes = [], []
     _lex_walk(bases.above, bases.ordered, lattice.strides, (), 0, bases.full, points, codes)
@@ -127,7 +122,8 @@ def region_index(P: Polymatroid) -> ExchangeIndex:
 
 def _lex_walk(above, bases, strides, prefix, code, mask, points, codes):
     """Append the region's points extending ``prefix`` (code ``code``), the
-    ``bases`` >= it under ``mask``; the last coordinate's range at once."""
+    ``bases`` >= it under ``mask``; the last coordinate's range at once, and
+    under one base u the box [0, u], its codes from u's nonzero entries."""
     i = len(prefix)
     if not mask & (mask - 1):  # one base u: the box [0, u] below the prefix
         u = bases[mask.bit_length() - 1][i:]
@@ -154,9 +150,8 @@ def _lex_walk(above, bases, strides, prefix, code, mask, points, codes):
 
 
 def in_independence(P: Polymatroid, n) -> bool:
-    """Membership test for I(P) ∩ N^p without enumerating the whole region:
-    n >= 0 and n lies under some base point (the down-closure fact behind
-    ``independence_points``), O(|B| p)."""
+    """Membership in I(P) ∩ N^p without walking the region: n >= 0 under
+    some base point (the fact behind ``region_index``), O(|B| p)."""
     n = as_point(n)
     if len(n) != P.p:
         raise DimensionMismatch("point has length %d, expected %d" % (len(n), P.p))
@@ -197,10 +192,8 @@ def truncation_set(A, b) -> frozenset:
 
 @dataclass(frozen=True)
 class CaveReport:
-    """Outcome of the cave predicate; truthiness is the verdict.
-    ``failed_condition`` is 1 (tops not M-convex), 2 (not the stalactite
-    union for the given order) or 3 (some truncation is not a generalized
-    polymatroid), with a matching ``witness``; both are None on success."""
+    """Outcome of ``is_cave``, truthy when it holds: the first failing
+    condition, numbered as there, and its ``witness``, both None on success."""
 
     ok: bool
     failed_condition: int | None

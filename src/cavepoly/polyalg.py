@@ -13,8 +13,7 @@ in a memo store cannot be changed by one caller under another.
 
 ``binomial_map`` reads monomials in the binomial basis, and
 ``expand_binomial`` expands binomial products into monomials through
-``axiswise_codes``, the per-coordinate change of basis on lattice codes,
-which the box route feeds with the region's codes.
+``axiswise_codes``, the per-coordinate change of basis on lattice codes.
 ``canonical_string`` prints terms in ``canonical_order``: total degree
 descending, ties broken by descending comparison of the sparse (variable,
 exponent) pair sequence, e.g. ``t2^3 + t1^2*t2 + t1*t2^2 - t2^2 - t1*t2``.
@@ -23,6 +22,7 @@ exponent) pair sequence, e.g. ``t2^3 + t1^2*t2 + t1*t2^2 - t2^2 - t1*t2``.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, count
@@ -59,11 +59,9 @@ class _SparsePoly:
     supplies ``_coefficient`` (check and convert one term's coefficient),
     ``_normal`` (the coefficient type it stores) and ``_factor`` (the value
     at t_i of key entry k != 0), and ``_fields`` when equality reads more
-    than p and the terms: scalars first, the stored mapping last.
-
-    The per-term loop of ``__init__`` defines the terms.  Input that it
-    would keep as it is passes the bulk check ``_is_normal`` instead, and
-    only its zero coefficients are dropped."""
+    than p and the terms: scalars first, the stored mapping last.  The
+    per-term loop of ``__init__`` defines the terms; ``_is_normal`` input
+    skips it, and only its zero coefficients are dropped."""
 
     __slots__ = ("p", "terms")
     _vector = "exponent"
@@ -245,11 +243,9 @@ class RationalPoly(_SparsePoly):
     ``denominator``, reduced so that gcd(denominator, every numerator) = 1:
     the denominator is the lcm of the coefficients' own, 1 for the zero
     polynomial, so the form is unique and equality and hashing read
-    (p, denominator, numerators) alone.  ``terms`` is the read-only view of
-    Fraction coefficients, built on first read and kept.  The constructor
-    takes anything ``Fraction`` takes as a coefficient; ``_reduced`` takes
-    the integers themselves.
-    """
+    (p, denominator, numerators) alone; ``terms`` is built on first read.
+    The constructor takes anything ``Fraction`` takes as a coefficient;
+    ``_reduced`` takes the integers themselves."""
 
     __slots__ = ("denominator", "numerators")
     _normal = Fraction
@@ -343,8 +339,12 @@ def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:
     ``_rising_coeffs(n, shift) * N_i!/n!`` of degrees 0..n.  The change runs
     in integers through ``axiswise_codes`` on the codes of the box [0, N],
     and its integers over prod N_i! are the result's numerators and
-    denominator once reduced by one gcd pass; no Fraction is built."""
+    denominator once reduced by one gcd pass; no Fraction is built.  An
+    index beyond ``sys.maxsize`` is refused with a ``ValueError``."""
     tops = list(map(max, zip(*b.terms))) if b.terms else [0] * b.p
+    for i, top in enumerate(tops, 1):
+        if top > sys.maxsize:
+            raise ValueError("coordinate %d has binomial index %d, more than a factorial can take" % (i, top))
     rows = []
     for top in tops:
         scale = math.factorial(top)

@@ -70,6 +70,7 @@ def test_parse_rejects_axiom_violations():
     '{"points": [[-1,4]]}',
     '{"points": [[0.5,1]]}',
     '{"rank": {"p": 2, "cage": [1,1], "values": {"[]": 0}}}',
+    '{"rank": {"p": 1, "cage": [0]}}',
     '{"rank": {"p": 2, "cage": [1,1], "values": {"[3]": 0}}}',
     '{"rank": {"p": 2, "cage": [1], "values": {"[]": 0, "[1]": 1, "[2]": 1, "[1,2]": 1}}}',
 ])
@@ -517,6 +518,14 @@ def test_region_walks_refuse_a_huge_span_in_one_line(command):
     assert run([command], stdin=doc) == (2, "", message)
 
 
+# Nor can its Snapper polynomial be expanded: no factorial reaches the index.
+def test_snapper_expansion_refuses_a_huge_index_in_one_line():
+    doc = '{"points": [[0, %d], [1, %d]]}' % (HUGE, HUGE - 1)
+    status, out, err = run_bounded("from cavepoly.cli import main; main()", ["snapper", "--expand"], stdin=doc)
+    assert (status, out) == (2, "")
+    assert err == "error: coordinate 2 has binomial index %d, more than a factorial can take\n" % HUGE
+
+
 @pytest.mark.parametrize("points", [[[HUGE, 0], [HUGE - 1, 1], [HUGE - 1, 0]], [[HUGE]], [[100_000_000]]])
 def test_is_cave_on_huge_entries_runs_in_bounded_time_and_memory(points):
     status, out, err = run_bounded("from cavepoly.cli import main; main()", ["is-cave"],
@@ -585,6 +594,9 @@ def test_file_input(tmp_path):
     assert status == 0 and out.strip() == "EQUAL"
     missing = "/nonexistent/instance.json"
     assert run(["cave", missing]) == (2, "", "error: [Errno 2] No such file or directory: %r\n" % missing)
+    path.write_bytes(b'{"points": [[0, 3]]}\xff')
+    status, out, err = run(["cave", str(path)])
+    assert (status, out) == (2, "") and err.startswith("error: input is not UTF-8: ") and err.count("\n") == 1
 
 
 def test_one_parser_serves_every_invocation_of_a_process():

@@ -75,6 +75,8 @@ def test_validate_malformed_inputs():
         validate_rank_function(2, RUNNING_VALUES, (2,))  # cage length
     with pytest.raises(DimensionMismatch):
         validate_rank_function(17, {}, (0,) * 17)  # beyond the mask cap
+    with pytest.raises(ValueError, match=r"^rank of \(1,\) is 1\.0, not an integer$"):
+        validate_rank_function(2, [0, 1.0, 1, 1], [1, 1])
 
 
 def test_validation_is_total_against_brute_force():
@@ -141,6 +143,8 @@ def test_rank_from_points_examples(running):
     assert rk0.of(()) == 0 and rk0.of((1,)) == 0
     rk1 = rank_from_points(Polymatroid([(1, 0), (0, 1)]))
     assert rk1.of((1,)) == rk1.of((2,)) == rk1.of((1, 2)) == 1
+    with pytest.raises(DimensionMismatch, match="beyond 16 coordinates"):
+        rank_from_points(Polymatroid([(0,) * 17]))
 
 
 def test_round_trip_points_to_rank_to_points():

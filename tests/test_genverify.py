@@ -11,6 +11,7 @@ import pytest
 
 from cavepoly import (
     AxiomViolation,
+    CavepolyError,
     GenerationExhausted,
     GeneratorConfig,
     MultiPoly,
@@ -27,7 +28,9 @@ from cavepoly import (
     verify_instance,
 )
 from cavepoly import genverify
-from cavepoly.genverify import CHECKS, _shrink_candidates
+from cavepoly.genverify import CHECKS, INPUTS, _shrink_candidates
+from conftest import instance_mix
+from test_planted_faults import FAULTS
 
 
 def test_strategies_are_pinned_in_order():
@@ -73,6 +76,8 @@ def test_named_families():
     assert named_family("free", m=(1, 1)).points == {(1, 1)}
     with pytest.raises(UnknownFamily):
         named_family("mystery")
+    with pytest.raises(ValueError, match="^family 'uniform' requires parameter 'r'$"):
+        named_family("uniform", m=[1])
 
 
 def test_uniform_family_reproduces_worked_example():
@@ -105,6 +110,56 @@ def test_verify_instance_check_subset(running):
     report = verify_instance(running, checks=("four-way-equality", "coefficient-sum"))
     assert [r.name for r in report.results] == ["four-way-equality", "coefficient-sum"]
     assert report.passed
+
+
+INPUTS_CORPUS = [*instance_mix(30, seed=2600), named_family("running-example"), named_family("uniform", r=8, m=(4,) * 4)]
+
+
+def test_each_check_body_reads_only_the_inputs_it_declares():
+    assert INPUTS.keys() == CHECKS.keys()
+    for points in map(tuple, INPUTS_CORPUS):
+        for name, check in CHECKS.items():
+            P = Polymatroid(points)  # a fresh instance: an empty memo store
+            for build in INPUTS[name]:
+                build(P)
+            built = list(P._memo)
+            assert check(P) == (True, None)
+            assert list(P._memo) == built, (name, points)
+
+
+def verdicts(points, checks=None):
+    """(name, passed, detail) of each check in the order run on a fresh
+    instance, or the exception that ``verify_instance`` raised."""
+    try:
+        results = verify_instance(Polymatroid(points), checks=checks).results
+    except CavepolyError as exc:
+        return [repr(exc)]
+    return [(r.name, r.passed, r.detail) for r in results]
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+def test_checks_give_the_same_verdicts_in_reverse_order(fault, monkeypatch):
+    if fault is not None:
+        owner, name, plant, _ = FAULTS[fault]
+        monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
+    for points in map(tuple, INPUTS_CORPUS):
+        assert verdicts(points, reversed(CHECKS))[::-1] == verdicts(points), (fault, points)
+
+
+def test_verify_instance_builds_the_declared_inputs_once_before_any_check(monkeypatch, running):
+    calls = []
+
+    def record(tag):
+        return lambda P: calls.append(tag) or (True, None)
+
+    a, b, c = map(record, "abc")
+    for name in ("first", "probe", "second"):
+        monkeypatch.setitem(CHECKS, name, record(name))
+    monkeypatch.setitem(INPUTS, "first", (a, b))
+    monkeypatch.setitem(INPUTS, "second", (b, c, a))  # "probe" declares none
+    report = verify_instance(running, checks=["first", "probe", "second"])
+    assert calls == ["a", "b", "c", "first", "probe", "second"]
+    assert report.passed and report.inputs_elapsed > 0
 
 
 def test_cancellation_free_reports_the_smallest_wrong_sign(monkeypatch, running):
@@ -236,7 +291,7 @@ def test_ladder_checks_tool_measures_its_smallest_row():
     assert row["passed"]
     assert list(row["checks_s"]) == list(CHECKS)
     assert row["independence_points"] == 355 and row["base_points"] == 85
-    assert 0 < max(row["checks_s"].values()) <= row["total_s"]
+    assert 0 < max(row["checks_s"].values()) <= row["total_s"] and 0 < row["inputs_s"] <= row["total_s"]
 
 
 def test_ladder_checks_tool_measures_a_campaign_mix(tmp_path, capsys, monkeypatch):
@@ -250,6 +305,7 @@ def test_ladder_checks_tool_measures_a_campaign_mix(tmp_path, capsys, monkeypatc
     assert campaign["instances"] == 3 and campaign["passed"]
     assert list(campaign["checks_s"]) == list(CHECKS)
     assert 0 < max(campaign["checks_s"].values()) <= campaign["total_s"]
+    assert 0 < campaign["inputs_s"] <= campaign["total_s"]
     monkeypatch.setitem(CHECKS, "coefficient-sum", lambda P: (False, "planted"))
     capsys.readouterr()
     assert tool.main(["--campaign", "3"]) == 1

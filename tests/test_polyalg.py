@@ -46,6 +46,7 @@ def test_add_merges_terms():
 def test_add_identity():
     q = P2({(1, 1): 4, (0, 0): -2})
     assert MultiPoly.zero(2) + q == q
+    assert q + 2 == P2({(1, 1): 4})
 
 
 def test_mul_two_by_two():
@@ -144,6 +145,9 @@ def test_binomial_map_rejects_negative_exponent():
     # The index is checked before the coefficient.
     assert raised(BinomialBasisPoly, 2, {(0, -1): 0.5}) == (
         NegativeExponent, "binomial basis indices must be nonnegative: (0, -1)")
+    # No factorial reaches an index beyond sys.maxsize; it is refused first.
+    assert raised(expand_binomial, BinomialBasisPoly(2, {(1, 2**70): 1})) == (
+        ValueError, "coordinate 2 has binomial index %d, more than a factorial can take" % 2**70)
 
 
 def test_expand_linear_binomial():
