@@ -9,12 +9,15 @@ Instance documents carry exactly one of:
 Polynomial documents list terms in the canonical order together with the
 canonical string; the term list is authoritative, the string advisory.
 ``_COMMANDS`` maps each command to a handler ``(args, stdin) -> (output,
-status)``, the output a document (written by ``_emit``) or a text.  Exit
-status: 0 on success/equality, 1 on mathematical inequality or a
-cave-check false, 2 on input or usage errors, 3 on an internal error (a
-library bug, any exception but those, reported as one ``internal error:
-...`` line on stderr).  Instance commands read a file argument or stdin;
-diagnostics go to stderr, and no command keeps state.
+status)``, the output a document or a text.  ``_emit`` writes a document
+through the one JSON writer, ``_json_parts``, as ``json.dumps(doc,
+indent=2)`` does; its uniform-list rule (``_uniform_items``) renders lists
+of vectors or of like records column by column.  Exit status: 0 on
+success/equality, 1 on mathematical inequality or a cave-check false, 2 on
+input or usage errors, 3 on an internal error (a library bug, any
+exception but those, reported as one ``internal error: ...`` line on
+stderr).  Instance commands read a file argument or stdin; diagnostics go
+to stderr, and no command keeps state.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 from dataclasses import fields
-from itertools import chain
+from itertools import chain, repeat
 
 from . import algorithms, genverify
 from .core import (
@@ -205,23 +209,25 @@ def rank_document(P: Polymatroid) -> dict:
 
 
 def polynomial_document(q, **extra) -> dict:
-    """Term list in canonical order plus the canonical rendering."""
-    if isinstance(q, MultiPoly):
-        basis = "monomial"
-        coeff = lambda c: c
+    """Term list in canonical order plus the canonical rendering, both read
+    from the stored integers in one ``canonical_order``; an expanded term's
+    "n/d" is its numerator over the denominator, reduced."""
+    if isinstance(q, RationalPoly):
+        basis, stored, d = "expanded", q.numerators, q.denominator
+    elif isinstance(q, MultiPoly):
+        basis, stored = "monomial", q.terms
     elif isinstance(q, BinomialBasisPoly):
-        basis = "binomial"
-        coeff = lambda c: c
+        basis, stored = "binomial", q.terms
         extra.setdefault("shift", q.shift)
-    elif isinstance(q, RationalPoly):
-        basis = "expanded"
-        coeff = lambda c: "%d/%d" % (c.numerator, c.denominator)
     else:
         raise TypeError("cannot serialize %r" % type(q).__name__)
-    doc = {"basis": basis, "p": q.p}
-    doc.update(extra)
-    terms, order = q.terms, canonical_order(q.terms)
-    doc["terms"] = [{"exponents": list(e), "coefficient": coeff(terms[e])} for e in order]
+    order = canonical_order(stored)
+    coefficients = map(stored.__getitem__, order)
+    if basis == "expanded":
+        fractions = {v: "%d/%d" % (v // g, d // g) for v in {*stored.values()} for g in (math.gcd(v, d),)}
+        coefficients = map(fractions.__getitem__, coefficients)
+    doc = {"basis": basis, "p": q.p, **extra}
+    doc["terms"] = [{"exponents": list(e), "coefficient": c} for e, c in zip(order, coefficients)]
     doc["canonical"] = canonical_string(q, order)
     return doc
 
@@ -236,9 +242,51 @@ def _json_key(key) -> str:
     raise TypeError("keys must be str, int, float, bool or None, not %s" % type(key).__name__)
 
 
+def _vector_texts(items, inner):
+    """The texts of ``items`` at the indentation ``inner`` when they are all
+    vectors (nonempty lists of exact ints), one ``%d`` format per length;
+    else None."""
+    if not ({*map(type, items)} == {list} and all(items) and {*map(type, chain.from_iterable(items))} == {int}):
+        return None
+    deeper = inner + "  "
+    formats = {n: "[" + deeper + ("," + deeper).join(["%d"] * n) + inner + "]" for n in {*map(len, items)}}
+    return map(str.__mod__, map(formats.__getitem__, map(len, items)), map(tuple, items))
+
+
+def _uniform_items(items, inner):
+    """The texts of a list's items under the uniform-list rule, or None
+    when the rule does not cover the list: vectors, or dicts that share one
+    nonempty sequence of str keys, each column all exact ints, all strs or
+    all vectors, rendered column by column and then one format per record."""
+    texts = _vector_texts(items, inner)
+    if texts is not None or {*map(type, items)} != {dict}:
+        return texts
+    keys = tuple(items[0])
+    if not keys or {*map(type, keys)} != {str} or {*map(tuple, items)} != {keys}:
+        return None
+    field = inner + "  "
+    formats, columns = [], []
+    for key, column in zip(keys, zip(*map(dict.values, items))):
+        kinds = {*map(type, column)}
+        if kinds == {int}:
+            formats.append("%d")
+        elif kinds == {str}:
+            formats.append("%s")
+            column = map(_encode_string, column)
+        elif (column := _vector_texts(column, field)) is not None:
+            formats.append("%s")
+        else:
+            return None
+        formats[-1] = field + _encode_string(key).replace("%", "%%") + ": " + formats[-1]
+        columns.append(column)
+    return map(("{" + ",".join(formats) + inner + "}").__mod__, zip(*columns))
+
+
 def _json_parts(value, parts, newline):
     """Append to ``parts`` the text ``json.dumps(value, indent=2)`` gives
-    ``value``; ``newline`` is a line break and the indentation of ``value``."""
+    ``value``; ``newline`` is a line break and the indentation of ``value``.
+    A list that ``_uniform_items`` renders takes one part per item after
+    its separator part, with no call per item."""
     if isinstance(value, str):
         parts.append(_encode_string(value))
     elif type(value) is int:
@@ -251,6 +299,9 @@ def _json_parts(value, parts, newline):
             parts.append("[]")
         elif {*map(type, value)} == {int}:
             parts.append("[%s%s%s]" % (inner, ("," + inner).join(map(int.__repr__, value)), newline))
+        elif (items := _uniform_items(value, inner)) is not None:
+            parts += chain.from_iterable(zip(chain(["[" + inner], repeat("," + inner)), items))
+            parts.append(newline + "]")
         else:
             separator = "[" + inner
             for item in value:

@@ -357,61 +357,35 @@ def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:
     return RationalPoly._reduced(b.p, dict(zip(lattice.decode(codes), codes.values())), denom)
 
 
-def _coeff_str(c) -> tuple:
-    """(sign, magnitude-string or None-if-one) for an int or Fraction."""
-    sign = "-" if c < 0 else "+"
-    c = abs(c)
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return sign, "%d/%d" % (c.numerator, c.denominator)
-    if c == 1:
-        return sign, None
-    return sign, str(int(c))
-
-
-def _monomial_str(exps) -> str:
-    parts = []
-    for i, e in enumerate(exps, 1):
-        if e == 0:
-            continue
-        parts.append("t%d" % i if e == 1 else "t%d^%d" % (i, e))
-    return "*".join(parts)
-
-
-def _binomial_term_str(n, shift) -> str:
-    parts = []
-    for i, ni in enumerate(n, 1):
-        if ni == 0:
-            continue
-        top = ni + shift
-        parts.append("C(t%d,%d)" % (i, ni) if top == 0 else "C(t%d+%d,%d)" % (i, top, ni))
-    return "*".join(parts)
-
-
 def canonical_string(q, order=None) -> str:
     """Deterministic rendering with the canonical term order; injective per
     representation for a fixed number of variables.  ``order`` is
-    ``canonical_order(q.terms)`` when the caller has it already."""
+    ``canonical_order`` of the stored terms (``numerators`` for a
+    ``RationalPoly``) when the caller has it already.  Each distinct
+    (coordinate, exponent) gets one fragment such as ``t3^2*``, and each
+    distinct stored coefficient one signed piece such as `` - 3/2*`` (one
+    ``math.gcd``); all pieces are joined once, and then the ``*`` before
+    each sign and at the end and a unit ``1*`` are dropped.  So a term costs
+    p + 1 dict reads in C."""
     if isinstance(q, BinomialBasisPoly):
-        render = lambda n: _binomial_term_str(n, q.shift)
+        shift = q.shift
+        fragment = lambda i, n: "C(t%d,%d)" % (i, n) if n + shift == 0 else "C(t%d+%d,%d)" % (i, n + shift, n)
     elif isinstance(q, (MultiPoly, RationalPoly)):
-        render = _monomial_str
+        fragment = lambda i, e: "t%d" % i if e == 1 else "t%d^%d" % (i, e)
     else:
         raise TypeError("cannot render %r" % type(q).__name__)
-    terms = q.terms
-    if not terms:
+    stored, d = (q.numerators, q.denominator) if isinstance(q, RationalPoly) else (q.terms, 1)
+    if not stored:
         return "0"
-    pieces = []
-    for key in canonical_order(terms) if order is None else order:
-        sign, mag = _coeff_str(terms[key])
-        body = render(key)
-        if not body:
-            text = mag or "1"
-        elif mag is None:
-            text = body
-        else:
-            text = "%s*%s" % (mag, body)
-        if not pieces:
-            pieces.append(text if sign == "+" else "-" + text)
-        else:
-            pieces.append("%s %s" % (sign, text))
-    return " ".join(pieces)
+    if order is None:
+        order = canonical_order(stored)
+    signed = {}
+    for v in {*stored.values()}:
+        g = math.gcd(v, d)
+        magnitude = "%d" % (abs(v) // g) if g == d else "%d/%d" % (abs(v) // g, d // g)
+        signed[v] = (" - " if v < 0 else " + ") + magnitude + "*"
+    fragments = [map({e: fragment(i, e) + "*" if e else "" for e in {*column}}.__getitem__, column)
+                 for i, column in enumerate(zip(*order), 1)]
+    text = "".join(chain.from_iterable(zip(map(signed.__getitem__, map(stored.__getitem__, order)), *fragments)))
+    text = text.replace("* ", " ")[:-1].replace(" 1*", " ")
+    return text[3:] if text[1] == "+" else "-" + text[3:]

@@ -14,7 +14,8 @@ bound tables in the base-point walk, built by list comprehensions, sliced
 and packed guard-bit axiom checks, one flat key per term for the canonical
 order, local axiom checks on the lattice path, one cube expansion per
 distinct decomposition in the lex-order check, the cave predicate's
-truncations at the first value of each run of equal masks); the
+truncations at the first value of each run of equal masks, canonical
+strings joined from fragment tables); the
 differential tests require both to return identical results and identical
 failure witnesses.
 """
@@ -59,7 +60,7 @@ from cavepoly.errors import (
 )
 from cavepoly.genverify import _uniform_values
 from cavepoly.geometry import CaveReport, independence_points, top_elements, truncate
-from cavepoly.polyalg import MultiPoly, RationalPoly, _rising_coeffs
+from cavepoly.polyalg import BinomialBasisPoly, MultiPoly, RationalPoly, _rising_coeffs, canonical_order
 
 
 def independence_points_box_filter(P) -> frozenset:
@@ -772,3 +773,29 @@ def draw_lattice_path_validating(cfg, rng) -> RankFunction:
             continue
         values = cand
     return validate_rank_function(p, values, [values[1 << i] for i in range(p)])
+
+
+def canonical_string_per_term(q) -> str:
+    """The canonical string term by term from ``terms``: a sign and magnitude
+    per coefficient (a ``Fraction`` for a ``RationalPoly``) and a ``%``
+    format per nonzero exponent."""
+    def monomial(exps):
+        return "*".join("t%d" % i if e == 1 else "t%d^%d" % (i, e) for i, e in enumerate(exps, 1) if e)
+
+    def binomial(n):
+        return "*".join("C(t%d,%d)" % (i, ni) if ni + q.shift == 0 else "C(t%d+%d,%d)" % (i, ni + q.shift, ni)
+                        for i, ni in enumerate(n, 1) if ni)
+
+    render = binomial if isinstance(q, BinomialBasisPoly) else monomial
+    pieces = []
+    for key in canonical_order(q.terms):
+        c = q.terms[key]
+        sign, c = "-" if c < 0 else "+", abs(c)
+        if isinstance(c, Fraction) and c.denominator != 1:
+            mag = "%d/%d" % (c.numerator, c.denominator)
+        else:
+            mag = None if c == 1 else str(int(c))
+        body = render(key)
+        text = (mag or "1") if not body else body if mag is None else "%s*%s" % (mag, body)
+        pieces.append((text if sign == "+" else "-" + text) if not pieces else "%s %s" % (sign, text))
+    return " ".join(pieces) or "0"

@@ -289,6 +289,9 @@ def ladder_rank_document(r=8, m=(4,) * 4):
     (["snapper", "--expand"], "snapper_expand_ladder_row.json"),
     (["independence"], "independence_ladder_row.json"),
     (["box"], "box_ladder_row.json"),
+    (["snapper"], "snapper_ladder_row.json"),
+    (["stal", "--order", "4,2,1,3"], "stal_order_ladder_row.json"),
+    (["mobius"], "mobius_ladder_row.json"),
 ])
 def test_ladder_row_documents_match_golden(argv, golden):
     # CI pipes the same document into the installed console script and
@@ -750,6 +753,47 @@ for _ in range(100):
 @example({True: 1, None: [-1, 0, 1], 2.5: (), float("nan"): float("-inf"), 10 ** 40: "\u00e9"})
 def test_emit_writes_what_json_dump_writes(tree):
     assert emitted(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+class Count(int):
+    pass
+
+
+VECTORS = st.one_of(st.lists(st.integers(-10 ** 40, 10 ** 40), min_size=1, max_size=4),
+                    st.lists(st.one_of(st.integers(), st.booleans(), st.integers().map(Count)), max_size=3))
+COLUMNS = st.sampled_from([st.integers(-10 ** 40, 10 ** 40), TRICKY_TEXT, VECTORS, st.just([]), st.booleans(),
+                           st.floats(), st.none(), JSON_TREES])
+
+
+@st.composite
+def uniform_lists(draw):
+    """A list of int vectors, or of records that share one key tuple, each
+    column drawn from one kind of value, at times one record's value from
+    another kind or its keys in another order."""
+    if draw(st.booleans()):
+        return draw(st.lists(VECTORS, min_size=1, max_size=6))
+    keys = draw(st.lists(TRICKY_TEXT, unique=True, max_size=4))
+    kinds = [draw(COLUMNS) for _ in keys]
+    records = [{key: draw(kind) for key, kind in zip(keys, kinds)} for _ in range(draw(st.integers(1, 6)))]
+    if keys and draw(st.booleans()):
+        odd = draw(st.sampled_from(records))
+        key = draw(st.sampled_from(keys))
+        odd[key] = draw(draw(COLUMNS))
+        if draw(st.booleans()):
+            odd[key] = odd.pop(key)
+    return records
+
+
+@settings(deadline=None)
+@given(st.one_of(uniform_lists(), st.dictionaries(TRICKY_TEXT, uniform_lists(), max_size=2),
+                 st.lists(uniform_lists(), max_size=2)))
+@example([{"exponents": [0, 3], "coefficient": "1/6"}, {"exponents": [1, -2], "coefficient": "-3/2"}])
+@example({"table": [{"%s": [1], "%%": 2, "\u00e9": "%d"}, {"%s": [-1, 0], "%%": 10 ** 40, "\u00e9": ""}]})
+@example([[1, 2], [3], [Count(4)]])
+@example([{"v": [1]}, {"v": []}])
+@example([{}, {}])
+def test_emit_writes_what_json_dump_writes_on_uniform_lists(doc):
+    assert emitted(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 class CountingWrites(io.StringIO):

@@ -312,6 +312,26 @@ def test_ladder_checks_tool_measures_a_campaign_mix(tmp_path, capsys, monkeypatc
     assert json.loads(capsys.readouterr().out)["campaign"]["passed"] is False
 
 
+def test_cli_row_tool_times_every_instance_command_by_stage(tmp_path):
+    tool = load_tool("cli_row")
+    assert tool.ROW == (12, (4,) * 6) and tool.parse_row("8;4,4,4,4") == (8, (4,) * 4)
+    out = tmp_path / "cli_row.json"
+    assert tool.main(["--row", "8;4,4,4,4", "--out", str(out)]) == 0
+    document = json.loads(out.read_text())
+    assert document["row"] == "8; [4, 4, 4, 4]" and document["repeats"] == 3
+    assert list(document["commands"]) == [
+        "validate", "points", "independence", "cave", "stal", "box", "mobius --table", "snapper",
+        "snapper --expand", "equal"]
+    stages = ("parse_s", "compute_s", "document_s", "emit_s")
+    for name, command in document["commands"].items():
+        assert command["status"] == 0 and command["stdout_chars"] > 0, name
+        assert 0 < command["parse_s"] <= command["total_s"] and min(map(command.get, stages)) >= 0, name
+        assert command["emit_s"] > 0 or name == "equal", name
+    assert document["commands"]["cave"]["document_s"] > 0 and document["commands"]["equal"]["document_s"] == 0
+    with pytest.raises(SystemExit):
+        tool.main(["--row", "8"])
+
+
 def test_untested_lines_tool_reports_the_lines_its_counts_never_saw():
     tool = load_tool("untested_lines")
     errors = tool.SRC / "cavepoly" / "errors.py"

@@ -18,7 +18,7 @@ from cavepoly import (
     expand_binomial,
 )
 from cavepoly.polyalg import binom_int, canonical_order
-from oracles import canonical_key
+from oracles import canonical_key, canonical_string_per_term
 
 
 def P2(terms):
@@ -248,7 +248,7 @@ def test_comparing_two_expansions_builds_no_fraction(monkeypatch):
     assert len(left.terms) == CountingFraction.built == len(left.numerators) > 100
 
 
-def test_polynomial_document_of_an_expansion_reads_one_terms_view(monkeypatch):
+def test_polynomial_document_of_an_expansion_reads_no_terms_view(monkeypatch):
     from cavepoly.cli import polynomial_document
 
     q = expand_binomial(BinomialBasisPoly(2, {(2, 0): 1, (0, 3): 1}))
@@ -256,7 +256,7 @@ def test_polynomial_document_of_an_expansion_reads_one_terms_view(monkeypatch):
     build = RationalPoly.__getattr__
     monkeypatch.setattr(RationalPoly, "__getattr__", lambda self, name: reads.append(name) or build(self, name))
     doc = polynomial_document(q)
-    assert reads == ["terms"]
+    assert reads == []
     assert q.terms is q.terms and reads == ["terms"]
     assert doc["terms"][0] == {"exponents": [0, 3], "coefficient": "1/6"}
     assert doc["canonical"] == canonical_string(q) == "1/6*t2^3 + t2^2 + 1/2*t1^2 + 11/6*t2 + 3/2*t1 + 2"
@@ -304,6 +304,42 @@ def test_canonical_string_binomial_basis():
     assert canonical_string(b) == (
         "C(t2+3,3) + C(t1+2,2)*C(t2+1,1) + C(t1+1,1)*C(t2+2,2) - C(t2+2,2) - C(t1+1,1)*C(t2+1,1)"
     )
+
+
+@pytest.mark.parametrize("q, text", [
+    (MultiPoly(1, {(-1,): 1}), "t1^-1"),
+    (MultiPoly(2, {(-1, 0): 1, (0, 2): -1, (1, -2): 3}), "-t2^2 + 3*t1*t2^-2 + t1^-1"),
+    (BinomialBasisPoly(2, {(1, 0): 1, (0, 1): -2}, shift=-1), "-2*C(t2,1) + C(t1,1)"),
+    (BinomialBasisPoly(2, {(1, 0): 1, (2, 1): 3}, shift=-2), "3*C(t1,2)*C(t2+-1,1) + C(t1+-1,1)"),
+    (RationalPoly(2, {(1, 0): Fraction(-3, 2), (0, 1): -2, (0, 0): 1}), "-2*t2 - 3/2*t1 + 1"),
+    (RationalPoly(2, {(2, 0): Fraction(-3, 2), (0, 0): -2}), "-3/2*t1^2 - 2"),
+    (MultiPoly(2, {(0, 0): 1}), "1"),
+    (MultiPoly(2, {(0, 0): -1}), "-1"),
+    (BinomialBasisPoly(2, {(0, 0): 1}), "1"),
+    (BinomialBasisPoly(2, {(0, 0): -1}, shift=-1), "-1"),
+    (RationalPoly(2, {(0, 0): 1}), "1"),
+    (RationalPoly(2, {(0, 0): -1}), "-1"),
+    (MultiPoly(2), "0"),
+    (BinomialBasisPoly(2, shift=-1), "0"),
+    (RationalPoly(2), "0"),
+])
+def test_canonical_string_edge_cases(q, text):
+    assert canonical_string(q) == text
+
+
+@given(st.integers(1, 4).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.dictionaries(st.tuples(*[st.integers(-2, 12)] * p), st.integers(-13, 13), max_size=10),
+    st.integers(-3, 2),
+    st.integers(1, 12),
+)))
+@settings(max_examples=300, deadline=None)
+def test_canonical_string_matches_the_per_term_rendering(case):
+    p, terms, shift, denominator = case
+    indices = {tuple(map(abs, n)): c for n, c in terms.items()}
+    for q in (MultiPoly(p, terms), RationalPoly(p, {e: Fraction(c, denominator) for e, c in terms.items()}),
+              BinomialBasisPoly(p, indices, shift=shift)):
+        assert canonical_string(q) == canonical_string_per_term(q)
 
 
 def test_canonical_string_is_injective_at_fixed_p():
