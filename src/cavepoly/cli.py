@@ -187,12 +187,7 @@ def parse_instance(text) -> Polymatroid:
     raw_values = rank_doc["values"]
     if not isinstance(raw_values, dict):
         raise ParseError('"values" must map subset keys to integers')
-    values = _read_rank_values(raw_values, p)
-    try:
-        rk = validate_rank_function(p, values, cage)
-    except (ValueError, DimensionMismatch) as exc:
-        raise ParseError(str(exc))
-    return points_from_rank(rk)
+    return points_from_rank(validate_rank_function(p, _read_rank_values(raw_values, p), cage))
 
 
 def serialize_instance(P: Polymatroid) -> dict:

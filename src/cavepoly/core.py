@@ -380,7 +380,7 @@ class ExchangeIndex:
         self.ordered = ordered
         self.p = len(ordered[0])
         self.full = (1 << len(ordered)) - 1
-        self._units, self._cubes = [1 << ell for ell in range(self.p)], {0: ([0], [])}
+        self._cubes = {0: ([0], [])}
         if lattice is not None:
             self.lattice = lattice
 
@@ -559,11 +559,15 @@ class ExchangeIndex:
     def stalactites(self, visit):
         """(k, D) for each position k of ``visit`` in turn: the direction mask
         D of the stalactite with apex u = ordered[k] against the points V
-        visited before it, bit l set when some u - e_l + e_j lies in V, one
-        AND of each of u's neighbour masks."""
-        placed, units, neighbours = 0, self._units, self.neighbours
+        visited before it, bit l set when some u - e_l + e_j lies in V: one
+        AND of V's mask with each of u's p neighbour masks."""
+        placed, neighbours = 0, self.neighbours
         for k in visit:
-            yield k, sum(compress(units, map(placed.__and__, neighbours[k])))
+            directions = 0
+            for ell, row in enumerate(neighbours[k]):
+                if placed & row:
+                    directions |= 1 << ell
+            yield k, directions
             placed |= 1 << k
 
     def stalactite_codes(self, visit) -> dict:

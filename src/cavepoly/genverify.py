@@ -422,10 +422,19 @@ def instance_descriptor(P: Polymatroid, **extra) -> dict:
     return desc
 
 
+def _check_names(checks) -> tuple:
+    """The chosen check names, all by default; one not in ``CHECKS`` is refused."""
+    names = tuple(CHECKS) if checks is None else tuple(checks)
+    for name in names:
+        if name not in CHECKS:
+            raise ValueError("unknown check %r; known checks: %s" % (name, ", ".join(CHECKS)))
+    return names
+
+
 def verify_instance(P: Polymatroid, checks=None, descriptor=None) -> VerificationReport:
-    """Build the chosen checks' (all by default) ``INPUTS`` once each, in
-    first-seen order, then run the checks against one instance."""
-    names = list(CHECKS) if checks is None else list(checks)
+    """Refuse unknown check names, build the chosen checks' (all by default)
+    ``INPUTS`` once each, in first-seen order, then run the checks."""
+    names = _check_names(checks)
     start = time.perf_counter()
     for build in dict.fromkeys(build for name in names for build in INPUTS.get(name, ())):
         build(P)
@@ -533,10 +542,10 @@ class CampaignReport:
 def verify_campaign(cfg: GeneratorConfig, count: int, checks=None) -> CampaignReport:
     """Generate ``count`` instances from consecutive seeds, verify each, and
     aggregate.  Failures carry their seed and a minimized witness that still
-    fails the same check."""
+    fails the same check.  Unknown check names are refused before any draw."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    names = tuple(CHECKS) if checks is None else tuple(checks)
+    names = _check_names(checks)
     start = time.perf_counter()
     reports = []
     failures = []

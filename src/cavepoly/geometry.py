@@ -11,7 +11,6 @@ over a set, its tops and its p unit truncations being bitmasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .core import (
     ExchangeIndex,
@@ -108,45 +107,33 @@ def region_index(P: Polymatroid) -> ExchangeIndex:
     step), and extends the prefix by c = 0, 1, ... while that mask stays
     nonempty: a prefix with a kept base u extends by zeros to a point under
     u, and a region point's dominating base is kept along its prefixes.  So
-    the walk visits exactly the prefixes of region points, in lex order,
-    ending at a prefix with one kept base (``_lex_walk``).  The mask table
-    has sum of (cage_i + 2) <= p (|I| + 1) entries; the walk costs one node
-    per distinct prefix plus O(1) per point."""
+    the walk (``_lex_walk``) visits exactly the prefixes of region points,
+    in lex order.  The mask table has sum of (cage_i + 2) <= p (|I| + 1)
+    entries; the walk costs one call per distinct prefix of a region
+    point, the points included: at most p |I| + 1 calls."""
     bases, lattice = exchange_index(P), lattice_code(P)
     points, codes = [], []
-    _lex_walk(bases.above, bases.ordered, lattice.strides, (), 0, bases.full, points, codes)
+    _lex_walk(bases.above, lattice.strides, (), 0, bases.full, points, codes)
     index = ExchangeIndex(points, lattice)
     index.codes = codes
     return index
 
 
-def _lex_walk(above, bases, strides, prefix, code, mask, points, codes):
-    """Append the region's points extending ``prefix`` (code ``code``), the
-    ``bases`` >= it under ``mask``; the last coordinate's range at once, and
-    under one base u the box [0, u], its codes from u's nonzero entries."""
+def _lex_walk(above, strides, prefix, code, mask, points, codes):
+    """Append the region's points extending ``prefix`` (code ``code``, the
+    bases >= it under ``mask``) and their codes, in lex order: a complete
+    prefix is a point; else each c with a base >= prefix + (c,) recurses."""
     i = len(prefix)
-    if not mask & (mask - 1):  # one base u: the box [0, u] below the prefix
-        u = bases[mask.bit_length() - 1][i:]
-        points += product(*zip(prefix), *[range(x + 1) for x in u])
-        block = [code]
-        for x, s in zip(u, strides[i:]):
-            if x:
-                block = [c + t for c in block for t in range(0, (x + 1) * s, s)]
-        codes += block
+    if i == len(above):
+        points.append(prefix)
+        codes.append(code)
         return
     s = strides[i]
-    if i == len(above) - 1:
-        top = 0
-        while mask & above[i][top]:
-            top += 1
-        points += product(*zip(prefix), range(top))
-        codes += range(code, code + top * s, s)
-        return
     for c, sel in enumerate(above[i]):
         sub = mask & sel
         if not sub:
             break
-        _lex_walk(above, bases, strides, prefix + (c,), code + c * s, sub, points, codes)
+        _lex_walk(above, strides, prefix + (c,), code + c * s, sub, points, codes)
 
 
 def in_independence(P: Polymatroid, n) -> bool:

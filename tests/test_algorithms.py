@@ -324,6 +324,14 @@ def test_mobius_table_golden(running):
     assert table[(3, 0)] == 0
 
 
+def test_mobius_table_size_identity_and_repr(running):
+    table = mobius_table(running)
+    assert len(table) == len(GOLDEN_MOBIUS)
+    assert table == mobius_table(Polymatroid([(2, 1), (1, 2), (0, 3)]))
+    assert table != GOLDEN_MOBIUS and table.__eq__(GOLDEN_MOBIUS) is NotImplemented
+    assert repr(table) == "MobiusTable(p=2, rank=3, 9 points)"
+
+
 def test_mobius_table_base_points_are_one():
     for P in instance_mix(10, seed=2):
         table = mobius_table(P)

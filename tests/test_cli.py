@@ -71,6 +71,7 @@ def test_parse_rejects_axiom_violations():
     '{"points": [[0.5,1]]}',
     '{"rank": {"p": 2, "cage": [1,1], "values": {"[]": 0}}}',
     '{"rank": {"p": 1, "cage": [0]}}',
+    '{"rank": {"p": 1, "cage": [0], "values": [0, 0]}}',
     '{"rank": {"p": 2, "cage": [1,1], "values": {"[3]": 0}}}',
     '{"rank": {"p": 2, "cage": [1], "values": {"[]": 0, "[1]": 1, "[2]": 1, "[1,2]": 1}}}',
 ])
@@ -242,6 +243,8 @@ def test_polynomial_document_is_canonically_sorted():
     assert doc["basis"] == "monomial"
     assert [t["exponents"] for t in doc["terms"]] == [[0, 3], [2, 1], [1, 2], [0, 2], [1, 1]]
     assert doc["canonical"] == "t2^3 + t1^2*t2 + t1*t2^2 - t2^2 - t1*t2"
+    with pytest.raises(TypeError, match="^cannot serialize 'dict'$"):
+        polynomial_document({(0, 3): 1})
 
 
 # ------------------------------------------------------------------- commands
@@ -308,6 +311,15 @@ def test_point_list_documents_match_golden(command):
     status, out, _ = run([command], stdin=ladder_rank_document(3, (2, 1) * 5))
     assert status == 0
     assert out == (GOLDEN / ("%s_ladder_r3_p10.json" % command)).read_text()
+
+
+def test_independence_of_one_base_matches_golden():
+    # One base point: the region is the box [0, u], 24 points.  CI pipes the
+    # same document into the installed console script and compares its
+    # stdout with this file.
+    status, out, _ = run(["independence"], stdin='{"points": [[2, 0, 3, 1]]}')
+    assert status == 0
+    assert out == (GOLDEN / "independence_one_base_box.json").read_text()
 
 
 def test_points_and_independence_commands():

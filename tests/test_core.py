@@ -14,6 +14,7 @@ from cavepoly import (
     GeneratorConfig,
     NotMConvex,
     Polymatroid,
+    RankFunction,
     homogenize,
     is_generalized_polymatroid,
     is_m_convex,
@@ -77,6 +78,26 @@ def test_validate_malformed_inputs():
         validate_rank_function(17, {}, (0,) * 17)  # beyond the mask cap
     with pytest.raises(ValueError, match=r"^rank of \(1,\) is 1\.0, not an integer$"):
         validate_rank_function(2, [0, 1.0, 1, 1], [1, 1])
+    with pytest.raises(ValueError, match=r"^p must be a positive integer, got 0$"):
+        validate_rank_function(0, [0], [])
+    with pytest.raises(ValueError, match=r"^duplicate subset \(1,\) in rank map$"):
+        validate_rank_function(1, {(): 0, (1,): 1, 1: 1}, (1,))  # an int key is a mask
+    with pytest.raises(ValueError, match=r"^expected 4 rank values, got 3$"):
+        validate_rank_function(2, [0, 1, 1], (1, 1))
+    with pytest.raises(ValueError, match=r"^subset element 3 outside 1\.\.2$"):
+        validate_rank_function(2, {(): 0, (1,): 1, (3,): 1, (1, 2): 2}, (1, 1))
+
+
+def test_rank_function_constructor_and_identity():
+    with pytest.raises(ValueError, match=r"^expected 4 rank values, got 3$"):
+        RankFunction(2, [0, 1, 1], (1, 1))
+    with pytest.raises(DimensionMismatch, match=r"^cage has length 1, expected 2$"):
+        RankFunction(2, [0, 1, 1, 2], (1,))
+    rk = RankFunction(2, [0, 1, 1, 2], (1, 1))
+    slack = RankFunction(2, [0, 1, 1, 2], (5, 5))  # the cage is metadata
+    assert rk == slack and hash(rk) == hash(slack) and len({rk, slack}) == 1
+    assert rk != (0, 1, 1, 2) and rk.__eq__(rk.values) is NotImplemented
+    assert repr(rk) == "RankFunction(p=2, rank=2, cage=[1, 1])"
 
 
 def test_validation_is_total_against_brute_force():
@@ -248,6 +269,10 @@ def test_polymatroid_invariants(running):
     assert len(running) == 3
     assert (1, 2) in running
     assert list(running) == [(0, 3), (1, 2), (2, 1)]
+    same = Polymatroid([(2, 1), (1, 2), (0, 3)])
+    assert running == same and hash(running) == hash(same) and len({running, same}) == 1
+    assert running != running.points and running.__eq__(running.points) is NotImplemented
+    assert repr(running) == "Polymatroid([(0, 3), (1, 2), (2, 1)])"
 
 
 def test_polymatroid_rejects_bad_inputs():

@@ -135,10 +135,13 @@ def test_independence_points_match_box_filter():
 def test_region_walk_matches_both_region_oracles_and_the_lattice_code():
     ladder = [named_family("uniform", r=r, m=m)
               for r, m in ((8, (4,) * 4), (10, (4,) * 5), (9, (3,) * 6), (8, (2,) * 7), (12, (4,) * 6))]
+    # The benchmark's wide shapes: p = 8..10, r = 2..3, cages in {1, 2}^p with p // 2 twos.
+    wide_shapes = [named_family("uniform", r=r, m=tuple(2 if (i + shift) % p < p // 2 else 1 for i in range(p)))
+                   for shift, (p, r) in enumerate(itertools.product((8, 9, 10), (2, 3)))]
     cases = [*instance_mix(60, seed=2_200, ps=(1, 2, 3, 4, 5, 6), max_rank=6, max_cage_entry=3),
              named_family("rank-zero", p=1), named_family("rank-zero", p=4),
-             named_family("free", m=(3,)), named_family("free", m=(2, 0, 3, 1)),  # one base: a box at depth 0
-             named_family("running-example"), *ladder]
+             named_family("free", m=(3,)), named_family("free", m=(2, 0, 3, 1)),  # one base: a box
+             named_family("running-example"), *ladder, *wide_shapes]
     wide = named_family("uniform", r=2, m=(2,) * 12)  # CI's p = 12 rank document: closure oracle only
     for P in cases + [wide]:
         index = geometry.region_index(P)

@@ -162,6 +162,22 @@ def test_verify_instance_builds_the_declared_inputs_once_before_any_check(monkey
     assert report.passed and report.inputs_elapsed > 0
 
 
+def test_unknown_check_names_are_refused_before_any_input_is_built(monkeypatch, running):
+    built = []
+    monkeypatch.setitem(INPUTS, "four-way-equality", (built.append,))
+    monkeypatch.setattr(genverify, "random_polymatroid", lambda cfg: built.append(cfg) or running)
+    message = r"^unknown check 'typo'; known checks: %s$" % ", ".join(CHECKS)
+    with pytest.raises(ValueError, match=message):
+        verify_instance(running, checks=["four-way-equality", "typo"])
+    with pytest.raises(ValueError, match=message):
+        verify_campaign(GeneratorConfig(seed=0, p=2), 3, checks=["four-way-equality", "typo"])
+    assert built == []
+    # A name added to CHECKS is known.
+    monkeypatch.setitem(CHECKS, "typo", lambda P: (True, None))
+    assert [r.name for r in verify_instance(running, checks=["typo"]).results] == ["typo"]
+    assert verify_campaign(GeneratorConfig(seed=0, p=2), 2, checks=["typo"]).passed
+
+
 def test_cancellation_free_reports_the_smallest_wrong_sign(monkeypatch, running):
     # Two coefficients of the running example's cave polynomial flipped, the
     # flipped terms inserted in either order: the detail names the smaller.

@@ -27,6 +27,13 @@ RUNNING_INDEPENDENCE = {
 RUNNING_CAVE = {(0, 3), (1, 2), (2, 1), (0, 2), (1, 1)}
 
 
+def test_independence_set_identity(running):
+    region = independence_points(running)
+    same = independence_points(Polymatroid([(2, 1), (1, 2), (0, 3)]))
+    assert region == same and hash(region) == hash(same) and len({region, same}) == 1
+    assert region != region.points and region.__eq__(region.points) is NotImplemented
+
+
 def test_indicator_membership(running):
     assert indicator(running, (0, 3)) == 1
     assert indicator(running, (3, 0)) == 0

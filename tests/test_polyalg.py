@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cavepoly import (
     BinomialBasisPoly,
     DimensionMismatch,
+    InternalInvariantFailure,
     MultiPoly,
     NegativeExponent,
     RationalPoly,
@@ -36,6 +37,24 @@ def polys(p, max_terms=5, max_exp=3, coeff=6):
 
 def test_add_cancels_to_zero():
     assert P2({(0, 3): 1}) + P2({(0, 3): -1}) == MultiPoly.zero(2)
+
+
+def test_ring_ops_decline_other_operands():
+    q, b = P2(GOLDEN), BinomialBasisPoly(2, {(0, 1): 1})
+    assert q != "t2" and q.__eq__("t2") is NotImplemented
+    assert b != 1 and b.__eq__(1) is NotImplemented
+    for op in (q.__add__, q.__mul__):
+        assert op(0.5) is NotImplemented
+    with pytest.raises(TypeError):
+        q + 0.5
+    with pytest.raises(TypeError):
+        "t2" * q
+
+
+def test_assert_ordinary_refuses_a_negative_exponent():
+    assert P2(GOLDEN).assert_ordinary() == P2(GOLDEN)
+    with pytest.raises(InternalInvariantFailure, match="^negative exponent in a finished polynomial$"):
+        MultiPoly(1, {(-1,): 1}).assert_ordinary()
 
 
 def test_add_merges_terms():
@@ -126,6 +145,8 @@ def test_binom_int_matches_stdlib_and_extends():
     assert binom_int(-1, 1) == -1
     assert binom_int(-3, 2) == 6
     assert binom_int(2, 3) == 0  # C(n-1, n) = 0 pattern
+    with pytest.raises(ValueError, match="^binomial lower index must be nonnegative$"):
+        binom_int(3, -1)
 
 
 def test_binomial_map_single_monomial():
@@ -295,6 +316,8 @@ def test_canonical_string_golden_order():
 
 def test_canonical_string_trivia():
     assert canonical_string(MultiPoly.zero(3)) == "0"
+    with pytest.raises(TypeError, match="^cannot render 'dict'$"):
+        canonical_string(GOLDEN)
     assert canonical_string(MultiPoly.constant(1, -1)) == "-1"
     assert canonical_string(P2({(1, 0): -2, (0, 0): 7})) == "-2*t1 + 7"
 
