@@ -23,7 +23,7 @@ from itertools import accumulate, product
 from operator import gt, sub
 from types import MappingProxyType
 
-from .core import LexOrder, Polymatroid, _bits, as_point, exchange_index, lattice_code, memo, resolve_order
+from .core import Immutable, LexOrder, Polymatroid, _bits, as_point, exchange_index, lattice_code, memo, resolve_order
 from .errors import DimensionMismatch, InternalInvariantFailure, NotABasePoint, NotComparable
 from .geometry import independence_points, region_index
 from .polyalg import BinomialBasisPoly, MultiPoly, axiswise_codes, binomial_map
@@ -38,17 +38,16 @@ class Stalactite:
     members: frozenset
 
 
-class MobiusTable:
+class MobiusTable(Immutable):
     """Mobius values on the independence points; anything else maps to 0.
-    ``values`` is a read-only view: one table in a polymatroid's memo store
-    is handed to every caller."""
+    Immutable, ``values`` a read-only view: one table in a polymatroid's
+    memo store is handed to every caller."""
 
     __slots__ = ("p", "rank", "values")
 
     def __init__(self, p: int, rank: int, values: dict):
-        self.p = p
-        self.rank = rank
-        self.values = MappingProxyType(dict(values))
+        for name, value in (("p", p), ("rank", rank), ("values", MappingProxyType(dict(values)))):
+            object.__setattr__(self, name, value)
 
     def __getitem__(self, n) -> int:
         return self.values.get(tuple(n), 0)
@@ -187,29 +186,26 @@ def box_polynomial(P: Polymatroid) -> MultiPoly:
     return MultiPoly(P.p, dict(zip(lattice.decode(terms), terms.values())))
 
 
-_exact_upper = [()]  # the last upper endpoint seen to be a tuple of ints
-
-
 def mobius_interval(m, n) -> int:
     """Closed-form Mobius value of the interval [m, n] in the componentwise
     order: (-1)^j when n - m is a 0/1 vector with j ones, else 0.
 
-    Equal-length tuples of ints, the common case, are already normal; any
-    other pair is normalised, m first.  A caller walking a box passes one
-    upper endpoint many times, so the last one found exact is held (an
-    immutable tuple, kept alive by the slot, so identity is exactness) and
-    only m's types are scanned again."""
-    if n is not _exact_upper[0] and type(n) is tuple and {*map(type, n)} <= {int}:
-        _exact_upper[0] = n
-    if not (type(m) is tuple and n is _exact_upper[0] and len(m) == len(n) and {*map(type, m)} <= {int}):
+    Endpoints of one length whose steps n - m are all ints, the common
+    case, are read as they are; any other pair is normalised by
+    ``as_point``, m first, which names the first non-integer entry."""
+    try:
+        steps = {*map(sub, n, m)} if len(m) == len(n) else {None}
+    except TypeError:  # an endpoint without a length, or entries that do not subtract
+        steps = {None}
+    if not {*map(type, steps)} <= {int}:
         m, n = as_point(m), as_point(n)
         if len(m) != len(n):
             raise DimensionMismatch("interval endpoints differ in length")
-    steps = {*map(sub, n, m)}
+        steps = {*map(sub, n, m)}
     if steps <= {0, 1}:
         return (-1) ** (sum(n) - sum(m))
     if min(steps) < 0:  # a negative step is refused before a step > 1 gives 0
-        raise NotComparable("%s is not componentwise <= %s" % (m, n))
+        raise NotComparable("%s is not componentwise <= %s" % (as_point(m), as_point(n)))
     return 0
 
 

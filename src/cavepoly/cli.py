@@ -10,14 +10,13 @@ Polynomial documents list terms in the canonical order together with the
 canonical string; the term list is authoritative, the string advisory.
 ``_COMMANDS`` maps each command to a handler ``(args, stdin) -> (output,
 status)``, the output a document or a text.  ``_emit`` writes a document
-through the one JSON writer, ``_json_parts``, as ``json.dumps(doc,
-indent=2)`` does; its uniform-list rule (``_uniform_items``) renders lists
-of vectors or of like records column by column.  Exit status: 0 on
-success/equality, 1 on mathematical inequality or a cave-check false, 2 on
-input or usage errors, 3 on an internal error (a library bug, any
-exception but those, reported as one ``internal error: ...`` line on
-stderr).  Instance commands read a file argument or stdin; diagnostics go
-to stderr, and no command keeps state.
+as ``json.dumps(doc, indent=2)`` does; ``_json_parts`` states which values
+the writer renders itself and which it hands to json's encoder.  Exit
+status: 0 on success/equality, 1 on mathematical inequality or a
+cave-check false, 2 on input or usage errors, 3 on an internal error (a
+library bug, any exception but those, reported as one ``internal error:
+...`` line on stderr).  Instance commands read a file argument or stdin;
+diagnostics go to stderr, and no command keeps state.
 """
 
 from __future__ import annotations
@@ -228,13 +227,7 @@ def polynomial_document(q, **extra) -> dict:
 
 
 _encode_string = json.encoder.encode_basestring_ascii
-
-
-def _json_key(key) -> str:
-    """A non-string object key as ``json`` spells it, or json's TypeError."""
-    if isinstance(key, (int, float)) or key is None:
-        return json.dumps(key)
-    raise TypeError("keys must be str, int, float, bool or None, not %s" % type(key).__name__)
+_encoder = json.JSONEncoder(indent=2)  # json.dumps(indent=2)'s settings
 
 
 def _vector_texts(items, inner):
@@ -280,45 +273,29 @@ def _uniform_items(items, inner):
 def _json_parts(value, parts, newline):
     """Append to ``parts`` the text ``json.dumps(value, indent=2)`` gives
     ``value``; ``newline`` is a line break and the indentation of ``value``.
-    A list that ``_uniform_items`` renders takes one part per item after
-    its separator part, with no call per item."""
+    The writer's rule: strs, exact ints and nonempty dicts whose keys are
+    all ``str`` are written here, the dicts key by key; a list that
+    ``_uniform_items`` renders takes one part per item after its separator
+    part, with no call per item; every other value is one part, the text
+    of ``_encoder`` with its line breaks indented (its strings escape
+    theirs)."""
+    inner = newline + "  "
     if isinstance(value, str):
         parts.append(_encode_string(value))
     elif type(value) is int:
         parts.append(int.__repr__(value))
-    elif value is None or value is True or value is False:
-        parts.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, (list, tuple)):
-        inner = newline + "  "
-        if not value:
-            parts.append("[]")
-        elif {*map(type, value)} == {int}:
-            parts.append("[%s%s%s]" % (inner, ("," + inner).join(map(int.__repr__, value)), newline))
-        elif (items := _uniform_items(value, inner)) is not None:
-            parts += chain.from_iterable(zip(chain(["[" + inner], repeat("," + inner)), items))
-            parts.append(newline + "]")
-        else:
-            separator = "[" + inner
-            for item in value:
-                parts.append(separator)
-                _json_parts(item, parts, inner)
-                separator = "," + inner
-            parts.append(newline + "]")
-    elif isinstance(value, dict):
-        inner = newline + "  "
-        if not value:
-            parts.append("{}")
-        else:
-            separator = "{" + inner
-            for key, item in value.items():
-                key = key if isinstance(key, str) else _json_key(key)
-                parts.append("%s%s: " % (separator, _encode_string(key)))
-                _json_parts(item, parts, inner)
-                separator = "," + inner
-            parts.append(newline + "}")
+    elif isinstance(value, dict) and {*map(type, value)} == {str}:
+        separator = "{" + inner
+        for key, item in value.items():
+            parts.append(separator + _encode_string(key) + ": ")
+            _json_parts(item, parts, inner)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, list) and (items := _uniform_items(value, inner)) is not None:
+        parts += chain.from_iterable(zip(chain(["[" + inner], repeat("," + inner)), items))
+        parts.append(newline + "]")
     else:
-        # Floats and int subclasses as json spells them; json's TypeError for the rest.
-        parts.append(json.dumps(value))
+        parts.append(_encoder.encode(value).replace("\n", newline))
 
 
 _EMIT_CHUNK = 4096
@@ -326,9 +303,10 @@ _EMIT_CHUNK = 4096
 
 def _emit(doc, out):
     """Write ``doc`` as ``json.dump(doc, indent=2)`` does, then a newline,
-    whose ``indent`` would make ``json`` use its pure-Python encoder: the
-    parts joined and written in chunks of at most ``_EMIT_CHUNK``, so a
-    large document's text is never held whole beside its parts."""
+    whose ``indent`` would make ``json`` use its pure-Python encoder on the
+    whole document: ``_json_parts``'s parts joined and written in chunks of
+    at most ``_EMIT_CHUNK``.  Only a uniform list is many parts, so only its
+    text is never held whole beside its parts; any other value is one part."""
     parts = []
     _json_parts(doc, parts, "\n")
     parts.append("\n")

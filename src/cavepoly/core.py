@@ -136,7 +136,22 @@ def subset_to_mask(subset: Iterable[int], p: int) -> int:
     return mask
 
 
-class RankFunction:
+class Immutable:
+    """A base whose instances refuse every attribute assignment and
+    deletion, so that a value held in a memo store cannot be changed by one
+    caller under another; a constructor sets its slots with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class RankFunction(Immutable):
     """A validated polymatroid rank function: ``values[mask]`` is the rank
     of the subset ``mask``.  Build one by ``validate_rank_function`` or
     ``rank_from_points``; the constructor does not check the axioms."""
@@ -144,9 +159,8 @@ class RankFunction:
     __slots__ = ("p", "values", "cage")
 
     def __init__(self, p: int, values: Sequence[int], cage: Sequence[int]):
-        self.p = p
-        self.values = tuple(values)
-        self.cage = tuple(cage)
+        for name, value in (("p", p), ("values", tuple(values)), ("cage", tuple(cage))):
+            object.__setattr__(self, name, value)
         if len(self.values) != 1 << p:
             raise ValueError("expected %d rank values, got %d" % (1 << p, len(self.values)))
         if len(self.cage) != p:
@@ -654,7 +668,7 @@ def homogenize(points) -> frozenset:
     return frozenset(q + (top - sum(q),) for q in pts)
 
 
-class Polymatroid:
+class Polymatroid(Immutable):
     """A finite homogeneous M-convex set of lattice points in N^p.  The
     constructor validates all invariants: nonempty, equal lengths,
     nonnegative, p >= 1, then homogeneous and M-convex on P's
@@ -676,9 +690,6 @@ class Polymatroid:
         witness = exchange_index(self).m_convex_failure()
         if witness is not None:
             raise not_m_convex(witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polymatroid is immutable")
 
     @property
     def cage(self) -> tuple:

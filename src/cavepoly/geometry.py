@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .core import (
     ExchangeIndex,
+    Immutable,
     LexOrder,
     Polymatroid,
     _bits,
@@ -34,7 +35,7 @@ from .errors import (
 )
 
 
-class IndependenceSet:
+class IndependenceSet(Immutable):
     """Integer points of the independence polytope of ``source``: downward
     closed, holding the origin and every point of the source.  ``points``
     is a frozenset, when not given the source's memoised one, built on
@@ -46,9 +47,6 @@ class IndependenceSet:
     def __init__(self, p: int, points, source: Polymatroid):
         for name, value in (("p", p), ("_points", points), ("source", source)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndependenceSet is immutable")
 
     @property
     def points(self) -> frozenset:

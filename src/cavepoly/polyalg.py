@@ -29,7 +29,7 @@ from itertools import chain, count
 from operator import neg
 from types import MappingProxyType
 
-from .core import LatticeCode
+from .core import Immutable, LatticeCode
 from .errors import DimensionMismatch, InternalInvariantFailure, NegativeExponent
 
 
@@ -54,7 +54,7 @@ def canonical_order(terms) -> list:
     return [keys[k] for k in sorted(range(len(keys)), key=flat.__getitem__)]
 
 
-class _SparsePoly:
+class _SparsePoly(Immutable):
     """Immutable sparse combination of length-p keys.  A representation
     supplies ``_coefficient`` (check and convert one term's coefficient),
     ``_normal`` (the coefficient type it stores) and ``_factor`` (the value
@@ -86,9 +86,6 @@ class _SparsePoly:
                         del clean[key]
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "terms", MappingProxyType(clean))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def _is_normal(self, p, terms) -> bool:
         """Whether the per-term loop would raise nothing, convert nothing and

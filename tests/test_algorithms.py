@@ -27,6 +27,7 @@ from cavepoly import (
     stalactite_counts,
     stalactite_decomposition,
     stalactite_polynomial,
+    verify_instance,
 )
 from conftest import instance_mix
 
@@ -425,6 +426,24 @@ def test_snapper_routes_agree_at_sample_points(running):
     b = snapper_eur_larson(running)
     for t in itertools.product(range(0, 4), repeat=2):
         assert a.evaluate(t) == b.evaluate(t)
+
+
+def test_memoised_rank_function_and_mobius_table_cannot_be_rebound():
+    """Rebinding or deleting any slot of the one ``RankFunction`` or
+    ``MobiusTable`` in P's memo store raises, and later reads see the
+    values held before."""
+    P = Polymatroid([(0, 3), (1, 2), (2, 1)])
+    for get, junk in ((core.rank_from_points, (0, 0, 0, 0)), (mobius_table, {})):
+        held = get(P)
+        before = {name: getattr(held, name) for name in type(held).__slots__}
+        for name in before:
+            with pytest.raises(AttributeError, match="%s is immutable" % type(held).__name__):
+                setattr(held, name, junk)
+            with pytest.raises(AttributeError, match="%s is immutable" % type(held).__name__):
+                delattr(held, name)
+        assert get(P) is held
+        assert {name: getattr(get(P), name) for name in before} == before
+    assert verify_instance(P).passed
 
 
 def test_cached_results_are_read_only():

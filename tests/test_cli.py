@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cavepoly import AxiomViolation, NotMConvex, ParseError
 from cavepoly.cli import (
     _emit,
+    _encoder,
     parse_instance,
     polynomial_document,
     rank_document,
@@ -320,6 +321,31 @@ def test_independence_of_one_base_matches_golden():
     status, out, _ = run(["independence"], stdin='{"points": [[2, 0, 3, 1]]}')
     assert status == 0
     assert out == (GOLDEN / "independence_one_base_box.json").read_text()
+
+
+def test_is_cave_on_a_ladder_row_region_matches_golden():
+    # Condition 2 fails with 82 points in "extra", held as tuples.  CI pipes
+    # the installed console script's region into its is-cave command and
+    # compares the exit status and stdout with this file.
+    status, region, _ = run(["independence"], stdin=ladder_rank_document())
+    assert status == 0
+    status, out, _ = run(["is-cave"], stdin=region)
+    assert status == 1
+    assert out == (GOLDEN / "is_cave_ladder_region.json").read_text()
+
+
+@pytest.mark.parametrize("argv", [["cave"], ["snapper", "--expand"], ["points"], ["independence"],
+                                  ["mobius", "--table"]], ids=" ".join)
+def test_document_bulk_never_reaches_the_json_encoder(argv, monkeypatch):
+    """The uniform-list rule renders every list of vectors or records of a
+    ladder row's documents; json's encoder sees only small values."""
+    seen, encode = [], _encoder.encode
+    monkeypatch.setattr(_encoder, "encode", lambda value: seen.append(value) or encode(value))
+    status, out, _ = run(argv, stdin=ladder_rank_document())
+    assert status == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+    nested = [value for value in seen if isinstance(value, (list, tuple))
+              and any(isinstance(item, (list, tuple, dict)) for item in value)]
+    assert not nested, nested
 
 
 def test_points_and_independence_commands():

@@ -483,6 +483,19 @@ def test_mobius_interval_matches_normalized_form():
     assert outcomes == {1, -1, 0, ValueError, DimensionMismatch, NotComparable}
 
 
+def test_mobius_interval_normalises_endpoints_that_do_not_subtract():
+    # Entries that int subtraction refuses and endpoints without a length
+    # take the normalising path, as the normalised form reads them.
+    pairs = [(("a", 1), (1, 1)), ((0, 1), ("b", 2)), (("x",), (1, 2)), ((None, 0), (0.5, 1))]
+    for m, n in pairs:
+        assert _outcome(algorithms.mobius_interval, m, n) == _outcome(mobius_interval_normalized, m, n)
+        assert _outcome(algorithms.mobius_interval, m, n)[0] is ValueError, (m, n)
+    for m, n, kind in (((0, 1), (1, 1), int), ((2, 1), (1, 1), NotComparable), ((0,), (1, 2), DimensionMismatch)):
+        outcome = _outcome(algorithms.mobius_interval, iter(m), iter(n))
+        assert outcome == _outcome(mobius_interval_normalized, iter(m), iter(n))
+        assert kind is int and outcome == -1 or outcome[0] is kind, (m, n)
+
+
 def spread_value_sets(seed, count):
     """Random point sets whose coordinates take a few values each, spread
     over [-2, 14], so that the truncation masks stay equal over long runs."""

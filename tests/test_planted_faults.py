@@ -12,6 +12,7 @@ write that file again:
     PYTHONPATH=src python tests/test_planted_faults.py
 """
 
+import io
 import json
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import pytest
 
 from cavepoly import core, genverify, polyalg
 from cavepoly.algorithms import MobiusTable
+from cavepoly.cli import run_command
 from cavepoly.errors import CavepolyError
 from cavepoly.genverify import GeneratorConfig, random_polymatroid, verify_campaign, verify_instance
 from cavepoly.geometry import independence_points, is_cave
@@ -199,6 +201,18 @@ def test_stray_count_zero_snapper_and_raising_candidates_take_their_own_verdict_
         [["snapper-routes", "Snapper at the zero vector is 2 / 2, expected 1"]]] * len(INSTANCES)
     # Every p = 1 candidate raised, so each witness stops at p = 2.
     assert {len(f["shrunk_points"][0]) for f in recorded["mobius-fails-then-raises"]["campaign"]["failures"]} == {2}
+
+
+def test_verify_command_under_flipped_cave_term_matches_golden(monkeypatch):
+    """The text of a ``cavepoly verify`` document with failures, whose
+    records (a detail string and point lists) json's encoder writes."""
+    owner, name, plant, _ = FAULTS["flipped-cave-term"]
+    monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
+    out, err = io.StringIO(), io.StringIO()
+    status = run_command(["verify", "--p", "4", "--max-rank", "6", "--max-cage-entry", "4", "--count", "20"],
+                         stdin=io.StringIO(), stdout=out, stderr=err)
+    assert (status, err.getvalue()) == (1, "")
+    assert out.getvalue() == GOLDEN.with_name("verify_p4_flipped_cave_term.json").read_text()
 
 
 def test_is_cave_reports_conditions_2_and_3_under_planted_faults(monkeypatch):
