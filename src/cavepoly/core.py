@@ -347,7 +347,7 @@ def _bits(mask) -> list:
     return out
 
 
-class LatticeCode:
+class LatticeCode(Immutable):
     """Mixed-radix integer codes of lattice points with per-coordinate
     ``spans``: code(q) = sum of q_i * strides[i], strides[0] = 1 and
     strides[i + 1] = strides[i] * spans[i].  So q +- e_i has the code
@@ -357,8 +357,9 @@ class LatticeCode:
     __slots__ = ("spans", "strides")
 
     def __init__(self, spans):
-        self.spans = tuple(spans)
-        self.strides = tuple(accumulate(self.spans, mul, initial=1))[:-1]
+        spans = tuple(spans)
+        object.__setattr__(self, "spans", spans)
+        object.__setattr__(self, "strides", tuple(accumulate(spans, mul, initial=1))[:-1])
 
     def encode(self, points) -> list:
         """The codes of a collection of points of length p, as a list."""
@@ -387,7 +388,8 @@ class ExchangeIndex:
     lookups, and a subset costs O(p) mask operations per kept point.  A
     point keeps only the union of its failure masks, as a polymatroid holds
     its index for life.  Every part is built on first use; the lattice
-    codes turn neighbour lookups into integer additions.
+    codes turn neighbour lookups into integer additions, and the exchange
+    check reads ``masks`` only past a missing move (``_exchange_failures``).
     """
 
     def __init__(self, ordered, lattice=None):
@@ -404,7 +406,14 @@ class ExchangeIndex:
         hold negative entries), the box from min(min, 0) - 1 to max + 1.
         Either keeps the codes of all q +- e_i looked up distinct, and either
         box holds [0, max], where ``decode`` inverts the codes."""
-        return LatticeCode([max(col) - min(*col, 0) + 3 for col in zip(*self.ordered)])
+        return LatticeCode([high - min(low, 0) + 3 for low, high in zip(*self.bounds)])
+
+    @cached_property
+    def bounds(self) -> tuple:
+        """(least, greatest): per coordinate, the least and the greatest value
+        of the points, from one ``zip`` over them."""
+        columns = list(zip(*self.ordered))
+        return list(map(min, columns)), list(map(max, columns))
 
     @cached_property
     def codes(self) -> list:
@@ -492,16 +501,25 @@ class ExchangeIndex:
     def _exchange_failures(self, k):
         """``(failing, 0)`` of the exchange property at u = ordered[k]: v
         fails at coordinate i when v_i < u_i and v_j <= u_j for every j with
-        u - e_i + e_j in the set."""
+        u - e_i + e_j in the set.  While every such move with u_j below the
+        set's greatest j-th value is present, a failing v has v_j <= u_j for
+        every j != i, so it lies below u, at a lower degree; as
+        ``m_convex_failure`` asks within one degree, ``failing[i]`` is then 0.
+        Only past a missing move are the ``masks`` read."""
         u, code = self.ordered[k], self.codes[k]
-        masks, position = self.masks, self.position
+        position, (least, greatest) = self.position, self.bounds
         failing = []
         for i, moves in enumerate(self.moves):
-            bad = masks[i][u[i]][0]
-            if bad:
+            bad = 0
+            if u[i] > least[i]:
                 for j, move in moves:
-                    if code + move in position:
-                        bad &= ~masks[j][u[j]][1]
+                    if code + move not in position and u[j] < greatest[j]:
+                        masks = self.masks
+                        bad = masks[i][u[i]][0]
+                        for j, move in moves:
+                            if code + move in position:
+                                bad &= ~masks[j][u[j]][1]
+                        break
             failing.append(bad)
         return failing, 0
 
@@ -694,7 +712,7 @@ class Polymatroid(Immutable):
     @property
     def cage(self) -> tuple:
         """Componentwise maximum over the points (the tightest cage)."""
-        return tuple(max(q[i] for q in self.points) for i in range(self.p))
+        return tuple(map(max, zip(*self.points)))
 
     def __eq__(self, other):
         if not isinstance(other, Polymatroid):

@@ -446,6 +446,20 @@ def test_memoised_rank_function_and_mobius_table_cannot_be_rebound():
     assert verify_instance(P).passed
 
 
+def test_memoised_lattice_code_cannot_be_rebound():
+    """Rebinding or deleting ``spans`` or ``strides`` of P's one
+    ``LatticeCode`` raises, and every check still passes afterwards."""
+    P = Polymatroid([(0, 3), (1, 2), (2, 1)])
+    held = core.lattice_code(P)
+    for name in ("spans", "strides"):
+        with pytest.raises(AttributeError, match="LatticeCode is immutable"):
+            setattr(held, name, (1, 1))
+        with pytest.raises(AttributeError, match="LatticeCode is immutable"):
+            delattr(held, name)
+    assert core.lattice_code(P) is held and (held.spans, held.strides) == ((4, 5), (1, 4))
+    assert verify_instance(P).passed
+
+
 def test_cached_results_are_read_only():
     P = Polymatroid([(0, 4), (1, 3), (2, 2)])
     routes = (cave_polynomial, stalactite_polynomial, box_polynomial, mobius_polynomial,

@@ -180,7 +180,8 @@ def test_not_m_convex_witness_matches_pairwise():
     assert raised > 100
 
 
-@pytest.mark.parametrize("points", [[(2, 0), (0, 2)], [(1, 0), (0, 2)], [(0, 2, 1), (2, 0, 1), (1, 1, 0)]])
+@pytest.mark.parametrize("points", [[(2, 0), (0, 2)], [(1, 0), (0, 2)], [(0, 2, 1), (2, 0, 1), (1, 1, 0)],
+                                    [(0, 1, 1), (0, 2, 0), (1, 0, 1)]])
 def test_constructor_refuses_as_is_m_convex_reports(points):
     ok, witness = is_m_convex(points)
     with pytest.raises(NotMConvex) as exc:
@@ -240,6 +241,16 @@ def test_failure_caches_are_built_only_where_a_check_reads_them():
     region, bases = vars(geometry.region_index(P)), vars(core.exchange_index(P))
     assert not {"_exchange", "_gp"} & region.keys() and "_gp" not in bases
     assert {type(union) for union in bases.get("_exchange", ())} <= {int, type(None)}
+
+
+def test_exchange_check_reads_threshold_masks_only_past_a_missing_move(running):
+    wide = [named_family("uniform", r=r, m=(2,) * (p // 2) + (1,) * (p - p // 2)) for p in (8, 9, 10) for r in (2, 3)]
+    for P in LADDER + wide + [running]:
+        assert "masks" not in vars(core.exchange_index(Polymatroid(P.points))), P
+    points = [(0, 1, 1), (0, 2, 0), (1, 0, 1)]  # complete at coordinate 1, a move missing at coordinate 3
+    index = core.ExchangeIndex(sorted(points))
+    assert (False, index.m_convex_failure()) == is_m_convex_pairwise(points) == (False, ((1, 0, 1), (0, 2, 0), 3))
+    assert "masks" in vars(index)
 
 
 def test_verify_instance_leaves_no_region_set_in_the_memo_store():
