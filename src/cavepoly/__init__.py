@@ -11,10 +11,8 @@ from .algorithms import (
     mobius_interval,
     mobius_polynomial,
     mobius_table,
-    neighbors,
     snapper_eur_larson,
     snapper_from_cave,
-    stalactite,
     stalactite_counts,
     stalactite_decomposition,
     stalactite_polynomial,
@@ -23,8 +21,6 @@ from .core import (
     LexOrder,
     Polymatroid,
     RankFunction,
-    homogenize,
-    is_generalized_polymatroid,
     is_m_convex,
     points_from_rank,
     rank_from_points,
@@ -38,7 +34,6 @@ from .errors import (
     GenerationExhausted,
     InternalInvariantFailure,
     NegativeExponent,
-    NotABasePoint,
     NotComparable,
     NotInIndependence,
     NotMConvex,
@@ -59,11 +54,8 @@ from .geometry import (
     CaveReport,
     IndependenceSet,
     independence_points,
-    indicator,
     is_cave,
-    top_elements,
     truncate,
-    truncation_set,
 )
 from .polyalg import (
     BinomialBasisPoly,

@@ -11,20 +11,19 @@ route's result is held in P's memo store, and the routes share only
 ``lattice_code(P)``, the exchange index and the independence region.
 ``snapper_from_cave`` and ``snapper_eur_larson`` reach the Snapper
 polynomial from the cave polynomial and from the independence points.
-``neighbors``, ``stalactite`` and ``stalactite_decomposition`` build
-``Stalactite`` cubes from the exchange index for callers that want them.
+``stalactite_decomposition`` builds ``Stalactite`` cubes from the
+exchange index for callers that want them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, product
-from operator import gt, sub
+from operator import sub
 from types import MappingProxyType
 
 from .core import Immutable, LexOrder, Polymatroid, _bits, as_point, exchange_index, lattice_code, memo, resolve_order
-from .errors import DimensionMismatch, InternalInvariantFailure, NotABasePoint, NotComparable
+from .errors import DimensionMismatch, InternalInvariantFailure, NotComparable
 from .geometry import independence_points, region_index
 from .polyalg import BinomialBasisPoly, MultiPoly, axiswise_codes, binomial_map
 
@@ -67,38 +66,10 @@ class MobiusTable(Immutable):
         return "MobiusTable(p=%d, rank=%d, %d points)" % (self.p, self.rank, len(self.values))
 
 
-def _position(P: Polymatroid, index, q) -> int:
-    """The position of the base point ``q`` in P's ``exchange_index``."""
-    q = as_point(q)
-    if q not in P.points:
-        raise NotABasePoint("%s is not a base point" % (q,))
-    return bisect_left(index.ordered, q)
-
-
-def neighbors(P: Polymatroid, u) -> frozenset:
-    """All (l, j, w) with w = u - e_l + e_j a base point, l != j (1-based),
-    read from u's neighbour masks in P's ``exchange_index``."""
-    index = exchange_index(P)
-    k = _position(P, index, u)
-    u = index.ordered[k]
-    return frozenset((ell + 1, list(map(gt, w, u)).index(True) + 1, w)
-                     for ell, mask in enumerate(index.neighbours[k])
-                     for w in map(index.ordered.__getitem__, _bits(mask)))
-
-
 def _hanging_cube(apex, directions) -> Stalactite:
     """The stalactite below ``apex`` along the direction mask ``directions``."""
     axes = [(c, c - 1) if directions >> ell & 1 else (c,) for ell, c in enumerate(apex)]
     return Stalactite(apex, frozenset(ell + 1 for ell in _bits(directions)), frozenset(product(*axes)))
-
-
-def stalactite(u, V, P: Polymatroid) -> Stalactite:
-    """St(u; V): directions are the l with some neighbor u - e_l + e_j in V,
-    the last of P's ``exchange_index`` stalactites visiting V, then u."""
-    index = exchange_index(P)
-    k = _position(P, index, u)
-    *_, (_, directions) = index.stalactites([_position(P, index, w) for w in V] + [k])
-    return _hanging_cube(index.ordered[k], directions)
 
 
 def stalactite_decomposition(P: Polymatroid, order: LexOrder | None = None) -> tuple:

@@ -12,7 +12,7 @@ exactly:
 
 ``LatticeCode`` codes lattice points as integers; ``lattice_code(P)`` is the
 one code of P's points.  ``ExchangeIndex`` answers the exchange questions
-(``is_m_convex``, ``is_generalized_polymatroid``) and counts stalactites for
+(``m_convex_failure``, ``gp_failure``) and counts stalactites for
 a point list and its bitmask subsets; ``exchange_index(P)`` is P's, filled
 by its constructor's check.  ``memo`` holds P's derived data in P's own
 store, freed with P.  Arithmetic is exact.  Values are immutable, except
@@ -108,9 +108,6 @@ class LexOrder:
     def p(self) -> int:
         return len(self.permutation)
 
-    def sort(self, points) -> list:
-        return sorted(points, key=self.key)
-
 
 def resolve_order(order, p: int) -> LexOrder:
     """``order`` (the identity if None), refused unless it orders p coordinates."""
@@ -169,9 +166,6 @@ class RankFunction(Immutable):
     @property
     def rank(self) -> int:
         return self.values[-1]
-
-    def of(self, subset: Iterable[int]) -> int:
-        return self.values[subset_to_mask(subset, self.p)]
 
     def __eq__(self, other):
         # Equality is agreement on every subset; the cage is metadata and two
@@ -579,7 +573,10 @@ class ExchangeIndex:
         """The first (u, v, i) in list order at which the points under
         ``mask`` (all by default) fail the generalized-polymatroid
         conditions, a condition (2) failure reported with i = None after
-        every i; None if there is none."""
+        every i; None if there is none.  (1): whenever u_i > v_i, some j
+        with u_j < v_j has u - e_i + e_j and v + e_i - e_j in the set, or
+        |u| > |v| and u - e_i, v + e_i are in it.  (2): whenever |u| > |v|,
+        some j with u_j > v_j has u - e_j and v + e_j in the set."""
         return self._first_witness(self.full if mask is None else mask, self._gp_failures, self._gp)
 
     def in_order(self, order, mask=None) -> list:
@@ -663,27 +660,6 @@ def is_m_convex(points):
     the set, or i is None and ``u``, ``v`` differ in degree."""
     witness = ExchangeIndex(sorted(point_set(points))).m_convex_failure()
     return witness is None, witness
-
-
-def is_generalized_polymatroid(points):
-    """Check the two exchange conditions for (possibly nonhomogeneous) sets.
-    Condition (1): whenever ``u_i > v_i``, either some ``j`` with
-    ``u_j < v_j`` has both ``u - e_i + e_j`` and ``v + e_i - e_j`` in the
-    set, or ``|u| > |v|`` with both ``u - e_i`` and ``v + e_i`` in the set.
-    Condition (2): whenever ``|u| > |v|``, some ``j`` with ``u_j > v_j``
-    has both ``u - e_j`` and ``v + e_j`` in the set.
-
-    ``(True, None)`` or ``(False, w)``, w from ``ExchangeIndex.gp_failure``."""
-    witness = ExchangeIndex(sorted(point_set(points))).gp_failure()
-    return witness is None, witness
-
-
-def homogenize(points) -> frozenset:
-    """Pad each point with a slack coordinate N - |n|, N the maximum degree.
-    A set is a generalized polymatroid exactly when the result is M-convex."""
-    pts = point_set(points)
-    top = max(sum(q) for q in pts)
-    return frozenset(q + (top - sum(q),) for q in pts)
 
 
 class Polymatroid(Immutable):

@@ -43,10 +43,6 @@ class NotInIndependence(CavepolyError):
     """A truncation point lies outside the independence region."""
 
 
-class NotABasePoint(CavepolyError):
-    """A point expected to belong to the polymatroid does not."""
-
-
 class NegativeExponent(CavepolyError):
     """A polynomial that must have nonnegative exponents has a negative one."""
 

@@ -3,7 +3,7 @@
 ``region_index(P)`` walks I(P) ∩ N^p once per instance, in lex order
 with its ``lattice_code(P)`` codes, into an ``ExchangeIndex`` held beside
 ``exchange_index(P)``; ``independence_points`` reads it as a set.
-``truncate``, ``truncation_set`` and ``top_elements`` cut point sets.
+``truncate`` cuts a polymatroid at a point of its region.
 ``is_cave`` reads the three cave conditions from one ``ExchangeIndex``
 over a set, its tops and its p unit truncations being bitmasks.
 """
@@ -39,8 +39,7 @@ class IndependenceSet(Immutable):
     """Integer points of the independence polytope of ``source``: downward
     closed, holding the origin and every point of the source.  ``points``
     is a frozenset, when not given the source's memoised one, built on
-    first read; iteration and ``len`` read ``region_index``'s lex order.
-    Immutable; equal when p, points and source are."""
+    first read; iteration reads ``region_index``'s lex order.  Immutable."""
 
     __slots__ = ("p", "source", "_points")
 
@@ -52,31 +51,8 @@ class IndependenceSet(Immutable):
     def points(self) -> frozenset:
         return _down_closure(self.source) if self._points is None else self._points
 
-    def __eq__(self, other):
-        if not isinstance(other, IndependenceSet):
-            return NotImplemented
-        return (self.p, self.points, self.source) == (other.p, other.points, other.source)
-
-    def __hash__(self):
-        return hash((self.p, self.points))
-
-    def __contains__(self, n):
-        return tuple(n) in self.points
-
     def __iter__(self):
         return iter(region_index(self.source).ordered if self._points is None else sorted(self._points))
-
-    def __len__(self):
-        return len(region_index(self.source).ordered if self._points is None else self._points)
-
-
-def indicator(P: Polymatroid, n) -> int:
-    """1 if ``n`` is a base point of ``P`` else 0, for any integer vector of
-    length p: a shifted ``n - e_i + e_j`` may leave N^p, and scores 0."""
-    n = as_point(n)
-    if len(n) != P.p:
-        raise DimensionMismatch("point has length %d, expected %d" % (len(n), P.p))
-    return 1 if n in P.points else 0
 
 
 def independence_points(P: Polymatroid) -> IndependenceSet:
@@ -156,23 +132,6 @@ def truncate(P: Polymatroid, n) -> Polymatroid:
         return Polymatroid(kept)
     except (NotMConvex, EmptyInput) as exc:  # impossible for n in I(P)
         raise InternalInvariantFailure("truncation at %s is not a polymatroid: %s" % (n, exc))
-
-
-def top_elements(A) -> frozenset:
-    """The members of maximal coordinate sum."""
-    pts = point_set(A)
-    top = max(sum(q) for q in pts)
-    return frozenset(q for q in pts if sum(q) == top)
-
-
-def truncation_set(A, b) -> frozenset:
-    """{n in A : n >= b componentwise}."""
-    pts = frozenset(as_point(q) for q in A)
-    b = as_point(b)
-    for q in pts:
-        if len(q) != len(b):
-            raise DimensionMismatch("point %s and base %s differ in length" % (q, b))
-    return frozenset(q for q in pts if all(x >= y for x, y in zip(q, b)))
 
 
 @dataclass(frozen=True)

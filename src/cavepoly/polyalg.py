@@ -5,7 +5,7 @@ keyed by length-p tuples, and ``terms`` a read-only view, so a result held
 in a memo store cannot be changed by one caller under another.
 
 * ``MultiPoly``: integer coefficients on monomials t^n; exponents may be
-  negative until ``assert_ordinary`` refuses them in a finished result.
+  negative, and ``binomial_map`` and ``evaluate`` refuse them.
 * ``BinomialBasisPoly``: integer coefficients on prod_i C(t_i + n_i +
   shift, n_i); shift 0 is the Snapper basis, -1 the independence-sum one.
 * ``RationalPoly``: integer numerators over one reduced denominator, the
@@ -30,7 +30,7 @@ from operator import neg
 from types import MappingProxyType
 
 from .core import Immutable, LatticeCode
-from .errors import DimensionMismatch, InternalInvariantFailure, NegativeExponent
+from .errors import DimensionMismatch, NegativeExponent
 
 
 def binom_int(x: int, k: int) -> int:
@@ -147,14 +147,6 @@ class MultiPoly(_SparsePoly):
     def zero(cls, p: int) -> "MultiPoly":
         return cls(p, {})
 
-    @classmethod
-    def constant(cls, p: int, c: int) -> "MultiPoly":
-        return cls(p, {(0,) * p: c})
-
-    @classmethod
-    def monomial(cls, p: int, exps, coeff: int = 1) -> "MultiPoly":
-        return cls(p, {tuple(exps): coeff})
-
     def _factor(self, ti, e):
         if e < 0:
             raise NegativeExponent("cannot evaluate a polynomial with negative exponents")
@@ -162,7 +154,7 @@ class MultiPoly(_SparsePoly):
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return MultiPoly.constant(self.p, other)
+            return MultiPoly(self.p, {(0,) * self.p: other})
         if isinstance(other, MultiPoly):
             if other.p != self.p:
                 raise DimensionMismatch("mixing polynomials in %d and %d variables" % (self.p, other.p))
@@ -180,27 +172,8 @@ class MultiPoly(_SparsePoly):
 
     __radd__ = __add__
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, 0) + ca * cb
-        return MultiPoly(self.p, out)
-
-    __rmul__ = __mul__
-
     def has_negative_exponent(self) -> bool:
         return min(chain.from_iterable(self.terms), default=0) < 0
-
-    def assert_ordinary(self) -> "MultiPoly":
-        """Fail if a transient negative exponent survived into a result."""
-        if self.has_negative_exponent():
-            raise InternalInvariantFailure("negative exponent in a finished polynomial")
-        return self
 
 
 class BinomialBasisPoly(_SparsePoly):

@@ -7,7 +7,7 @@ bit-parallel exchange masks, indexed stalactite directions, changes
 of basis one coordinate at a time, local submodularity, base points
 enumerated inside the projection bounds, subset-sum tables, truncation
 lemmas over the parent region, one sparse Mobius pass over the region, the
-exchange index's neighbour masks for ``neighbors`` and ``stalactite``,
+exchange index's neighbour masks for neighbours and stalactites,
 integer lattice codes in the changes of basis, the Mobius table, the cave
 route and the stalactite counts, a ``str.find`` loop for set bits, halving
 bound tables in the base-point walk, built by list comprehensions, sliced
@@ -17,7 +17,8 @@ distinct decomposition in the lex-order check, the cave predicate's
 truncations at the first value of each run of equal masks, canonical
 strings joined from fragment tables); the
 differential tests require both to return identical results and identical
-failure witnesses.
+failure witnesses.  A few set-level helpers that the library no longer
+needs live here too, as the tests' readers of its kernels.
 """
 
 import itertools
@@ -54,12 +55,11 @@ from cavepoly.errors import (
     AxiomViolation,
     DimensionMismatch,
     InternalInvariantFailure,
-    NotABasePoint,
     NotComparable,
     NotMConvex,
 )
 from cavepoly.genverify import _uniform_values
-from cavepoly.geometry import CaveReport, independence_points, top_elements, truncate
+from cavepoly.geometry import CaveReport, independence_points, truncate
 from cavepoly.polyalg import BinomialBasisPoly, MultiPoly, RationalPoly, _rising_coeffs, canonical_order
 
 
@@ -159,12 +159,45 @@ def is_generalized_polymatroid_pairwise(points):
     return True, None
 
 
+def homogenize(points) -> frozenset:
+    """Pad each point with a slack coordinate N - |n|, N the maximum degree.
+    A set is a generalized polymatroid exactly when the result is M-convex."""
+    pts = point_set(points)
+    top = max(sum(q) for q in pts)
+    return frozenset(q + (top - sum(q),) for q in pts)
+
+
+def top_elements(A) -> frozenset:
+    """The members of maximal coordinate sum."""
+    pts = point_set(A)
+    top = max(sum(q) for q in pts)
+    return frozenset(q for q in pts if sum(q) == top)
+
+
+def neighbors(P, u) -> frozenset:
+    """``neighbors_scan``'s triples read from the neighbour masks of the base
+    point u in P's ``exchange_index``."""
+    index = exchange_index(P)
+    k = index.ordered.index(u)
+    return frozenset((ell + 1, [a > b for a, b in zip(w, u)].index(True) + 1, w)
+                     for ell, mask in enumerate(index.neighbours[k])
+                     for w in map(index.ordered.__getitem__, _bits(mask)))
+
+
+def stalactite(u, V, P) -> Stalactite:
+    """St(u; V) for base points: the last of P's ``exchange_index``
+    stalactites visiting V, then u."""
+    index = exchange_index(P)
+    *_, (k, directions) = index.stalactites([index.ordered.index(w) for w in [*V, u]])
+    return _hanging_cube(index.ordered[k], directions)
+
+
 def neighbors_scan(P, u) -> frozenset:
     """All (l, j, w) with w = u - e_l + e_j a base point, l != j (1-based),
     by trying every move on a copy of u."""
     u = as_point(u)
     if u not in P.points:
-        raise NotABasePoint("%s is not a base point" % (u,))
+        raise ValueError("%s is not a base point" % (u,))
     found = set()
     for ell in range(P.p):
         if u[ell] == 0:
@@ -187,12 +220,12 @@ def stalactite_scan(u, V, P) -> Stalactite:
     time."""
     u = as_point(u)
     if u not in P.points:
-        raise NotABasePoint("%s is not a base point" % (u,))
+        raise ValueError("%s is not a base point" % (u,))
     directions = set()
     for w in V:
         w = as_point(w)
         if w not in P.points:
-            raise NotABasePoint("%s is not a base point" % (w,))
+            raise ValueError("%s is not a base point" % (w,))
         down = [i for i in range(P.p) if w[i] == u[i] - 1]
         up = [i for i in range(P.p) if w[i] == u[i] + 1]
         same = sum(1 for i in range(P.p) if w[i] == u[i])
@@ -211,8 +244,25 @@ def stalactite_decomposition_prefix(P, order=None) -> tuple:
     """The i-th stalactite is St(a_i; {a_1, ..., a_{i-1}}), each found by
     scanning the whole prefix."""
     order = order or LexOrder.identity(P.p)
-    ordered = order.sort(P.points)
+    ordered = sorted(P.points, key=order.key)
     return tuple(stalactite_scan(apex, ordered[:i], P) for i, apex in enumerate(ordered))
+
+
+def poly_product(a, b) -> MultiPoly:
+    """The product of two ``MultiPoly`` values, term by term."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return MultiPoly(a.p, out)
+
+
+def ordinary(q) -> MultiPoly:
+    """``q``, refused if a transient negative exponent survived into it."""
+    if q.has_negative_exponent():
+        raise InternalInvariantFailure("negative exponent in a finished polynomial")
+    return q
 
 
 def cave_polynomial_products(P) -> MultiPoly:
@@ -222,7 +272,7 @@ def cave_polynomial_products(P) -> MultiPoly:
     p = P.p
     acc = {}
     for u in sorted(P.points):
-        term = MultiPoly.monomial(p, u)
+        term = MultiPoly(p, {u: 1})
         for i in range(1, p):  # the formula's product runs i = 1..p-1
             has_neighbor = False
             for j in range(i + 1, p + 1):
@@ -235,10 +285,10 @@ def cave_polynomial_products(P) -> MultiPoly:
             if has_neighbor:
                 inv = [0] * p
                 inv[i - 1] = -1
-                term = term * MultiPoly(p, {(0,) * p: 1, tuple(inv): -1})
+                term = poly_product(term, MultiPoly(p, {(0,) * p: 1, tuple(inv): -1}))
         for e, c in term.terms.items():
             acc[e] = acc.get(e, 0) + c
-    return MultiPoly(p, acc).assert_ordinary()
+    return ordinary(MultiPoly(p, acc))
 
 
 def stalactite_polynomial_prefix(P, order=None) -> MultiPoly:
@@ -670,7 +720,7 @@ def cave_polynomial_slices(P) -> MultiPoly:
                 term.update({e[:i] + (e[i] - 1,) + e[i + 1:]: -c for e, c in term.items()})
         for e, c in term.items():
             acc[e] = acc.get(e, 0) + c
-    return MultiPoly(p, acc).assert_ordinary()
+    return ordinary(MultiPoly(p, acc))
 
 
 def base_points_subset_sums(rk) -> list:

@@ -15,17 +15,16 @@ from cavepoly import (
     NotMConvex,
     Polymatroid,
     RankFunction,
-    homogenize,
-    is_generalized_polymatroid,
     is_m_convex,
     points_from_rank,
     random_polymatroid,
     rank_from_points,
     validate_rank_function,
 )
-from cavepoly.core import LatticeCode, nonnegative_set, point_set
+from cavepoly.core import ExchangeIndex, LatticeCode, nonnegative_set, point_set, subset_to_mask
 from cavepoly.geometry import CaveReport, is_cave
 from conftest import instance_mix, run_bounded
+from oracles import homogenize, is_generalized_polymatroid_pairwise
 
 RUNNING_VALUES = {(): 0, (1,): 2, (2,): 3, (1, 2): 3}
 
@@ -35,13 +34,21 @@ def all_subsets(p):
         yield from itertools.combinations(range(1, p + 1), k)
 
 
+def rank_of(rk, subset):
+    return rk.values[subset_to_mask(subset, rk.p)]
+
+
+def gp_failure(points):
+    return ExchangeIndex(sorted(points)).gp_failure()
+
+
 # ---------------------------------------------------------------- validation
 
 def test_validate_running_example():
     rk = validate_rank_function(2, RUNNING_VALUES, (2, 3))
     assert rk.rank == 3
-    assert rk.of((1,)) == 2
-    assert rk.of((2,)) == 3
+    assert rank_of(rk, (1,)) == 2
+    assert rank_of(rk, (2,)) == 3
     assert rk.cage == (2, 3)
 
 
@@ -148,22 +155,22 @@ def test_points_from_rank_matches_brute_enumeration():
     for P in instance_mix(12, seed=5):
         rk = rank_from_points(P)
         brute = set()
-        bounds = [rk.of((i,)) for i in range(1, rk.p + 1)]
+        bounds = [rank_of(rk, (i,)) for i in range(1, rk.p + 1)]
         for n in itertools.product(*(range(b + 1) for b in bounds)):
             if sum(n) != rk.rank:
                 continue
-            if all(sum(n[i - 1] for i in sub) <= rk.of(sub) for sub in all_subsets(rk.p)):
+            if all(sum(n[i - 1] for i in sub) <= rank_of(rk, sub) for sub in all_subsets(rk.p)):
                 brute.add(n)
         assert points_from_rank(rk).points == brute
 
 
 def test_rank_from_points_examples(running):
     rk = rank_from_points(running)
-    assert rk.of((1,)) == 2 and rk.of((2,)) == 3 and rk.of((1, 2)) == 3
+    assert rank_of(rk, (1,)) == 2 and rank_of(rk, (2,)) == 3 and rank_of(rk, (1, 2)) == 3
     rk0 = rank_from_points(Polymatroid([(0,)]))
-    assert rk0.of(()) == 0 and rk0.of((1,)) == 0
+    assert rank_of(rk0, ()) == 0 and rank_of(rk0, (1,)) == 0
     rk1 = rank_from_points(Polymatroid([(1, 0), (0, 1)]))
-    assert rk1.of((1,)) == rk1.of((2,)) == rk1.of((1, 2)) == 1
+    assert rank_of(rk1, (1,)) == rank_of(rk1, (2,)) == rank_of(rk1, (1, 2)) == 1
     with pytest.raises(DimensionMismatch, match="beyond 16 coordinates"):
         rank_from_points(Polymatroid([(0,) * 17]))
 
@@ -227,17 +234,15 @@ def test_points_from_rank_output_is_m_convex():
 # ------------------------------------------------- generalized polymatroids
 
 def test_generalized_examples():
-    assert is_generalized_polymatroid({(1, 1), (1, 0), (0, 1), (0, 0)}) == (True, None)
-    ok, witness = is_generalized_polymatroid({(2, 0), (0, 0)})
-    assert not ok
-    u, v, _ = witness
+    assert gp_failure({(1, 1), (1, 0), (0, 1), (0, 0)}) is None
+    u, v, _ = gp_failure({(2, 0), (0, 0)})
     assert {u, v} == {(2, 0), (0, 0)}
 
 
 def test_every_polymatroid_is_generalized():
     for P in instance_mix(15, seed=3):
-        ok, witness = is_generalized_polymatroid(P.points)
-        assert ok, witness
+        witness = gp_failure(P.points)
+        assert witness is None, witness
 
 
 def test_homogenize_examples():
@@ -255,9 +260,9 @@ def test_homogenize_agrees_with_two_condition_form():
     for box in boxes:
         for _ in range(150):
             pts = frozenset(rng.sample(box, rng.randint(1, min(6, len(box)))))
-            direct, _ = is_generalized_polymatroid(pts)
+            direct = gp_failure(pts) is None
             padded, _ = is_m_convex(homogenize(pts))
-            assert direct == padded, sorted(pts)
+            assert direct == padded == is_generalized_polymatroid_pairwise(pts)[0], sorted(pts)
 
 
 # ----------------------------------------------------------------- Polymatroid
@@ -289,11 +294,14 @@ def test_polymatroid_rejects_bad_inputs():
 
 # Each question costs O(points) on the sparse threshold masks, however large
 # the entries; a table with one entry per value would not fit in memory.
-@pytest.mark.parametrize("question", ["is_m_convex", "is_generalized_polymatroid"])
-def test_exchange_questions_on_huge_entries_run_in_bounded_time_and_memory(question):
-    code = "import cavepoly; N = 2**70; print(repr(cavepoly.%s({(0, N), (N, 0)})))" % question
+@pytest.mark.parametrize("question, verdict", [
+    ("cavepoly.is_m_convex(points)", lambda witness: (False, witness)),
+    ("cavepoly.core.ExchangeIndex(sorted(points)).gp_failure()", lambda witness: witness),
+], ids=["is_m_convex", "is_generalized_polymatroid"])
+def test_exchange_questions_on_huge_entries_run_in_bounded_time_and_memory(question, verdict):
+    code = "import cavepoly; N = 2**70; points = {(0, N), (N, 0)}; print(repr(%s))" % question
     N = 2**70
-    assert run_bounded(code) == (0, "%r\n" % ((False, ((0, N), (N, 0), 2)),), "")
+    assert run_bounded(code) == (0, "%r\n" % (verdict(((0, N), (N, 0), 2)),), "")
 
 
 def test_polymatroid_refuses_points_of_length_zero():

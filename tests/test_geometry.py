@@ -1,45 +1,26 @@
-"""Independence region, truncations, tops, and the cave predicate."""
+"""Independence region, truncations, and the cave predicate."""
 
 import pytest
 
 from cavepoly import core
 from cavepoly import (
-    DimensionMismatch,
     EmptyInput,
     IndependenceSet,
     NotInIndependence,
     Polymatroid,
     independence_points,
-    indicator,
     is_cave,
     is_m_convex,
-    top_elements,
     truncate,
-    truncation_set,
 )
 from cavepoly.algorithms import LexOrder, box_polynomial, mobius_table, stalactite_decomposition
 from conftest import instance_mix
-from oracles import independence_points_box_filter
+from oracles import independence_points_box_filter, top_elements
 
 RUNNING_INDEPENDENCE = {
     (0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1),
 }
 RUNNING_CAVE = {(0, 3), (1, 2), (2, 1), (0, 2), (1, 1)}
-
-
-def test_independence_set_identity(running):
-    region = independence_points(running)
-    same = independence_points(Polymatroid([(2, 1), (1, 2), (0, 3)]))
-    assert region == same and hash(region) == hash(same) and len({region, same}) == 1
-    assert region != region.points and region.__eq__(region.points) is NotImplemented
-
-
-def test_indicator_membership(running):
-    assert indicator(running, (0, 3)) == 1
-    assert indicator(running, (3, 0)) == 0
-    assert indicator(running, (-1, 4)) == 0  # shifted arguments may leave N^p
-    with pytest.raises(DimensionMismatch):
-        indicator(running, (0, 3, 0))
 
 
 def test_region_walks_refuse_a_span_beyond_sys_maxsize():
@@ -59,12 +40,11 @@ def test_independence_points_running(running):
 def test_independence_set_reads_the_walk_and_builds_its_set_on_first_read():
     P = Polymatroid([(0, 3), (1, 2), (2, 1)])  # a fresh instance: an empty memo store
     region = independence_points(P)
-    assert len(region) == 9 and list(region) == sorted(RUNNING_INDEPENDENCE)
+    assert list(region) == sorted(RUNNING_INDEPENDENCE)
     assert not any(isinstance(value, frozenset) for value in P._memo.values())
     assert region.points == RUNNING_INDEPENDENCE and region.points is independence_points(P).points
     given = IndependenceSet(2, frozenset({(1, 0), (0, 0)}), P)  # a hand-built set reads its own points
-    assert list(given) == [(0, 0), (1, 0)] and len(given) == 2 and (1, 0) in given
-    assert region == IndependenceSet(2, frozenset(RUNNING_INDEPENDENCE), P) != given
+    assert list(given) == [(0, 0), (1, 0)] and given.points == {(1, 0), (0, 0)} and given.source is P
     with pytest.raises(AttributeError):
         region.p = 3
 
@@ -111,10 +91,10 @@ def test_tops_of_independence_region_are_base_points():
 
 
 def test_indicator_agrees_with_top_slice(running):
+    # 1_P(n) of the cave formula is membership in P: the region's top slice.
     region = independence_points(running).points
     for n in region:
-        in_top = sum(n) == running.rank
-        assert indicator(running, n) == (1 if in_top else 0)
+        assert (n in running) == (sum(n) == running.rank)
 
 
 def test_truncate_running(running):
@@ -147,12 +127,19 @@ def test_top_elements():
 
 
 def test_truncation_set():
-    assert truncation_set(RUNNING_CAVE, (1, 1)) == {(1, 2), (2, 1), (1, 1)}
-    assert truncation_set(RUNNING_CAVE, (0, 0)) == RUNNING_CAVE
-    assert truncation_set(RUNNING_CAVE, (0, 2)) == {(0, 3), (1, 2), (0, 2)}
-    assert truncation_set(set(), (0, 0)) == frozenset()
-    with pytest.raises(DimensionMismatch):
-        truncation_set(RUNNING_CAVE, (1,))
+    # A threshold truncation {q >= b} is one AND of the exchange index's ``above`` rows.
+    index = core.ExchangeIndex(sorted(RUNNING_CAVE))
+
+    def truncation_set(b):
+        mask = index.full
+        for row, c in zip(index.above, b):
+            mask &= row[c]
+        return {index.ordered[k] for k in core._bits(mask)}
+
+    assert truncation_set((1, 1)) == {(1, 2), (2, 1), (1, 1)}
+    assert truncation_set((0, 0)) == RUNNING_CAVE
+    assert truncation_set((0, 2)) == {(0, 3), (1, 2), (0, 2)}
+    assert truncation_set((3, 0)) == set()
 
 
 def test_is_cave_accepts_running_cave_set():

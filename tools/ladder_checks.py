@@ -68,7 +68,7 @@ def best_of(builds, label) -> dict:
 def measure(r, m) -> dict:
     """Sizes, verdict and best per-check seconds of the row (r; m)."""
     P = named_family("uniform", r=r, m=m)
-    row = {"base_points": len(P.points), "independence_points": len(independence_points(P))}
+    row = {"base_points": len(P.points), "independence_points": len(independence_points(P).points)}
     row.update(best_of(lambda: [named_family("uniform", r=r, m=m)], "%d; %s" % (r, list(m))))
     return row
 
