@@ -1,18 +1,13 @@
 """The four routes to the cave polynomial, and the Snapper polynomial.
 
-* ``cave_polynomial``: the indicator-product formula over the base points;
-* ``stalactite_polynomial``: signed stalactite counts, for any lex order;
-* ``box_polynomial``: box products over the independence points;
-* ``mobius_polynomial``: the Mobius values of ``mobius_table``
-  (``mobius_interval`` is the closed form on intervals).
-
-They agree exactly on every polymatroid, which ``genverify`` checks.  Each
-route's result is held in P's memo store, and the routes share only
-``lattice_code(P)``, the exchange index and the independence region.
-``snapper_from_cave`` and ``snapper_eur_larson`` reach the Snapper
-polynomial from the cave polynomial and from the independence points.
-``stalactite_decomposition`` builds ``Stalactite`` cubes from the
-exchange index for callers that want them.
+``cave_polynomial`` (the indicator-product formula), ``stalactite_polynomial``
+(signed stalactite counts, any lex order), ``box_polynomial`` (box products
+over the independence points) and ``mobius_polynomial`` (``mobius_table``;
+``mobius_interval`` is the closed form on intervals) agree exactly on every
+polymatroid, which ``genverify`` checks.  They share only
+``lattice_code(P)``, the exchange index and the independence region, and
+each result is held in P's memo store.  ``snapper_from_cave`` and
+``snapper_eur_larson`` are the two routes to the Snapper polynomial.
 """
 
 from __future__ import annotations
@@ -97,7 +92,8 @@ def stalactite_polynomial(P: Polymatroid, order: LexOrder | None = None) -> Mult
 @memo
 def _stalactite_polynomial(P: Polymatroid, order: LexOrder) -> MultiPoly:
     index = exchange_index(P)
-    return MultiPoly(P.p, index.stalactite_terms(index.in_order(order)))
+    terms = index.stalactite_codes(index.in_order(order))
+    return MultiPoly(P.p, dict(zip(index.lattice.decode(terms), terms.values())))
 
 
 @memo

@@ -1,22 +1,14 @@
 """JSON document formats and the command-line surface.
 
-Instance documents carry exactly one of:
-
-* ``{"points": [[0, 3], [1, 2], [2, 1]]}`` -- explicit base points;
-* ``{"rank": {"p": 2, "cage": [2, 3], "values": {"[]": 0, "[1]": 2, ...}}}``
-  -- a rank function, subsets keyed as sorted 1-based index lists.
-
-Polynomial documents list terms in the canonical order together with the
-canonical string; the term list is authoritative, the string advisory.
-``_COMMANDS`` maps each command to a handler ``(args, stdin) -> (output,
-status)``, the output a document or a text.  ``_emit`` writes a document
-as ``json.dumps(doc, indent=2)`` does; ``_json_parts`` states which values
-the writer renders itself and which it hands to json's encoder.  Exit
-status: 0 on success/equality, 1 on mathematical inequality or a
-cave-check false, 2 on input or usage errors, 3 on an internal error (a
-library bug, any exception but those, reported as one ``internal error:
-...`` line on stderr).  Instance commands read a file argument or stdin;
-diagnostics go to stderr, and no command keeps state.
+An instance document carries exactly one of ``{"points": [[0, 3], [1, 2],
+[2, 1]]}`` and ``{"rank": {"p": 2, "cage": [2, 3], "values": {"[]": 0,
+"[1]": 2, ...}}}``, subsets keyed as sorted 1-based index lists.  A
+polynomial document lists its terms in canonical order, which is
+authoritative, and the canonical string.  ``_COMMANDS`` maps each command
+to a handler ``(args, stdin) -> (output, status)``; ``_emit`` writes a
+document.  Exit status: 0 success or equality, 1 inequality or a
+cave-check false, 2 input or usage error, 3 internal error (a library
+fault: one ``internal error: ...`` line on stderr).
 """
 
 from __future__ import annotations
@@ -37,7 +29,6 @@ from .core import (
     mask_to_subset,
     points_from_rank,
     rank_from_points,
-    subset_to_mask,
     validate_rank_function,
 )
 from .errors import (
@@ -108,7 +99,8 @@ def _parse_point_list(raw):
     return points
 
 
-def _parse_subset_key(key, p):
+def _parse_subset_key(key, p) -> int:
+    """The bit mask of a subset key spelled other than compactly, e.g. "[1, 2]"."""
     try:
         subset = json.loads(key)
     except (json.JSONDecodeError, RecursionError):
@@ -117,7 +109,7 @@ def _parse_subset_key(key, p):
         raise ParseError("bad subset key %r, expected a list of indices" % key)
     if subset != sorted(set(subset)) or any(not 1 <= i <= p for i in subset):
         raise ParseError("subset key %r is not a sorted set of indices in 1..%d" % (key, p))
-    return subset
+    return sum(1 << i - 1 for i in subset)
 
 
 def _subset_spellings(p) -> list:
@@ -145,7 +137,7 @@ def _read_rank_values(raw_values, p) -> list:
     for key, val in raw_values.items():
         mask = masks.get(key)
         if mask is None:
-            mask = subset_to_mask(_parse_subset_key(key, p), p)
+            mask = _parse_subset_key(key, p)
         if values[mask] is not None:
             raise ParseError("subset key %r repeats a subset named by an earlier key" % key)
         if type(val) is not int:
@@ -305,8 +297,7 @@ def _emit(doc, out):
     """Write ``doc`` as ``json.dump(doc, indent=2)`` does, then a newline,
     whose ``indent`` would make ``json`` use its pure-Python encoder on the
     whole document: ``_json_parts``'s parts joined and written in chunks of
-    at most ``_EMIT_CHUNK``.  Only a uniform list is many parts, so only its
-    text is never held whole beside its parts; any other value is one part."""
+    at most ``_EMIT_CHUNK``, so a uniform list's text is never held whole."""
     parts = []
     _json_parts(doc, parts, "\n")
     parts.append("\n")

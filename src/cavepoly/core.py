@@ -1,22 +1,14 @@
 """Polymatroid representations, axiom checking and the exchange index.
 
-A polymatroid on {1, ..., p} (p <= 16, for the dense 2^p rank table) has
-two forms, which ``points_from_rank`` and ``rank_from_points`` convert
-exactly:
-
-* ``RankFunction``: a normalized, monotone, submodular map from subsets to
-  nonnegative integers, bounded on singletons by a cage vector, held as a
-  table indexed by bit mask (bit i - 1 for element i) and checked by
-  ``validate_rank_function``;
+* ``RankFunction``: a rank table indexed by bit mask (bit i - 1 for element
+  i, p <= 16), checked by ``validate_rank_function``;
 * ``Polymatroid``: a finite homogeneous M-convex set of points in N^p.
 
-``LatticeCode`` codes lattice points as integers; ``lattice_code(P)`` is the
-one code of P's points.  ``ExchangeIndex`` answers the exchange questions
-(``m_convex_failure``, ``gp_failure``) and counts stalactites for
-a point list and its bitmask subsets; ``exchange_index(P)`` is P's, filled
-by its constructor's check.  ``memo`` holds P's derived data in P's own
-store, freed with P.  Arithmetic is exact.  Values are immutable, except
-that memo stores and indexes fill parts on first use, each fill computing
+``points_from_rank`` and ``rank_from_points`` convert exactly between them.
+``LatticeCode`` codes lattice points as integers, P's by ``lattice_code(P)``;
+``ExchangeIndex`` answers the exchange questions, P's by
+``exchange_index(P)``; ``memo`` holds both in P's own store.  Values are
+immutable; a memo store or an index fills a part on first use, every fill
 the same value, so concurrent use is safe.
 """
 
@@ -28,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
 from itertools import accumulate, chain, compress, count, repeat
 from operator import floordiv, gt, itemgetter, lt, mod, mul, neg, or_, sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -123,16 +115,6 @@ def mask_to_subset(mask: int) -> tuple:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def subset_to_mask(subset: Iterable[int], p: int) -> int:
-    """Sorted-index subset of {1..p} -> bit mask."""
-    mask = 0
-    for i in subset:
-        if not isinstance(i, int) or not 1 <= i <= p:
-            raise ValueError("subset element %r outside 1..%d" % (i, p))
-        mask |= 1 << (i - 1)
-    return mask
-
-
 class Immutable:
     """A base whose instances refuse every attribute assignment and
     deletion, so that a value held in a memo store cannot be changed by one
@@ -181,34 +163,12 @@ class RankFunction(Immutable):
         return "RankFunction(p=%d, rank=%d, cage=%s)" % (self.p, self.rank, list(self.cage))
 
 
-def _normalize_values(p: int, values) -> list:
-    """Accept a subset->int mapping (keys: index iterables) or a mask-indexed
-    sequence, and return the dense mask-indexed list."""
-    size = 1 << p
-    if isinstance(values, Mapping):
-        dense = [None] * size
-        for key, val in values.items():
-            key_iter = key if not isinstance(key, int) else mask_to_subset(key)
-            mask = subset_to_mask(tuple(key_iter), p)
-            if dense[mask] is not None:
-                raise ValueError("duplicate subset %s in rank map" % (mask_to_subset(mask),))
-            dense[mask] = val
-        missing = [mask_to_subset(m) for m, v in enumerate(dense) if v is None]
-        if missing:
-            raise ValueError("rank map missing subsets, e.g. %s" % (missing[0],))
-        return dense
-    dense = list(values)
-    if len(dense) != size:
-        raise ValueError("expected %d rank values, got %d" % (size, len(dense)))
-    return dense
-
-
 def validate_rank_function(p: int, values, cage) -> RankFunction:
     """Check the four polymatroid axioms and return a ``RankFunction``.
-    ``values`` maps every subset of {1..p} to a nonnegative integer (as a
-    mapping keyed by index iterables, or a sequence indexed by bit mask).
-    On failure raises ``AxiomViolation`` carrying *every* violated axiom
-    with witnessing subsets, in (axiom, mask, i, j) order."""
+    ``values`` is a sequence of 2^p integers, entry m the rank of the subset
+    with bit mask m; a mapping is refused (``cli`` reads subset keys).  On
+    failure raises ``AxiomViolation`` carrying *every* violated axiom with
+    witnessing subsets, in (axiom, mask, i, j) order."""
     if not isinstance(p, int) or p < 1:
         raise ValueError("p must be a positive integer, got %r" % (p,))
     if p > MAX_GROUND_SET:
@@ -216,7 +176,11 @@ def validate_rank_function(p: int, values, cage) -> RankFunction:
     cage = as_point(cage)
     if len(cage) != p:
         raise DimensionMismatch("cage has length %d, expected %d" % (len(cage), p))
-    dense = _normalize_values(p, values)
+    if isinstance(values, Mapping):
+        raise ValueError("rank values must be a sequence indexed by bit mask, not a %s" % type(values).__name__)
+    dense = list(values)
+    if len(dense) != 1 << p:
+        raise ValueError("expected %d rank values, got %d" % (1 << p, len(dense)))
     if not {*map(type, dense)} <= {int}:
         for mask, v in enumerate(dense):
             if not isinstance(v, int):
@@ -637,12 +601,6 @@ class ExchangeIndex:
             pair = self._cubes[directions] = even + [c - step for c in odd], odd + [c - step for c in even]
         return pair
 
-    def stalactite_terms(self, visit) -> dict:
-        """``stalactite_codes(visit)`` keyed by the points, for nonnegative
-        points: one decode, their members lying in [0, max]."""
-        terms = self.stalactite_codes(visit)
-        return dict(zip(self.lattice.decode(terms), terms.values()))
-
 
 def not_m_convex(witness) -> NotMConvex:
     """The ``NotMConvex`` error for an ``is_m_convex`` witness."""
@@ -654,10 +612,8 @@ def not_m_convex(witness) -> NotMConvex:
 
 def is_m_convex(points):
     """Check homogeneity plus the exchange property: ``(True, None)``, or
-    ``(False, (u, v, i))`` for the first failure in sorted (u, v, i) order
-    (``ExchangeIndex.m_convex_failure``): 1-based coordinate ``i`` has
-    ``u_i > v_i`` but no ``j`` with ``u_j < v_j`` puts ``u - e_i + e_j`` in
-    the set, or i is None and ``u``, ``v`` differ in degree."""
+    ``(False, (u, v, i))``, the first failure that
+    ``ExchangeIndex.m_convex_failure`` finds over the sorted points."""
     witness = ExchangeIndex(sorted(point_set(points))).m_convex_failure()
     return witness is None, witness
 

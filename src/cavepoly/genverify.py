@@ -1,19 +1,13 @@
 """Random polymatroid generation and the differential verification engine.
 
 ``STRATEGIES`` names the generators, each deterministic per seed:
-``submodular-rejection`` caps by a few random modular functions, which
-leaves a monotone nonnegative candidate, and keeps it only if all four
-axioms validate; ``uniform-family`` draws a rank cap r and a cage m and
-takes rk(I) = min(r, sum of m over I); ``lattice-path`` lowers single
-subset ranks of a uniform family while the axioms still hold.
-
-``verify_instance`` builds the memoised inputs that ``INPUTS`` declares
-for the chosen ``CHECKS`` in one stage (``inputs_elapsed``), then runs
-the checks, each ``elapsed`` timing one alone; failures are data
-(reports), never exceptions.  A new check declares its inputs in ``INPUTS``.
-``verify_campaign`` runs them over consecutive seeds and shrinks each
-counterexample by dropping coordinates, then lowering cage entries, then
-truncating the rank, revalidating at each step.
+``submodular-rejection`` keeps a min of random modular caps that validates;
+``uniform-family`` takes rk(I) = min(r, sum of m over I); ``lattice-path``
+lowers single ranks of a uniform family while the axioms hold.
+``verify_instance`` builds the ``INPUTS`` of the chosen ``CHECKS`` once,
+then times each check alone; a failed check is a report, a library fault
+an ``InternalInvariantFailure``.  ``verify_campaign`` runs consecutive
+seeds and shrinks each counterexample (``shrink_instance``).
 """
 
 from __future__ import annotations
@@ -55,7 +49,6 @@ from .errors import (
     CavepolyError,
     GenerationExhausted,
     InternalInvariantFailure,
-    NotInIndependence,
     UnknownFamily,
 )
 from .geometry import is_cave, region_index
@@ -300,8 +293,8 @@ def _check_truncation_lemmas(P):
     for n in region:
         kept = reduce(and_, map(getitem, base_rows, n))
         if kept not in truncations:
-            if not kept:
-                raise NotInIndependence("%s is not in the independence region" % (n,))
+            if not kept:  # a region point under no base: a fault of the region walk
+                raise InternalInvariantFailure("%s is not in the independence region" % (n,))
             witness = bases.m_convex_failure(kept)
             if witness:
                 raise InternalInvariantFailure(

@@ -11,6 +11,7 @@ over a set, its tops and its p unit truncations being bitmasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 
 from .core import (
     ExchangeIndex,
@@ -28,7 +29,6 @@ from .core import (
 )
 from .errors import (
     DimensionMismatch,
-    EmptyInput,
     InternalInvariantFailure,
     NotInIndependence,
     NotMConvex,
@@ -94,9 +94,8 @@ def region_index(P: Polymatroid) -> ExchangeIndex:
 
 
 def _lex_walk(above, strides, prefix, code, mask, points, codes):
-    """Append the region's points extending ``prefix`` (code ``code``, the
-    bases >= it under ``mask``) and their codes, in lex order: a complete
-    prefix is a point; else each c with a base >= prefix + (c,) recurses."""
+    """``region_index``'s walk below ``prefix`` (code ``code``, the bases >=
+    it under ``mask``), appending points and codes."""
     i = len(prefix)
     if i == len(above):
         points.append(prefix)
@@ -110,27 +109,20 @@ def _lex_walk(above, strides, prefix, code, mask, points, codes):
         _lex_walk(above, strides, prefix + (c,), code + c * s, sub, points, codes)
 
 
-def in_independence(P: Polymatroid, n) -> bool:
-    """Membership in I(P) ∩ N^p without walking the region: n >= 0 under
-    some base point (the fact behind ``region_index``), O(|B| p)."""
+def truncate(P: Polymatroid, n) -> Polymatroid:
+    """The sub-polymatroid of base points componentwise >= n, for n in I(P):
+    n is there exactly when n >= 0 and some base point is kept (the fact
+    behind ``region_index``), O(|B| p).  The kept points are always
+    M-convex: a constructor failure is an internal fault."""
     n = as_point(n)
     if len(n) != P.p:
         raise DimensionMismatch("point has length %d, expected %d" % (len(n), P.p))
-    if any(c < 0 for c in n):
-        return False
-    return any(all(a >= c for a, c in zip(u, n)) for u in P.points)
-
-
-def truncate(P: Polymatroid, n) -> Polymatroid:
-    """The sub-polymatroid of base points componentwise >= n, for n in I(P).
-    It is always M-convex: a constructor failure is an internal fault."""
-    n = as_point(n)
-    if not in_independence(P, n):
+    kept = [u for u in P.points if all(map(ge, u, n))]
+    if not kept or min(n) < 0:
         raise NotInIndependence("%s is not in the independence region" % (n,))
-    kept = [u for u in P.points if all(a >= b for a, b in zip(u, n))]
     try:
         return Polymatroid(kept)
-    except (NotMConvex, EmptyInput) as exc:  # impossible for n in I(P)
+    except NotMConvex as exc:  # impossible for n in I(P)
         raise InternalInvariantFailure("truncation at %s is not a polymatroid: %s" % (n, exc))
 
 
@@ -184,8 +176,7 @@ def is_cave(C, order=None) -> CaveReport:
     verdict is per-order and recorded in the report.  Past (1), negative
     tops and an order of another length are refused.  The tops are the
     index's top-degree level: (1) and (2) cost O(p^2) mask operations per
-    top plus the union's size, and (3) at most p generalized-polymatroid
-    questions (``_truncation_failure``).
+    top plus the union's size; (3) costs what ``_truncation_failure`` says.
     """
     pts = point_set(C)
     index = ExchangeIndex(sorted(pts))

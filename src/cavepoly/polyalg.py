@@ -1,22 +1,13 @@
 """Exact sparse polynomials in the monomial and binomial bases.
 
-Three representations share the base ``_SparsePoly``: exact coefficients
-keyed by length-p tuples, and ``terms`` a read-only view, so a result held
-in a memo store cannot be changed by one caller under another.
-
-* ``MultiPoly``: integer coefficients on monomials t^n; exponents may be
-  negative, and ``binomial_map`` and ``evaluate`` refuse them.
-* ``BinomialBasisPoly``: integer coefficients on prod_i C(t_i + n_i +
-  shift, n_i); shift 0 is the Snapper basis, -1 the independence-sum one.
-* ``RationalPoly``: integer numerators over one reduced denominator, the
-  form in which the two binomial bases compare exactly.
-
-``binomial_map`` reads monomials in the binomial basis, and
-``expand_binomial`` expands binomial products into monomials through
-``axiswise_codes``, the per-coordinate change of basis on lattice codes.
-``canonical_string`` prints terms in ``canonical_order``: total degree
-descending, ties broken by descending comparison of the sparse (variable,
-exponent) pair sequence, e.g. ``t2^3 + t1^2*t2 + t1*t2^2 - t2^2 - t1*t2``.
+``_SparsePoly`` is the immutable base of ``MultiPoly`` (integer
+coefficients on monomials t^n), ``BinomialBasisPoly`` (integer coefficients
+on prod_i C(t_i + n_i + shift, n_i); shift 0 is the Snapper basis, -1 the
+independence-sum one) and ``RationalPoly`` (integer numerators over one
+reduced denominator, where the two bases compare exactly).
+``binomial_map`` reads monomials in the binomial basis, ``expand_binomial``
+expands binomial products through ``axiswise_codes``, and
+``canonical_string`` prints terms in ``canonical_order``.
 """
 
 from __future__ import annotations
@@ -24,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, count
 from operator import neg
 from types import MappingProxyType
@@ -139,7 +129,8 @@ class _SparsePoly(Immutable):
 
 
 class MultiPoly(_SparsePoly):
-    """Sparse multivariate polynomial with exact integer coefficients."""
+    """Sparse multivariate polynomial with exact integer coefficients;
+    exponents may be negative, and ``evaluate`` refuses them."""
 
     __slots__ = ()
 
@@ -267,21 +258,6 @@ def binomial_map(q: MultiPoly) -> BinomialBasisPoly:
     return BinomialBasisPoly(q.p, dict(q.terms), shift=0)
 
 
-@lru_cache(maxsize=None)
-def _rising_coeffs(n: int, shift: int) -> tuple:
-    """Integer coefficients (ascending degree) of prod_{k=1..n} (t + k + shift);
-    dividing by n! gives C(t + n + shift, n) as a polynomial in t."""
-    coeffs = [1]
-    for k in range(1, n + 1):
-        root = k + shift
-        nxt = [0] * (len(coeffs) + 1)
-        for d, c in enumerate(coeffs):
-            nxt[d] += c * root
-            nxt[d + 1] += c
-        coeffs = nxt
-    return tuple(coeffs)
-
-
 def axiswise_codes(codes, lattice, rows) -> dict:
     """Change basis one coordinate at a time, on codes: ``codes`` maps codes
     of ``lattice``'s box to integer coefficients, and ``rows[i][n]`` is the
@@ -305,22 +281,26 @@ def axiswise_codes(codes, lattice, rows) -> dict:
 def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:
     """Expand every binomial factor exactly and distribute, e.g.
     C(t+2,2) -> (t^2 + 3t + 2)/2.  Coordinate i is scaled by N_i!, N_i its
-    largest index, so index n maps to the integer row
-    ``_rising_coeffs(n, shift) * N_i!/n!`` of degrees 0..n.  The change runs
-    in integers through ``axiswise_codes`` on the codes of the box [0, N],
-    and its integers over prod N_i! are the result's numerators and
-    denominator once reduced by one gcd pass; no Fraction is built.  An
-    index beyond ``sys.maxsize`` is refused with a ``ValueError``."""
+    largest index, so index n maps to the integer row of degrees 0..n of
+    prod_{k=1..n} (t + k + shift) * N_i!/n!, the product grown by one
+    factor per n: O(N_i^2) per coordinate.  The change runs in integers
+    through ``axiswise_codes`` on the codes of the box [0, N], and its
+    integers over prod N_i! are the result's numerators and denominator
+    once reduced by one gcd pass; no Fraction is built.  An index beyond
+    ``sys.maxsize`` is refused with a ``ValueError``."""
     tops = list(map(max, zip(*b.terms))) if b.terms else [0] * b.p
     for i, top in enumerate(tops, 1):
         if top > sys.maxsize:
             raise ValueError("coordinate %d has binomial index %d, more than a factorial can take" % (i, top))
     rows = []
     for top in tops:
-        scale = math.factorial(top)
-        rows.append([tuple((d, c * (scale // math.factorial(n)))
-                           for d, c in enumerate(_rising_coeffs(n, b.shift)) if c)
-                     for n in range(top + 1)])
+        scale, coeffs, row = math.factorial(top), [1], []
+        for n in range(top + 1):
+            if n:
+                root = n + b.shift
+                coeffs = [a * root + c for a, c in zip(coeffs + [0], [0] + coeffs)]
+            row.append(tuple((d, c * (scale // math.factorial(n))) for d, c in enumerate(coeffs) if c))
+        rows.append(row)
     denom = math.prod(math.factorial(top) for top in tops)
     lattice = LatticeCode([top + 1 for top in tops])
     codes = axiswise_codes(dict(zip(lattice.encode(b.terms), b.terms.values())), lattice, rows)

@@ -22,7 +22,6 @@ needs live here too, as the tests' readers of its kernels.
 """
 
 import itertools
-import math
 import operator
 import random
 from collections import Counter
@@ -60,7 +59,7 @@ from cavepoly.errors import (
 )
 from cavepoly.genverify import _uniform_values
 from cavepoly.geometry import CaveReport, independence_points, truncate
-from cavepoly.polyalg import BinomialBasisPoly, MultiPoly, RationalPoly, _rising_coeffs, canonical_order
+from cavepoly.polyalg import BinomialBasisPoly, MultiPoly, RationalPoly, canonical_order
 
 
 def independence_points_box_filter(P) -> frozenset:
@@ -301,7 +300,7 @@ def stalactite_polynomial_prefix(P, order=None) -> MultiPoly:
 
 
 def stalactite_terms_counter(index, visit) -> dict:
-    """``ExchangeIndex.stalactite_terms`` counted as tuples: one ``Counter``
+    """``ExchangeIndex.stalactite_codes`` counted as tuples: one ``Counter``
     over the members of every stalactite, signed by the first apex's degree."""
     ordered = index.ordered
     cubes = (_hanging_cube(ordered[k], directions).members for k, directions in index.stalactites(visit))
@@ -520,19 +519,28 @@ def sparse_terms_loop(cls, p, terms, **kw) -> dict:
     return clean
 
 
+def binomial_fraction_coeffs(n, shift) -> list:
+    """The Fraction coefficients, ascending degree, of C(t + n + shift, n)
+    as a polynomial in t: the product of the factors (t + k + shift) / k,
+    k = 1..n, multiplied in one at a time."""
+    coeffs = [Fraction(1)]
+    for k in range(1, n + 1):
+        constant, linear = Fraction(k + shift, k), Fraction(1, k)
+        coeffs = [constant * a + linear * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
 def expand_binomial_per_term(b) -> RationalPoly:
-    """Expand each term's whole product of binomial factors on its own and
-    add the results as Fractions."""
+    """Expand each term's whole product of binomial factors on its own, by
+    ``binomial_fraction_coeffs`` per factor, and add the results as Fractions."""
     p = b.p
     out = {}
     for n, c in b.terms.items():
-        denom = 1
-        acc = {(0,) * p: 1}
+        acc = {(0,) * p: Fraction(c)}
         for i, ni in enumerate(n):
             if ni == 0:
                 continue
-            denom *= math.factorial(ni)
-            coeffs = _rising_coeffs(ni, b.shift)
+            coeffs = binomial_fraction_coeffs(ni, b.shift)
             nxt = {}
             for exps, a in acc.items():
                 for d, cd in enumerate(coeffs):
@@ -542,7 +550,7 @@ def expand_binomial_per_term(b) -> RationalPoly:
                     nxt[key] = nxt.get(key, 0) + a * cd
             acc = nxt
         for exps, a in acc.items():
-            out[exps] = out.get(exps, Fraction(0)) + Fraction(c * a, denom)
+            out[exps] = out.get(exps, Fraction(0)) + a
     return RationalPoly(p, out)
 
 

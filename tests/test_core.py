@@ -21,12 +21,12 @@ from cavepoly import (
     rank_from_points,
     validate_rank_function,
 )
-from cavepoly.core import ExchangeIndex, LatticeCode, nonnegative_set, point_set, subset_to_mask
+from cavepoly.core import ExchangeIndex, LatticeCode, mask_to_subset, nonnegative_set, point_set
 from cavepoly.geometry import CaveReport, is_cave
 from conftest import instance_mix, run_bounded
 from oracles import homogenize, is_generalized_polymatroid_pairwise
 
-RUNNING_VALUES = {(): 0, (1,): 2, (2,): 3, (1, 2): 3}
+RUNNING_VALUES = [0, 2, 3, 3]  # mask order: (), (1,), (2,), (1, 2)
 
 
 def all_subsets(p):
@@ -35,7 +35,7 @@ def all_subsets(p):
 
 
 def rank_of(rk, subset):
-    return rk.values[subset_to_mask(subset, rk.p)]
+    return rk.values[sum(1 << i - 1 for i in subset)]
 
 
 def gp_failure(points):
@@ -53,46 +53,46 @@ def test_validate_running_example():
 
 
 def test_validate_rank_zero_function():
-    rk = validate_rank_function(1, {(): 0, (1,): 0}, (0,))
+    rk = validate_rank_function(1, [0, 0], (0,))
     assert rk.rank == 0
 
 
 def test_validate_rejects_submodularity_break():
     with pytest.raises(AxiomViolation) as exc:
-        validate_rank_function(2, {(): 0, (1,): 2, (2,): 2, (1, 2): 5}, (2, 2))
+        validate_rank_function(2, [0, 2, 2, 5], (2, 2))
     assert ("submodular", ((1,), (2,))) in exc.value.violations
 
 
 def test_validate_reports_every_violated_axiom():
     with pytest.raises(AxiomViolation) as exc:
-        validate_rank_function(2, {(): 1, (1,): 0, (2,): 0, (1, 2): 5}, (0, 0))
+        validate_rank_function(2, [1, 0, 0, 5], (0, 0))
     axioms = {axiom for axiom, _ in exc.value.violations}
     assert {"empty", "monotone", "submodular"} <= axioms
 
 
 def test_validate_cage_axiom():
     with pytest.raises(AxiomViolation) as exc:
-        validate_rank_function(1, {(): 0, (1,): 3}, (2,))
+        validate_rank_function(1, [0, 3], (2,))
     assert exc.value.violations == [("cage", ((1,),))]
 
 
 def test_validate_malformed_inputs():
-    with pytest.raises(ValueError):
-        validate_rank_function(2, {(): 0, (1,): 1}, (1, 1))  # missing subsets
+    with pytest.raises(ValueError, match=r"^expected 4 rank values, got 2$"):
+        validate_rank_function(2, [0, 1], (1, 1))  # missing subsets
     with pytest.raises(DimensionMismatch):
         validate_rank_function(2, RUNNING_VALUES, (2,))  # cage length
     with pytest.raises(DimensionMismatch):
-        validate_rank_function(17, {}, (0,) * 17)  # beyond the mask cap
+        validate_rank_function(17, [], (0,) * 17)  # beyond the mask cap
     with pytest.raises(ValueError, match=r"^rank of \(1,\) is 1\.0, not an integer$"):
         validate_rank_function(2, [0, 1.0, 1, 1], [1, 1])
     with pytest.raises(ValueError, match=r"^p must be a positive integer, got 0$"):
         validate_rank_function(0, [0], [])
-    with pytest.raises(ValueError, match=r"^duplicate subset \(1,\) in rank map$"):
-        validate_rank_function(1, {(): 0, (1,): 1, 1: 1}, (1,))  # an int key is a mask
     with pytest.raises(ValueError, match=r"^expected 4 rank values, got 3$"):
         validate_rank_function(2, [0, 1, 1], (1, 1))
-    with pytest.raises(ValueError, match=r"^subset element 3 outside 1\.\.2$"):
-        validate_rank_function(2, {(): 0, (1,): 1, (3,): 1, (1, 2): 2}, (1, 1))
+    # A mapping is refused whole: read as a sequence, its keys would be the ranks.
+    for mapping in ({(): 0, (1,): 1}, {0: 0, 1: 1}):
+        with pytest.raises(ValueError, match=r"^rank values must be a sequence indexed by bit mask, not a dict$"):
+            validate_rank_function(1, mapping, (1,))
 
 
 def test_rank_function_constructor_and_identity():
@@ -127,11 +127,12 @@ def test_validation_is_total_against_brute_force():
                 inter = tuple(sorted(set(a) & set(b)))
                 if values[a] + values[b] < values[union] + values[inter]:
                     brute_ok = False
+        table = [values[mask_to_subset(mask)] for mask in range(1 << p)]
         if brute_ok:
-            validate_rank_function(p, values, cage)
+            validate_rank_function(p, table, cage)
         else:
             with pytest.raises(AxiomViolation):
-                validate_rank_function(p, values, cage)
+                validate_rank_function(p, table, cage)
 
 
 # ------------------------------------------------------------- conversions
@@ -142,12 +143,12 @@ def test_points_from_rank_running_example():
 
 
 def test_points_from_rank_zero():
-    rk = validate_rank_function(1, {(): 0, (1,): 0}, (0,))
+    rk = validate_rank_function(1, [0, 0], (0,))
     assert points_from_rank(rk).points == {(0,)}
 
 
 def test_points_from_rank_unit_ranks():
-    rk = validate_rank_function(2, {(): 0, (1,): 1, (2,): 1, (1, 2): 1}, (1, 1))
+    rk = validate_rank_function(2, [0, 1, 1, 1], (1, 1))
     assert points_from_rank(rk).points == {(1, 0), (0, 1)}
 
 

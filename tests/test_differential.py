@@ -9,10 +9,12 @@ tables that are not polymatroid rank functions.
 """
 
 import enum
+import io
 import itertools
 import json
 import operator
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
@@ -56,6 +58,7 @@ from cavepoly import (
     verify_instance,
 )
 from cavepoly.algorithms import LexOrder
+from cavepoly.cli import run_command
 from cavepoly.genverify import CHECKS
 from conftest import instance_mix
 from oracles import (
@@ -895,19 +898,25 @@ def test_box_polynomial_matches_summed_summands():
         assert box_polynomial(P).terms == total.terms
 
 
-def test_in_independence_matches_subset_sums():
+def test_truncate_accepts_exactly_the_subset_sum_region():
     inside = outside = 0
     for P in GENERATED[:60]:
         region = independence_points(P).points
         box = itertools.product(*(range(-1, c + 2) for c in P.cage))
         for n in box:
-            verdict = geometry.in_independence(P, n)
+            try:
+                kept = geometry.truncate(P, n).points
+            except NotInIndependence as exc:
+                assert str(exc) == "%s is not in the independence region" % (n,)
+                kept = None
+            verdict = kept is not None
             assert verdict == in_independence_subset_sums(P, n) == (n in region), (P, n)
+            assert not verdict or kept == {u for u in P.points if all(map(operator.ge, u, n))}, (P, n)
             inside += verdict
             outside += not verdict
         for bad in ((0,) * (P.p + 1), (1,) * (P.p - 1)):
-            with pytest.raises(DimensionMismatch):
-                geometry.in_independence(P, bad)
+            with pytest.raises(DimensionMismatch, match=r"^point has length %d, expected %d$" % (len(bad), P.p)):
+                geometry.truncate(P, bad)
             with pytest.raises(DimensionMismatch):
                 in_independence_subset_sums(P, bad)
     assert inside > 500 and outside > 500
@@ -1242,6 +1251,13 @@ def test_exchange_index_truncations_match_materialized_sets():
     assert verdicts == {(True, True), (False, True), (False, False)}
 
 
+def decoded_stalactite_codes(index, visit) -> dict:
+    """``index.stalactite_codes(visit)`` keyed by the points, decoded as the
+    stalactite route decodes them."""
+    terms = index.stalactite_codes(visit)
+    return dict(zip(index.lattice.decode(terms), terms.values()))
+
+
 def test_exchange_index_truncation_terms_match_stalactite_polynomial():
     truncations = 0
     for P in GENERATED:
@@ -1255,7 +1271,7 @@ def test_exchange_index_truncation_terms_match_stalactite_polynomial():
                 points = frozenset(materialized(index, mask))
                 sub = subsets.get(points) or subsets.setdefault(points, Polymatroid(points))
                 expected = stalactite_polynomial(sub, order).terms
-                assert index.stalactite_terms(core._bits(mask)) == expected
+                assert decoded_stalactite_codes(index, core._bits(mask)) == expected
                 if perm[0] == 1:  # the prefix-scan oracle under a sample of the orders
                     assert expected == stalactite_polynomial_prefix(sub, order).terms
                 truncations += 1
@@ -1272,7 +1288,7 @@ def test_coded_stalactite_terms_match_tuple_counter():
         for perm in itertools.permutations(range(1, P.p + 1)):
             for mask in threshold_truncations(index):
                 visit = index.in_order(LexOrder(perm), mask)
-                assert index.stalactite_terms(visit) == stalactite_terms_counter(index, visit), (P, perm, mask)
+                assert decoded_stalactite_codes(index, visit) == stalactite_terms_counter(index, visit), (P, perm, mask)
                 cases += 1
     assert cases > 5000
     # Free-standing indexes under the default code: the order-sorted base
@@ -1298,7 +1314,7 @@ def test_coded_stalactite_terms_match_tuple_counter():
         for mask in masks:
             visit = index.in_order(LexOrder.identity(index.p), mask)
             expected = stalactite_terms_counter(index, visit)
-            assert index.stalactite_terms(visit) == expected, (points, mask)
+            assert decoded_stalactite_codes(index, visit) == expected, (points, mask)
             narrow = core.LatticeCode([max(col) - min(col) + 3 for col in zip(*points)])
             naive += narrow.decode(narrow.encode(expected)) != list(expected)
     assert sum(1 for _, tops in sets if tops) > 50
@@ -1340,9 +1356,24 @@ def test_truncation_lemma_check_asserts_every_truncation(monkeypatch):
         raised += isinstance(result, str)
     assert raised > 10
     P = GENERATED[0]
-    outside = tuple(c + 1 for c in P.cage)  # a region point with no base above it
-    monkeypatch.setattr(genverify, "region_index", lambda P: core.ExchangeIndex(
-        sorted(independence_points(P).points | {outside}), core.lattice_code(P)))  # the region the check reads
-    with pytest.raises(NotInIndependence) as exc:
+    monkeypatch.setattr(genverify, "region_index", stray_region)
+    with pytest.raises(InternalInvariantFailure) as exc:
         CHECKS["truncation-lemmas"](P)
-    assert str(exc.value) == "%s is not in the independence region" % (outside,)
+    assert str(exc.value) == "%s is not in the independence region" % (tuple(c + 1 for c in P.cage),)
+
+
+def stray_region(P):
+    """The region the truncation check reads, planted with cage + 1, a
+    region point with no base above it."""
+    outside = tuple(c + 1 for c in P.cage)
+    return core.ExchangeIndex(sorted(independence_points(P).points | {outside}), core.lattice_code(P))
+
+
+def test_verify_reports_a_stray_region_point_as_an_internal_error(monkeypatch):
+    # p = 1: the other checks that read the planted region report, not raise.
+    monkeypatch.setattr(genverify, "region_index", stray_region)
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(["verify", "--p", "1", "--count", "1"], stdout=out, stderr=err) == 3
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and re.fullmatch(r"internal error: \(\d+,\) is not in the independence region", lines[0])

@@ -56,7 +56,7 @@ ALLOWED = {
     "genverify._poly_diff_detail": "names the first differing term when two routes disagree (planted faults)",
     "core.rank_from_points": "rank table of a point set, read by the shrinker and cli.rank_document",
     **dict.fromkeys(["core._sliced_axiom_failures", "core._split", "core._unsplit"], HOSTILE),
-    **dict.fromkeys(["core.subset_to_mask", "cli._parse_subset_key"], SPACED),
+    "cli._parse_subset_key": SPACED,
     "cli.main": "the console script's entry point",
     "cli._Parser.error": "reports a usage error as a ParseError",
     "cli.rank_document": "writes a rank document; tools/cli_row.py calls it in CI",
