@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 from .core import Immutable, LexOrder, Polymatroid, _bits, as_point, exchange_index, lattice_code, memo, resolve_order
 from .errors import DimensionMismatch, InternalInvariantFailure, NotComparable
-from .geometry import independence_points, region_index
+from .geometry import independence_points
 from .polyalg import BinomialBasisPoly, MultiPoly, axiswise_codes, binomial_map
 
 
@@ -144,10 +144,10 @@ def box_summands(P: Polymatroid) -> dict:
 @memo
 def box_polynomial(P: Polymatroid) -> MultiPoly:
     """Sum of the box products over the independence points: one change of
-    basis of {code(n): 1 for n in I(P)}, codes of ``region_index(P)``, index
-    n_i becoming t_i^{n_i} - t_i^{n_i - 1} (1 for n_i = 0), by
+    basis of {code(n): 1 for n in I(P)}, codes of ``independence_points(P)``,
+    index n_i becoming t_i^{n_i} - t_i^{n_i - 1} (1 for n_i = 0), by
     ``axiswise_codes`` on ``lattice_code(P)``, O(p |I|)."""
-    region, lattice = dict.fromkeys(region_index(P).codes, 1), lattice_code(P)
+    region, lattice = dict.fromkeys(independence_points(P).codes, 1), lattice_code(P)
     row = [((0, 1),)] + [((n, 1), (n - 1, -1)) for n in range(1, max(lattice.spans))]
     terms = axiswise_codes(region, lattice, [row[:span] for span in lattice.spans])
     return MultiPoly(P.p, dict(zip(lattice.decode(terms), terms.values())))
@@ -181,7 +181,7 @@ def mobius_table(P: Polymatroid) -> MobiusTable:
     """Mobius values on all independence points by the three-case recurrence:
     1 on base points, 1 - sum over strictly larger points inside, 0 outside.
 
-    One pass over ``region_index(P)`` in reverse lex order, which visits
+    One pass over ``independence_points(P)`` in reverse lex order, visiting
     n + e_k before n.  ``partial[n][k]`` sums mu(m) over the m >= n that
     agree with n beyond coordinate k.  Each m > n is counted once, at
     n + e_k for the last coordinate k on which it exceeds n, so mu(n) = 1 -
@@ -191,10 +191,10 @@ def mobius_table(P: Polymatroid) -> MobiusTable:
     over the product of chains).  ``partial`` is keyed by the region's
     codes, n + e_k at code(n) + stride_k (``lattice_code``).
     """
-    index = region_index(P)
-    strides = list(enumerate(index.lattice.strides))
+    region = independence_points(P)
+    strides = list(enumerate(lattice_code(P).strides))
     partial, values, outside = {}, {}, (0,) * P.p
-    for n, code in zip(reversed(index.ordered), reversed(index.codes)):
+    for n, code in zip(reversed(region.ordered), reversed(region.codes)):
         above = [partial.get(code + s, outside)[k] for k, s in strides]
         values[n] = mu = 1 - sum(above)
         partial[code] = tuple(accumulate(above, initial=mu))[1:]

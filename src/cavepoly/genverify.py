@@ -33,6 +33,7 @@ from .algorithms import (
 )
 from .core import (
     MAX_GROUND_SET,
+    ExchangeIndex,
     Polymatroid,
     RankFunction,
     _bits,
@@ -51,7 +52,7 @@ from .errors import (
     InternalInvariantFailure,
     UnknownFamily,
 )
-from .geometry import is_cave, region_index
+from .geometry import independence_points, is_cave
 from .polyalg import expand_binomial
 
 _MAX_ATTEMPTS = 10_000
@@ -239,21 +240,26 @@ def _check_mobius_interval_closed_form(P):
     mu(m, a) is mu(d), d = a - m in the down-closed region, which
     ``mobius_table``'s partial sums mirrored downward fill in one lex-order
     pass, O(|I| p).  The m <= a are the box [0, a], whose codes of a - m are
-    the same box in reverse.  A mismatch is reported at its first m, then
-    a, in (degree, lex) order."""
-    index = region_index(P)
-    strides = index.lattice.strides
+    the same box in reverse; a code missing there is a region fault, an
+    ``InternalInvariantFailure``.  A mismatch is reported at its first m,
+    then a, in (degree, lex) order."""
+    region, lattice = independence_points(P), lattice_code(P)
+    strides = lattice.strides
     raw, partial, outside = {}, {}, (0,) * P.p
-    for code in index.codes:
+    for code in region.codes:
         below = [partial.get(code - s, outside)[k] for k, s in enumerate(strides)]
         raw[code] = mu = -sum(below) if code else 1
         partial[code] = tuple(itertools.accumulate(below, initial=mu))[1:]
     failures = []
-    for a in index.ordered:
+    for a in region.ordered:
         box = [range(c + 1) for c in a]
         closed = list(map(mobius_interval, itertools.product(*box), itertools.repeat(a)))
         differences = itertools.product(*[range(c * s, -1, -s) for c, s in zip(a, strides)])  # code(a - m)
-        recurrence = list(map(raw.__getitem__, map(sum, differences)))
+        try:
+            recurrence = list(map(raw.__getitem__, map(sum, differences)))
+        except KeyError as exc:
+            raise InternalInvariantFailure("independence region is not down-closed: %s is missing under %s" % (
+                lattice.decode(exc.args)[0], a))
         if closed != recurrence:
             failures.append(min((sum(m), m, sum(a), a, c, r)
                                 for m, c, r in zip(itertools.product(*box), closed, recurrence) if c != r))
@@ -266,7 +272,7 @@ def _check_mobius_interval_closed_form(P):
 def _check_counts_equal_mobius(P):
     counts = stalactite_counts(P)
     table = mobius_table(P)
-    region = region_index(P).ordered
+    region = independence_points(P).ordered
     stray = set(counts).difference(region)
     if stray:
         return False, "stalactite count outside independence region at %s" % (min(stray),)
@@ -283,14 +289,14 @@ def _check_truncation_lemmas(P):
     P's at every m >= n in I(P), the truncation's region above n (a base
     above m >= n is itself >= n).  Each distinct set of kept bases, a mask
     of P's ``exchange_index``, is asserted to be a polymatroid as in
-    ``truncate``, then decomposed; coefficients compare by code."""
+    ``truncate``, then decomposed; coefficients compare by code.  The region
+    above n is one AND of the ``above`` rows of an index over the region."""
     terms = stalactite_polynomial(P).terms
     stal_p = dict(zip(lattice_code(P).encode(terms), terms.values()))
-    bases = exchange_index(P)
-    index = region_index(P)  # its threshold masks give the region above n
-    region, base_rows, region_rows = index.ordered, bases.above, index.above
+    bases, region = exchange_index(P), independence_points(P)
+    base_rows, region_rows = bases.above, ExchangeIndex(region.ordered, lattice_code(P)).above
     truncations = {}
-    for n in region:
+    for n in region.ordered:
         kept = reduce(and_, map(getitem, base_rows, n))
         if kept not in truncations:
             if not kept:  # a region point under no base: a fault of the region walk
@@ -301,12 +307,12 @@ def _check_truncation_lemmas(P):
                     "truncation at %s is not a polymatroid: %s" % (n, not_m_convex(witness)))
             truncations[kept] = bases.stalactite_codes(_bits(kept))
         above = _bits(reduce(and_, map(getitem, region_rows, n)))
-        got, expected = (list(map(counts.get, map(index.codes.__getitem__, above), itertools.repeat(0)))
+        got, expected = (list(map(counts.get, map(region.codes.__getitem__, above), itertools.repeat(0)))
                          for counts in (truncations[kept], stal_p))
         if got != expected:
             t = next(t for t in range(len(got)) if got[t] != expected[t])
             return False, "truncation at %s: coefficient at %s is %d, expected %d" % (
-                n, region[above[t]], got[t], expected[t])
+                n, region.ordered[above[t]], got[t], expected[t])
     return True, None
 
 
@@ -373,12 +379,12 @@ CHECKS = {
 INPUTS = {
     "four-way-equality": (cave_polynomial, stalactite_polynomial, box_polynomial, mobius_polynomial),
     "lex-order-invariance": (stalactite_polynomial, lattice_code, exchange_index),
-    "mobius-interval-closed-form": (region_index,),
-    "counts-equal-mobius": (stalactite_polynomial, mobius_table, region_index),
-    "truncation-lemmas": (stalactite_polynomial, lattice_code, exchange_index, region_index),
+    "mobius-interval-closed-form": (independence_points, lattice_code),
+    "counts-equal-mobius": (stalactite_polynomial, mobius_table, independence_points),
+    "truncation-lemmas": (stalactite_polynomial, lattice_code, exchange_index, independence_points),
     "coefficient-sum": (cave_polynomial,),
     "cancellation-free": (cave_polynomial,),
-    "snapper-routes": (cave_polynomial, region_index),
+    "snapper-routes": (cave_polynomial, independence_points),
     "cave-support": (cave_polynomial, stalactite_polynomial),
     "cave-predicate": (stalactite_polynomial,),
 }
@@ -409,10 +415,8 @@ class VerificationReport:
         return [r for r in self.results if not r.passed]
 
 
-def instance_descriptor(P: Polymatroid, **extra) -> dict:
-    desc = {"p": P.p, "rank": P.rank, "base_points": len(P.points), "cage": list(P.cage)}
-    desc.update(extra)
-    return desc
+def instance_descriptor(P: Polymatroid) -> dict:
+    return {"p": P.p, "rank": P.rank, "base_points": len(P.points), "cage": list(P.cage)}
 
 
 def _check_names(checks) -> tuple:
@@ -424,7 +428,7 @@ def _check_names(checks) -> tuple:
     return names
 
 
-def verify_instance(P: Polymatroid, checks=None, descriptor=None) -> VerificationReport:
+def verify_instance(P: Polymatroid, checks=None) -> VerificationReport:
     """Refuse unknown check names, build the chosen checks' (all by default)
     ``INPUTS`` once each, in first-seen order, then run the checks."""
     names = _check_names(checks)
@@ -438,7 +442,7 @@ def verify_instance(P: Polymatroid, checks=None, descriptor=None) -> Verificatio
         start = time.perf_counter()
         passed, detail = fn(P)
         results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
-    return VerificationReport(descriptor or instance_descriptor(P), tuple(results), inputs_elapsed)
+    return VerificationReport(instance_descriptor(P), tuple(results), inputs_elapsed)
 
 
 def _delete_coordinate(rk: RankFunction, drop: int) -> RankFunction:
@@ -545,7 +549,8 @@ def verify_campaign(cfg: GeneratorConfig, count: int, checks=None) -> CampaignRe
     for i in range(count):
         icfg = replace(cfg, seed=cfg.seed + i)
         P = random_polymatroid(icfg)
-        report = verify_instance(P, checks=names, descriptor=instance_descriptor(P, seed=icfg.seed))
+        report = verify_instance(P, checks=names)
+        report.descriptor["seed"] = icfg.seed
         reports.append(report)
         for bad in report.failures():
             fn = CHECKS[bad.name]

@@ -1,8 +1,8 @@
 """Lattice-point machinery around a polymatroid, on plain coordinate tuples.
 
-``region_index(P)`` walks I(P) ∩ N^p once per instance, in lex order
-with its ``lattice_code(P)`` codes, into an ``ExchangeIndex`` held beside
-``exchange_index(P)``; ``independence_points`` reads it as a set.
+``independence_points(P)`` walks I(P) ∩ N^p once per instance into one
+immutable ``IndependenceSet``, in lex order with its ``lattice_code(P)``
+codes, held in P's memo store beside ``exchange_index(P)``.
 ``truncate`` cuts a polymatroid at a point of its region.
 ``is_cave`` reads the three cave conditions from one ``ExchangeIndex``
 over a set, its tops and its p unit truncations being bitmasks.
@@ -11,6 +11,7 @@ over a set, its tops and its p unit truncations being bitmasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import ge
 
 from .core import (
@@ -36,43 +37,33 @@ from .errors import (
 
 
 class IndependenceSet(Immutable):
-    """Integer points of the independence polytope of ``source``: downward
-    closed, holding the origin and every point of the source.  ``points``
-    is a frozenset, when not given the source's memoised one, built on
-    first read; iteration reads ``region_index``'s lex order.  Immutable."""
+    """The integer points of a polymatroid's independence polytope:
+    downward closed, holding the origin and every base point.  ``ordered``
+    lists them in lex order and ``codes`` their ``lattice_code`` codes, both
+    tuples; ``points``, the frozenset, is built on first read.  The set
+    does not refer to its polymatroid, so one value held in a memo store is
+    handed to every caller.  Immutable."""
 
-    __slots__ = ("p", "source", "_points")
+    __slots__ = ("p", "ordered", "codes", "__dict__")
 
-    def __init__(self, p: int, points, source: Polymatroid):
-        for name, value in (("p", p), ("_points", points), ("source", source)):
+    def __init__(self, p: int, ordered, codes):
+        for name, value in (("p", p), ("ordered", tuple(ordered)), ("codes", tuple(codes))):
             object.__setattr__(self, name, value)
 
-    @property
+    @cached_property
     def points(self) -> frozenset:
-        return _down_closure(self.source) if self._points is None else self._points
+        return frozenset(self.ordered)
 
     def __iter__(self):
-        return iter(region_index(self.source).ordered if self._points is None else sorted(self._points))
+        return iter(self.ordered)
 
 
+@memo
 def independence_points(P: Polymatroid) -> IndependenceSet:
-    """I(P) ∩ N^p, an ``IndependenceSet`` over ``region_index(P)``; the memo
-    store holds the points, not this set, which refers back to ``P``."""
-    region_index(P)
-    return IndependenceSet(P.p, None, P)
-
-
-@memo
-def _down_closure(P: Polymatroid) -> frozenset:
-    return frozenset(region_index(P).ordered)
-
-
-@memo
-def region_index(P: Polymatroid) -> ExchangeIndex:
-    """The ``ExchangeIndex`` of I(P) ∩ N^p in lex order under
-    ``lattice_code(P)``, holding the codes of the walk that lists the points
-    as its own: no sort and no encode.  The region lies in [0, cage], so
-    its codes are distinct and code(a) - code(m) = code(a - m).
+    """I(P) ∩ N^p in lex order with its ``lattice_code(P)`` codes, those of
+    the walk that lists the points: no sort and no encode.  The region lies
+    in [0, cage], so its codes are distinct and code(a) - code(m) =
+    code(a - m).
 
     Every integral independent vector lies under an integral base, so n is
     in I(P) exactly when some base point dominates it.  The walk fixes
@@ -85,17 +76,15 @@ def region_index(P: Polymatroid) -> ExchangeIndex:
     in lex order.  The mask table has sum of (cage_i + 2) <= p (|I| + 1)
     entries; the walk costs one call per distinct prefix of a region
     point, the points included: at most p |I| + 1 calls."""
-    bases, lattice = exchange_index(P), lattice_code(P)
+    bases = exchange_index(P)
     points, codes = [], []
-    _lex_walk(bases.above, lattice.strides, (), 0, bases.full, points, codes)
-    index = ExchangeIndex(points, lattice)
-    index.codes = codes
-    return index
+    _lex_walk(bases.above, lattice_code(P).strides, (), 0, bases.full, points, codes)
+    return IndependenceSet(P.p, points, codes)
 
 
 def _lex_walk(above, strides, prefix, code, mask, points, codes):
-    """``region_index``'s walk below ``prefix`` (code ``code``, the bases >=
-    it under ``mask``), appending points and codes."""
+    """``independence_points``' walk below ``prefix`` (code ``code``, the
+    bases >= it under ``mask``), appending points and codes."""
     i = len(prefix)
     if i == len(above):
         points.append(prefix)
@@ -112,7 +101,7 @@ def _lex_walk(above, strides, prefix, code, mask, points, codes):
 def truncate(P: Polymatroid, n) -> Polymatroid:
     """The sub-polymatroid of base points componentwise >= n, for n in I(P):
     n is there exactly when n >= 0 and some base point is kept (the fact
-    behind ``region_index``), O(|B| p).  The kept points are always
+    behind ``independence_points``), O(|B| p).  The kept points are always
     M-convex: a constructor failure is an internal fault."""
     n = as_point(n)
     if len(n) != P.p:

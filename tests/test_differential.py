@@ -148,13 +148,13 @@ def test_region_walk_matches_both_region_oracles_and_the_lattice_code():
              named_family("running-example"), *ladder, *wide_shapes]
     wide = named_family("uniform", r=2, m=(2,) * 12)  # CI's p = 12 rank document: closure oracle only
     for P in cases + [wide]:
-        index = geometry.region_index(P)
-        points, codes = index.ordered, index.codes
-        assert points == sorted(independence_points_down_closure(P)), P
+        region = independence_points(P)
+        points, codes = region.ordered, region.codes
+        assert list(points) == sorted(independence_points_down_closure(P)), P
         if P is not wide:
             assert set(points) == independence_points_box_filter(P), P
-        assert codes == core.lattice_code(P).encode(points) and index.lattice is core.lattice_code(P), P
-        assert list(independence_points(P)) == points
+        assert list(codes) == core.lattice_code(P).encode(points), P
+        assert tuple(region) == points
 
 
 def test_is_m_convex_matches_pairwise_with_witness():
@@ -235,14 +235,16 @@ def test_verify_instance_builds_three_exchange_indexes(monkeypatch):
     built = recorded_indexes(monkeypatch)
     P = Polymatroid(GENERATED[4].points)  # a fresh instance: an empty memo store
     assert verify_instance(P).passed
-    region = sorted(independence_points(P).points)
+    region = tuple(sorted(independence_points(P).points))
     assert [index.ordered for index in built] == [sorted(P.points), region, sorted(cave_set(P))]
 
 
-def test_failure_caches_are_built_only_where_a_check_reads_them():
+def test_failure_caches_are_built_only_where_a_check_reads_them(monkeypatch):
+    built = recorded_indexes(monkeypatch)
     P = Polymatroid(GENERATED[4].points)  # a fresh instance: an empty memo store
     assert verify_instance(P).passed
-    region, bases = vars(geometry.region_index(P)), vars(core.exchange_index(P))
+    region, bases = vars(built[1]), vars(core.exchange_index(P))  # built[1]: the truncation check's region index
+    assert built[1].ordered is independence_points(P).ordered
     assert not {"_exchange", "_gp"} & region.keys() and "_gp" not in bases
     assert {type(union) for union in bases.get("_exchange", ())} <= {int, type(None)}
 
@@ -257,14 +259,32 @@ def test_exchange_check_reads_threshold_masks_only_past_a_missing_move(running):
     assert "masks" in vars(index)
 
 
-def test_verify_instance_leaves_no_region_set_in_the_memo_store():
-    down_closure = geometry._down_closure.__wrapped__
-    for points in (GENERATED[4].points, LADDER[1].points):
+def test_independence_region_is_one_immutable_value_in_the_memo_store(running):
+    def details(P):
+        return [(r.name, r.passed, r.detail) for r in verify_instance(P).results]
+
+    for points in (running.points, LADDER[1].points):
         P = Polymatroid(points)  # a fresh instance: an empty memo store
+        fresh = details(Polymatroid(points))
         assert verify_instance(P).passed
-        assert not any(fn is down_closure for fn, _ in P._memo)
-        assert independence_points(P).points  # a reader of the set still builds it
-        assert any(fn is down_closure for fn, _ in P._memo)
+        region = independence_points(P)
+        assert "points" not in vars(region)  # no check builds the frozenset
+        assert [v for v in P._memo.values() if isinstance(v, IndependenceSet)] == [region]
+        assert not any(isinstance(v, (frozenset, core.ExchangeIndex)) for v in P._memo.values()
+                       if v is not core.exchange_index(P))
+        for name in ("p", "ordered", "codes", "points"):
+            with pytest.raises(AttributeError):
+                setattr(region, name, ())
+            with pytest.raises(AttributeError):
+                delattr(region, name)
+        for part in (region.ordered, region.codes):
+            with pytest.raises(AttributeError):
+                part.pop()
+        assert details(P) == fresh
+        assert region.points and "points" in vars(region)
+        with pytest.raises(AttributeError):
+            del region.points
+        assert independence_points(P) is region and details(P) == fresh
 
 
 def gp_verdict(points):
@@ -725,9 +745,10 @@ def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
     assert '"failed": 0' not in fast
 
     def region_oracle(P):
-        return IndependenceSet(P.p, independence_points_box_filter(P), P)
+        ordered = sorted(independence_points_box_filter(P))
+        return IndependenceSet(P.p, ordered, core.lattice_code(P).encode(ordered))
 
-    for module in (geometry, algorithms):
+    for module in (geometry, algorithms, genverify):
         monkeypatch.setattr(module, "independence_points", region_oracle)
     monkeypatch.setattr(genverify, "points_from_rank", points_from_rank_box_filter)
     monkeypatch.setattr(genverify, "rank_from_points", rank_from_points_subset_loop)
@@ -757,7 +778,7 @@ def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
     def no_index(ordered):
         raise AssertionError("the oracle run reached the exchange index")
 
-    for module in (core, geometry):  # genverify reads its indexes through these two
+    for module in (core, geometry, genverify):
         monkeypatch.setattr(module, "ExchangeIndex", no_index)
     assert _campaign_documents() == fast
     assert cave_calls
@@ -1356,24 +1377,49 @@ def test_truncation_lemma_check_asserts_every_truncation(monkeypatch):
         raised += isinstance(result, str)
     assert raised > 10
     P = GENERATED[0]
-    monkeypatch.setattr(genverify, "region_index", stray_region)
+    monkeypatch.setattr(genverify, "independence_points", stray_region)
     with pytest.raises(InternalInvariantFailure) as exc:
         CHECKS["truncation-lemmas"](P)
     assert str(exc.value) == "%s is not in the independence region" % (tuple(c + 1 for c in P.cage),)
 
 
 def stray_region(P):
-    """The region the truncation check reads, planted with cage + 1, a
-    region point with no base above it."""
+    """The region the checks read, planted with cage + 1, a region point
+    with no base above it; for p >= 2 the region is then not down-closed."""
     outside = tuple(c + 1 for c in P.cage)
-    return core.ExchangeIndex(sorted(independence_points(P).points | {outside}), core.lattice_code(P))
+    region, (code,) = independence_points(P), core.lattice_code(P).encode([outside])
+    return IndependenceSet(P.p, region.ordered + (outside,), region.codes + (code,))
+
+
+def not_down_closed(P) -> str:
+    """The Mobius-interval check's refusal of ``stray_region(P)``: the first
+    code of its box of differences, a - e_p, is missing under a = cage + 1."""
+    outside = tuple(c + 1 for c in P.cage)
+    missing = outside[:-1] + (outside[-1] - 1,)
+    return "independence region is not down-closed: %s is missing under %s" % (missing, outside)
+
+
+def test_mobius_interval_check_refuses_a_region_that_is_not_down_closed(monkeypatch, running):
+    monkeypatch.setattr(genverify, "independence_points", stray_region)
+    for P in [running] + [Q for Q in GENERATED[:40] if Q.p >= 2]:
+        with pytest.raises(InternalInvariantFailure) as exc:
+            CHECKS["mobius-interval-closed-form"](P)
+        assert str(exc.value) == not_down_closed(P)
+    assert not_down_closed(running) == "independence region is not down-closed: (3, 3) is missing under (3, 4)"
 
 
 def test_verify_reports_a_stray_region_point_as_an_internal_error(monkeypatch):
-    # p = 1: the other checks that read the planted region report, not raise.
-    monkeypatch.setattr(genverify, "region_index", stray_region)
+    # p = 1: the planted region stays down-closed, and the other checks that read it report, not raise.
+    monkeypatch.setattr(genverify, "independence_points", stray_region)
     out, err = io.StringIO(), io.StringIO()
     assert run_command(["verify", "--p", "1", "--count", "1"], stdout=out, stderr=err) == 3
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and re.fullmatch(r"internal error: \(\d+,\) is not in the independence region", lines[0])
+    # p = 2: the Mobius-interval check, which runs first of the three, names the missing point.
+    first = genverify.random_polymatroid(GeneratorConfig(seed=0, p=2, max_rank=4, max_cage_entry=3,
+                                                         strategy="uniform-family"))
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", "--p", "2", "--count", "3", "--strategy", "uniform-family"]
+    assert run_command(argv, stdout=out, stderr=err) == 3
+    assert out.getvalue() == "" and err.getvalue() == "internal error: %s\n" % not_down_closed(first)

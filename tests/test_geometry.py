@@ -5,7 +5,6 @@ import pytest
 from cavepoly import core
 from cavepoly import (
     EmptyInput,
-    IndependenceSet,
     NotInIndependence,
     Polymatroid,
     independence_points,
@@ -33,18 +32,17 @@ def test_region_walks_refuse_a_span_beyond_sys_maxsize():
 
 def test_independence_points_running(running):
     region = independence_points(running)
-    assert region.points == RUNNING_INDEPENDENCE
-    assert region.source == running
+    assert region.points == RUNNING_INDEPENDENCE and region.p == 2
+    assert region.ordered == tuple(sorted(RUNNING_INDEPENDENCE))
+    assert region.codes == tuple(core.lattice_code(running).encode(region.ordered))
 
 
 def test_independence_set_reads_the_walk_and_builds_its_set_on_first_read():
     P = Polymatroid([(0, 3), (1, 2), (2, 1)])  # a fresh instance: an empty memo store
     region = independence_points(P)
-    assert list(region) == sorted(RUNNING_INDEPENDENCE)
-    assert not any(isinstance(value, frozenset) for value in P._memo.values())
+    assert list(region) == sorted(RUNNING_INDEPENDENCE) and "points" not in vars(region)
     assert region.points == RUNNING_INDEPENDENCE and region.points is independence_points(P).points
-    given = IndependenceSet(2, frozenset({(1, 0), (0, 0)}), P)  # a hand-built set reads its own points
-    assert list(given) == [(0, 0), (1, 0)] and given.points == {(1, 0), (0, 0)} and given.source is P
+    assert independence_points(P) is region and "points" in vars(region)
     with pytest.raises(AttributeError):
         region.p = 3
 
