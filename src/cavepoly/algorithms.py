@@ -153,23 +153,27 @@ def box_polynomial(P: Polymatroid) -> MultiPoly:
     return MultiPoly(P.p, dict(zip(lattice.decode(terms), terms.values())))
 
 
+_INT, _UNIT = frozenset({int}), frozenset({0, 1})
+
+
 def mobius_interval(m, n) -> int:
     """Closed-form Mobius value of the interval [m, n] in the componentwise
     order: (-1)^j when n - m is a 0/1 vector with j ones, else 0.
 
     Endpoints of one length whose steps n - m are all ints, the common
     case, are read as they are; any other pair is normalised by
-    ``as_point``, m first, which names the first non-integer entry."""
+    ``as_point``, m first, which names the first non-integer entry.  Every
+    step's type is tested, before a set could fold 0.0 into an equal 0."""
     try:
-        steps = {*map(sub, n, m)} if len(m) == len(n) else {None}
+        steps = [*map(sub, n, m)] if len(m) == len(n) else [None]
     except TypeError:  # an endpoint without a length, or entries that do not subtract
-        steps = {None}
-    if not {*map(type, steps)} <= {int}:
+        steps = [None]
+    if not _INT.issuperset(map(type, steps)):
         m, n = as_point(m), as_point(n)
         if len(m) != len(n):
             raise DimensionMismatch("interval endpoints differ in length")
-        steps = {*map(sub, n, m)}
-    if steps <= {0, 1}:
+        steps = [*map(sub, n, m)]
+    if _UNIT.issuperset(steps):
         return (-1) ** (sum(n) - sum(m))
     if min(steps) < 0:  # a negative step is refused before a step > 1 gives 0
         raise NotComparable("%s is not componentwise <= %s" % (as_point(m), as_point(n)))

@@ -15,7 +15,7 @@ the same value, so concurrent use is safe.
 from __future__ import annotations
 
 import sys
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
 from itertools import accumulate, chain, compress, count, repeat
@@ -524,14 +524,19 @@ class ExchangeIndex:
         """The first (u, v, i) in list order at which the points under
         ``mask`` (all by default) fail homogeneity, reported as
         (first point, v, None), or the exchange property; None if they are
-        M-convex."""
+        M-convex.  Past the homogeneity test that is None at once when every
+        point's failure union is cached as 0, as a polymatroid's constructor
+        leaves it: ``_first_witness`` would AND those zeros with ``mask``."""
         mask = self.full if mask is None else mask
         first = (mask & -mask).bit_length() - 1
         below, above = self.degree_masks[sum(self.ordered[first])]
         other = mask & (below | above)
         if other:
             return self.ordered[first], self.ordered[(other & -other).bit_length() - 1], None
-        return self._first_witness(mask, self._exchange_failures, self._exchange)
+        unions = self._exchange
+        if unions.count(0) == len(unions):
+            return None
+        return self._first_witness(mask, self._exchange_failures, unions)
 
     def gp_failure(self, mask=None):
         """The first (u, v, i) in list order at which the points under
@@ -576,18 +581,23 @@ class ExchangeIndex:
         code: each member n of their union maps to (-1)^(d - |n|) times the
         number of cubes containing it, d the apexes' degree.  The cube at u =
         ordered[k] along the mask D is code(u) plus the offsets -code(e_J), J
-        within D; as |J| = |u| - |n|, each parity of |J| is counted by one
-        ``Counter`` and signed once.  The counts are a sum over the cubes, so
-        they do not depend on the cubes' sequence.  Cost: one addition per
-        member, ``_cube`` once per D."""
+        within D; as |J| = |u| - |n|, each parity of |J| is counted into a
+        dict by one C pass of ``collections._count_elements`` (``Counter``'s
+        loop), the odd one signed once and skipped when every D is 0.  The
+        counts are a sum over the cubes, so they do not depend on the cubes'
+        sequence.  Cost: one C addition per member, ``_cube`` once per D."""
         even, odd, codes = [], [], self.codes
         for k, directions in stalactites:
             pair = self._cube(directions)
             even.append(map(codes[k].__add__, pair[0]))
-            odd.append(map(codes[k].__add__, pair[1]))
-        terms = dict(Counter(chain.from_iterable(even)))
-        odd = Counter(chain.from_iterable(odd))
-        terms.update(zip(odd, map(neg, odd.values())))
+            if directions:
+                odd.append(map(codes[k].__add__, pair[1]))
+        terms = {}
+        _count_elements(terms, chain.from_iterable(even))
+        if odd:
+            counts = {}
+            _count_elements(counts, chain.from_iterable(odd))
+            terms.update(zip(counts, map(neg, counts.values())))
         return terms
 
     def _cube(self, directions):

@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import chain, count
-from operator import neg
+from operator import getitem, neg
 from types import MappingProxyType
 
 from .core import Immutable, LatticeCode
@@ -112,16 +112,15 @@ class _SparsePoly(Immutable):
         return bool(self._fields()[-1])
 
     def evaluate(self, t):
-        """Exact value at an integer vector."""
+        """Exact value at an integer vector: ``_factor(t_i, k)`` once per
+        distinct (i, k) with k != 0, then one product of lookups per term."""
         t = tuple(t)
         if len(t) != self.p:
             raise DimensionMismatch("vector has length %d, expected %d" % (len(t), self.p))
+        factors = [{k: self._factor(ti, k) if k else 1 for k in {*column}} for ti, column in zip(t, zip(*self.terms))]
         total = self._coefficient((), 0)  # the representation's zero
         for key, c in self.terms.items():
-            for ti, k in zip(t, key):
-                if k:
-                    c *= self._factor(ti, k)
-            total += c
+            total += c * math.prod(map(getitem, factors, key))
         return total
 
     def __repr__(self):

@@ -15,7 +15,8 @@ and packed guard-bit axiom checks, one flat key per term for the canonical
 order, local axiom checks on the lattice path, one cube expansion per
 distinct decomposition in the lex-order check, the cave predicate's
 truncations at the first value of each run of equal masks, canonical
-strings joined from fragment tables); the
+strings joined from fragment tables, one C counting pass per parity of the
+cube offsets, per-coordinate factor tables in ``evaluate``); the
 differential tests require both to return identical results and identical
 failure witnesses.  A few set-level helpers that the library no longer
 needs live here too, as the tests' readers of its kernels.
@@ -309,6 +310,21 @@ def stalactite_terms_counter(index, visit) -> dict:
     return {n: -c if (degree - sum(n)) % 2 else c for n, c in counts.items()}
 
 
+def cube_codes_counter(index, stalactites) -> dict:
+    """``ExchangeIndex.cube_codes`` by two ``Counter``s, one per parity of
+    the cube offsets, both built even when no cube has an odd offset; the
+    even counts are copied into a dict and the odd ones merged in negated."""
+    even, odd, codes = [], [], index.codes
+    for k, directions in stalactites:
+        pair = index._cube(directions)
+        even.append(map(codes[k].__add__, pair[0]))
+        odd.append(map(codes[k].__add__, pair[1]))
+    terms = dict(Counter(itertools.chain.from_iterable(even)))
+    odd = Counter(itertools.chain.from_iterable(odd))
+    terms.update(zip(odd, map(operator.neg, odd.values())))
+    return terms
+
+
 def truncation_mask(index, b) -> int:
     """The mask of the points of ``index`` that are >= ``b``: the AND of
     ``index.above[i][b_i]``, and for a b_i below 0, where ``above`` has no
@@ -517,6 +533,21 @@ def sparse_terms_loop(cls, p, terms, **kw) -> dict:
             if clean[key] == 0:
                 del clean[key]
     return clean
+
+
+def evaluate_per_term(q, t):
+    """``q.evaluate(t)`` by one ``_factor`` call per nonzero entry of every
+    term, multiplied into the term's coefficient in coordinate order."""
+    t = tuple(t)
+    if len(t) != q.p:
+        raise DimensionMismatch("vector has length %d, expected %d" % (len(t), q.p))
+    total = q._coefficient((), 0)
+    for key, c in q.terms.items():
+        for ti, k in zip(t, key):
+            if k:
+                c *= q._factor(ti, k)
+        total += c
+    return total
 
 
 def binomial_fraction_coeffs(n, shift) -> list:

@@ -69,6 +69,7 @@ from oracles import (
     cave_condition_3_box_walk,
     cave_polynomial_products,
     cave_polynomial_slices,
+    cube_codes_counter,
     draw_lattice_path_validating,
     expand_binomial_per_term,
     homogenize,
@@ -500,6 +501,7 @@ def test_mobius_interval_matches_normalized_form():
         ((True, 0), (1, 1)), ((0, False), (True, True)),  # bool entries are accepted
         ([0, 1], [1, 1]), ((0, 1), [1, 3]), ([2, 0], (1, 2)),  # lists
         ((0.0, 1), (1, 1)), ((0, 1), (1, 1.5)),  # float entries
+        ((0, 0), (0, 0.0)), ((0, 0), (1, 1.0)), ((0, 0), (2, 2.0)),  # a float step equal to an int step
         ((), ()), ((), (1,)), ((1,), (1, 2)),  # empty and length mismatch
         ((2, 0), (1, 2)), ((0, 5), (1, 2)), ((-1, 0), (0, 1)), ((3,), (5,)),
         ((0, 0), (2, -1)), ((0, 0), (-1, 2)), ((1, 3), (0, 5)),  # a negative step and a step > 1
@@ -1340,6 +1342,61 @@ def test_coded_stalactite_terms_match_tuple_counter():
             naive += narrow.decode(narrow.encode(expected)) != list(expected)
     assert sum(1 for _, tops in sets if tops) > 50
     assert naive > 100, naive
+
+
+def test_cube_codes_match_counter_oracle():
+    # Every distinct threshold truncation and every decomposition the
+    # lex-order check visits, on the corpus and the ladder row (8; [4]x4),
+    # plus every base point as a one-point cube, where no odd pass runs.
+    cases = pointwise = 0
+    for P in GENERATED + [named_family("uniform", r=8, m=(4,) * 4)]:
+        index = core.exchange_index(P)
+        visits = [core._bits(mask) for mask in threshold_truncations(index)]
+        visits += [index.in_order(order) for order in genverify._lex_orders(P.p)]
+        decompositions = [tuple(index.stalactites(visit)) for visit in visits]
+        decompositions.append(tuple((k, 0) for k in range(len(index.ordered))))
+        for decomposition in decompositions:
+            result = index.cube_codes(decomposition)
+            assert type(result) is dict
+            assert list(result.items()) == list(cube_codes_counter(index, decomposition).items()), (P, decomposition)
+            pointwise += not any(directions for _, directions in decomposition)
+            cases += 1
+    assert cases > 2500 and pointwise > 500, (cases, pointwise)
+
+
+def test_settled_exchange_index_answers_truncations_without_a_scan(monkeypatch):
+    # A polymatroid's constructor leaves every failure union 0, so every
+    # threshold truncation is M-convex at once.
+    instances = GENERATED + [named_family("uniform", r=8, m=(4,) * 4)]
+    masks = [(core.exchange_index(P), threshold_truncations(core.exchange_index(P))) for P in instances]
+
+    def scanned(index, mask, failures, unions):
+        raise AssertionError("a settled index walked its points")
+
+    monkeypatch.setattr(core.ExchangeIndex, "_first_witness", scanned)
+    for index, kept in masks:
+        assert index._exchange.count(0) == len(index.ordered)
+        assert [index.m_convex_failure(mask) for mask in kept] == [None] * len(kept)
+
+
+def test_unsettled_exchange_index_scans_every_truncation():
+    # Sets that are not M-convex: each truncation's witness is the pairwise
+    # scan's, on a fresh index, after a whole-set call and on a second pass.
+    failing = [pts for pts in random_sets(34, 400) if not is_m_convex(pts)[0]]
+    verdicts = set()
+    for pts in failing:
+        expected = None
+        for whole in (False, True):
+            index = core.ExchangeIndex(sorted(pts))
+            if whole:
+                assert index.m_convex_failure() is not None
+            masks = threshold_truncations(index)
+            if expected is None:
+                expected = [is_m_convex_pairwise(materialized(index, mask))[1] for mask in masks]
+            for _ in range(2):
+                assert [index.m_convex_failure(mask) for mask in masks] == expected, pts
+        verdicts.update(witness is None for witness in expected)
+    assert len(failing) > 150 and verdicts == {True, False}
 
 
 def test_truncation_lemma_check_asserts_every_truncation(monkeypatch):

@@ -310,6 +310,18 @@ def test_ladder_checks_tool_measures_its_smallest_row():
     assert 0 < max(row["checks_s"].values()) <= row["total_s"] and 0 < row["inputs_s"] <= row["total_s"]
 
 
+def test_ladder_checks_tool_measures_one_row_in_cli_row_syntax(tmp_path):
+    tool = load_tool("ladder_checks")
+    out = tmp_path / "row.json"
+    assert tool.main(["--row", "6;3,3,3,3", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert list(rows) == ["6; [3, 3, 3, 3]"] and rows["6; [3, 3, 3, 3]"]["passed"]
+    assert list(rows["6; [3, 3, 3, 3]"]["checks_s"]) == list(CHECKS)
+    for argv in (["--row", "6"], ["--row", "6;3,3", "--campaign", "2"]):
+        with pytest.raises(SystemExit):
+            tool.main(argv)
+
+
 def test_ladder_checks_tool_measures_a_campaign_mix(tmp_path, capsys, monkeypatch):
     tool = load_tool("ladder_checks")
     configs = tool.campaign_configs(4)

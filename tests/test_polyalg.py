@@ -19,7 +19,7 @@ from cavepoly import (
     expand_binomial,
 )
 from cavepoly.polyalg import binom_int, canonical_order
-from oracles import canonical_key, canonical_string_per_term, ordinary, poly_product
+from oracles import canonical_key, canonical_string_per_term, evaluate_per_term, ordinary, poly_product
 
 
 def P2(terms):
@@ -290,6 +290,30 @@ def test_eval_integer_dispatch():
     assert expand_binomial(binomial_map(q)).evaluate((0, 0)) == Fraction(1)
     assert MultiPoly.zero(2).evaluate((9, -9)) == 0
     assert type(RationalPoly(2).evaluate((9, -9))) is Fraction
+
+
+def test_evaluate_matches_per_term_oracle():
+    # Random terms in every representation, the zero polynomial among them,
+    # at vectors of zeros, ones, negatives and mixed entries.
+    rng = random.Random(34)
+    cases = 0
+    for p in (1, 2, 3, 4):
+        vectors = [(0,) * p, (1,) * p, (-1,) * p, (-3,) * p]
+        vectors += [tuple(rng.randint(-4, 4) for _ in range(p)) for _ in range(4)]
+        for size in range(12):
+            terms = {tuple(rng.randint(0, 3) for _ in range(p)): rng.randint(-5, 5) for _ in range(size % 6)}
+            for q in (MultiPoly(p, terms), BinomialBasisPoly(p, terms), BinomialBasisPoly(p, terms, shift=-1),
+                      RationalPoly(p, {e: Fraction(c, rng.randint(1, 4)) for e, c in terms.items()})):
+                for t in vectors:
+                    got, expected = q.evaluate(t), evaluate_per_term(q, t)
+                    assert got == expected and type(got) is type(expected), (q, t)
+                    cases += 1
+    assert cases > 1000
+    # A negative exponent raises the same error, wherever its term stands.
+    for q in (P2({(-1, 0): 1}), P2({(2, 1): 3, (0, -2): 1, (1, 1): -1})):
+        for evaluate in (q.evaluate, lambda t: evaluate_per_term(q, t)):
+            with pytest.raises(NegativeExponent, match="cannot evaluate a polynomial with negative exponents"):
+                evaluate((1, 1))
 
 
 def test_eval_rejects_wrong_length_and_negative_exponents():

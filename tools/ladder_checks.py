@@ -2,18 +2,19 @@
 campaign mix, as JSON.
 
     python3 tools/ladder_checks.py --out ladder_checks.json
+    python3 tools/ladder_checks.py --row "6;3,3,3,3"
     python3 tools/ladder_checks.py --campaign 60
 
 The ladder is five uniform polymatroids rk(S) = min(r, sum of m over S),
 the rows (r; m) of the ROADMAP's measurement table, up to (12; [4]x6) with
-8688 independence points.  Each of three repeats builds every row afresh,
-so no memoised result carries over, and runs all ten checks on it; a
-check's figure is the best of its ``elapsed`` over the repeats,
+8688 independence points; ``--row "r;m1,...,mp"``, in ``cli_row.py``'s
+syntax, measures that one row instead.  Each of three repeats builds every
+row afresh, so no memoised result carries over, and runs all ten checks on
+it; a check's figure is the best of its ``elapsed`` over the repeats,
 ``inputs_s`` the best of the report's ``inputs_elapsed`` (the stage that
-builds the checks' inputs before any check runs), and ``total_s`` the
-best sum of the inputs stage and the checks.  Building the row (rank
-table, base points) is not timed.  One line per row and repeat goes to
-stderr.
+builds the checks' inputs before any check runs), and ``total_s`` the best
+sum of the inputs stage and the checks.  Building the row (rank table,
+base points) is not timed.  One line per row and repeat goes to stderr.
 
 ``--campaign N`` measures N generated instances instead of the ladder:
 p = 4, max_rank 6, max_cage_entry 4, instance i drawn by strategy i mod 3
@@ -34,10 +35,11 @@ import platform
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path[:0] = [str(Path(__file__).resolve().parent.parent / "src"), str(Path(__file__).resolve().parent)]
 
 from cavepoly import GeneratorConfig, independence_points, named_family, random_polymatroid, verify_instance  # noqa: E402
 from cavepoly.genverify import STRATEGIES  # noqa: E402
+from cli_row import parse_row  # noqa: E402
 
 ROWS = ((8, (4,) * 4), (10, (4,) * 5), (9, (3,) * 6), (8, (2,) * 7), (12, (4,) * 6))
 REPEATS = 3
@@ -90,13 +92,15 @@ def measure_campaign(count) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--campaign", type=int, metavar="N", help="measure N campaign-mix instances, not the ladder")
+    instead = parser.add_mutually_exclusive_group()
+    instead.add_argument("--row", type=parse_row, metavar="R;M1,...,MP", help="measure this one row, not the ladder")
+    instead.add_argument("--campaign", type=int, metavar="N", help="measure N campaign-mix instances, not the ladder")
     args = parser.parse_args(argv)
     if args.campaign is not None and args.campaign < 1:
         parser.error("--campaign needs N >= 1")
     document = {"python": platform.python_version(), "repeats": REPEATS}
     if args.campaign is None:
-        document["rows"] = {"%d; %s" % (r, list(m)): measure(r, m) for r, m in ROWS}
+        document["rows"] = {"%d; %s" % (r, list(m)): measure(r, m) for r, m in ([args.row] if args.row else ROWS)}
         rows = document["rows"].values()
     else:
         document["campaign"] = measure_campaign(args.campaign)
