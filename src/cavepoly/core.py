@@ -8,8 +8,8 @@
 ``LatticeCode`` codes lattice points as integers, P's by ``lattice_code(P)``;
 ``ExchangeIndex`` answers the exchange questions, P's by
 ``exchange_index(P)``; ``memo`` holds both in P's own store.  Values are
-immutable; a memo store or an index fills a part on first use, every fill
-the same value, so concurrent use is safe.
+immutable; a memo store fills a value, and an index a lazy part, on first
+use, every fill the same value, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce, wraps
 from itertools import accumulate, chain, compress, count, repeat
 from operator import floordiv, gt, itemgetter, lt, mod, mul, neg, or_, sub
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 from .errors import (
@@ -330,7 +331,7 @@ class LatticeCode(Immutable):
                           for stride, span in zip(self.strides, self.spans)]))
 
 
-class ExchangeIndex:
+class ExchangeIndex(Immutable):
     """Exchange questions for a list of equal-length points and for its
     subsets, given as bitmasks (bit k for ``ordered[k]``), each answered as
     the materialized subset answers it, witness included.
@@ -345,37 +346,33 @@ class ExchangeIndex:
     point's failure masks over the whole set are built once, in O(p^2)
     lookups, and a subset costs O(p) mask operations per kept point.  A
     point keeps only the union of its failure masks, as a polymatroid holds
-    its index for life.  Every part is built on first use; the lattice
-    codes turn neighbour lookups into integer additions, and the exchange
-    check reads ``masks`` only past a missing move (``_exchange_failures``).
+    its index for life.  The constructor builds what every question reads:
+    ``codes`` under ``lattice`` (``lattice_code(P)`` if given, else, for any
+    set, the box from min(min, 0) - 1 to max + 1, which holds [0, max] and
+    keeps the codes of all q +- e_i looked up distinct), ``bounds`` (least,
+    greatest), ``degree_masks`` and ``moves[i]``, each (j, code(u - e_i +
+    e_j) - code(u)) for j != i; ``masks``, ``neighbours``, ``up``, ``above``
+    and the failure caches are built on first use.  Codes turn neighbour
+    lookups into integer additions; the exchange check reads ``masks`` only
+    past a missing move.  Immutable: sequences are tuples, mappings read-only.
     """
 
+    __slots__ = ("ordered", "p", "full", "lattice", "bounds", "codes", "_position", "moves", "degree_masks",
+                 "_cubes", "__dict__")
+
     def __init__(self, ordered, lattice=None):
-        self.ordered = ordered
-        self.p = len(ordered[0])
-        self.full = (1 << len(ordered)) - 1
-        self._cubes = {0: ([0], [])}
-        if lattice is not None:
-            self.lattice = lattice
-
-    @cached_property
-    def lattice(self) -> LatticeCode:
-        """``lattice_code(P)`` if given; else, for any set (``is_cave``'s may
-        hold negative entries), the box from min(min, 0) - 1 to max + 1.
-        Either keeps the codes of all q +- e_i looked up distinct, and either
-        box holds [0, max], where ``decode`` inverts the codes."""
-        return LatticeCode([high - min(low, 0) + 3 for low, high in zip(*self.bounds)])
-
-    @cached_property
-    def bounds(self) -> tuple:
-        """(least, greatest): per coordinate, the least and the greatest value
-        of the points, from one ``zip`` over them."""
-        columns = list(zip(*self.ordered))
-        return list(map(min, columns)), list(map(max, columns))
-
-    @cached_property
-    def codes(self) -> list:
-        return self.lattice.encode(self.ordered)
+        ordered = tuple(ordered)
+        columns = list(zip(*ordered))
+        bounds = tuple(map(min, columns)), tuple(map(max, columns))
+        lattice = lattice or LatticeCode([high - min(low, 0) + 3 for low, high in zip(*bounds)])
+        codes, strides = tuple(lattice.encode(ordered)), lattice.strides
+        for name, value in (("ordered", ordered), ("p", len(ordered[0])), ("full", (1 << len(ordered)) - 1),
+                            ("lattice", lattice), ("bounds", bounds), ("codes", codes), ("_cubes", {0: ([0], [])}),
+                            ("_position", {code: k for k, code in enumerate(codes)}),
+                            ("moves", tuple(tuple((j, rise - down) for j, rise in enumerate(strides) if j != i)
+                                            for i, down in enumerate(strides))),
+                            ("degree_masks", MappingProxyType(threshold_masks(list(map(sum, ordered)))))):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def _exchange(self) -> list:
@@ -386,21 +383,11 @@ class ExchangeIndex:
     _gp = cached_property(_exchange.func)
 
     @cached_property
-    def position(self) -> dict:
-        return {code: k for k, code in enumerate(self.codes)}
-
-    @cached_property
-    def moves(self) -> list:
-        """moves[i]: (j, code(u - e_i + e_j) - code(u)) for every j != i."""
-        strides = self.lattice.strides
-        return [[(j, rise - down) for j, rise in enumerate(strides) if j != i] for i, down in enumerate(strides)]
-
-    @cached_property
-    def neighbours(self) -> list:
+    def neighbours(self) -> tuple:
         """neighbours[k][l]: the mask of the points u - e_l + e_j (j != l),
         u = ordered[k].  Each neighbour pair u, w = u - e_l + e_j is found
         once, by the move with l < j: then u = w - e_j + e_l."""
-        get, codes = self.position.get, self.codes
+        get, codes = self._position.get, self.codes
         rows = [[0] * self.p for _ in codes]
         for ell, moves in enumerate(self.moves):
             for j, move in moves:
@@ -409,35 +396,30 @@ class ExchangeIndex:
                         if at is not None:
                             rows[k][ell] |= 1 << at
                             rows[at][j] |= 1 << k
-        return rows
+        return tuple(map(tuple, rows))
 
     @cached_property
-    def masks(self) -> list:
+    def masks(self) -> tuple:
         """Per coordinate, the ``threshold_masks`` of its values."""
-        return [threshold_masks([q[i] for q in self.ordered]) for i in range(self.p)]
+        return tuple(MappingProxyType(threshold_masks(column)) for column in zip(*self.ordered))
 
     @cached_property
-    def degree_masks(self) -> dict:
-        """The ``threshold_masks`` of the coordinate sums."""
-        return threshold_masks([sum(q) for q in self.ordered])
-
-    @cached_property
-    def up(self) -> list:
+    def up(self) -> tuple:
         """up[i][j]: the points v with v + e_i - e_j in the set; up[i][i]:
         those with v + e_i in it."""
         up = [[0] * self.p for _ in range(self.p)]
-        strides = self.lattice.strides
+        strides, position = self.lattice.strides, self._position
         for k, code in enumerate(self.codes):
             for j, moves in enumerate(self.moves):
-                if code + strides[j] in self.position:
+                if code + strides[j] in position:
                     up[j][j] |= 1 << k
                 for i, move in moves:  # move = code(v - e_j + e_i) - code(v)
-                    if code + move in self.position:
+                    if code + move in position:
                         up[i][j] |= 1 << k
-        return up
+        return tuple(map(tuple, up))
 
     @cached_property
-    def above(self) -> list:
+    def above(self) -> tuple:
         """above[i][c]: the mask of the points with q_i >= c, for c over the
         lattice's span of coordinate i, filled down from the top (a value no
         point has takes the next one's mask), so a truncation at b inside
@@ -453,8 +435,8 @@ class ExchangeIndex:
                 if c in masks:
                     mask = full & ~masks[c][0]
                 row[c] = mask
-            rows.append(row)
-        return rows
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def _exchange_failures(self, k):
         """``(failing, 0)`` of the exchange property at u = ordered[k]: v
@@ -465,7 +447,7 @@ class ExchangeIndex:
         ``m_convex_failure`` asks within one degree, ``failing[i]`` is then 0.
         Only past a missing move are the ``masks`` read."""
         u, code = self.ordered[k], self.codes[k]
-        position, (least, greatest) = self.position, self.bounds
+        position, (least, greatest) = self._position, self.bounds
         failing = []
         for i, moves in enumerate(self.moves):
             bad = 0
@@ -487,7 +469,7 @@ class ExchangeIndex:
         exchange of condition (1) holds, and after every i when it has lower
         degree and no exchange of condition (2) holds."""
         u, code = self.ordered[k], self.codes[k]
-        masks, position, up = self.masks, self.position, self.up
+        masks, position, up = self.masks, self._position, self.up
         lower = self.degree_masks[sum(u)][0]
         drops = [code - s in position for s in self.lattice.strides]
         failing = []

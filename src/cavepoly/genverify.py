@@ -33,7 +33,6 @@ from .algorithms import (
 )
 from .core import (
     MAX_GROUND_SET,
-    ExchangeIndex,
     Polymatroid,
     RankFunction,
     _bits,
@@ -43,6 +42,7 @@ from .core import (
     not_m_convex,
     points_from_rank,
     rank_from_points,
+    threshold_masks,
     validate_rank_function,
 )
 from .errors import (
@@ -290,11 +290,12 @@ def _check_truncation_lemmas(P):
     above m >= n is itself >= n).  Each distinct set of kept bases, a mask
     of P's ``exchange_index``, is asserted to be a polymatroid as in
     ``truncate``, then decomposed; coefficients compare by code.  The region
-    above n is one AND of the ``above`` rows of an index over the region."""
+    above n is one AND of the region's masks {q_i >= n_i}, one map per i."""
     terms = stalactite_polynomial(P).terms
     stal_p = dict(zip(lattice_code(P).encode(terms), terms.values()))
     bases, region = exchange_index(P), independence_points(P)
-    base_rows, region_rows = bases.above, ExchangeIndex(region.ordered, lattice_code(P)).above
+    full, base_rows = (1 << len(region.ordered)) - 1, bases.above
+    region_rows = [{x: full ^ below for x, (below, _) in threshold_masks(c).items()} for c in zip(*region.ordered)]
     truncations = {}
     for n in region.ordered:
         kept = reduce(and_, map(getitem, base_rows, n))
@@ -420,8 +421,11 @@ def instance_descriptor(P: Polymatroid) -> dict:
 
 
 def _check_names(checks) -> tuple:
-    """The chosen check names, all by default; one not in ``CHECKS`` is refused."""
+    """The chosen check names, all by default.  Refused: an empty selection
+    (a vacuous pass), a bare string (read by character), an unknown name."""
     names = tuple(CHECKS) if checks is None else tuple(checks)
+    if not names or isinstance(checks, str):
+        raise ValueError("checks must be a nonempty collection of check names, got %r" % (checks,))
     for name in names:
         if name not in CHECKS:
             raise ValueError("unknown check %r; known checks: %s" % (name, ", ".join(CHECKS)))

@@ -179,7 +179,7 @@ def is_cave(C, order=None) -> CaveReport:
 
     visit = index.in_order(resolve_order(order, index.p), tops)
     union = index.stalactite_codes(visit)
-    if union.keys() != index.position.keys():
+    if union.keys() != set(index.codes):
         union = set(index.lattice.decode(union))
         missing = tuple(sorted(union - pts))
         extra = tuple(sorted(pts - union))

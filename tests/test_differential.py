@@ -219,7 +219,7 @@ def test_polymatroid_builds_the_one_exchange_index_it_keeps(monkeypatch):
         assert len(built) == 1
         index = core.exchange_index(P)
         assert index is built[0] and len(built) == 1
-        assert index.ordered == sorted(points) and list(P) == index.ordered
+        assert index.ordered == tuple(sorted(points)) and tuple(P) == index.ordered
         assert all(type(union) is int for union in index._exchange), sorted(points)
 
 
@@ -232,21 +232,20 @@ def test_failure_caches_hold_one_int_per_filled_point():
             assert {type(union) for union in cache} <= ({int} if witness is None else {int, type(None)}), sorted(pts)
 
 
-def test_verify_instance_builds_three_exchange_indexes(monkeypatch):
+def test_verify_instance_builds_two_exchange_indexes(monkeypatch):
     built = recorded_indexes(monkeypatch)
     P = Polymatroid(GENERATED[4].points)  # a fresh instance: an empty memo store
     assert verify_instance(P).passed
-    region = tuple(sorted(independence_points(P).points))
-    assert [index.ordered for index in built] == [sorted(P.points), region, sorted(cave_set(P))]
+    # P's bases and the cave predicate's set; none over the independence region.
+    assert [index.ordered for index in built] == [tuple(sorted(P.points)), tuple(sorted(cave_set(P)))]
 
 
 def test_failure_caches_are_built_only_where_a_check_reads_them(monkeypatch):
     built = recorded_indexes(monkeypatch)
     P = Polymatroid(GENERATED[4].points)  # a fresh instance: an empty memo store
     assert verify_instance(P).passed
-    region, bases = vars(built[1]), vars(core.exchange_index(P))  # built[1]: the truncation check's region index
-    assert built[1].ordered is independence_points(P).ordered
-    assert not {"_exchange", "_gp"} & region.keys() and "_gp" not in bases
+    bases = vars(core.exchange_index(P))
+    assert built[0] is core.exchange_index(P) and "_gp" not in bases
     assert {type(union) for union in bases.get("_exchange", ())} <= {int, type(None)}
 
 
@@ -260,10 +259,12 @@ def test_exchange_check_reads_threshold_masks_only_past_a_missing_move(running):
     assert "masks" in vars(index)
 
 
-def test_independence_region_is_one_immutable_value_in_the_memo_store(running):
-    def details(P):
-        return [(r.name, r.passed, r.detail) for r in verify_instance(P).results]
+def details(P):
+    """Each check's (name, passed, detail) of ``verify_instance(P)``."""
+    return [(r.name, r.passed, r.detail) for r in verify_instance(P).results]
 
+
+def test_independence_region_is_one_immutable_value_in_the_memo_store(running):
     for points in (running.points, LADDER[1].points):
         P = Polymatroid(points)  # a fresh instance: an empty memo store
         fresh = details(Polymatroid(points))
@@ -286,6 +287,85 @@ def test_independence_region_is_one_immutable_value_in_the_memo_store(running):
         with pytest.raises(AttributeError):
             del region.points
         assert independence_points(P) is region and details(P) == fresh
+
+
+# Every memoised builder whose result a check reads, and the other memoised values.
+MEMOISED = tuple(dict.fromkeys(itertools.chain(*genverify.INPUTS.values(), (
+    core.lattice_code, core.exchange_index, core.rank_from_points, independence_points))))
+CONTAINERS = (list, tuple, set, frozenset, dict, MappingProxyType)
+# The in-place edits a caller might make of a list, a dict or a set.
+EDITS = (("reverse",), ("pop",), ("popitem",), ("add", 0), ("clear",))
+
+
+def memoised_parts(P) -> list:
+    """(build, path, part) for each public attribute of each ``MEMOISED``
+    result, path (name,), and for each sequence or mapping reachable from
+    it by index or key, path (name, key, ...)."""
+    found = []
+
+    def walk(build, path, part):
+        found.append((build, path, part))
+        if isinstance(part, (list, tuple, dict, MappingProxyType)):
+            for key, item in part.items() if isinstance(part, (dict, MappingProxyType)) else enumerate(part):
+                if isinstance(item, CONTAINERS):
+                    walk(build, path + (key,), item)
+
+    for build in MEMOISED:
+        value = build(P)
+        for name in dir(value):
+            if not name.startswith("_"):
+                walk(build, (name,), getattr(value, name))
+    return found
+
+
+def attempts(path, part):
+    """(label, act) for each change a caller might try at ``path``: act(value)
+    makes it on a ``MEMOISED`` result."""
+    def at(value):
+        part = getattr(value, path[0])
+        for key in path[1:]:
+            part = part[key]
+        return part
+
+    if len(path) == 1:
+        yield "rebind", lambda value: setattr(value, path[0], ())
+        yield "delete", lambda value: delattr(value, path[0])
+    if isinstance(part, CONTAINERS):
+        for name, *args in EDITS:
+            yield name, lambda value, name=name, args=args: getattr(at(value), name)(*args)
+        if part and not isinstance(part, (set, frozenset)):
+            key = next(iter(part)) if isinstance(part, (dict, MappingProxyType)) else 0
+            yield "setitem", lambda value: operator.setitem(at(value), key, 0)
+
+
+def test_memoised_results_are_values(running):
+    # After one verification, every attempt to change a memoised result or
+    # any part of it in place raises at once; an attempt that did not would
+    # have to leave the next verification as a fresh instance's.
+    assert issubclass(core.ExchangeIndex, core.Immutable)
+    for points in (running.points, LADDER[1].points):
+        fresh = details(Polymatroid(points))
+        P = Polymatroid(points)
+        assert details(P) == fresh
+        mutable, changed = [], []
+        for build, path, part in memoised_parts(P):
+            if isinstance(part, (list, set, dict)):
+                mutable.append((build.__name__, path))
+            for label, act in attempts(path, part):
+                try:
+                    act(build(P))
+                except (AttributeError, TypeError, LookupError):
+                    continue
+                try:
+                    after = details(P)
+                except Exception as exc:  # a corrupted input may break a check outright
+                    after = repr(exc)
+                if after != fresh:
+                    changed.append((build.__name__, path, label, after))
+                P = Polymatroid(points)
+                details(P)
+        assert changed == [], changed[:3]
+        assert mutable == []
 
 
 def gp_verdict(points):
@@ -693,16 +773,11 @@ def test_mobius_interval_check_matches_scan(monkeypatch):
         assert caught > least, fault
 
 
-def test_pair_bound_checks_share_one_region_index(monkeypatch):
+def test_pair_bound_checks_build_no_exchange_index(monkeypatch):
     P = Polymatroid(GENERATED[4].points)  # a fresh instance: an empty memo store
     region = sorted(independence_points_down_closure(P))
     assert len(region) > len(P.points) > 20
-    built, calls = [], []
-    init = core.ExchangeIndex.__init__
-
-    def recording(index, *args, **kwargs):
-        init(index, *args, **kwargs)
-        built.append(sorted(index.ordered))
+    built, calls = recorded_indexes(monkeypatch), []
 
     def counting(m, n):
         calls.append((m, n))
@@ -711,14 +786,13 @@ def test_pair_bound_checks_share_one_region_index(monkeypatch):
     def no_route(P):
         raise AssertionError("the recurrence read the Mobius route")
 
-    monkeypatch.setattr(core.ExchangeIndex, "__init__", recording)
     monkeypatch.setattr(genverify, "mobius_interval", counting)
     with monkeypatch.context() as patch:
         for module in (algorithms, genverify):
             patch.setattr(module, "mobius_table", no_route)
         assert verify_instance(P, checks=["mobius-interval-closed-form"]).passed
     assert verify_instance(P, checks=["counts-equal-mobius", "truncation-lemmas"]).passed
-    assert built.count(region) == 1
+    assert built == []  # P's own index was built with P, before the recording began
     pairs = sum(all(map(operator.ge, a, m)) for m in region for a in region)
     assert len(calls) == len(set(calls)) == pairs
 
@@ -780,7 +854,7 @@ def test_campaign_shrinker_witnesses_match_oracle_kernels(monkeypatch):
     def no_index(ordered):
         raise AssertionError("the oracle run reached the exchange index")
 
-    for module in (core, geometry, genverify):
+    for module in (core, geometry):
         monkeypatch.setattr(module, "ExchangeIndex", no_index)
     assert _campaign_documents() == fast
     assert cave_calls

@@ -3,6 +3,7 @@
 import gc
 import importlib.util
 import json
+import re
 import types
 import weakref
 from pathlib import Path
@@ -171,6 +172,14 @@ def test_unknown_check_names_are_refused_before_any_input_is_built(monkeypatch, 
         verify_instance(running, checks=["four-way-equality", "typo"])
     with pytest.raises(ValueError, match=message):
         verify_campaign(GeneratorConfig(seed=0, p=2), 3, checks=["four-way-equality", "typo"])
+    # An empty selection would pass vacuously; a bare string would be read
+    # one character at a time.
+    for checks in ((), "four-way-equality"):
+        message = r"^checks must be a nonempty collection of check names, got %s$" % re.escape(repr(checks))
+        with pytest.raises(ValueError, match=message):
+            verify_instance(running, checks=checks)
+        with pytest.raises(ValueError, match=message):
+            verify_campaign(GeneratorConfig(seed=0, p=2), 3, checks=checks)
     assert built == []
     # A name added to CHECKS is known.
     monkeypatch.setitem(CHECKS, "typo", lambda P: (True, None))
