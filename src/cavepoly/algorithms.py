@@ -13,7 +13,7 @@ each result is held in P's memo store.  ``snapper_from_cave`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import product
 from operator import sub
 from types import MappingProxyType
 
@@ -201,7 +201,10 @@ def mobius_table(P: Polymatroid) -> MobiusTable:
     for n, code in zip(reversed(region.ordered), reversed(region.codes)):
         above = [partial.get(code + s, outside)[k] for k, s in strides]
         values[n] = mu = 1 - sum(above)
-        partial[code] = tuple(accumulate(above, initial=mu))[1:]
+        partial[code] = sums = []
+        for a in above:
+            mu += a
+            sums.append(mu)
     return MobiusTable(P.p, P.rank, values)
 
 

@@ -249,7 +249,10 @@ def _check_mobius_interval_closed_form(P):
     for code in region.codes:
         below = [partial.get(code - s, outside)[k] for k, s in enumerate(strides)]
         raw[code] = mu = -sum(below) if code else 1
-        partial[code] = tuple(itertools.accumulate(below, initial=mu))[1:]
+        partial[code] = sums = []
+        for b in below:
+            mu += b
+            sums.append(mu)
     failures = []
     for a in region.ordered:
         box = [range(c + 1) for c in a]

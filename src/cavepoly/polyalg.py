@@ -6,8 +6,9 @@ on prod_i C(t_i + n_i + shift, n_i); shift 0 is the Snapper basis, -1 the
 independence-sum one) and ``RationalPoly`` (integer numerators over one
 reduced denominator, where the two bases compare exactly).
 ``binomial_map`` reads monomials in the binomial basis, ``expand_binomial``
-expands binomial products through ``axiswise_codes``, and
-``canonical_string`` prints terms in ``canonical_order``.
+expands binomial products on a dense list of their box or, for a sparse
+box, through ``axiswise_codes``, and ``canonical_string`` prints terms in
+``canonical_order``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import chain, count
-from operator import getitem, neg
+from itertools import chain, compress, count, product, repeat
+from operator import add, getitem, mul, neg
 from types import MappingProxyType
 
 from .core import Immutable, LatticeCode
 from .errors import DimensionMismatch, NegativeExponent
+
+DENSE_SLOTS_PER_TERM = 4  # K of ``expand_binomial``'s dense layout
 
 
 def binom_int(x: int, k: int) -> int:
@@ -282,12 +285,27 @@ def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:
     C(t+2,2) -> (t^2 + 3t + 2)/2.  Coordinate i is scaled by N_i!, N_i its
     largest index, so index n maps to the integer row of degrees 0..n of
     prod_{k=1..n} (t + k + shift) * N_i!/n!, the product grown by one
-    factor per n: O(N_i^2) per coordinate.  The change runs in integers
-    through ``axiswise_codes`` on the codes of the box [0, N], and its
-    integers over prod N_i! are the result's numerators and denominator
-    once reduced by one gcd pass; no Fraction is built.  An index beyond
-    ``sys.maxsize`` is refused with a ``ValueError``."""
-    tops = list(map(max, zip(*b.terms))) if b.terms else [0] * b.p
+    factor per n: O(N_i^2) per coordinate.  The change runs in integers on
+    the box [0, N], and its integers over prod N_i! are the result's
+    numerators and denominator once reduced by one gcd pass; no Fraction is
+    built.  An index beyond ``sys.maxsize`` is refused with a ``ValueError``.
+
+    Two layouts of the box, chosen by slots per term.  Sparse:
+    ``axiswise_codes`` on the box's codes, O(p * terms * row length) dict
+    operations.  Dense, at most ``DENSE_SLOTS_PER_TERM`` = K slots per term:
+    one list of the box in ``itertools.product`` order, positions by a
+    Horner pass over the term columns.  Coordinate i's pass cuts the list
+    into one contiguous block per digit n, builds target digit d as the sum
+    over n of rows[i][n][d] * block n by ``map``, and interleaves the
+    targets, so the next coordinate is the slowest and after p passes the
+    order is ``product``'s again; its nonzero slots are the terms.  That is
+    O(p * volume * row length) list operations in C.  K = 4: over 844
+    Snapper inputs (uniform rows, p = 4 draws, p = 8..10 wide rows) the
+    median dense/sparse time ratio was 0.59-0.97 below 5 slots per term and
+    1.02-2.9 above; a wide box with few terms stays sparse and never
+    allocates the box."""
+    columns = list(zip(*b.terms))
+    tops = list(map(max, columns)) if columns else [0] * b.p
     for i, top in enumerate(tops, 1):
         if top > sys.maxsize:
             raise ValueError("coordinate %d has binomial index %d, more than a factorial can take" % (i, top))
@@ -301,9 +319,30 @@ def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:
             row.append(tuple((d, c * (scale // math.factorial(n))) for d, c in enumerate(coeffs) if c))
         rows.append(row)
     denom = math.prod(math.factorial(top) for top in tops)
-    lattice = LatticeCode([top + 1 for top in tops])
-    codes = axiswise_codes(dict(zip(lattice.encode(b.terms), b.terms.values())), lattice, rows)
-    return RationalPoly._reduced(b.p, dict(zip(lattice.decode(codes), codes.values())), denom)
+    spans = [top + 1 for top in tops]
+    volume = math.prod(spans)
+    if columns and volume <= DENSE_SLOTS_PER_TERM * len(b.terms):
+        index = columns[0]
+        for span, column in zip(spans[1:], columns[1:]):
+            index = map(add, map(mul, index, repeat(span)), column)
+        values = [0] * volume
+        for k, v in zip(index, b.terms.values()):
+            values[k] = v
+        for span, row in zip(spans, rows):
+            rest = volume // span
+            targets = [None] * span
+            for n, entries in enumerate(row):
+                block = values[n * rest:(n + 1) * rest]
+                for d, c in entries:  # row n ends at degree n, where target n starts
+                    scaled = map(mul, block, repeat(c))
+                    targets[d] = scaled if d == n else map(add, targets[d], scaled)
+            values = list(chain.from_iterable(zip(*targets)))
+        numerators = dict(compress(zip(product(*map(range, spans)), values), values))
+    else:
+        lattice = LatticeCode(spans)
+        codes = axiswise_codes(dict(zip(lattice.encode(b.terms), b.terms.values())), lattice, rows)
+        numerators = dict(zip(lattice.decode(codes), codes.values()))
+    return RationalPoly._reduced(b.p, numerators, denom)
 
 
 def canonical_string(q, order=None) -> str:

@@ -314,6 +314,16 @@ def test_point_list_documents_match_golden(command):
     assert out == (GOLDEN / ("%s_ladder_r3_p10.json" % command)).read_text()
 
 
+def test_snapper_expansion_of_a_wide_document_matches_golden():
+    # 226 terms in a box of 7776 slots, so the expansion takes the sparse
+    # layout; the (8; [4]x4) ladder row's golden pins the dense one.  CI
+    # pipes the same document into the installed console script and
+    # compares its stdout with this file.
+    status, out, _ = run(["snapper", "--expand"], stdin=ladder_rank_document(3, (2, 1) * 5))
+    assert status == 0
+    assert out == (GOLDEN / "snapper_expand_ladder_r3_p10.json").read_text()
+
+
 def test_independence_of_one_base_matches_golden():
     # One base point: the region is the box [0, u], 24 points.  CI pipes the
     # same document into the installed console script and compares its

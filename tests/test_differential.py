@@ -12,6 +12,7 @@ import enum
 import io
 import itertools
 import json
+import math
 import operator
 import random
 import re
@@ -874,15 +875,49 @@ def random_binomial_polys(seed, count):
         yield BinomialBasisPoly(p, terms, shift=shift)
 
 
-def test_expand_binomial_matches_per_term_oracle():
-    polys = list(random_binomial_polys(9, 400))
+def random_full_boxes(seed, count):
+    """Combinations on every index of a random box [0, tops] of at most 256
+    slots, p = 1..5, some spans 1, with coefficients 0 (dropped), +-1, small
+    and +-10^30."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        tops = [9]
+        while math.prod(top + 1 for top in tops) > 256:
+            tops = [rng.choice((0, 1, 2, 3)) for _ in range(rng.randint(1, 5))]
+        terms = {n: rng.choice((0, 1, -1, rng.randint(-9, 9), rng.choice((10**30, -10**30))))
+                 for n in itertools.product(*[range(top + 1) for top in tops])}
+        terms[tuple(tops)] = rng.choice((1, -1))  # the box stays [0, tops]
+        yield BinomialBasisPoly(len(tops), terms, shift=rng.choice((0, -1)))
+
+
+def test_expand_binomial_matches_per_term_oracle(monkeypatch):
+    # The sparse layout is the one that calls axiswise_codes; the dense one
+    # fills a list of the box, up to DENSE_SLOTS_PER_TERM slots per term.
+    calls = []
+    axiswise_codes = polyalg.axiswise_codes
+    monkeypatch.setattr(polyalg, "axiswise_codes", lambda *args: calls.append(1) or axiswise_codes(*args))
+
+    def sparse_layouts(polys):
+        taken = []
+        for b in polys:
+            before = len(calls)
+            assert expand_binomial(b).terms == expand_binomial_per_term(b).terms, b
+            taken.append(len(calls) > before)
+        return taken
+
+    polys = list(random_binomial_polys(9, 400)) + list(random_full_boxes(12, 300))
     polys += [BinomialBasisPoly(p, {}, shift) for p in (1, 3) for shift in (0, -1)]
     polys += [BinomialBasisPoly(1, {(k,): c}, shift) for k in range(9) for c in (1, -3) for shift in (0, -1)]
     for P in GENERATED:
         polys += [snapper_from_cave(P), snapper_eur_larson(P)]
-    for b in polys:
-        assert expand_binomial(b).terms == expand_binomial_per_term(b).terms, b
-    assert {b.p for b in polys} >= {1, 2, 3, 4} and {b.shift for b in polys} >= {0, -1}
+    taken = sparse_layouts(polys)
+    assert 100 < sum(taken) < len(polys) - 100
+    assert {b.p for b in polys} >= {1, 2, 3, 4, 5} and {b.shift for b in polys} >= {0, -1}
+    assert not any(sparse_layouts([f(P) for P in LADDER for f in (snapper_from_cave, snapper_eur_larson)]))
+    slots = polyalg.DENSE_SLOTS_PER_TERM  # two terms in a box of 2K slots, then of 2K + 1
+    boundary = [BinomialBasisPoly(1, {(0,): 1, (top,): -3}, shift) for top in (2 * slots - 1, 2 * slots)
+                for shift in (0, -1)]
+    assert sparse_layouts(boundary) == [False, False, True, True]
 
 
 class Key(tuple):

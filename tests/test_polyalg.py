@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: ring ops, binomial basis, canonical output."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,21 @@ def test_binomial_map_rejects_negative_exponent():
     # No factorial reaches an index beyond sys.maxsize; it is refused first.
     assert raised(expand_binomial, BinomialBasisPoly(2, {(1, 2**70): 1})) == (
         ValueError, "coordinate 2 has binomial index %d, more than a factorial can take" % 2**70)
+
+
+def test_expanding_a_wide_sparse_input_never_builds_its_box():
+    # p = 12 with every top 2: the box [0, 2]^12 has 531441 slots, a list of
+    # them about 4 MB, for 13 terms; the dense layout would take it.
+    p = 12
+    b = BinomialBasisPoly(p, {(0,) * p: 1, **{tuple(2 * (i == j) for j in range(p)): i + 1 for i in range(p)}})
+    tracemalloc.start()
+    try:
+        q = expand_binomial(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+    assert q.evaluate((1,) * p) == b.evaluate((1,) * p) and len(q.numerators) == 1 + 2 * p
 
 
 def test_expand_linear_binomial():
