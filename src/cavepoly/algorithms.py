@@ -93,7 +93,7 @@ def stalactite_polynomial(P: Polymatroid, order: LexOrder | None = None) -> Mult
 def _stalactite_polynomial(P: Polymatroid, order: LexOrder) -> MultiPoly:
     index = exchange_index(P)
     terms = index.stalactite_codes(index.in_order(order))
-    return MultiPoly(P.p, dict(zip(index.lattice.decode(terms), terms.values())))
+    return MultiPoly._of(P.p, dict(zip(index.lattice.decode(terms), terms.values())))
 
 
 @memo
@@ -129,7 +129,7 @@ def cave_polynomial(P: Polymatroid) -> MultiPoly:
                 term.update({e - down: -c for e, c in term.items()})
         for e, c in term.items():
             acc[e] = acc.get(e, 0) + c
-    return MultiPoly(P.p, dict(zip(lattice.decode(acc), acc.values())))
+    return MultiPoly._of(P.p, {e: c for e, c in zip(lattice.decode(acc), acc.values()) if c})
 
 
 def box_summands(P: Polymatroid) -> dict:
@@ -137,7 +137,8 @@ def box_summands(P: Polymatroid) -> dict:
     lex order: ``box_polynomial``'s summands, exposed so the sum can be
     traced.  prod over n_i >= 1 of (t_i^{n_i} - t_i^{n_i - 1}) has the
     term (-1)^|J| t^(n - e_J) for each J within the support of n."""
-    return {n: MultiPoly(P.p, {q: (-1) ** (sum(n) - sum(q)) for q in product(*[(c, c - 1) if c else (0,) for c in n])})
+    return {n: MultiPoly._of(P.p, {q: (-1) ** (sum(n) - sum(q))
+                                   for q in product(*[(c, c - 1) if c else (0,) for c in n])})
             for n in independence_points(P)}
 
 
@@ -150,7 +151,7 @@ def box_polynomial(P: Polymatroid) -> MultiPoly:
     region, lattice = dict.fromkeys(independence_points(P).codes, 1), lattice_code(P)
     row = [((0, 1),)] + [((n, 1), (n - 1, -1)) for n in range(1, max(lattice.spans))]
     terms = axiswise_codes(region, lattice, [row[:span] for span in lattice.spans])
-    return MultiPoly(P.p, dict(zip(lattice.decode(terms), terms.values())))
+    return MultiPoly._of(P.p, dict(zip(lattice.decode(terms), terms.values())))
 
 
 _INT, _UNIT = frozenset({int}), frozenset({0, 1})
@@ -211,8 +212,7 @@ def mobius_table(P: Polymatroid) -> MobiusTable:
 @memo
 def mobius_polynomial(P: Polymatroid) -> MultiPoly:
     """Generating function of the Mobius values over the independence points."""
-    table = mobius_table(P)
-    return MultiPoly(P.p, dict(table.items()))
+    return MultiPoly._of(P.p, {n: mu for n, mu in mobius_table(P).items() if mu})
 
 
 def snapper_from_cave(P: Polymatroid) -> BinomialBasisPoly:
@@ -225,4 +225,4 @@ def snapper_eur_larson(P: Polymatroid) -> BinomialBasisPoly:
     """Snapper polynomial as the shifted-binomial sum over the independence
     points: sum_n prod_i C(t_i + n_i - 1, n_i).  Expanded to rational form
     it agrees exactly with ``snapper_from_cave``."""
-    return BinomialBasisPoly(P.p, dict.fromkeys(independence_points(P), 1), shift=-1)
+    return BinomialBasisPoly._of(P.p, dict.fromkeys(independence_points(P), 1), -1)

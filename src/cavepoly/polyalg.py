@@ -4,7 +4,9 @@
 coefficients on monomials t^n), ``BinomialBasisPoly`` (integer coefficients
 on prod_i C(t_i + n_i + shift, n_i); shift 0 is the Snapper basis, -1 the
 independence-sum one) and ``RationalPoly`` (integer numerators over one
-reduced denominator, where the two bases compare exactly).
+reduced denominator, where the two bases compare exactly).  The public
+constructors check every term, as input from outside the library; results
+the library builds enter unchecked by ``_of``.
 ``binomial_map`` reads monomials in the binomial basis, ``expand_binomial``
 expands binomial products on a dense list of their box or, for a sparse
 box, through ``axiswise_codes``, and ``canonical_string`` prints terms in
@@ -20,7 +22,7 @@ from itertools import chain, compress, count, product, repeat
 from operator import add, getitem, mul, neg
 from types import MappingProxyType
 
-from .core import Immutable, LatticeCode
+from .core import Immutable, LatticeCode, as_point
 from .errors import DimensionMismatch, NegativeExponent
 
 DENSE_SLOTS_PER_TERM = 4  # K of ``expand_binomial``'s dense layout
@@ -50,45 +52,50 @@ def canonical_order(terms) -> list:
 class _SparsePoly(Immutable):
     """Immutable sparse combination of length-p keys.  A representation
     supplies ``_coefficient`` (check and convert one term's coefficient),
-    ``_normal`` (the coefficient type it stores) and ``_factor`` (the value
-    at t_i of key entry k != 0), and ``_fields`` when equality reads more
-    than p and the terms: scalars first, the stored mapping last.  The
-    per-term loop of ``__init__`` defines the terms; ``_is_normal`` input
-    skips it, and only its zero coefficients are dropped."""
+    ``_factor`` (the value at t_i of key entry k != 0), ``_store`` (the one
+    place that sets its fields) and, when equality reads more than p and the
+    terms, ``_fields``: scalars first, the stored mapping last.  Input is
+    checked where it enters from outside the library: the public constructor
+    runs the per-term loop ``_checked`` on every call, and a result the
+    library builds enters by ``_of``, unchecked; both end in ``_store``."""
 
     __slots__ = ("p", "terms")
     _vector = "exponent"
-    _normal = int
 
     def __init__(self, p: int, terms=None):
+        self._store(p, self._checked(p, terms))
+
+    @classmethod
+    def _of(cls, *fields):
+        """A polynomial the library built, from the fields ``_store`` takes,
+        unchecked: the caller vouches for what the per-term loop would make, a
+        new dict keyed by exact tuples of p ints (no negative index) whose
+        values are nonzero ints."""
+        q = object.__new__(cls)
+        q._store(*fields)
+        return q
+
+    def _checked(self, p, terms) -> dict:
+        """The per-term loop: p a positive int, keys made tuples and length-
+        checked, coefficients checked by ``_coefficient``, zero sums dropped."""
         if not isinstance(p, int) or p < 1:
             raise ValueError("p must be a positive integer, got %r" % (p,))
-        if self._is_normal(p, terms):
-            clean = {key: coeff for key, coeff in terms.items() if coeff}
-        else:
-            clean = {}
-            coefficient = self._coefficient
-            for key, coeff in (terms or {}).items():
-                key = tuple(key)
-                if len(key) != p:
-                    raise DimensionMismatch("%s vector %s has length != %d" % (self._vector, key, p))
-                coeff = coefficient(key, coeff)
-                if coeff != 0:
-                    clean[key] = clean.get(key, 0) + coeff
-                    if clean[key] == 0:
-                        del clean[key]
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        clean = {}
+        coefficient = self._coefficient
+        for key, coeff in (terms or {}).items():
+            key = tuple(key)
+            if len(key) != p:
+                raise DimensionMismatch("%s vector %s has length != %d" % (self._vector, key, p))
+            coeff = coefficient(key, coeff)
+            if coeff != 0:
+                clean[key] = clean.get(key, 0) + coeff
+                if clean[key] == 0:
+                    del clean[key]
+        return clean
 
-    def _is_normal(self, p, terms) -> bool:
-        """Whether the per-term loop would raise nothing, convert nothing and
-        merge nothing: ``terms`` is a dict whose keys are exact tuples of
-        length p and whose coefficients are exactly of type ``_normal``.
-        Never raises."""
-        return (type(terms) is dict
-                and set(map(type, terms)) <= {tuple}
-                and set(map(len, terms)) <= {p}
-                and set(map(type, terms.values())) <= {self._normal})
+    def _store(self, p, terms):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "terms", MappingProxyType(terms))
 
     def _coefficient(self, key, coeff):
         if not isinstance(coeff, int):
@@ -115,9 +122,10 @@ class _SparsePoly(Immutable):
         return bool(self._fields()[-1])
 
     def evaluate(self, t):
-        """Exact value at an integer vector: ``_factor(t_i, k)`` once per
-        distinct (i, k) with k != 0, then one product of lookups per term."""
-        t = tuple(t)
+        """Exact value at an integer vector, normalised by ``as_point``:
+        ``_factor(t_i, k)`` once per distinct (i, k) with k != 0, then one
+        product of lookups per term."""
+        t = as_point(t)
         if len(t) != self.p:
             raise DimensionMismatch("vector has length %d, expected %d" % (len(t), self.p))
         factors = [{k: self._factor(ti, k) if k else 1 for k in {*column}} for ti, column in zip(t, zip(*self.terms))]
@@ -146,7 +154,7 @@ class MultiPoly(_SparsePoly):
         return ti ** e
 
     def _coerce(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int):  # the caller's integer, checked as input
             return MultiPoly(self.p, {(0,) * self.p: other})
         if isinstance(other, MultiPoly):
             if other.p != self.p:
@@ -161,7 +169,7 @@ class MultiPoly(_SparsePoly):
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, 0) + c
-        return MultiPoly(self.p, out)
+        return MultiPoly._of(self.p, {e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
@@ -172,21 +180,21 @@ class MultiPoly(_SparsePoly):
 class BinomialBasisPoly(_SparsePoly):
     """Integer combination of products of binomial expressions: a term
     ``n -> c`` stands for ``c * prod_i C(t_i + n_i + shift, n_i)``, which
-    ``evaluate`` takes by falling factorials, so negative t are fine."""
+    ``evaluate`` takes by falling factorials, so negative t are fine.  The
+    constructor refuses a shift that is not an integer."""
 
     __slots__ = ("shift",)
     _vector = "index"
 
     def __init__(self, p: int, terms=None, shift: int = 0):
-        super().__init__(p, terms)
-        object.__setattr__(self, "shift", shift)
+        terms = self._checked(p, terms)
+        if not isinstance(shift, int):
+            raise ValueError("shift %r is not an integer" % (shift,))
+        self._store(p, terms, shift)
 
-    def _is_normal(self, p, terms) -> bool:
-        """Also every index an int and none negative."""
-        if not super()._is_normal(p, terms):
-            return False
-        indices = list(chain.from_iterable(terms))
-        return set(map(type, indices)) <= {int} and min(indices, default=0) >= 0
+    def _store(self, p, terms, shift):
+        super()._store(p, terms)
+        object.__setattr__(self, "shift", shift)
 
     def _coefficient(self, n, coeff):
         if any(x < 0 for x in n):
@@ -207,31 +215,22 @@ class RationalPoly(_SparsePoly):
     the denominator is the lcm of the coefficients' own, 1 for the zero
     polynomial, so the form is unique and equality and hashing read
     (p, denominator, numerators) alone; ``terms`` is built on first read.
-    The constructor takes anything ``Fraction`` takes as a coefficient;
-    ``_reduced`` takes the integers themselves."""
+    The constructor takes anything ``Fraction`` takes as a coefficient,
+    ``_of`` the integers themselves; ``_store`` reduces by one gcd pass."""
 
     __slots__ = ("denominator", "numerators")
-    _normal = Fraction
 
     def __init__(self, p: int, terms=None):
-        super().__init__(p, terms)
-        denominator = math.lcm(*(c.denominator for c in self.terms.values()))
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "numerators", MappingProxyType(
-            {e: c.numerator * (denominator // c.denominator) for e, c in self.terms.items()}))
+        terms = self._checked(p, terms)
+        denominator = math.lcm(*(c.denominator for c in terms.values()))
+        self._store(p, {e: c.numerator * (denominator // c.denominator) for e, c in terms.items()}, denominator)
 
-    @classmethod
-    def _reduced(cls, p: int, numerators: dict, denominator: int) -> "RationalPoly":
-        """sum numerators[e]/denominator t^e, from nonzero ints keyed by exact
-        length-p tuples and a positive int, reduced by one gcd pass."""
+    def _store(self, p, numerators, denominator):
         g = math.gcd(denominator, *numerators.values())
         if g != 1:
             numerators = {e: v // g for e, v in numerators.items()}
-        q = object.__new__(cls)
-        object.__setattr__(q, "p", p)
-        object.__setattr__(q, "denominator", denominator // g)
-        object.__setattr__(q, "numerators", MappingProxyType(numerators))
-        return q
+        for name, value in (("p", p), ("denominator", denominator // g), ("numerators", MappingProxyType(numerators))):
+            object.__setattr__(self, name, value)
 
     def __getattr__(self, name):
         # Called only for a name that normal lookup misses: a missing name, or
@@ -257,7 +256,7 @@ def binomial_map(q: MultiPoly) -> BinomialBasisPoly:
     coefficients term by term; exponents must be nonnegative."""
     if q.has_negative_exponent():
         raise NegativeExponent("binomial map requires nonnegative exponents")
-    return BinomialBasisPoly(q.p, dict(q.terms), shift=0)
+    return BinomialBasisPoly._of(q.p, dict(q.terms), 0)
 
 
 def axiswise_codes(codes, lattice, rows) -> dict:
@@ -342,7 +341,7 @@ def expand_binomial(b: BinomialBasisPoly) -> RationalPoly:
         lattice = LatticeCode(spans)
         codes = axiswise_codes(dict(zip(lattice.encode(b.terms), b.terms.values())), lattice, rows)
         numerators = dict(zip(lattice.decode(codes), codes.values()))
-    return RationalPoly._reduced(b.p, numerators, denom)
+    return RationalPoly._of(b.p, numerators, denom)
 
 
 def canonical_string(q, order=None) -> str:

@@ -23,6 +23,7 @@ needs live here too, as the tests' readers of its kernels.
 """
 
 import itertools
+import math
 import operator
 import random
 from collections import Counter
@@ -583,6 +584,36 @@ def expand_binomial_per_term(b) -> RationalPoly:
         for exps, a in acc.items():
             out[exps] = out.get(exps, Fraction(0)) + a
     return RationalPoly(p, out)
+
+
+def binomial_integer_coeffs(n, shift, scale) -> list:
+    """The integer coefficients, ascending degree, of scale * C(t + n + shift,
+    n) as a polynomial in t, for a scale that n! divides: scale // n! times
+    the factors (t + k + shift), k = 1..n, multiplied in one at a time."""
+    coeffs = [scale // math.factorial(n)]
+    for k in range(1, n + 1):
+        coeffs = [(k + shift) * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def expand_binomial_per_term_scaled(b) -> RationalPoly:
+    """``expand_binomial_per_term`` in integers: coordinate i is scaled by
+    N_i!, N_i its largest index, so that every factor is an integer
+    polynomial by ``binomial_integer_coeffs``.  Each term's product is
+    expanded on its own, exponent tuples grown one coordinate at a time; the
+    sums stay integers over prod N_i!, and one Fraction per exponent is built
+    at the end."""
+    tops = [max(column) for column in zip(*b.terms)] or [0] * b.p
+    out = {}
+    for n, c in b.terms.items():
+        acc = {(): c}
+        for ni, top in zip(n, tops):
+            coeffs = binomial_integer_coeffs(ni, b.shift, math.factorial(top))
+            acc = {exps + (d,): a * cd for exps, a in acc.items() for d, cd in enumerate(coeffs) if cd}
+        for exps, a in acc.items():
+            out[exps] = out.get(exps, 0) + a
+    denominator = math.prod(map(math.factorial, tops))
+    return RationalPoly(b.p, {e: Fraction(v, denominator) for e, v in out.items()})
 
 
 def points_from_rank_box_filter(rk):

@@ -73,6 +73,7 @@ from oracles import (
     cube_codes_counter,
     draw_lattice_path_validating,
     expand_binomial_per_term,
+    expand_binomial_per_term_scaled,
     homogenize,
     in_independence_subset_sums,
     independence_points_box_filter,
@@ -897,11 +898,11 @@ def test_expand_binomial_matches_per_term_oracle(monkeypatch):
     axiswise_codes = polyalg.axiswise_codes
     monkeypatch.setattr(polyalg, "axiswise_codes", lambda *args: calls.append(1) or axiswise_codes(*args))
 
-    def sparse_layouts(polys):
+    def sparse_layouts(polys, oracle=expand_binomial_per_term):
         taken = []
         for b in polys:
             before = len(calls)
-            assert expand_binomial(b).terms == expand_binomial_per_term(b).terms, b
+            assert expand_binomial(b).terms == oracle(b).terms, b
             taken.append(len(calls) > before)
         return taken
 
@@ -913,11 +914,62 @@ def test_expand_binomial_matches_per_term_oracle(monkeypatch):
     taken = sparse_layouts(polys)
     assert 100 < sum(taken) < len(polys) - 100
     assert {b.p for b in polys} >= {1, 2, 3, 4, 5} and {b.shift for b in polys} >= {0, -1}
-    assert not any(sparse_layouts([f(P) for P in LADDER for f in (snapper_from_cave, snapper_eur_larson)]))
+    ladder = [f(P) for P in LADDER for f in (snapper_from_cave, snapper_eur_larson)]
+    assert not any(sparse_layouts(ladder, oracle=expand_binomial_per_term_scaled))
     slots = polyalg.DENSE_SLOTS_PER_TERM  # two terms in a box of 2K slots, then of 2K + 1
     boundary = [BinomialBasisPoly(1, {(0,): 1, (top,): -3}, shift) for top in (2 * slots - 1, 2 * slots)
                 for shift in (0, -1)]
     assert sparse_layouts(boundary) == [False, False, True, True]
+
+
+def library_polynomials(P, summands=True) -> list:
+    """Every polynomial the library builds for ``P``: the four routes (the
+    stalactite one under two orders), both Snapper inputs and their
+    expansions, ``binomial_map`` and ``+``, and, with ``summands``, the box
+    summands and their sum."""
+    cave, box = cave_polynomial(P), box_polynomial(P)
+    snappers = [snapper_from_cave(P), snapper_eur_larson(P)]
+    polys = [cave, stalactite_polynomial(P), stalactite_polynomial(P, LexOrder(tuple(range(P.p, 0, -1)))), box,
+             algorithms.mobius_polynomial(P), *snappers, *map(expand_binomial, snappers),
+             polyalg.binomial_map(box), cave + box, cave + 1, 1 + cave]
+    if summands:
+        parts = list(box_summands(P).values())
+        polys += parts + [sum(parts, MultiPoly.zero(P.p))]
+    return polys
+
+
+def test_library_results_hold_what_the_public_constructors_would_build():
+    # The library builds these by ``_of``, which checks nothing; each must
+    # hold exact tuples of p ints as keys, exact nonzero ints as stored
+    # coefficients (numerators over a positive reduced denominator), and
+    # equal its rebuild through the public constructor.
+    seen = Counter()
+    for P, summands in [(P, True) for P in GENERATED] + [(P, False) for P in LADDER[:4]]:
+        for q in library_polynomials(P, summands):
+            stored = q.numerators if isinstance(q, RationalPoly) else q.terms
+            assert {*map(type, stored)} <= {tuple} and {*map(len, stored)} <= {P.p}, q
+            assert {*map(type, itertools.chain.from_iterable(stored))} <= {int}, q
+            assert {*map(type, stored.values())} <= {int} and 0 not in stored.values(), q
+            if isinstance(q, RationalPoly):
+                assert type(q.denominator) is int and q.denominator > 0, q
+                assert math.gcd(q.denominator, *stored.values()) == 1, q
+                rebuilt = RationalPoly(q.p, q.terms)
+            elif isinstance(q, BinomialBasisPoly):
+                assert type(q.shift) is int, q
+                rebuilt = BinomialBasisPoly(q.p, q.terms, shift=q.shift)
+            else:
+                rebuilt = MultiPoly(q.p, q.terms)
+            assert rebuilt == q, q
+            seen[type(q).__name__] += bool(stored)
+    assert min(seen.values()) > 200, seen
+
+
+def test_scaled_expansion_oracle_matches_fraction_oracle():
+    polys = list(random_binomial_polys(10, 150)) + list(random_full_boxes(13, 60))
+    polys += [f(P) for P in GENERATED[:30] for f in (snapper_from_cave, snapper_eur_larson)]
+    assert {b.shift for b in polys} == {0, -1, 2}
+    for b in polys:
+        assert expand_binomial_per_term_scaled(b) == expand_binomial_per_term(b), b
 
 
 class Key(tuple):

@@ -126,14 +126,15 @@ def _stray_count(counts):
     return faulty
 
 
-def _constant_binomial_term(init):
-    """Every binomial-basis polynomial gains 1 at the zero index.  Both
+def _constant_binomial_term(store):
+    """Every binomial-basis polynomial gains 1 at the zero index, in the
+    storing step that its public and private constructors share.  Both
     Snapper routes gain the same constant, so their expansions still agree
     and each reads 2 at the zero vector."""
-    def faulty(self, p, terms=None, shift=0):
-        terms, zero = dict(terms or {}), (0,) * p
+    def faulty(self, p, terms, shift):
+        terms, zero = dict(terms), (0,) * p
         terms[zero] = terms.get(zero, 0) + 1
-        init(self, p, terms, shift)
+        store(self, p, {key: c for key, c in terms.items() if c}, shift)
     return faulty
 
 
@@ -157,7 +158,7 @@ FAULTS = {
     "flipped-cave-term": (genverify, "cave_polynomial", _flipped_cave_term, "cancellation-free"),
     "halved-independence-sum-expansion": (genverify, "expand_binomial", _halved_independence_sum, "snapper-routes"),
     "stray-count": (genverify, "stalactite_counts", _stray_count, "counts-equal-mobius"),
-    "constant-binomial-term": (polyalg.BinomialBasisPoly, "__init__", _constant_binomial_term, "snapper-routes"),
+    "constant-binomial-term": (polyalg.BinomialBasisPoly, "_store", _constant_binomial_term, "snapper-routes"),
     "mobius-fails-then-raises": (genverify, "mobius_table", _mobius_fails_then_raises, "counts-equal-mobius"),
 }
 

@@ -332,6 +332,30 @@ def test_evaluate_matches_per_term_oracle():
                 evaluate((1, 1))
 
 
+def test_evaluate_refuses_a_non_integer_entry():
+    # Values are exact at integer vectors only (at t = 1/2, C(t + 2, 2) is
+    # 15/8), so every representation names a non-integer entry instead.
+    for q in (MultiPoly(1, {(2,): 1}), BinomialBasisPoly(1, {(2,): 1}), BinomialBasisPoly(1, {(2,): 1}, shift=-1),
+              RationalPoly(1, {(2,): Fraction(1, 2), (0,): 1})):
+        for t in ((0.5,), (Fraction(1, 2),), (2.0,), ("1",)):
+            assert raised(q.evaluate, t) == (ValueError, "lattice point coordinates must be integers, got %r" % t)
+        for t in ((3,), (-3,), (0,)):
+            assert q.evaluate(t) == evaluate_per_term(q, t)
+    assert raised(P2({(1, 1): 1}).evaluate, (1, 0.5)) == (
+        ValueError, "lattice point coordinates must be integers, got 0.5")
+
+
+def test_constructor_refuses_a_non_integer_shift():
+    # A shift is refused as a non-integer coefficient is: C(t + 1 + 1/2, 1)
+    # has no exact integer value.
+    for shift in (0.5, -1.0, Fraction(1, 2), "0", None):
+        assert raised(BinomialBasisPoly, 1, {(1,): 1}, shift) == (ValueError, "shift %r is not an integer" % (shift,))
+    # A bad p or term is still named first.
+    assert raised(BinomialBasisPoly, 0, {}, 0.5) == (ValueError, "p must be a positive integer, got 0")
+    assert raised(BinomialBasisPoly, 1, {(1,): 0.5}, 0.5) == (ValueError, "coefficient 0.5 is not an integer")
+    assert BinomialBasisPoly(1, {(1,): 1}, shift=-2).evaluate((2,)) == 1  # C(2 + 1 - 2, 1)
+
+
 def test_eval_rejects_wrong_length_and_negative_exponents():
     with pytest.raises(DimensionMismatch):
         P2({(1, 0): 1}).evaluate((1,))

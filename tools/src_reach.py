@@ -68,7 +68,8 @@ ALLOWED = {
                      "core.RankFunction.__hash__", "core.RankFunction.__repr__", "polyalg._SparsePoly.__bool__",
                      "polyalg._SparsePoly.__hash__", "polyalg._SparsePoly.__repr__",
                      "polyalg.BinomialBasisPoly._fields"], VALUE),
-    "polyalg.RationalPoly.__init__": "RationalPoly's public constructor; the library builds it by _reduced",
+    **dict.fromkeys(["polyalg.BinomialBasisPoly.__init__", "polyalg.RationalPoly.__init__"],
+                    "public constructor, which checks outside input; the library builds its results by _of"),
     **dict.fromkeys(["core.Immutable.__setattr__", "core.Immutable.__delattr__"], IMMUTABLE),
 }
 
