@@ -71,9 +71,9 @@ def stalactite_decomposition(P: Polymatroid, order: LexOrder | None = None) -> t
     """Greedy stalactites of the base points in ascending ``order``: the i-th
     stalactite is St(a_i; {a_1, ..., a_{i-1}}).  Their union is the cave set.
     """
-    index = exchange_index(P)
-    visit = index.in_order(resolve_order(order, P.p))
-    return tuple(_hanging_cube(index.ordered[k], directions) for k, directions in index.stalactites(visit))
+    order, index = resolve_order(order, P.p), exchange_index(P)
+    cubes = [_hanging_cube(index.ordered[k], directions) for k, directions in index.stalactites(order)]
+    return tuple(sorted(cubes, key=lambda st: order.key(st.apex)))
 
 
 def stalactite_counts(P: Polymatroid, order: LexOrder | None = None) -> dict:
@@ -92,7 +92,7 @@ def stalactite_polynomial(P: Polymatroid, order: LexOrder | None = None) -> Mult
 @memo
 def _stalactite_polynomial(P: Polymatroid, order: LexOrder) -> MultiPoly:
     index = exchange_index(P)
-    terms = index.stalactite_codes(index.in_order(order))
+    terms = index.cube_codes(index.stalactites(order))
     return MultiPoly._of(P.p, dict(zip(index.lattice.decode(terms), terms.values())))
 
 

@@ -77,7 +77,7 @@ def nonnegative_set(points) -> frozenset:
 @dataclass(frozen=True)
 class LexOrder:
     """Coordinate-priority lexicographic order on lattice points.
-    ``permutation`` lists 1-based coordinates from highest to lowest
+    ``permutation`` lists 1-based int coordinates from highest to lowest
     priority; points compare by the first differing prioritized coordinate,
     smaller value first.  The identity is the standard lex order."""
 
@@ -87,7 +87,7 @@ class LexOrder:
     def __post_init__(self):
         perm = tuple(self.permutation)
         object.__setattr__(self, "permutation", perm)
-        if sorted(perm) != list(range(1, len(perm) + 1)):
+        if not {*map(type, perm)} <= {int} or sorted(perm) != list(range(1, len(perm) + 1)):
             raise ValueError("%r is not a permutation of 1..%d" % (perm, len(perm)))
         # key(n): n's coordinates in priority order.  An itemgetter of one
         # index returns the entry itself, so p = 1 takes the 1-tuple whole.
@@ -336,22 +336,22 @@ class ExchangeIndex(Immutable):
     subsets, given as bitmasks (bit k for ``ordered[k]``), each answered as
     the materialized subset answers it, witness included.
 
-    Two kinds of subset restrict exactly; no other is supported.  A
+    Two kinds of subset restrict the exchange questions exactly.  A
     threshold truncation {q >= b}, an AND of ``above`` or ``masks``: each
     neighbour an exchange consults for u and v in it (u - e_i + e_j when
     v_i < u_i, v + e_i - e_j when v_j > u_j, u - e_i, v + e_i) is itself
     >= b, so it lies in the truncation exactly when it lies in the whole
-    set.  The top-degree level of ``degree_masks``, for the M-convex and
-    stalactite questions: each u - e_i + e_j keeps u's degree.  So each
-    point's failure masks over the whole set are built once, in O(p^2)
-    lookups, and a subset costs O(p) mask operations per kept point.  A
-    point keeps only the union of its failure masks, as a polymatroid holds
-    its index for life.  The constructor builds what every question reads:
+    set.  The top-degree level of ``degree_masks``, for the M-convex
+    question: each u - e_i + e_j keeps u's degree.  So each point's
+    failure masks over the whole set are built once, in O(p^2) lookups,
+    and a subset costs O(p) mask operations per kept point.  A point keeps
+    only the union of its failure masks, as a polymatroid holds its index
+    for life.  The constructor builds what every question reads:
     ``codes`` under ``lattice`` (``lattice_code(P)`` if given, else, for any
     set, the box from min(min, 0) - 1 to max + 1, which holds [0, max] and
     keeps the codes of all q +- e_i looked up distinct), ``bounds`` (least,
     greatest), ``degree_masks`` and ``moves[i]``, each (j, code(u - e_i +
-    e_j) - code(u)) for j != i; ``masks``, ``neighbours``, ``up``, ``above``
+    e_j) - code(u)) for j != i; ``masks``, the live moves, ``up``, ``above``
     and the failure caches are built on first use.  Codes turn neighbour
     lookups into integer additions; the exchange check reads ``masks`` only
     past a missing move.  Immutable: sequences are tuples, mappings read-only.
@@ -381,22 +381,6 @@ class ExchangeIndex(Immutable):
         return [None] * len(self.ordered)
 
     _gp = cached_property(_exchange.func)
-
-    @cached_property
-    def neighbours(self) -> tuple:
-        """neighbours[k][l]: the mask of the points u - e_l + e_j (j != l),
-        u = ordered[k].  Each neighbour pair u, w = u - e_l + e_j is found
-        once, by the move with l < j: then u = w - e_j + e_l."""
-        get, codes = self._position.get, self.codes
-        rows = [[0] * self.p for _ in codes]
-        for ell, moves in enumerate(self.moves):
-            for j, move in moves:
-                if j > ell:
-                    for k, at in enumerate(map(get, map(move.__add__, codes))):
-                        if at is not None:
-                            rows[k][ell] |= 1 << at
-                            rows[at][j] |= 1 << k
-        return tuple(map(tuple, rows))
 
     @cached_property
     def masks(self) -> tuple:
@@ -530,33 +514,41 @@ class ExchangeIndex(Immutable):
         some j with u_j > v_j has u - e_j and v + e_j in the set."""
         return self._first_witness(self.full if mask is None else mask, self._gp_failures, self._gp)
 
-    def in_order(self, order, mask=None) -> list:
-        """The positions of the points under ``mask`` (all by default) in
-        ascending ``order``, a ``LexOrder``: a stalactite visiting sequence."""
-        keys = list(map(order.key, self.ordered))
-        return sorted(range(len(keys)) if mask is None else _bits(mask), key=keys.__getitem__)
+    @cached_property
+    def _live(self) -> tuple:
+        """The moves (l, j, code(u - e_l + e_j) - code(u)) that join two points."""
+        keys = self._position.keys()
+        return tuple((ell, j, move) for ell, moves in enumerate(self.moves) for j, move in moves
+                     if not keys.isdisjoint(map(move.__add__, self.codes)))
 
-    def stalactites(self, visit):
-        """(k, D) for each position k of ``visit`` in turn: the direction mask
-        D of the stalactite with apex u = ordered[k] against the points V
-        visited before it, bit l set when some u - e_l + e_j lies in V: one
-        AND of V's mask with each of u's p neighbour masks."""
-        placed, neighbours = 0, self.neighbours
-        for k in visit:
-            directions = 0
-            for ell, row in enumerate(neighbours[k]):
-                if placed & row:
+    def precedence(self, order) -> tuple:
+        """(l, move) for each live move with l before j in ``order``."""
+        rank = list(map(order.permutation.index, range(1, self.p + 1)))
+        return tuple((ell, move) for ell, j, move in self._live if rank[ell] < rank[j])
+
+    def stalactites(self, order, mask=None) -> list:
+        """(k, D) for each point u = ordered[k] under ``mask`` (all by
+        default), in list order, D the direction mask of St(u; V), V the
+        points under ``mask`` before u in the ``LexOrder`` ``order``.  A
+        w = u - e_l + e_j differs from u only at l, where it is smaller, and
+        at j, where it is larger, so w comes before u exactly when l comes
+        before j in ``order``: bit l is set when a move of
+        ``precedence(order)`` leads from u to a code under ``mask``, one set
+        test, and no visiting sequence is needed."""
+        codes, moves = self.codes, self.precedence(order)
+        if mask is None:
+            positions, members = range(len(codes)), self._position
+        else:
+            positions = _bits(mask)
+            members = set(map(codes.__getitem__, positions))
+        out = []
+        for k in positions:
+            code, directions = codes[k], 0
+            for ell, move in moves:
+                if code + move in members:
                     directions |= 1 << ell
-            yield k, directions
-            placed |= 1 << k
-
-    def stalactite_codes(self, visit) -> dict:
-        """Signed stalactite counts of the points at the positions ``visit``,
-        decomposed greedily in that sequence: ``cube_codes`` of
-        ``stalactites(visit)``.  A member's entry u_l - 1 is a neighbour's,
-        so members lie in [min, max], where codes are distinct: counts by
-        code are counts by point.  Cost: O(p) per apex plus ``cube_codes``."""
-        return self.cube_codes(self.stalactites(visit))
+            out.append((k, directions))
+        return out
 
     def cube_codes(self, stalactites) -> dict:
         """The signed counts of the cubes (k, D) of ``stalactites``, keyed by
@@ -567,7 +559,10 @@ class ExchangeIndex(Immutable):
         dict by one C pass of ``collections._count_elements`` (``Counter``'s
         loop), the odd one signed once and skipped when every D is 0.  The
         counts are a sum over the cubes, so they do not depend on the cubes'
-        sequence.  Cost: one C addition per member, ``_cube`` once per D."""
+        sequence.  For ``stalactites`` a member's entry u_l - 1 is a
+        neighbour's, so members lie in [min, max], where codes are distinct:
+        counts by code are counts by point.  Cost: one C addition per
+        member, ``_cube`` once per D."""
         even, odd, codes = [], [], self.codes
         for k, directions in stalactites:
             pair = self._cube(directions)

@@ -212,23 +212,24 @@ def _lex_orders(p) -> tuple:
 
 
 def _check_lex_order_invariance(P):
-    """P's stalactite polynomial under each of ``_lex_orders(P.p)`` against
-    the identity order's, by code; the first order that differs is reported.
-    Directions are found once per distinct visit, and cubes expanded once
-    per distinct sorted (k, D) tuple, as ``cube_codes`` ignores sequence."""
+    """P's stalactite polynomial under each of ``_lex_orders(P.p)`` past the
+    first, the identity, against the identity order's, by code; the first
+    order that differs is reported.  Directions are found once per distinct
+    ``precedence``, all that they read of an order, and cubes expanded once
+    per distinct decomposition."""
     terms = stalactite_polynomial(P).terms
     base = dict(zip(lattice_code(P).encode(terms), terms.values()))
     index = exchange_index(P)
-    by_visit, by_decomposition = {}, {}
-    for order in _lex_orders(P.p):
-        visit = tuple(index.in_order(order))
-        same = by_visit.get(visit)
+    by_precedence, by_decomposition = {}, {}
+    for order in _lex_orders(P.p)[1:]:
+        precedence = index.precedence(order)
+        same = by_precedence.get(precedence)
         if same is None:
-            decomposition = tuple(sorted(index.stalactites(visit)))
+            decomposition = tuple(index.stalactites(order))
             same = by_decomposition.get(decomposition)
             if same is None:
                 same = by_decomposition[decomposition] = index.cube_codes(decomposition) == base
-            by_visit[visit] = same
+            by_precedence[precedence] = same
         if not same:
             return False, "stalactite polynomial differs under order %s" % (order.permutation,)
     return True, None
@@ -296,7 +297,7 @@ def _check_truncation_lemmas(P):
     above n is one AND of the region's masks {q_i >= n_i}, one map per i."""
     terms = stalactite_polynomial(P).terms
     stal_p = dict(zip(lattice_code(P).encode(terms), terms.values()))
-    bases, region = exchange_index(P), independence_points(P)
+    bases, region, identity = exchange_index(P), independence_points(P), LexOrder.identity(P.p)
     full, base_rows = (1 << len(region.ordered)) - 1, bases.above
     region_rows = [{x: full ^ below for x, (below, _) in threshold_masks(c).items()} for c in zip(*region.ordered)]
     truncations = {}
@@ -309,7 +310,7 @@ def _check_truncation_lemmas(P):
             if witness:
                 raise InternalInvariantFailure(
                     "truncation at %s is not a polymatroid: %s" % (n, not_m_convex(witness)))
-            truncations[kept] = bases.stalactite_codes(_bits(kept))
+            truncations[kept] = bases.cube_codes(bases.stalactites(identity, kept))
         above = _bits(reduce(and_, map(getitem, region_rows, n)))
         got, expected = (list(map(counts.get, map(region.codes.__getitem__, above), itertools.repeat(0)))
                          for counts in (truncations[kept], stal_p))

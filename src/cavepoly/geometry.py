@@ -164,8 +164,8 @@ def is_cave(C, order=None) -> CaveReport:
     polymatroid.  Which lex order condition (2) uses is a parameter: the
     verdict is per-order and recorded in the report.  Past (1), negative
     tops and an order of another length are refused.  The tops are the
-    index's top-degree level: (1) and (2) cost O(p^2) mask operations per
-    top plus the union's size; (3) costs what ``_truncation_failure`` says.
+    index's top-degree level: (1) and (2) cost O(p^2) lookups per top plus
+    the union's size; (3) costs what ``_truncation_failure`` says.
     """
     pts = point_set(C)
     index = ExchangeIndex(sorted(pts))
@@ -177,8 +177,7 @@ def is_cave(C, order=None) -> CaveReport:
         return CaveReport(False, 1, witness, order.permutation)
     nonnegative_set(map(index.ordered.__getitem__, _bits(tops)))  # the error a Polymatroid of the tops raises
 
-    visit = index.in_order(resolve_order(order, index.p), tops)
-    union = index.stalactite_codes(visit)
+    union = index.cube_codes(index.stalactites(resolve_order(order, index.p), tops))
     if union.keys() != set(index.codes):
         union = set(index.lattice.decode(union))
         missing = tuple(sorted(union - pts))

@@ -6,8 +6,8 @@ walk of the independence region over the base points' threshold masks,
 bit-parallel exchange masks, indexed stalactite directions, changes
 of basis one coordinate at a time, local submodularity, base points
 enumerated inside the projection bounds, subset-sum tables, truncation
-lemmas over the parent region, one sparse Mobius pass over the region, the
-exchange index's neighbour masks for neighbours and stalactites,
+lemmas over the parent region, one sparse Mobius pass over the region,
+stalactite directions from the order's precedence, not neighbour masks,
 integer lattice codes in the changes of basis, the Mobius table, the cave
 route and the stalactite counts, a ``str.find`` loop for set bits, halving
 bound tables in the base-point walk, built by list comprehensions, sliced
@@ -22,6 +22,7 @@ failure witnesses.  A few set-level helpers that the library no longer
 needs live here too, as the tests' readers of its kernels.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -175,21 +176,63 @@ def top_elements(A) -> frozenset:
     return frozenset(q for q in pts if sum(q) == top)
 
 
+@functools.lru_cache(maxsize=4)
+def neighbour_masks(index) -> tuple:
+    """neighbours[k][l]: the mask of the points u - e_l + e_j (j != l) of
+    ``index``, u = ordered[k].  Each neighbour pair u, w = u - e_l + e_j is
+    found once, by the move with l < j: then u = w - e_j + e_l."""
+    get, codes = index._position.get, index.codes
+    rows = [[0] * index.p for _ in codes]
+    for ell, moves in enumerate(index.moves):
+        for j, move in moves:
+            if j > ell:
+                for k, at in enumerate(map(get, map(move.__add__, codes))):
+                    if at is not None:
+                        rows[k][ell] |= 1 << at
+                        rows[at][j] |= 1 << k
+    return tuple(map(tuple, rows))
+
+
+def stalactites_visiting(index, visit) -> list:
+    """(k, D) for each position k of ``visit`` in turn: the direction mask D
+    of the stalactite with apex u = ordered[k] against the points V visited
+    before it, bit l set when some u - e_l + e_j lies in V: one AND of V's
+    mask with each of u's p neighbour masks."""
+    placed, out = 0, []
+    for k in visit:
+        directions = 0
+        for ell, row in enumerate(neighbour_masks(index)[k]):
+            if placed & row:
+                directions |= 1 << ell
+        out.append((k, directions))
+        placed |= 1 << k
+    return out
+
+
+def stalactites_in_order(index, order, mask=None) -> list:
+    """``ExchangeIndex.stalactites(order, mask)`` by the greedy definition:
+    ``stalactites_visiting`` the points under ``mask`` (all by default) in
+    ascending ``order``, its pairs put back in list order."""
+    keys = list(map(order.key, index.ordered))
+    return sorted(stalactites_visiting(index, sorted(range(len(keys)) if mask is None else _bits(mask),
+                                                     key=keys.__getitem__)))
+
+
 def neighbors(P, u) -> frozenset:
-    """``neighbors_scan``'s triples read from the neighbour masks of the base
+    """``neighbors_scan``'s triples read from ``neighbour_masks`` of the base
     point u in P's ``exchange_index``."""
     index = exchange_index(P)
     k = index.ordered.index(u)
     return frozenset((ell + 1, [a > b for a, b in zip(w, u)].index(True) + 1, w)
-                     for ell, mask in enumerate(index.neighbours[k])
+                     for ell, mask in enumerate(neighbour_masks(index)[k])
                      for w in map(index.ordered.__getitem__, _bits(mask)))
 
 
 def stalactite(u, V, P) -> Stalactite:
-    """St(u; V) for base points: the last of P's ``exchange_index``
-    stalactites visiting V, then u."""
+    """St(u; V) for base points: the last of P's ``stalactites_visiting`` V,
+    then u."""
     index = exchange_index(P)
-    *_, (k, directions) = index.stalactites([index.ordered.index(w) for w in [*V, u]])
+    *_, (k, directions) = stalactites_visiting(index, [index.ordered.index(w) for w in [*V, u]])
     return _hanging_cube(index.ordered[k], directions)
 
 
@@ -301,13 +344,14 @@ def stalactite_polynomial_prefix(P, order=None) -> MultiPoly:
     return MultiPoly(P.p, terms)
 
 
-def stalactite_terms_counter(index, visit) -> dict:
-    """``ExchangeIndex.stalactite_codes`` counted as tuples: one ``Counter``
-    over the members of every stalactite, signed by the first apex's degree."""
-    ordered = index.ordered
-    cubes = (_hanging_cube(ordered[k], directions).members for k, directions in index.stalactites(visit))
+def stalactite_terms_counter(index, order, mask=None) -> dict:
+    """``ExchangeIndex.cube_codes`` of ``stalactites(order, mask)`` counted
+    as tuples: one ``Counter`` over the members of every stalactite, signed
+    by the first apex's degree."""
+    ordered, pairs = index.ordered, list(index.stalactites(order, mask))
+    cubes = (_hanging_cube(ordered[k], directions).members for k, directions in pairs)
     counts = Counter(itertools.chain.from_iterable(cubes))
-    degree = sum(ordered[visit[0]])
+    degree = sum(ordered[pairs[0][0]])
     return {n: -c if (degree - sum(n)) % 2 else c for n, c in counts.items()}
 
 
@@ -666,7 +710,7 @@ def lex_order_check_per_order(P):
     base = dict(zip(lattice_code(P).encode(terms), terms.values()))
     index = exchange_index(P)
     for perm in lex_order_perms(P.p):
-        if index.stalactite_codes(index.in_order(LexOrder(perm))) != base:
+        if index.cube_codes(index.stalactites(LexOrder(perm))) != base:
             return False, "stalactite polynomial differs under order %s" % (perm,)
     return True, None
 

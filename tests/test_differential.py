@@ -9,6 +9,7 @@ tables that are not polymatroid rank functions.
 """
 
 import enum
+import functools
 import io
 import itertools
 import json
@@ -99,6 +100,7 @@ from oracles import (
     stalactite_polynomial_prefix,
     stalactite_scan,
     stalactite_terms_counter,
+    stalactites_in_order,
     submodular_violations_all_pairs,
     top_elements,
     truncation_failure_dense,
@@ -432,6 +434,29 @@ def test_stalactite_and_neighbors_match_scan_oracles():
             assert stalactite(u, V, P) == stalactite_scan(u, V, P), (P, u, V)
 
 
+def test_stalactites_match_greedy_visiting_oracle():
+    # The precedence rule against the paper's greedy definition, the
+    # neighbour masks of each apex ANDed with the points visited before it:
+    # P's bases under every order of the lex-order check, under the identity
+    # on each set of bases the truncation check keeps, and the cave set's
+    # tops under every order.
+    cases = truncations = 0
+    for P in GENERATED + LADDER[:4]:
+        index, orders, identity = core.exchange_index(P), genverify._lex_orders(P.p), LexOrder.identity(P.p)
+        for order in orders:
+            assert list(index.stalactites(order)) == stalactites_in_order(index, order), (P, order)
+        for kept in {functools.reduce(operator.and_, map(operator.getitem, index.above, n))
+                     for n in independence_points(P).ordered}:
+            assert list(index.stalactites(identity, kept)) == stalactites_in_order(index, identity, kept)
+            truncations += kept != index.full
+        cave = core.ExchangeIndex(sorted(cave_set(P)))
+        tops = cave.full & ~cave.degree_masks[P.rank][0]
+        for order in orders:
+            assert list(cave.stalactites(order, tops)) == stalactites_in_order(cave, order, tops), (P, order)
+        cases += 2 * len(orders)
+    assert cases > 2000 and truncations > 5000, (cases, truncations)
+
+
 def test_mobius_table_matches_box_sweep():
     # Most generated instances have a zero cage entry, where a lattice code
     # without its margin would alias n + e_k with another point.
@@ -527,15 +552,14 @@ def test_stalactite_polynomial_matches_prefix_scan_under_every_order():
     assert orders > 500
 
 
-LEX_FAULTS = {"drop-last-apex": ("in_order", _drop_last_apex), "flipped-direction": ("stalactites", _flipped_direction)}
+LEX_FAULTS = {"drop-last-apex": _drop_last_apex, "flipped-direction": _flipped_direction}
 WIDER_P5 = instance_mix(9, seed=9_000, ps=(5,), max_rank=8, max_cage_entry=3)
 
 
 @pytest.mark.parametrize("fault", [None, *LEX_FAULTS])
 def test_lex_order_check_matches_per_order_oracle(fault, monkeypatch):
     if fault is not None:
-        name, plant = LEX_FAULTS[fault]
-        monkeypatch.setattr(core.ExchangeIndex, name, plant(getattr(core.ExchangeIndex, name)))
+        monkeypatch.setattr(core.ExchangeIndex, "stalactites", LEX_FAULTS[fault](core.ExchangeIndex.stalactites))
     failed = 0
     for P in GENERATED + WIDER_P5:
         # Fresh instances: each side builds its identity-order polynomial under the fault.
@@ -546,34 +570,39 @@ def test_lex_order_check_matches_per_order_oracle(fault, monkeypatch):
 
 
 def test_lex_order_check_expands_once_per_distinct_decomposition(monkeypatch):
-    expand, in_order = core.ExchangeIndex.cube_codes, core.ExchangeIndex.in_order
-    expanded, orders = [], []
+    # The identity order's polynomial is the base, so the check decomposes
+    # under the other orders only: once per distinct precedence, and it
+    # expands once per distinct decomposition.
+    expand, decompose = core.ExchangeIndex.cube_codes, core.ExchangeIndex.stalactites
+    expanded, decomposed, orders = [], [], []
 
     def counting_expand(index, stalactites):
         stalactites = tuple(stalactites)
         expanded.append(stalactites)
         return expand(index, stalactites)
 
-    def counting_in_order(index, order, mask=None):
-        orders.append(order.permutation)
-        return in_order(index, order, mask)
+    def counting_decompose(index, order, mask=None):
+        decomposed.append(index.precedence(order))
+        return decompose(index, order, mask)
 
-    shared = 0
+    shared = by_precedence = 0
     for P in GENERATED + WIDER_P5:
         index = core.exchange_index(P)
         stalactite_polynomial(P)  # the identity order's, expanded before counting
-        decompositions = {tuple(sorted(index.stalactites(index.in_order(LexOrder(perm)))))
-                          for perm in lex_order_perms(P.p)}
+        others = [LexOrder(perm) for perm in lex_order_perms(P.p)[1:]]
+        precedences = [index.precedence(order) for order in others]
+        decompositions = {tuple(index.stalactites(order)) for order in others}
         expanded.clear()
-        orders.clear()
+        decomposed.clear()
         with monkeypatch.context() as patch:
             patch.setattr(core.ExchangeIndex, "cube_codes", counting_expand)
-            patch.setattr(core.ExchangeIndex, "in_order", counting_in_order)
+            patch.setattr(core.ExchangeIndex, "stalactites", counting_decompose)
             assert CHECKS["lex-order-invariance"](P) == (True, None)
-        assert orders == lex_order_perms(P.p)
+        assert decomposed == list(dict.fromkeys(precedences))
         assert len(expanded) == len(set(expanded)) and set(expanded) == decompositions
-        shared += len(decompositions) < len(orders)
-    assert shared > 20
+        shared += len(decompositions) < len(others)
+        by_precedence += len(decomposed) < len(others)
+    assert shared > 20 and by_precedence > 20, (shared, by_precedence)
 
 
 def test_mobius_interval_matches_normalized_form():
@@ -1353,7 +1382,7 @@ def test_truncation_lemma_check_matches_scan(monkeypatch):
     for P in GENERATED:
         assert CHECKS["truncation-lemmas"](P) == truncation_lemmas_check_scan(P) == (True, None)
 
-    stalactite_codes = core.ExchangeIndex.stalactite_codes
+    cube_codes = core.ExchangeIndex.cube_codes
 
     def raised(where):  # coefficients off by one in the two-point truncations
         def faulty(P, *order):  # in the oracle's stalactite polynomial
@@ -1365,13 +1394,13 @@ def test_truncation_lemma_check_matches_scan(monkeypatch):
                 terms[m] = terms.get(m, 0) + 1
             return MultiPoly(P.p, terms)
 
-        def faulty_codes(index, visit):  # in the index's coded terms of a truncation
-            visit = list(visit)
-            terms = stalactite_codes(index, visit)
-            if len(visit) != 2 or len(index.ordered) == 2:  # a two-point set's own terms
+        def faulty_codes(index, stalactites):  # in the index's coded terms of a truncation
+            pairs = list(stalactites)
+            terms = cube_codes(index, pairs)
+            if len(pairs) != 2 or len(index.ordered) == 2:  # a two-point set's own terms
                 return terms
             terms = dict(terms)
-            for code in index.lattice.encode(where(Polymatroid(index.ordered[k] for k in visit))):
+            for code in index.lattice.encode(where(Polymatroid(index.ordered[k] for k, _ in pairs))):
                 terms[code] = terms.get(code, 0) + 1
             return terms
         return faulty, faulty_codes
@@ -1383,7 +1412,7 @@ def test_truncation_lemma_check_matches_scan(monkeypatch):
         if len(P.points) <= 2:
             continue
         with monkeypatch.context() as patch:
-            patch.setattr(core.ExchangeIndex, "stalactite_codes", at_top_codes)
+            patch.setattr(core.ExchangeIndex, "cube_codes", at_top_codes)
             result = CHECKS["truncation-lemmas"](P)
             assert result == truncation_lemmas_check_scan(P, at_top)
             failures = [(r.name, r.detail) for r in verify_instance(P).failures()]
@@ -1391,7 +1420,7 @@ def test_truncation_lemma_check_matches_scan(monkeypatch):
         with monkeypatch.context() as patch:
             # Many coefficients differ: same n as the oracle, and the first m
             # in sorted order, which is n itself.
-            patch.setattr(core.ExchangeIndex, "stalactite_codes", everywhere_codes)
+            patch.setattr(core.ExchangeIndex, "cube_codes", everywhere_codes)
             ok, detail = CHECKS["truncation-lemmas"](P)
             expected = truncation_lemmas_check_scan(P, everywhere)
             assert ok == expected[0] == result[0]
@@ -1435,10 +1464,10 @@ def test_exchange_index_truncations_match_materialized_sets():
     assert verdicts == {(True, True), (False, True), (False, False)}
 
 
-def decoded_stalactite_codes(index, visit) -> dict:
-    """``index.stalactite_codes(visit)`` keyed by the points, decoded as the
-    stalactite route decodes them."""
-    terms = index.stalactite_codes(visit)
+def decoded_stalactite_codes(index, order, mask=None) -> dict:
+    """``index.cube_codes(index.stalactites(order, mask))`` keyed by the
+    points, decoded as the stalactite route decodes them."""
+    terms = index.cube_codes(index.stalactites(order, mask))
     return dict(zip(index.lattice.decode(terms), terms.values()))
 
 
@@ -1455,7 +1484,7 @@ def test_exchange_index_truncation_terms_match_stalactite_polynomial():
                 points = frozenset(materialized(index, mask))
                 sub = subsets.get(points) or subsets.setdefault(points, Polymatroid(points))
                 expected = stalactite_polynomial(sub, order).terms
-                assert decoded_stalactite_codes(index, core._bits(mask)) == expected
+                assert decoded_stalactite_codes(index, order, mask) == expected
                 if perm[0] == 1:  # the prefix-scan oracle under a sample of the orders
                     assert expected == stalactite_polynomial_prefix(sub, order).terms
                 truncations += 1
@@ -1471,14 +1500,14 @@ def test_coded_stalactite_terms_match_tuple_counter():
         index = core.exchange_index(P)
         for perm in itertools.permutations(range(1, P.p + 1)):
             for mask in threshold_truncations(index):
-                visit = index.in_order(LexOrder(perm), mask)
-                assert decoded_stalactite_codes(index, visit) == stalactite_terms_counter(index, visit), (P, perm, mask)
+                order = LexOrder(perm)
+                assert decoded_stalactite_codes(index, order, mask) == stalactite_terms_counter(index, order, mask)
                 cases += 1
     assert cases > 5000
     # Free-standing indexes under the default code: the order-sorted base
     # points of the truncation test above, the base points moved by 3 along
     # every axis, and cave-predicate inputs with negative entries whose tops
-    # ``is_cave`` decomposes (M-convex and nonnegative), visited in identity
+    # ``is_cave`` decomposes (M-convex and nonnegative), decomposed in identity
     # order.  A code whose box spans only the points' own range fails to
     # decode the members of more than 100 of them; the default box also
     # holds the origin.
@@ -1496,9 +1525,9 @@ def test_coded_stalactite_terms_match_tuple_counter():
             top = max(map(sum, points))
             masks = [sum(1 << k for k, q in enumerate(points) if sum(q) == top)]
         for mask in masks:
-            visit = index.in_order(LexOrder.identity(index.p), mask)
-            expected = stalactite_terms_counter(index, visit)
-            assert decoded_stalactite_codes(index, visit) == expected, (points, mask)
+            identity = LexOrder.identity(index.p)
+            expected = stalactite_terms_counter(index, identity, mask)
+            assert decoded_stalactite_codes(index, identity, mask) == expected, (points, mask)
             narrow = core.LatticeCode([max(col) - min(col) + 3 for col in zip(*points)])
             naive += narrow.decode(narrow.encode(expected)) != list(expected)
     assert sum(1 for _, tops in sets if tops) > 50
@@ -1507,14 +1536,14 @@ def test_coded_stalactite_terms_match_tuple_counter():
 
 def test_cube_codes_match_counter_oracle():
     # Every distinct threshold truncation and every decomposition the
-    # lex-order check visits, on the corpus and the ladder row (8; [4]x4),
+    # lex-order check tries, on the corpus and the ladder row (8; [4]x4),
     # plus every base point as a one-point cube, where no odd pass runs.
     cases = pointwise = 0
     for P in GENERATED + [named_family("uniform", r=8, m=(4,) * 4)]:
         index = core.exchange_index(P)
-        visits = [core._bits(mask) for mask in threshold_truncations(index)]
-        visits += [index.in_order(order) for order in genverify._lex_orders(P.p)]
-        decompositions = [tuple(index.stalactites(visit)) for visit in visits]
+        identity = LexOrder.identity(P.p)
+        decompositions = [tuple(index.stalactites(identity, mask)) for mask in threshold_truncations(index)]
+        decompositions += [tuple(index.stalactites(order)) for order in genverify._lex_orders(P.p)]
         decompositions.append(tuple((k, 0) for k in range(len(index.ordered))))
         for decomposition in decompositions:
             result = index.cube_codes(decomposition)
