@@ -103,9 +103,12 @@ class LexOrder:
 
 
 def resolve_order(order, p: int) -> LexOrder:
-    """``order`` (the identity if None), refused unless it orders p coordinates."""
+    """``order`` (the identity if None), refused unless it is a ``LexOrder``
+    on p coordinates."""
     if order is None:
         return LexOrder.identity(p)
+    if not isinstance(order, LexOrder):
+        raise TypeError("order must be a LexOrder, got %s" % type(order).__name__)
     if order.p != p:
         raise DimensionMismatch("order on %d coordinates, polymatroid has %d" % (order.p, p))
     return order
@@ -351,14 +354,15 @@ class ExchangeIndex(Immutable):
     set, the box from min(min, 0) - 1 to max + 1, which holds [0, max] and
     keeps the codes of all q +- e_i looked up distinct), ``bounds`` (least,
     greatest), ``degree_masks`` and ``moves[i]``, each (j, code(u - e_i +
-    e_j) - code(u)) for j != i; ``masks``, the live moves, ``up``, ``above``
-    and the failure caches are built on first use.  Codes turn neighbour
-    lookups into integer additions; the exchange check reads ``masks`` only
-    past a missing move.  Immutable: sequences are tuples, mappings read-only.
+    e_j) - code(u)) for j != i; ``masks``, the live moves, each order's
+    ``precedence``, ``up``, ``above`` and the failure caches are built on
+    first use.  Codes turn neighbour lookups into integer additions; the
+    exchange check reads ``masks`` only past a missing move.  Immutable:
+    sequences are tuples, mappings read-only.
     """
 
     __slots__ = ("ordered", "p", "full", "lattice", "bounds", "codes", "_position", "moves", "degree_masks",
-                 "_cubes", "__dict__")
+                 "_cubes", "_precedence", "__dict__")
 
     def __init__(self, ordered, lattice=None):
         ordered = tuple(ordered)
@@ -368,7 +372,7 @@ class ExchangeIndex(Immutable):
         codes, strides = tuple(lattice.encode(ordered)), lattice.strides
         for name, value in (("ordered", ordered), ("p", len(ordered[0])), ("full", (1 << len(ordered)) - 1),
                             ("lattice", lattice), ("bounds", bounds), ("codes", codes), ("_cubes", {0: ([0], [])}),
-                            ("_position", {code: k for k, code in enumerate(codes)}),
+                            ("_precedence", {}), ("_position", {code: k for k, code in enumerate(codes)}),
                             ("moves", tuple(tuple((j, rise - down) for j, rise in enumerate(strides) if j != i)
                                             for i, down in enumerate(strides))),
                             ("degree_masks", MappingProxyType(threshold_masks(list(map(sum, ordered)))))):
@@ -522,9 +526,14 @@ class ExchangeIndex(Immutable):
                      if not keys.isdisjoint(map(move.__add__, self.codes)))
 
     def precedence(self, order) -> tuple:
-        """(l, move) for each live move with l before j in ``order``."""
-        rank = list(map(order.permutation.index, range(1, self.p + 1)))
-        return tuple((ell, move) for ell, j, move in self._live if rank[ell] < rank[j])
+        """(l, move) for each live move with l before j in ``order``, built
+        once per permutation."""
+        perm = order.permutation
+        moves = self._precedence.get(perm)
+        if moves is None:
+            moves = self._precedence[perm] = tuple(
+                (ell, move) for ell, j, move in self._live if perm.index(ell + 1) < perm.index(j + 1))
+        return moves
 
     def stalactites(self, order, mask=None) -> list:
         """(k, D) for each point u = ordered[k] under ``mask`` (all by

@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, reduce
-from operator import and_, getitem
+from operator import and_, getitem, ne
 
 from .algorithms import (
     LexOrder,
@@ -293,31 +293,51 @@ def _check_truncation_lemmas(P):
     P's at every m >= n in I(P), the truncation's region above n (a base
     above m >= n is itself >= n).  Each distinct set of kept bases, a mask
     of P's ``exchange_index``, is asserted to be a polymatroid as in
-    ``truncate``, then decomposed; coefficients compare by code.  The region
-    above n is one AND of the region's masks {q_i >= n_i}, one map per i."""
+    ``truncate``, then decomposed from its own points, once.  Its counts
+    and P's, compared by code, leave one mask over the region's positions,
+    in lex order: the m where the two coefficients differ, an m missing
+    from either counting 0.  The region above n is one AND of the region's
+    masks {q_i >= n_i}, one map per i.  So n passes when that AND misses
+    its kept set's disagreements; else the lowest bit of the two ANDed is
+    the first m in lex order above n that differs, and the failing set is
+    decomposed again for its coefficient."""
     terms = stalactite_polynomial(P).terms
     stal_p = dict(zip(lattice_code(P).encode(terms), terms.values()))
     bases, region, identity = exchange_index(P), independence_points(P), LexOrder.identity(P.p)
-    full, base_rows = (1 << len(region.ordered)) - 1, bases.above
+    size, base_rows = len(region.codes), bases.above
+    full = (1 << size) - 1
     region_rows = [{x: full ^ below for x, (below, _) in threshold_masks(c).items()} for c in zip(*region.ordered)]
-    truncations = {}
+    # Positions by code; a code off the region, read by no n, takes the spare slot ``size``.
+    position, spare = dict(zip(region.codes, itertools.count())), itertools.repeat(size)
+
+    def decompose(kept):
+        return bases.cube_codes(bases.stalactites(identity, kept))
+
+    def disagree(counts, digits):  # digit k set to "1" where ``counts`` and P's differ at region.ordered[k]
+        for k, differs in zip(map(position.get, counts, spare),
+                              map(ne, counts.values(), map(stal_p.get, counts, itertools.repeat(0)))):
+            digits[k] = 48 + differs
+        return digits
+
+    present = disagree(dict.fromkeys(stal_p, 0), bytearray(b"0" * (size + 1)))  # P's support: where 0 differs
+    masks = {}
     for n in region.ordered:
         kept = reduce(and_, map(getitem, base_rows, n))
-        if kept not in truncations:
+        differs = masks.get(kept)
+        if differs is None:
             if not kept:  # a region point under no base: a fault of the region walk
                 raise InternalInvariantFailure("%s is not in the independence region" % (n,))
             witness = bases.m_convex_failure(kept)
             if witness:
                 raise InternalInvariantFailure(
                     "truncation at %s is not a polymatroid: %s" % (n, not_m_convex(witness)))
-            truncations[kept] = bases.cube_codes(bases.stalactites(identity, kept))
-        above = _bits(reduce(and_, map(getitem, region_rows, n)))
-        got, expected = (list(map(counts.get, map(region.codes.__getitem__, above), itertools.repeat(0)))
-                         for counts in (truncations[kept], stal_p))
-        if got != expected:
-            t = next(t for t in range(len(got)) if got[t] != expected[t])
+            differs = masks[kept] = int(disagree(decompose(kept), bytearray(present))[::-1], 2)
+        bad = differs & reduce(and_, map(getitem, region_rows, n))
+        if bad:
+            k = (bad & -bad).bit_length() - 1
+            code = region.codes[k]
             return False, "truncation at %s: coefficient at %s is %d, expected %d" % (
-                n, region.ordered[above[t]], got[t], expected[t])
+                n, region.ordered[k], decompose(kept).get(code, 0), stal_p.get(code, 0))
     return True, None
 
 

@@ -17,7 +17,6 @@ from operator import ge
 from .core import (
     ExchangeIndex,
     Immutable,
-    LexOrder,
     Polymatroid,
     _bits,
     as_point,
@@ -162,15 +161,15 @@ def is_cave(C, order=None) -> CaveReport:
     stalactites of its tops under ``order`` (identity coordinate order by
     default); (3) every nonempty truncation at nonzero b is a generalized
     polymatroid.  Which lex order condition (2) uses is a parameter: the
-    verdict is per-order and recorded in the report.  Past (1), negative
-    tops and an order of another length are refused.  The tops are the
+    verdict is per-order and recorded in the report.  An order that is not
+    a ``LexOrder`` is refused at once; past (1), negative tops and an order
+    of another length.  The tops are the
     index's top-degree level: (1) and (2) cost O(p^2) lookups per top plus
     the union's size; (3) costs what ``_truncation_failure`` says.
     """
     pts = point_set(C)
     index = ExchangeIndex(sorted(pts))
-    if order is None:
-        order = LexOrder.identity(index.p)
+    order = resolve_order(order, getattr(order, "p", index.p))  # the type alone
     tops = index.full & ~index.degree_masks[max(index.degree_masks)][0]
     witness = index.m_convex_failure(tops)
     if witness:

@@ -6,7 +6,8 @@ walk of the independence region over the base points' threshold masks,
 bit-parallel exchange masks, indexed stalactite directions, changes
 of basis one coordinate at a time, local submodularity, base points
 enumerated inside the projection bounds, subset-sum tables, truncation
-lemmas over the parent region, one sparse Mobius pass over the region,
+lemmas over the parent region, compared by one disagreement mask per
+kept set, one sparse Mobius pass over the region,
 stalactite directions from the order's precedence, not neighbour masks,
 integer lattice codes in the changes of basis, the Mobius table, the cave
 route and the stalactite counts, a ``str.find`` loop for set bits, halving
@@ -49,8 +50,10 @@ from cavepoly.core import (
     exchange_index,
     lattice_code,
     mask_to_subset,
+    not_m_convex,
     point_set,
     rank_from_points,
+    threshold_masks,
     validate_rank_function,
 )
 from cavepoly.errors import (
@@ -733,6 +736,37 @@ def truncation_lemmas_check_scan(P, stalactite=stalactite_polynomial):
             if stal_sub.get(m, 0) != stal_p.get(m, 0):
                 return False, "truncation at %s: coefficient at %s is %d, expected %d" % (
                     n, m, stal_sub.get(m, 0), stal_p.get(m, 0))
+    return True, None
+
+
+def truncation_lemmas_check_per_pair(P):
+    """The truncation-lemma check that compares pair by pair: at each n, the
+    kept set's counts (decomposed once per distinct kept set, all held to
+    the end) and P's, listed over the region above n, the first differing
+    m reported."""
+    terms = stalactite_polynomial(P).terms
+    stal_p = dict(zip(lattice_code(P).encode(terms), terms.values()))
+    bases, region, identity = exchange_index(P), independence_points(P), LexOrder.identity(P.p)
+    full, base_rows = (1 << len(region.ordered)) - 1, bases.above
+    region_rows = [{x: full ^ below for x, (below, _) in threshold_masks(c).items()} for c in zip(*region.ordered)]
+    truncations = {}
+    for n in region.ordered:
+        kept = functools.reduce(operator.and_, map(operator.getitem, base_rows, n))
+        if kept not in truncations:
+            if not kept:
+                raise InternalInvariantFailure("%s is not in the independence region" % (n,))
+            witness = bases.m_convex_failure(kept)
+            if witness:
+                raise InternalInvariantFailure(
+                    "truncation at %s is not a polymatroid: %s" % (n, not_m_convex(witness)))
+            truncations[kept] = bases.cube_codes(bases.stalactites(identity, kept))
+        above = _bits(functools.reduce(operator.and_, map(operator.getitem, region_rows, n)))
+        got, expected = (list(map(counts.get, map(region.codes.__getitem__, above), itertools.repeat(0)))
+                         for counts in (truncations[kept], stal_p))
+        if got != expected:
+            t = next(t for t in range(len(got)) if got[t] != expected[t])
+            return False, "truncation at %s: coefficient at %s is %d, expected %d" % (
+                n, region.ordered[above[t]], got[t], expected[t])
     return True, None
 
 

@@ -17,6 +17,7 @@ from cavepoly import (
     core,
     expand_binomial,
     independence_points,
+    is_cave,
     mobius_interval,
     mobius_polynomial,
     mobius_table,
@@ -90,6 +91,20 @@ def test_lex_order_rejects_non_permutations():
     for perm in ((1, 1), (0, 1), (2.0, 1.0), (1, 2.0), (True, 2), (1.0,)):
         with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.%d$" % len(perm)):
             LexOrder(perm)
+
+
+def test_an_order_that_is_not_a_lex_order_is_refused_by_type(running):
+    # A bare permutation used to reach ``order.p`` or ``order.permutation``
+    # and fail there with an AttributeError.
+    calls = [lambda order, route=route: route(running, order)
+             for route in (stalactite_polynomial, stalactite_counts, stalactite_decomposition)]
+    # is_cave before condition (1) reads the order: on a cave set, and on a
+    # set whose tops are not M-convex.
+    calls += [lambda order, C=C: is_cave(C, order) for C in (set(stalactite_counts(running)), {(0, 2), (2, 0)})]
+    for order, name in (((2, 1), "tuple"), ([2, 1], "list"), ("21", "str")):
+        for call in calls:
+            with pytest.raises(TypeError, match=r"^order must be a LexOrder, got %s$" % name):
+                call(order)
 
 
 # ------------------------------------------------------------------- neighbors

@@ -104,6 +104,7 @@ from oracles import (
     submodular_violations_all_pairs,
     top_elements,
     truncation_failure_dense,
+    truncation_lemmas_check_per_pair,
     truncation_lemmas_check_scan,
     truncation_mask,
 )
@@ -603,6 +604,41 @@ def test_lex_order_check_expands_once_per_distinct_decomposition(monkeypatch):
         shared += len(decompositions) < len(others)
         by_precedence += len(decomposed) < len(others)
     assert shared > 20 and by_precedence > 20, (shared, by_precedence)
+
+
+def test_precedence_is_built_once_per_permutation_and_index(monkeypatch):
+    # Each order's precedence is built on first use, by one read of the live
+    # moves, and the same tuple is handed out after: across the lex-order
+    # check, the truncation check and the cave predicate's is_cave, one
+    # build per distinct permutation asked of an index.
+    live, precedence = core.ExchangeIndex._live, core.ExchangeIndex.precedence
+    indexes = {}  # id -> [index, builds, permutations asked]; holding the index keeps its id
+
+    def entry(index):
+        return indexes.setdefault(id(index), [index, 0, set()])
+
+    def counting_live(index):
+        entry(index)[1] += 1
+        return live.__get__(index)
+
+    def asking(index, order):
+        entry(index)[2].add(order.permutation)
+        return precedence(index, order)
+
+    monkeypatch.setattr(core.ExchangeIndex, "_live", property(counting_live))
+    monkeypatch.setattr(core.ExchangeIndex, "precedence", asking)
+    names = ["lex-order-invariance", "truncation-lemmas", "cave-predicate"]
+    for P in GENERATED[:60] + WIDER_P5:
+        P = Polymatroid(P.points)
+        assert verify_instance(P, checks=names).passed
+        builds = sum(builds for _, builds, _ in indexes.values())
+        assert verify_instance(P, checks=names).passed
+        assert sum(builds for _, builds, _ in indexes.values()) - builds == 1  # the second is_cave's own index
+        index = core.exchange_index(P)
+        for perm in lex_order_perms(P.p):
+            assert index.precedence(LexOrder(perm)) is index.precedence(LexOrder(perm))
+    assert all(builds == len(asked) for _, builds, asked in indexes.values())
+    assert sum(len(asked) > 1 for _, _, asked in indexes.values()) > 50
 
 
 def test_mobius_interval_matches_normalized_form():
@@ -1378,35 +1414,43 @@ def test_rank_from_points_matches_subset_loop():
         assert (rk.p, rk.values, rk.cage) == (expected.p, expected.values, expected.cage)
 
 
+def raised(where):
+    """A plant raising by one the coefficients at ``where(Q)`` in each
+    truncation Q of two points: (the faulty stalactite polynomial, for the
+    scan oracle; the faulty ``cube_codes``, for the checks that expand a
+    truncation's own decomposition)."""
+    cube_codes = core.ExchangeIndex.cube_codes
+
+    def faulty(P, *order):  # in the oracle's stalactite polynomial
+        poly = stalactite_polynomial(P, *order)
+        if len(P.points) != 2:
+            return poly
+        terms = dict(poly.terms)
+        for m in where(P):
+            terms[m] = terms.get(m, 0) + 1
+        return MultiPoly(P.p, terms)
+
+    def faulty_codes(index, stalactites):  # in the index's coded terms of a truncation
+        pairs = list(stalactites)
+        terms = cube_codes(index, pairs)
+        if len(pairs) != 2 or len(index.ordered) == 2:  # a two-point set's own terms
+            return terms
+        terms = dict(terms)
+        for code in index.lattice.encode(where(Polymatroid(index.ordered[k] for k, _ in pairs))):
+            terms[code] = terms.get(code, 0) + 1
+        return terms
+    return faulty, faulty_codes
+
+
+AT_TOP = raised(lambda P: [max(P.points)])
+EVERYWHERE = raised(lambda P: independence_points(P).points)
+
+
 def test_truncation_lemma_check_matches_scan(monkeypatch):
     for P in GENERATED:
         assert CHECKS["truncation-lemmas"](P) == truncation_lemmas_check_scan(P) == (True, None)
 
-    cube_codes = core.ExchangeIndex.cube_codes
-
-    def raised(where):  # coefficients off by one in the two-point truncations
-        def faulty(P, *order):  # in the oracle's stalactite polynomial
-            poly = stalactite_polynomial(P, *order)
-            if len(P.points) != 2:
-                return poly
-            terms = dict(poly.terms)
-            for m in where(P):
-                terms[m] = terms.get(m, 0) + 1
-            return MultiPoly(P.p, terms)
-
-        def faulty_codes(index, stalactites):  # in the index's coded terms of a truncation
-            pairs = list(stalactites)
-            terms = cube_codes(index, pairs)
-            if len(pairs) != 2 or len(index.ordered) == 2:  # a two-point set's own terms
-                return terms
-            terms = dict(terms)
-            for code in index.lattice.encode(where(Polymatroid(index.ordered[k] for k, _ in pairs))):
-                terms[code] = terms.get(code, 0) + 1
-            return terms
-        return faulty, faulty_codes
-
-    at_top, at_top_codes = raised(lambda P: [max(P.points)])
-    everywhere, everywhere_codes = raised(lambda P: independence_points(P).points)
+    (at_top, at_top_codes), (everywhere, everywhere_codes) = AT_TOP, EVERYWHERE
     caught = 0
     for P in GENERATED:
         if len(P.points) <= 2:
@@ -1429,6 +1473,88 @@ def test_truncation_lemma_check_matches_scan(monkeypatch):
                 assert detail.startswith("truncation at %s: coefficient at %s is" % (n, n))
         caught += not result[0]
     assert caught > 10
+
+
+def kept_masks(P) -> list:
+    """The kept set {u >= n} of P's bases at each region point n, in lex order."""
+    rows = core.exchange_index(P).above
+    return [functools.reduce(operator.and_, map(operator.getitem, rows, n)) for n in independence_points(P).ordered]
+
+
+def truncation_outcome(check, P):
+    """A truncation check's (passed, detail), or its internal error's message."""
+    try:
+        return check(P)
+    except InternalInvariantFailure as exc:
+        return str(exc)
+
+
+def test_truncation_lemma_check_matches_per_pair_oracle(monkeypatch):
+    # The disagreement masks against the pair-by-pair comparison and the
+    # scan: clean, under the two raised-coefficient plants, and under a
+    # plant in the kept sets whose first failing n follows its kept set's
+    # first n.  A passing check asserts and decomposes each distinct kept
+    # set once, from its own mask.
+    instances = GENERATED + LADDER[:4]
+    asserted, decomposed = [], []
+    m_convex_failure, stalactites = core.ExchangeIndex.m_convex_failure, core.ExchangeIndex.stalactites
+    for P in instances:
+        stalactite_polynomial(P)  # the inputs, built before counting
+        asserted.clear()
+        decomposed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(core.ExchangeIndex, "m_convex_failure",
+                          lambda index, mask=None: asserted.append(mask) or m_convex_failure(index, mask))
+            patch.setattr(core.ExchangeIndex, "stalactites",
+                          lambda index, order, mask=None: decomposed.append(mask) or stalactites(index, order, mask))
+            assert CHECKS["truncation-lemmas"](P) == (True, None)
+        assert asserted == decomposed == list(dict.fromkeys(kept_masks(P))), P
+        assert truncation_lemmas_check_per_pair(P) == truncation_lemmas_check_scan(P) == (True, None)
+
+    def at(detail):  # the n of a failure's detail
+        return detail and detail.split(":")[0]
+
+    failed = 0
+    for faulty, faulty_codes in (AT_TOP, EVERYWHERE):
+        for P in [P for P in instances if len(P.points) > 2]:  # the scan's plant would raise P's own polynomial
+            with monkeypatch.context() as patch:
+                patch.setattr(core.ExchangeIndex, "cube_codes", faulty_codes)
+                result = CHECKS["truncation-lemmas"](P)
+                assert result == truncation_lemmas_check_per_pair(P), P
+            failed += not result[0]
+            if P in LADDER:  # no truncation of a ladder row holds two points: the clean scan above
+                assert result == (True, None)
+                continue
+            # The scan lists a truncation's region unsorted, so with many
+            # coefficients wrong it may name another m at the same n.
+            scan = truncation_lemmas_check_scan(P, faulty)
+            assert result == scan if faulty is AT_TOP[0] else (result[0], at(result[1])) == (scan[0], at(scan[1]))
+    assert failed > 40, failed
+
+    # On every instance here the first n of a kept set lies below its
+    # other n, so a fault in the counts fails there first.  This plant drops
+    # the last base from each mask of coordinate 1's rows above 0, so a kept
+    # set can hold n that are not above its first.  The scan reads no rows,
+    # so the two checks alone compare.
+    above = core.ExchangeIndex.above
+
+    def dropped(index):
+        rows = above.__get__(index)
+        return (tuple(mask & ~(1 << mask.bit_length() - 1) if c and mask else mask
+                      for c, mask in enumerate(rows[0])),) + rows[1:]
+
+    later = 0
+    for P in instances:
+        independence_points(P)  # the region, walked on the true rows
+        with monkeypatch.context() as patch:
+            patch.setattr(core.ExchangeIndex, "above", property(dropped))
+            result = truncation_outcome(CHECKS["truncation-lemmas"], P)
+            assert result == truncation_outcome(truncation_lemmas_check_per_pair, P), P
+            if isinstance(result, tuple) and not result[0]:
+                k = [repr(n) for n in independence_points(P).ordered].index(at(result[1])[len("truncation at "):])
+                kept = kept_masks(P)
+                later += kept.index(kept[k]) < k
+    assert later > 5, later
 
 
 def threshold_truncations(index):

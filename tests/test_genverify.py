@@ -4,6 +4,7 @@ import gc
 import importlib.util
 import json
 import re
+import tracemalloc
 import types
 import weakref
 from pathlib import Path
@@ -32,6 +33,22 @@ from cavepoly import genverify
 from cavepoly.genverify import CHECKS, INPUTS, _shrink_candidates
 from conftest import instance_mix
 from test_planted_faults import FAULTS
+
+
+def test_truncation_check_memory_holds_one_coefficient_dict_at_a_time():
+    # (10; [4]x5) has 1753 region points, each with its own kept set.  Every
+    # kept set's counts held to the end peaked at 8.6 MB (tracemalloc,
+    # Python 3.11); one disagreement mask per kept set peaks at about 0.9 MB.
+    P = named_family("uniform", r=10, m=(4,) * 5)
+    for build in INPUTS["truncation-lemmas"]:
+        build(P)
+    tracemalloc.start()
+    try:
+        assert CHECKS["truncation-lemmas"](P) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, peak
 
 
 def test_strategies_are_pinned_in_order():
